@@ -11,8 +11,9 @@ from .architecture import (AnalogCombiner, ReuseArchitecture, build_combiner,
                            default_intra_offsets, is_proportional, phase_grid)
 from .arrays import (ArrayGeometry, ArrayKind, array_response, axial_response,
                      rydberg_response, upa_response)
-from .channel import (ChannelParams, ChannelRealization, PathMeta,
-                      channel_matrix, draw_paths, generate_channel)
+from .channel import (ChannelParams, ChannelRealization, LowRankChannel, Paths,
+                      TransmitFactor, channel_matrix, draw_paths,
+                      generate_channel)
 from .errors import (ArchitectureError, ConfigError, GeometryError,
                      NumericError)
 from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
@@ -32,7 +33,8 @@ __all__ = [
     "AnalogCombiner", "ArchitectureError", "ArrayGeometry", "ArrayKind",
     "ChannelParams", "ChannelRealization", "CombinerSolution", "ConfigError",
     "DigitalReference", "EvalUnit", "ExperimentSpec", "GeometryError",
-    "NumericError", "OptimizerConfig", "PathMeta", "ResultRow", "ResultTable",
+    "LowRankChannel", "NumericError", "OptimizerConfig", "Paths", "ResultRow",
+    "ResultTable", "TransmitFactor",
     "ReuseArchitecture", "SolveMethod", "alternating_minimize",
     "array_response", "axial_response", "build_combiner", "build_wlc",
     "build_wlo", "channel_matrix", "combined_gain_eigenvalues", "compose_wrf",

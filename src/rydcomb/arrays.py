@@ -3,6 +3,10 @@
 Two receive layouts are supported: a square uniform planar array (UPA) and
 the dense non-uniform layout in which each Cell & LO block hosts several
 closely spaced axial sub-elements.  All response vectors are unit-norm.
+
+Every response function broadcasts over its angles: scalar angles give one
+steering vector, length-L angle arrays give an N x L steering matrix whose
+column p is the response to the p-th angle pair.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class ArrayGeometry:
         return self.n_blocks * self.n_per_block
 
 
-def upa_response(azimuth: float, elevation: float, n_elements: int,
+def upa_response(azimuth, elevation, n_elements: int,
                  spacing: float) -> np.ndarray:
     """Unit-norm steering vector of a square uniform planar array.
 
@@ -71,7 +75,7 @@ def upa_response(azimuth: float, elevation: float, n_elements: int,
 
     Parameters
     ----------
-    azimuth, elevation : float
+    azimuth, elevation : float or array of shape (L,)
         Angles in radians.
     n_elements : int
         Total element count, must be a perfect square.
@@ -83,27 +87,29 @@ def upa_response(azimuth: float, elevation: float, n_elements: int,
     side = _square_side(n_elements)
     q1, q2 = np.divmod(np.arange(n_elements), side)
     phase = 2.0 * np.pi * spacing * (
-        q1 * (np.sin(azimuth) * np.sin(elevation)) + q2 * np.cos(elevation))
+        np.multiply.outer(q1, np.sin(azimuth) * np.sin(elevation))
+        + np.multiply.outer(q2, np.cos(elevation)))
     return np.exp(1j * phase) / np.sqrt(n_elements)
 
 
-def axial_response(elevation: float, n_sub: int, spacing: float) -> np.ndarray:
+def axial_response(elevation, n_sub: int, spacing: float) -> np.ndarray:
     """Unit-norm response of the axial sub-elements inside one block.
 
     Sub-element k (k = 0..n_sub-1) sits at a symmetric offset
     (k - (n_sub-1)/2) * spacing along the block axis.
     """
     offsets = np.arange(n_sub) - (n_sub - 1) / 2.0
-    phase = 2.0 * np.pi * spacing * offsets * np.cos(elevation)
+    phase = np.multiply.outer(2.0 * np.pi * spacing * offsets, np.cos(elevation))
     return np.exp(1j * phase) / np.sqrt(n_sub)
 
 
-def rydberg_response(azimuth: float, elevation: float,
+def rydberg_response(azimuth, elevation,
                      geometry: ArrayGeometry) -> np.ndarray:
     """Steering vector of the non-UPA Rydberg layout.
 
     Kronecker product of the per-block UPA response (outer index) with the
-    axial sub-element response (inner index).  Unit Euclidean norm.
+    axial sub-element response (inner index), taken column by column for
+    angle arrays.  Unit Euclidean norm.
     """
     if geometry.kind is not ArrayKind.RYDBERG_NON_UPA:
         raise GeometryError(
@@ -112,11 +118,11 @@ def rydberg_response(azimuth: float, elevation: float,
                          geometry.block_spacing)
     axial = axial_response(elevation, geometry.n_per_block,
                            geometry.intra_spacing)
-    return np.kron(block, axial)
+    return (block[:, None] * axial[None]).reshape((-1,) + block.shape[1:])
 
 
-def array_response(geometry: ArrayGeometry, azimuth: float,
-                   elevation: float) -> np.ndarray:
+def array_response(geometry: ArrayGeometry, azimuth,
+                   elevation) -> np.ndarray:
     """Steering vector for either geometry kind."""
     if geometry.kind is ArrayKind.UPA:
         return upa_response(azimuth, elevation, geometry.n_blocks,

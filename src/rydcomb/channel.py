@@ -4,12 +4,15 @@ The channel is a sum of N_cl clusters with N_ray rays each.  Ray gains are
 complex Gaussian with per-cluster variance, mean angles are uniform, and
 per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
+The channel is kept as its path factors H = A_rx diag(g) A_tx^H, whose
+rank is at most the path count L = n_clusters * n_rays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -50,24 +53,64 @@ class ChannelParams:
         return self.n_clusters * self.n_rays
 
 
-@dataclass(frozen=True)
-class PathMeta:
-    """Gain and angles of one propagation path."""
+@dataclass(frozen=True, eq=False)
+class Paths:
+    """Gains and angles of all propagation paths, one length-L array each."""
 
-    gain: complex
-    aoa_azimuth: float
-    aoa_elevation: float
-    aod_azimuth: float
-    aod_elevation: float
+    gains: np.ndarray
+    aoa_azimuth: np.ndarray
+    aoa_elevation: np.ndarray
+    aod_azimuth: np.ndarray
+    aod_elevation: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = (self.gains, self.aoa_azimuth, self.aoa_elevation,
+                  self.aod_azimuth, self.aod_elevation)
+        if np.ndim(self.gains) != 1 or len({np.shape(a) for a in arrays}) != 1:
+            raise ValueError("path gains and angles must be 1-D arrays of equal length")
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.gains)
+
+
+@dataclass(frozen=True, eq=False)
+class TransmitFactor:
+    """Transmit steering matrix A_tx (N_t x L) of one path draw and its
+    reduced QR factors, shared by every receive geometry of that draw."""
+
+    steering: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LowRankChannel:
+    """The channel H = A_rx diag(gains) A_tx^H kept as its path factors.
+
+    ``gains`` carry the normalization sqrt(N_t N_r / L), so H has rank at
+    most L = n_clusters * n_rays whatever the array sizes.
+    """
+
+    a_rx: np.ndarray
+    gains: np.ndarray
+    transmit: TransmitFactor
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a_rx.shape[0], self.transmit.steering.shape[0]
+
+    def dense(self) -> np.ndarray:
+        return (self.a_rx * self.gains) @ self.transmit.steering.conj().T
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
     matrix: np.ndarray = field(repr=False)
-    paths: tuple[PathMeta, ...] = field(repr=False)
+    paths: Paths = field(repr=False)
 
 
-def draw_paths(params: ChannelParams, rng: np.random.Generator) -> tuple[PathMeta, ...]:
+def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
     """Draw per-path gains and angles.
 
     The draw order is fixed and part of the reproducibility contract:
@@ -87,46 +130,39 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> tuple[PathMet
     aod_el_mean = rng.uniform(0.0, np.pi, ncl)
     offsets = rng.laplace(0.0, scale, size=(4, n_paths)) if scale > 0 else np.zeros((4, n_paths))
 
-    aoa_az = np.repeat(aoa_az_mean, nray) + offsets[0]
-    aoa_el = np.repeat(aoa_el_mean, nray) + offsets[1]
-    aod_az = np.repeat(aod_az_mean, nray) + offsets[2]
-    aod_el = np.repeat(aod_el_mean, nray) + offsets[3]
-
     sigma = np.repeat(np.sqrt(np.asarray(params.cluster_powers) / 2.0), nray)
     re = rng.normal(0.0, 1.0, n_paths)
     im = rng.normal(0.0, 1.0, n_paths)
-    gains = sigma * (re + 1j * im)
-
-    return tuple(
-        PathMeta(gain=complex(gains[p]), aoa_azimuth=float(aoa_az[p]),
-                 aoa_elevation=float(aoa_el[p]), aod_azimuth=float(aod_az[p]),
-                 aod_elevation=float(aod_el[p]))
-        for p in range(n_paths))
+    return Paths(gains=sigma * (re + 1j * im),
+                 aoa_azimuth=np.repeat(aoa_az_mean, nray) + offsets[0],
+                 aoa_elevation=np.repeat(aoa_el_mean, nray) + offsets[1],
+                 aod_azimuth=np.repeat(aod_az_mean, nray) + offsets[2],
+                 aod_elevation=np.repeat(aod_el_mean, nray) + offsets[3])
 
 
-def channel_matrix(paths: tuple[PathMeta, ...], n_tx: int,
-                   rx_geometry: ArrayGeometry, tx_spacing: float = 0.5) -> np.ndarray:
-    """Assemble the N_r x N_t channel matrix from path metadata.
+def channel_matrix(paths: Paths, n_tx: int, rx_geometry: ArrayGeometry,
+                   tx_spacing: float = 0.5,
+                   transmit: Optional[TransmitFactor] = None) -> LowRankChannel:
+    """Assemble the N_r x N_t channel matrix from the paths, in factored form.
 
     Keeping this separate from the path draw lets several receive
-    geometries share one set of paths for paired comparisons.
+    geometries share one set of paths for paired comparisons; they can also
+    share one ``transmit`` factor, which depends on the paths only.
     """
+    if transmit is None:
+        a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, tx_spacing)
+        transmit = TransmitFactor(a_tx, *np.linalg.qr(a_tx))
+    elif transmit.steering.shape != (n_tx, paths.n_paths):
+        raise ValueError("transmit factor does not match n_tx and the paths")
     n_r = rx_geometry.n_elements
-    n_paths = len(paths)
-    a_rx = np.empty((n_r, n_paths), dtype=complex)
-    a_tx = np.empty((n_tx, n_paths), dtype=complex)
-    gains = np.empty(n_paths, dtype=complex)
-    for p, path in enumerate(paths):
-        a_rx[:, p] = array_response(rx_geometry, path.aoa_azimuth, path.aoa_elevation)
-        a_tx[:, p] = upa_response(path.aod_azimuth, path.aod_elevation, n_tx, tx_spacing)
-        gains[p] = path.gain
-    scale = math.sqrt(n_tx * n_r / n_paths)
-    return scale * (a_rx * gains) @ a_tx.conj().T
+    a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
+    scale = math.sqrt(n_tx * n_r / paths.n_paths)
+    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains, transmit=transmit)
 
 
 def generate_channel(params: ChannelParams,
                      rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization.  Deterministic given the generator state."""
     paths = draw_paths(params, rng)
-    matrix = channel_matrix(paths, params.n_tx, params.rx_geometry)
+    matrix = channel_matrix(paths, params.n_tx, params.rx_geometry).dense()
     return ChannelRealization(matrix=matrix, paths=paths)

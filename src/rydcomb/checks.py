@@ -2,7 +2,7 @@
 
 Each check exercises one optimizer or channel contract against an
 independent oracle (grid search, exhaustive enumeration, generic
-pseudoinverse, Monte-Carlo statistic) and reports PASS/FAIL/SKIP.
+pseudoinverse, Monte-Carlo statistic, dense SVD) and reports PASS/FAIL/SKIP.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from . import optimizer
 from .architecture import (ReuseArchitecture, compose_wrf, is_proportional)
 from .arrays import ArrayGeometry, ArrayKind
-from .channel import ChannelParams, generate_channel
+from .channel import ChannelParams, channel_matrix, draw_paths, generate_channel
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,35 @@ def check_channel_energy(trials: int = 200, seed: int = 15) -> CheckResult:
                        f"mean ||H||_F^2 / (Nt*Nr) = {ratio:.4f} over {trials} trials")
 
 
+def check_factored_reference(n_instances: int = 10, n_streams: int = 3,
+                             seed: int = 16) -> CheckResult:
+    """The QR-core reference of a factored channel must match the dense SVD:
+    singular values, stream projectors w w^H and f f^H, and the
+    phase-fixed columns.  Covers N_r below and above the path count."""
+    rng = np.random.default_rng(seed)
+    geometries = (ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6))
+    worst = 0.0
+    for _ in range(n_instances):
+        params = ChannelParams(n_tx=144, rx_geometry=geometries[0])
+        paths = draw_paths(params, rng)
+        for geometry in geometries:
+            channel = channel_matrix(paths, 144, geometry)
+            dense = optimizer.optimal_digital_combiner(channel.dense(), n_streams)
+            factored = optimizer.optimal_digital_combiner(channel, n_streams)
+            deviations = [np.max(np.abs(factored.singular_values
+                                        - dense.singular_values))
+                          / dense.singular_values[0]]
+            for a, b in ((factored.w_opt, dense.w_opt),
+                         (factored.f_opt, dense.f_opt)):
+                deviations += [np.max(np.abs(a @ a.conj().T - b @ b.conj().T)),
+                               np.max(np.abs(a - b))]
+            worst = max(worst, *deviations)
+    ok = worst <= 1e-9
+    return CheckResult("factored-reference", "PASS" if ok else "FAIL",
+                       f"max deviation from the dense SVD: {worst:.2e}")
+
+
 def run_all(arch: Optional[ReuseArchitecture] = None,
             channel_trials: int = 200) -> list[CheckResult]:
     return [
@@ -140,4 +169,5 @@ def run_all(arch: Optional[ReuseArchitecture] = None,
         check_block_pseudoinverse(),
         check_proportional_equivalence(arch=arch),
         check_channel_energy(trials=channel_trials),
+        check_factored_reference(),
     ]

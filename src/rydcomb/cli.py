@@ -510,7 +510,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     threads = args.__dict__.get("threads")
     if threads is None:
         env = os.environ.get("SIM_THREADS", "")
-        threads = int(env) if env.isdigit() and int(env) >= 1 else 1
+        try:
+            threads = _positive_int(env) if env else 1
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: SIM_THREADS={env!r} is not a positive integer",
+                  file=sys.stderr)
+            return 1
     config = RunConfig(command=args.command,
                        config_path=getattr(args, "config", None),
                        output_dir=getattr(args, "out", None),

@@ -12,13 +12,13 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .architecture import ReuseArchitecture, compose_wrf
 from .arrays import ArrayGeometry
-from .channel import ChannelParams, channel_matrix, draw_paths
+from .channel import ChannelParams, LowRankChannel, channel_matrix, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
                         alternating_minimize, optimal_digital_combiner,
@@ -28,18 +28,23 @@ _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
 
 
-def combined_gain_eigenvalues(h: np.ndarray, w_rf: np.ndarray,
-                              w_bb: np.ndarray, f_opt: np.ndarray) -> np.ndarray:
+def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
+                              w_rf: np.ndarray, w_bb: np.ndarray,
+                              f_opt: np.ndarray) -> np.ndarray:
     """Eigenvalues of the noise-whitened effective channel Gram matrix.
 
     With W = W_RF @ W_BB and T = W^H H F_opt, these are the eigenvalues of
     (W^H W)^{-1/2} T T^H (W^H W)^{-1/2}; the rate at a given SNR is
     sum(log2(1 + snr/N_s * ev)).  Computed via a Cholesky factor of W^H W
     for stability; raises on rank deficiency or significantly negative
-    eigenvalues.
+    eigenvalues.  A ``LowRankChannel`` forms T through its factors.
     """
     w = w_rf @ w_bb
-    t = w.conj().T @ h @ f_opt
+    if isinstance(h, LowRankChannel):
+        t = (((w.conj().T @ h.a_rx) * h.gains)
+             @ (h.transmit.steering.conj().T @ f_opt))
+    else:
+        t = w.conj().T @ h @ f_opt
     gram = w.conj().T @ w
     try:
         chol = np.linalg.cholesky(gram)
@@ -54,7 +59,8 @@ def combined_gain_eigenvalues(h: np.ndarray, w_rf: np.ndarray,
     return np.maximum(ev, 0.0)
 
 
-def spectral_efficiency(h: np.ndarray, w_rf: np.ndarray, w_bb: np.ndarray,
+def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
+                        w_rf: np.ndarray, w_bb: np.ndarray,
                         f_opt: np.ndarray, n_streams: int,
                         snr_linear: float) -> float:
     """Achievable rate in bits/s/Hz for one channel, combiner, and SNR."""
@@ -74,7 +80,8 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
     return float(np.sum(np.log2(1.0 + snr_linear * sv ** 2 / n_streams)))
 
 
-def evaluate_architecture(h: np.ndarray, arch: ReuseArchitecture,
+def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
+                          arch: ReuseArchitecture,
                           n_streams: int, snr_linear_grid,
                           solver: str = "auto",
                           config: Optional[OptimizerConfig] = None,
@@ -174,6 +181,10 @@ class ExperimentSpec:
             if self.n_streams > min(unit.geometry.n_elements, self.channel.n_tx):
                 raise ConfigError(
                     f"{unit.label}: n_streams exceeds min(N_r, N_t)")
+            if self.n_streams > self.channel.n_paths:
+                raise ConfigError(
+                    f"n_streams={self.n_streams} exceeds the channel rank "
+                    f"bound n_clusters * n_rays = {self.channel.n_paths}")
             if unit.arch is not None and self.n_streams > unit.arch.n_chains:
                 raise ConfigError(
                     f"{unit.label}: n_streams={self.n_streams} > chain count "
@@ -229,17 +240,29 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, trial)))
 
 
-def _run_trial(spec: ExperimentSpec, trial: int, snr_linear: np.ndarray) -> np.ndarray:
+def _trial_channels(spec: ExperimentSpec, trial: int
+                    ) -> dict[ArrayGeometry, tuple[LowRankChannel, DigitalReference]]:
+    """Draw the trial's paths once and build, per receive geometry, the
+    factored channel and its SVD reference.  All geometries share one
+    transmit factor."""
     paths = draw_paths(spec.channel, _channel_rng(spec.seed, trial))
-    h_cache: dict[ArrayGeometry, np.ndarray] = {}
-    ref_cache: dict[ArrayGeometry, DigitalReference] = {}
+    out: dict[ArrayGeometry, tuple[LowRankChannel, DigitalReference]] = {}
+    transmit = None
+    for unit in spec.units:
+        if unit.geometry not in out:
+            channel = channel_matrix(paths, spec.channel.n_tx, unit.geometry,
+                                     transmit=transmit)
+            transmit = channel.transmit
+            out[unit.geometry] = (
+                channel, optimal_digital_combiner(channel, spec.n_streams))
+    return out
+
+
+def _run_trial(spec: ExperimentSpec, trial: int, snr_linear: np.ndarray) -> np.ndarray:
+    channels = _trial_channels(spec, trial)
     out = np.empty((len(spec.units), snr_linear.size))
     for i, unit in enumerate(spec.units):
-        geom = unit.geometry
-        if geom not in h_cache:
-            h_cache[geom] = channel_matrix(paths, spec.channel.n_tx, geom)
-            ref_cache[geom] = optimal_digital_combiner(h_cache[geom], spec.n_streams)
-        h, ref = h_cache[geom], ref_cache[geom]
+        h, ref = channels[unit.geometry]
         if unit.arch is None:
             out[i] = [fully_digital_se(ref.singular_values, spec.n_streams, s)
                       for s in snr_linear]
@@ -333,15 +356,11 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     max_iter = spec.solver.max_iterations
 
     def worker(t: int) -> np.ndarray:
-        paths = draw_paths(spec.channel, _channel_rng(spec.seed, t))
-        ref_cache: dict[ArrayGeometry, DigitalReference] = {}
+        channels = _trial_channels(spec, t)
         out = np.empty((len(spec.units), max_iter))
         for i, unit in enumerate(spec.units):
-            geom = unit.geometry
-            if geom not in ref_cache:
-                h = channel_matrix(paths, spec.channel.n_tx, geom)
-                ref_cache[geom] = optimal_digital_combiner(h, spec.n_streams)
-            sol = alternating_minimize(unit.arch, ref_cache[geom].w_opt,
+            _, ref = channels[unit.geometry]
+            sol = alternating_minimize(unit.arch, ref.w_opt,
                                        config=spec.solver,
                                        rng=_solver_rng(spec.seed, t, unit))
             hist = sol.residual_history

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .architecture import (TWO_PI, ReuseArchitecture, diagonal_phases,
                            is_proportional)
+from .channel import LowRankChannel
 from .errors import ArchitectureError, NumericError
 
 _ORTHO_RTOL = 1e-8
@@ -76,24 +77,50 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def optimal_digital_combiner(h: np.ndarray, n_streams: int) -> DigitalReference:
-    """SVD-based fully digital reference for a channel matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
+def _factored_svd(h: LowRankChannel, n_streams: int):
+    """Leading singular triplets of H = A_rx diag(g) A_tx^H from its factors.
+
+    With A_rx = Q_rx R_rx and A_tx = Q_tx R_tx, H = Q_rx C Q_tx^H for the
+    small core C = R_rx diag(g) R_tx^H, so the singular vectors of C mapped
+    through Q_rx and Q_tx are those of H.
+    """
+    q_rx, r_rx = np.linalg.qr(h.a_rx)
+    core = (r_rx * h.gains) @ h.transmit.r.conj().T
+    u, s, vh = np.linalg.svd(core, full_matrices=False)
+    return q_rx @ u[:, :n_streams], s, vh[:n_streams] @ h.transmit.q.conj().T
+
+
+def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
+                             n_streams: int) -> DigitalReference:
+    """SVD-based fully digital reference for a channel matrix, dense or
+    factored.  A factored channel has at most L nonzero singular values;
+    the rest are returned as exact zeros."""
+    if isinstance(h, LowRankChannel):
+        parts = (h.a_rx, h.gains, h.transmit.steering)
+    else:
+        h = np.asarray(h, dtype=complex)
+        if h.ndim != 2:
+            raise ValueError("channel matrix must be 2-D")
+        parts = (h,)
     if not (1 <= n_streams <= min(h.shape)):
         raise ValueError(
             f"n_streams={n_streams} must be in [1, min{h.shape}]")
-    if not np.all(np.isfinite(h)):
+    if not all(np.all(np.isfinite(p)) for p in parts):
         raise NumericError("channel matrix contains non-finite entries")
     try:
-        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        if isinstance(h, LowRankChannel):
+            u, s, vh = _factored_svd(h, n_streams)
+        else:
+            u, s, vh = np.linalg.svd(h, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
+    if n_streams > s.size:
+        raise ValueError(
+            f"n_streams={n_streams} exceeds the channel rank bound {s.size}")
     return DigitalReference(
         w_opt=_fix_column_phases(u[:, :n_streams]),
-        f_opt=_fix_column_phases(vh.conj().T[:, :n_streams]),
-        singular_values=s.copy())
+        f_opt=_fix_column_phases(vh[:n_streams].conj().T),
+        singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
 
 
 def update_wbb(w_rf: np.ndarray, w_opt: np.ndarray) -> np.ndarray:
@@ -192,7 +219,7 @@ def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
     after a quantized phase update, so the output is always feasible, and
     the residual sequence is monotone nonincreasing.  Stops when consecutive
     squared residuals differ by less than epsilon, or at the iteration cap
-    (returning the best iterate found, flagged as unconverged).
+    (flagged as unconverged).  Either way it returns the last iterate.
     """
     config = config or OptimizerConfig()
     rng = rng or np.random.default_rng()
@@ -245,12 +272,8 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
         phases = np.zeros(arch.n_blocks)
     u = np.exp(1j * diagonal_phases(arch, phases))
 
-    depth = arch.apd_depth
-    w_bb = np.empty((arch.n_chains, w_opt.shape[1]), dtype=complex)
-    for n in range(arch.n_chains):
-        rows = slice(n * depth, (n + 1) * depth)
-        w_bb[n, :] = np.conj(u[rows]) @ w_opt[rows, :] / depth
-    res = _residual(u, w_bb, w_opt, depth)
+    w_bb = _wbb_for_phases(u, w_opt, arch.apd_depth)
+    res = _residual(u, w_bb, w_opt, arch.apd_depth)
     return CombinerSolution(phases=np.asarray(phases, dtype=float), w_bb=w_bb,
                             residual=res, iterations=0,
                             method=SolveMethod.DIRECT_PROPORTIONAL,

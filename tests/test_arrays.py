@@ -97,6 +97,33 @@ class TestRydbergResponse:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+class TestSteeringMatrix:
+    """Angle arrays give one column per path, equal to the per-path vector."""
+
+    @pytest.mark.parametrize("geometry", [ArrayGeometry(ArrayKind.UPA, 144, 1),
+                                          ArrayGeometry(ArrayKind.UPA, 36, 1),
+                                          nonupa(36, 6), nonupa(9, 4)])
+    def test_columns_match_per_path(self, geometry):
+        rng = np.random.default_rng(3)
+        az = rng.uniform(0, 2 * np.pi, 50)
+        el = rng.uniform(0, np.pi, 50)
+        m = array_response(geometry, az, el)
+        assert m.shape == (geometry.n_elements, 50)
+        for p in range(50):
+            np.testing.assert_allclose(m[:, p], array_response(geometry, az[p], el[p]),
+                                       rtol=0, atol=1e-15)
+
+    def test_kronecker_columns(self):
+        rng = np.random.default_rng(4)
+        az = rng.uniform(0, 2 * np.pi, 20)
+        el = rng.uniform(0, np.pi, 20)
+        m = rydberg_response(az, el, nonupa(36, 6))
+        for p in range(20):
+            expected = np.kron(upa_response(az[p], el[p], 36, 0.5),
+                               axial_response(el[p], 6, 0.05))
+            np.testing.assert_allclose(m[:, p], expected, rtol=0, atol=1e-15)
+
+
 class TestGeometryValidation:
     def test_upa_requires_single_per_block(self):
         with pytest.raises(GeometryError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rydcomb import (ArrayGeometry, ArrayKind, ChannelParams, GeometryError,
-                     PathMeta, channel_matrix, draw_paths, generate_channel,
+                     Paths, channel_matrix, draw_paths, generate_channel,
                      rydberg_response, upa_response)
 
 
@@ -34,13 +34,20 @@ class TestParamsValidation:
     def test_unit_powers_default(self):
         assert default_params().cluster_powers == (1.0,) * 5
 
+    def test_path_arrays_must_match(self):
+        with pytest.raises(ValueError):
+            Paths(gains=np.ones(3, dtype=complex), aoa_azimuth=np.zeros(3),
+                  aoa_elevation=np.zeros(3), aod_azimuth=np.zeros(2),
+                  aod_elevation=np.zeros(3))
+
 
 class TestSinglePath:
     def test_rank_one_reduction_exact(self):
         geometry = nonupa(16, 3)
-        path = PathMeta(gain=1.0 + 0j, aoa_azimuth=0.8, aoa_elevation=1.2,
-                        aod_azimuth=2.1, aod_elevation=0.4)
-        h = channel_matrix((path,), 36, geometry)
+        paths = Paths(gains=np.array([1.0 + 0j]), aoa_azimuth=np.array([0.8]),
+                      aoa_elevation=np.array([1.2]), aod_azimuth=np.array([2.1]),
+                      aod_elevation=np.array([0.4]))
+        h = channel_matrix(paths, 36, geometry).dense()
         a_r = rydberg_response(0.8, 1.2, geometry)
         a_t = upa_response(2.1, 0.4, 36, 0.5)
         expected = math.sqrt(36 * 48) * np.outer(a_r, a_t.conj())
@@ -68,25 +75,25 @@ class TestStatistics:
         params = default_params(cluster_powers=(4.0, 1.0, 1.0, 1.0, 1.0),
                                 n_rays=200)
         paths = draw_paths(params, np.random.default_rng(5))
-        gains = np.array([p.gain for p in paths]).reshape(5, 200)
+        gains = paths.gains.reshape(5, 200)
         first = np.mean(np.abs(gains[0]) ** 2)
         rest = np.mean(np.abs(gains[1:]) ** 2)
         assert first / rest == pytest.approx(4.0, rel=0.35)
 
     def test_path_count_and_finiteness(self):
         paths = draw_paths(default_params(), np.random.default_rng(1))
-        assert len(paths) == 50
-        for p in paths:
-            for angle in (p.aoa_azimuth, p.aoa_elevation, p.aod_azimuth,
-                          p.aod_elevation):
-                assert math.isfinite(angle)
+        assert paths.n_paths == 50
+        for angles in (paths.aoa_azimuth, paths.aoa_elevation,
+                       paths.aod_azimuth, paths.aod_elevation):
+            assert angles.shape == (50,)
+            assert np.all(np.isfinite(angles))
 
     def test_laplacian_spread_scale(self):
         # offsets around the cluster mean should have std close to the spread
         params = default_params(n_clusters=1, n_rays=4000,
                                 angular_spread=math.radians(10.0))
         paths = draw_paths(params, np.random.default_rng(9))
-        az = np.array([p.aoa_azimuth for p in paths])
+        az = paths.aoa_azimuth
         assert np.std(az - np.mean(az)) == pytest.approx(math.radians(10.0),
                                                          rel=0.1)
 

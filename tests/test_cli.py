@@ -262,12 +262,28 @@ class TestRunEndToEnd:
         assert main(["sweep-snr", "--config", str(path), "--out",
                      str(tmp_path / "env")]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_env_threads_exit_one(self, tmp_path, monkeypatch,
+                                          capsys, value):
+        monkeypatch.setenv("SIM_THREADS", value)
+        path = write_doc(tmp_path, smoke_doc())
+        assert main(["sweep-snr", "--config", str(path), "--out",
+                     str(tmp_path / "env")]) == 1
+        assert "SIM_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "env").exists()
+
+    def test_streams_above_path_count_rejected(self):
+        doc = smoke_doc(n_streams=2)
+        doc["channel"] = dict(doc["channel"], n_clusters=1, n_rays=1)
+        with pytest.raises(ConfigError, match="rank bound"):
+            build_spec(doc, "sweep-snr")
+
 
 class TestValidateCommand:
     def test_healthy_build_passes(self, capsys):
         assert validate_command() == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_broken_quantizer_detected(self, capsys, monkeypatch):

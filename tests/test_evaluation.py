@@ -4,11 +4,12 @@ import pytest
 from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      ChannelParams, ConfigError, EvalUnit, ExperimentSpec,
                      NumericError, OptimizerConfig, ReuseArchitecture,
-                     compose_wrf, conventional_pc_baseline,
+                     channel_matrix, combined_gain_eigenvalues, compose_wrf,
+                     conventional_pc_baseline, draw_paths,
                      evaluate_architecture, fully_digital_se,
                      generate_channel, optimal_digital_combiner,
                      pc_architecture, run_convergence, run_experiment,
-                     spectral_efficiency)
+                     solve_combiner, spectral_efficiency)
 
 
 def rand_complex(rng, shape):
@@ -109,6 +110,22 @@ class TestSpectralEfficiency:
             general = spectral_efficiency(h, np.eye(9), ref.w_opt, ref.f_opt,
                                           3, snr)
             assert direct == pytest.approx(general, abs=1e-10)
+
+
+    def test_factored_channel_matches_dense(self):
+        geometry = nonupa(36, 6)
+        params = ChannelParams(n_tx=144, rx_geometry=geometry)
+        arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=4)
+        for seed in range(3):
+            paths = draw_paths(params, np.random.default_rng(seed))
+            channel = channel_matrix(paths, 144, geometry)
+            ref = optimal_digital_combiner(channel, 3)
+            sol = solve_combiner(arch, ref.w_opt, rng=np.random.default_rng(seed))
+            w_rf = compose_wrf(arch, sol.phases)
+            factored = combined_gain_eigenvalues(channel, w_rf, sol.w_bb, ref.f_opt)
+            dense = combined_gain_eigenvalues(channel.dense(), w_rf, sol.w_bb,
+                                              ref.f_opt)
+            np.testing.assert_allclose(factored, dense, rtol=1e-10)
 
 
 class TestEvaluateArchitecture:

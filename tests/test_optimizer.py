@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcomb import (ArchitectureError, NumericError, OptimizerConfig,
+from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
+                     ChannelParams, NumericError, OptimizerConfig, Paths,
                      ReuseArchitecture, SolveMethod, alternating_minimize,
-                     compose_wrf, direct_solve_proportional,
+                     channel_matrix, compose_wrf, direct_solve_proportional,
+                     draw_paths,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, solve_combiner, update_wbb)
 
@@ -67,6 +69,61 @@ class TestDigitalCombiner:
         h[0, 0] = np.nan
         with pytest.raises(NumericError):
             optimal_digital_combiner(h, 2)
+
+
+def factored_channel(geometry, seed):
+    params = ChannelParams(n_tx=144, rx_geometry=geometry)
+    paths = draw_paths(params, np.random.default_rng(seed))
+    return channel_matrix(paths, 144, geometry)
+
+
+class TestFactoredReference:
+    """The QR-core reference of a LowRankChannel against the dense SVD, for
+    N_r below (36 elements) and above (216 elements) the 50 paths."""
+
+    GEOMETRIES = [ArrayGeometry(ArrayKind.UPA, 36, 1),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6)]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_svd(self, geometry, seed):
+        channel = factored_channel(geometry, seed)
+        dense = optimal_digital_combiner(channel.dense(), 3)
+        factored = optimal_digital_combiner(channel, 3)
+        scale = dense.singular_values[0]
+        assert factored.singular_values.shape == dense.singular_values.shape
+        np.testing.assert_allclose(factored.singular_values,
+                                   dense.singular_values, rtol=0,
+                                   atol=1e-12 * scale)
+        for a, b in ((factored.w_opt, dense.w_opt), (factored.f_opt, dense.f_opt)):
+            np.testing.assert_allclose(a @ a.conj().T, b @ b.conj().T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_columns_phase_fixed(self):
+        ref = optimal_digital_combiner(factored_channel(self.GEOMETRIES[2], 5), 3)
+        for m in (ref.w_opt, ref.f_opt):
+            for k in range(3):
+                pivot = m[np.argmax(np.abs(m[:, k])), k]
+                assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+    def test_stream_bounds(self):
+        channel = factored_channel(self.GEOMETRIES[0], 0)
+        with pytest.raises(ValueError):
+            optimal_digital_combiner(channel, 37)
+        single = channel_matrix(
+            Paths(gains=np.ones(1, dtype=complex), aoa_azimuth=np.zeros(1),
+                  aoa_elevation=np.ones(1), aod_azimuth=np.zeros(1),
+                  aod_elevation=np.ones(1)), 144, self.GEOMETRIES[0])
+        with pytest.raises(ValueError, match="rank bound"):
+            optimal_digital_combiner(single, 2)
+
+    def test_non_finite_rejected(self):
+        channel = factored_channel(self.GEOMETRIES[0], 0)
+        channel.gains[3] = np.nan
+        with pytest.raises(NumericError):
+            optimal_digital_combiner(channel, 2)
 
 
 class TestUpdateWbb:
