@@ -6,9 +6,9 @@ continuous phase resolution, and Monte-Carlo spectral-efficiency
 evaluation over clustered mmWave channels.
 """
 
-from .architecture import (AnalogCombiner, ReuseArchitecture, build_combiner,
-                           build_wlc, build_wlo, compose_wrf,
-                           default_intra_offsets, is_proportional, phase_grid)
+from .architecture import (ReuseArchitecture, build_wlc, compose_wrf,
+                           default_intra_offsets, diagonal_phases,
+                           is_proportional, phase_grid)
 from .arrays import (ArrayGeometry, ArrayKind, array_response, axial_response,
                      rydberg_response, upa_response)
 from .channel import (ChannelParams, ChannelRealization, LowRankChannel, Paths,
@@ -17,10 +17,9 @@ from .channel import (ChannelParams, ChannelRealization, LowRankChannel, Paths,
 from .errors import (ArchitectureError, ConfigError, GeometryError,
                      NumericError)
 from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
-                         combined_gain_eigenvalues, conventional_pc_baseline,
-                         evaluate_architecture, fully_digital_se,
-                         pc_architecture, run_convergence, run_experiment,
-                         spectral_efficiency)
+                         combined_gain_eigenvalues, evaluate_architecture,
+                         fully_digital_se, pc_architecture, run_convergence,
+                         run_experiment, spectral_efficiency)
 from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
                         SolveMethod, alternating_minimize,
                         direct_solve_proportional, optimal_digital_combiner,
@@ -30,19 +29,18 @@ from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalogCombiner", "ArchitectureError", "ArrayGeometry", "ArrayKind",
-    "ChannelParams", "ChannelRealization", "CombinerSolution", "ConfigError",
+    "ArchitectureError", "ArrayGeometry", "ArrayKind", "ChannelParams",
+    "ChannelRealization", "CombinerSolution", "ConfigError",
     "DigitalReference", "EvalUnit", "ExperimentSpec", "GeometryError",
     "LowRankChannel", "NumericError", "OptimizerConfig", "Paths", "ResultRow",
     "ResultTable", "TransmitFactor",
     "ReuseArchitecture", "SolveMethod", "alternating_minimize",
-    "array_response", "axial_response", "build_combiner", "build_wlc",
-    "build_wlo", "channel_matrix", "combined_gain_eigenvalues", "compose_wrf",
-    "conventional_pc_baseline", "default_intra_offsets",
-    "direct_solve_proportional", "draw_paths", "evaluate_architecture",
-    "fully_digital_se", "generate_channel", "is_proportional",
-    "optimal_digital_combiner", "optimal_phase", "pc_architecture",
-    "phase_grid", "quantize_phase", "run_convergence", "run_experiment",
-    "solve_combiner", "spectral_efficiency", "update_wbb", "upa_response",
-    "rydberg_response",
+    "array_response", "axial_response", "build_wlc", "channel_matrix",
+    "combined_gain_eigenvalues", "compose_wrf", "default_intra_offsets",
+    "diagonal_phases", "direct_solve_proportional", "draw_paths",
+    "evaluate_architecture", "fully_digital_se", "generate_channel",
+    "is_proportional", "optimal_digital_combiner", "optimal_phase",
+    "pc_architecture", "phase_grid", "quantize_phase", "run_convergence",
+    "run_experiment", "solve_combiner", "spectral_efficiency", "update_wbb",
+    "upa_response", "rydberg_response",
 ]

@@ -9,7 +9,7 @@ instances of the same parameterization (depth 1 = dedicated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,35 +116,9 @@ def diagonal_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     return np.repeat(phases, arch.lo_depth) + arch.intra_offsets.ravel()
 
 
-def build_wlo(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
-    """Diagonal N_r x N_r LO matrix with unit-modulus entries
-    exp(j*(phi_i + offset_{i,k}))."""
-    return np.diag(np.exp(1j * diagonal_phases(arch, phases)))
-
-
 def compose_wrf(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     """Analog combiner W_LO @ W_LC: N_r x N_chains, exactly apd_depth
     unit-modulus nonzeros per column, so W^H W = apd_depth * I."""
     u = np.exp(1j * diagonal_phases(arch, phases))
     return u[:, None] * build_wlc(arch.n_r, arch.apd_depth)
 
-
-@dataclass(frozen=True, eq=False)
-class AnalogCombiner:
-    """Constructed analog stage: LO matrix, adjacency, and the block phases
-    that produced them."""
-
-    w_lo: np.ndarray = field(repr=False)
-    w_lc: np.ndarray = field(repr=False)
-    phases: np.ndarray = field(repr=False)
-
-    @property
-    def w_rf(self) -> np.ndarray:
-        return self.w_lo @ self.w_lc
-
-
-def build_combiner(arch: ReuseArchitecture, phases: np.ndarray) -> AnalogCombiner:
-    phases = _check_phases(arch, phases)
-    return AnalogCombiner(w_lo=build_wlo(arch, phases),
-                          w_lc=build_wlc(arch.n_r, arch.apd_depth),
-                          phases=phases.copy())

@@ -3,17 +3,21 @@
 Each check exercises one optimizer or channel contract against an
 independent oracle (grid search, exhaustive enumeration, generic
 pseudoinverse, Monte-Carlo statistic, dense SVD) and reports PASS/FAIL/SKIP.
+A check that raises reports FAIL with the exception, and the suite goes on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import traceback
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import optimizer
-from .architecture import (ReuseArchitecture, compose_wrf, is_proportional)
+from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
+                           is_proportional, phase_grid)
 from .arrays import ArrayGeometry, ArrayKind
 from .channel import ChannelParams, channel_matrix, draw_paths, generate_channel
 
@@ -25,12 +29,35 @@ class CheckResult:
     detail: str
 
 
+def _check(name: str):
+    """Name a check returning (status, detail).  A check that raises
+    reports FAIL with the exception instead of aborting the suite."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CheckResult:
+            try:
+                status, detail = fn(*args, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - any raise is a failure
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                status, detail = "FAIL", (
+                    f"raised {type(exc).__name__} at {frame.filename}:"
+                    f"{frame.lineno}: {exc}")
+            return CheckResult(name, status, detail)
+        return run
+    return wrap
+
+
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
 def _rand_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+@_check("phase-update-grid")
 def check_phase_update_grid(n_instances: int = 20, grid_points: int = 100_000,
-                            seed: int = 11) -> CheckResult:
+                            seed: int = 11):
     """Closed-form rotation phase must beat a dense grid of candidates."""
     rng = np.random.default_rng(seed)
     grid = 2.0 * np.pi * np.arange(grid_points) / grid_points
@@ -44,59 +71,68 @@ def check_phase_update_grid(n_instances: int = 20, grid_points: int = 100_000,
         objective = np.linalg.norm(
             y[None, :, :] - rot[:, None, None] * x[None, :, :], axis=(1, 2))
         worst = max(worst, best - objective.min())
-    ok = worst <= 1e-9
-    return CheckResult("phase-update-grid", "PASS" if ok else "FAIL",
-                       f"max excess over {grid_points}-point grid: {worst:.2e}")
+    return (_status(worst <= 1e-9),
+            f"max excess over {grid_points}-point grid: {worst:.2e}")
 
 
+@_check("quantizer-exhaustive")
 def check_quantizer_exhaustive(n_phases: int = 1000, max_bits: int = 6,
-                               seed: int = 12) -> CheckResult:
-    """Quantizer output must maximize cos(grid - phase) over the full set."""
+                               seed: int = 12):
+    """Quantizer output must maximize cos(grid - phase) over the full set.
+    The phases go in as one array, the way the solver quantizes them."""
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, n_phases)
     for bits in range(1, max_bits + 1):
-        grid = 2.0 * np.pi * np.arange(2 ** bits) / (2 ** bits)
-        for phi in phases:
-            q = optimizer.quantize_phase(float(phi), bits)
-            if q not in grid and not np.any(np.isclose(q, grid)):
-                return CheckResult("quantizer-exhaustive", "FAIL",
-                                   f"output {q} not on the {2 ** bits}-point grid")
-            if np.cos(q - phi) < np.max(np.cos(grid - phi)) - 1e-12:
-                return CheckResult(
-                    "quantizer-exhaustive", "FAIL",
-                    f"suboptimal at phi={phi:.6f}, B={bits}: got {q:.6f}")
-    return CheckResult("quantizer-exhaustive", "PASS",
-                       f"{n_phases} phases x B=1..{max_bits}")
+        grid = phase_grid(bits)
+        q = np.broadcast_to(optimizer.quantize_phase(phases, bits), phases.shape)
+        ok = (np.isclose(q[:, None], grid).any(axis=1)
+              & (np.cos(q - phases)
+                 >= np.max(np.cos(grid - phases[:, None]), axis=1) - 1e-12))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            return ("FAIL", f"phi={phases[k]:.6f}, B={bits}: got {q[k]:.6f}, "
+                            f"off the {2 ** bits}-point grid or suboptimal")
+    return "PASS", f"{n_phases} phases x B=1..{max_bits}"
 
 
-def check_block_pseudoinverse(n_instances: int = 10, seed: int = 13) -> CheckResult:
-    """Per-chain row formula must match the generic pseudoinverse path."""
+@_check("block-pseudoinverse")
+def check_block_pseudoinverse(n_instances: int = 20, seed: int = 13):
+    """The W_BB row formula both solvers use must match the generic
+    pseudoinverse, for proportional and non-proportional reuse, and the
+    analog combiner it assumes must satisfy W_RF^H W_RF = apd_depth * I."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = gram_dev = 0.0
     for _ in range(n_instances):
         lo = int(rng.choice([2, 4, 6]))
-        apd = int(rng.choice([d for d in (1, 2, 3, 6) if lo % d == 0]))
+        apd = int(rng.choice([d for d in range(1, 19) if 9 * lo % d == 0]))
         arch = ReuseArchitecture(n_blocks=9, lo_depth=lo, apd_depth=apd)
         w_opt = _rand_complex(rng, (arch.n_r, 3))
         phases = rng.uniform(0, 2 * np.pi, arch.n_blocks)
-        sol = optimizer.direct_solve_proportional(arch, w_opt, phases=phases)
-        pinv_path = np.linalg.pinv(compose_wrf(arch, phases)) @ w_opt
-        worst = max(worst, float(np.max(np.abs(sol.w_bb - pinv_path))))
-    ok = worst <= 1e-10
-    return CheckResult("block-pseudoinverse", "PASS" if ok else "FAIL",
-                       f"max |row formula - pinv| = {worst:.2e}")
+        w_rf = compose_wrf(arch, phases)
+        w_bb = [optimizer.update_wbb(np.exp(1j * diagonal_phases(arch, phases)),
+                                     w_opt, apd)]
+        if is_proportional(arch):
+            w_bb.append(optimizer.direct_solve_proportional(
+                arch, w_opt, phases=phases).w_bb)
+        pinv_path = np.linalg.pinv(w_rf) @ w_opt
+        worst = max(worst, *(np.max(np.abs(w - pinv_path)) for w in w_bb))
+        gram_dev = max(gram_dev, np.max(np.abs(
+            w_rf.conj().T @ w_rf / apd - np.eye(arch.n_chains))))
+    return (_status(worst <= 1e-10 and gram_dev <= 1e-12),
+            f"max |row formula - pinv| = {worst:.2e}, "
+            f"max |W^H W / apd_depth - I| = {gram_dev:.2e}")
 
 
+@_check("proportional-equivalence")
 def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None,
-                                   seed: int = 14) -> CheckResult:
+                                   seed: int = 14):
     """Finite and continuous resolution must reach the same residual as the
     direct solver on a proportional architecture (36 blocks, 144 tx)."""
     if arch is None:
         arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=3)
     if not is_proportional(arch):
-        return CheckResult(
-            "proportional-equivalence", "SKIP",
-            f"not proportional (lo_depth={arch.lo_depth}, apd_depth={arch.apd_depth})")
+        return ("SKIP", f"not proportional (lo_depth={arch.lo_depth}, "
+                        f"apd_depth={arch.apd_depth})")
     geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, arch.n_blocks,
                              arch.lo_depth)
     params = ChannelParams(n_tx=144, rx_geometry=geometry)
@@ -104,21 +140,19 @@ def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None,
     realization = generate_channel(params, rng)
     ref = optimizer.optimal_digital_combiner(realization.matrix, 3)
 
-    arch_b1 = ReuseArchitecture(arch.n_blocks, arch.lo_depth, arch.apd_depth,
-                                intra_offsets=arch.intra_offsets,
-                                resolution_bits=1)
+    arch_b1 = replace(arch, resolution_bits=1)
     r_inf = optimizer.alternating_minimize(
         arch, ref.w_opt, rng=np.random.default_rng(seed + 1)).residual
     r_b1 = optimizer.alternating_minimize(
         arch_b1, ref.w_opt, rng=np.random.default_rng(seed + 2)).residual
     direct = optimizer.direct_solve_proportional(arch, ref.w_opt)
     spread = max(r_inf, r_b1, direct.residual) - min(r_inf, r_b1, direct.residual)
-    ok = spread <= 1e-9 and direct.iterations == 0
-    return CheckResult("proportional-equivalence", "PASS" if ok else "FAIL",
-                       f"residual spread across B=1/continuous/direct: {spread:.2e}")
+    return (_status(spread <= 1e-9 and direct.iterations == 0),
+            f"residual spread across B=1/continuous/direct: {spread:.2e}")
 
 
-def check_channel_energy(trials: int = 200, seed: int = 15) -> CheckResult:
+@_check("channel-energy")
+def check_channel_energy(trials: int = 200, seed: int = 15):
     """Sample mean of ||H||_F^2 must sit within 5% of N_t * N_r."""
     geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6)
     params = ChannelParams(n_tx=144, rx_geometry=geometry)
@@ -127,13 +161,13 @@ def check_channel_energy(trials: int = 200, seed: int = 15) -> CheckResult:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
         total += np.linalg.norm(generate_channel(params, rng).matrix) ** 2
     ratio = total / trials / (params.n_tx * geometry.n_elements)
-    ok = abs(ratio - 1.0) <= 0.05
-    return CheckResult("channel-energy", "PASS" if ok else "FAIL",
-                       f"mean ||H||_F^2 / (Nt*Nr) = {ratio:.4f} over {trials} trials")
+    return (_status(abs(ratio - 1.0) <= 0.05),
+            f"mean ||H||_F^2 / (Nt*Nr) = {ratio:.4f} over {trials} trials")
 
 
+@_check("factored-reference")
 def check_factored_reference(n_instances: int = 10, n_streams: int = 3,
-                             seed: int = 16) -> CheckResult:
+                             seed: int = 16):
     """The QR-core reference of a factored channel must match the dense SVD:
     singular values, stream projectors w w^H and f f^H, and the
     phase-fixed columns.  Covers N_r below and above the path count."""
@@ -156,9 +190,8 @@ def check_factored_reference(n_instances: int = 10, n_streams: int = 3,
                 deviations += [np.max(np.abs(a @ a.conj().T - b @ b.conj().T)),
                                np.max(np.abs(a - b))]
             worst = max(worst, *deviations)
-    ok = worst <= 1e-9
-    return CheckResult("factored-reference", "PASS" if ok else "FAIL",
-                       f"max deviation from the dense SVD: {worst:.2e}")
+    return (_status(worst <= 1e-9),
+            f"max deviation from the dense SVD: {worst:.2e}")
 
 
 def run_all(arch: Optional[ReuseArchitecture] = None,

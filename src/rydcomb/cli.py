@@ -29,7 +29,10 @@ from .evaluation import (EvalUnit, ExperimentSpec, ResultTable,
 from .optimizer import OptimizerConfig
 from .svgplot import render_line_svg
 
-_SWEEP_COMMANDS = ("sweep-snr", "sweep-chains", "sweep-depth", "convergence")
+# Field each command sweeps; an SNR-grid command lists sweep-snr first, so
+# a config's sweep.param maps back to the command that runs it.
+_SWEPT_FIELD = {"sweep-snr": "snr_db", "convergence": "snr_db",
+                "sweep-chains": "n_chains", "sweep-depth": "lo_depth"}
 _BASELINES = ("none", "upa_pc", "nonupa_pc", "ideal_digital_reuse",
               "ideal_digital_no_reuse")
 
@@ -76,32 +79,16 @@ class _Ctx:
         value = self.get(key, dict, default={}, required=required)
         return _Ctx(value, self._at(key))
 
-    def int_list(self, key: str, required: bool = False) -> list[int]:
+    def num_list(self, key: str, kind: type,
+                 required: bool = False) -> list:
+        """A list of integers (kind=int) or of numbers read as floats."""
         values = self.get(key, list, default=[], required=required)
-        out = []
+        allowed = int if kind is int else (int, float)
         for i, v in enumerate(values):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{self._at(key)}[{i}]: expected integer")
-            out.append(v)
-        return out
-
-    def float_list(self, key: str, required: bool = False) -> list[float]:
-        values = self.get(key, list, default=[], required=required)
-        out = []
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{self._at(key)}[{i}]: expected number")
-            out.append(float(v))
-        return out
-
-
-def _geometry(kind: ArrayKind, n_blocks: int, lo_depth: int,
-              block_spacing: float, intra_spacing: float) -> ArrayGeometry:
-    if kind is ArrayKind.UPA:
-        return ArrayGeometry(ArrayKind.UPA, n_blocks * lo_depth, 1,
-                             block_spacing, intra_spacing)
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, lo_depth,
-                         block_spacing, intra_spacing)
+            if isinstance(v, bool) or not isinstance(v, allowed):
+                raise ConfigError(f"{self._at(key)}[{i}]: expected "
+                                  f"{'integer' if kind is int else 'number'}")
+        return [kind(v) for v in values]
 
 
 def _rydberg_geometry(n_blocks: int, lo_depth: int, block_spacing: float,
@@ -112,15 +99,6 @@ def _rydberg_geometry(n_blocks: int, lo_depth: int, block_spacing: float,
                              intra_spacing)
     return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, lo_depth,
                          block_spacing, intra_spacing)
-
-
-def _build_arch(n_blocks: int, lo_depth: int, apd_depth: int,
-                resolution_bits: Optional[int],
-                intra_spacing: float) -> ReuseArchitecture:
-    offsets = default_intra_offsets(n_blocks, lo_depth, intra_spacing)
-    return ReuseArchitecture(n_blocks=n_blocks, lo_depth=lo_depth,
-                             apd_depth=apd_depth, intra_offsets=offsets,
-                             resolution_bits=resolution_bits)
 
 
 def _arch_entries(ctx: _Ctx, swept_key: Optional[str]) -> list[_Ctx]:
@@ -148,14 +126,7 @@ def _resolution(entry: _Ctx) -> Optional[int]:
     return value
 
 
-def parse_config(path: Path, command: str,
-                 seed_override: Optional[int] = None,
-                 trials_override: Optional[int] = None) -> tuple[ExperimentSpec, dict]:
-    """Load and validate a JSON experiment configuration.
-
-    Returns the resolved spec plus the effective config document (with any
-    seed/trials overrides applied) for the reproducibility manifest.
-    """
+def _read_config(path: Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -166,6 +137,18 @@ def parse_config(path: Path, command: str,
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    return doc
+
+
+def parse_config(path: Path, command: str,
+                 seed_override: Optional[int] = None,
+                 trials_override: Optional[int] = None) -> tuple[ExperimentSpec, dict]:
+    """Load and validate a JSON experiment configuration.
+
+    Returns the resolved spec plus the effective config document (with any
+    seed/trials overrides applied) for the reproducibility manifest.
+    """
+    doc = _read_config(path)
     if seed_override is not None:
         doc["seed"] = seed_override
     if trials_override is not None:
@@ -181,7 +164,7 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     n_tx = ch.get("n_tx", int, required=True)
     n_clusters = ch.get("n_clusters", int, default=5)
     n_rays = ch.get("n_rays", int, default=10)
-    powers = tuple(ch.float_list("cluster_powers")) or (1.0,) * n_clusters
+    powers = tuple(ch.num_list("cluster_powers", float)) or (1.0,) * n_clusters
     spread = math.radians(ch.get("angular_spread_deg", float, default=10.0))
     block_spacing = ch.get("block_spacing", float, default=0.5)
     intra_spacing = ch.get("intra_spacing", float,
@@ -189,8 +172,8 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
 
     n_blocks = ctx.get("n_blocks", int, required=True)
     n_streams = ctx.get("n_streams", int, required=True)
-    snr_db = tuple(ctx.float_list("snr_db",
-                                  required=(command in ("sweep-snr",))))
+    snr_db = tuple(ctx.num_list("snr_db", float,
+                                required=(command == "sweep-snr")))
     if command == "sweep-snr" and not snr_db:
         raise ConfigError("snr_db: empty sweep; give at least one SNR point")
     if not snr_db:
@@ -211,19 +194,11 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     baselines = [b for b in baselines if b != "none"]
     pc_chains = ctx.get("pc_chains", int)
 
+    if command not in _SWEPT_FIELD:
+        raise ConfigError(f"unknown command {command!r}")
     try:
-        if command in ("sweep-snr", "convergence"):
-            units, sweep_param = _units_sweep_snr(
-                ctx, command, n_blocks, block_spacing, intra_spacing,
-                baselines, pc_chains)
-        elif command == "sweep-chains":
-            units, sweep_param = _units_sweep_chains(
-                ctx, n_blocks, block_spacing, intra_spacing, baselines)
-        elif command == "sweep-depth":
-            units, sweep_param = _units_sweep_depth(
-                ctx, n_blocks, block_spacing, intra_spacing, baselines)
-        else:
-            raise ConfigError(f"unknown command {command!r}")
+        units = _sweep_units(ctx, command, n_blocks, block_spacing,
+                             intra_spacing, baselines, pc_chains)
     except (GeometryError, ArchitectureError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -234,25 +209,16 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     return ExperimentSpec(channel=channel, units=tuple(units),
                           n_streams=n_streams, snr_db=snr_db, trials=trials,
                           seed=seed, solver=solver_cfg,
-                          sweep_param=sweep_param, name=name)
+                          sweep_param=_SWEPT_FIELD[command], name=name)
 
 
-def _reference_depth(ctx: _Ctx, arch_units: list[EvalUnit]) -> int:
-    explicit = ctx.get("reference_lo_depth", int)
-    if explicit is not None:
-        return explicit
-    depths = [u.arch.lo_depth for u in arch_units if u.arch is not None]
-    return max(depths) if depths else 1
-
-
-def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
-                    block_spacing: float, intra_spacing: float,
-                    pc_chains: Optional[int], arch_units: list[EvalUnit],
-                    sweep_value: Optional[float] = None,
-                    ref_depth: Optional[int] = None,
-                    chains_override: Optional[int] = None) -> list[EvalUnit]:
+def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
+                    chains: Optional[int], block_spacing: float,
+                    intra_spacing: float,
+                    sweep_value: Optional[float]) -> list[EvalUnit]:
+    """Reference curves on the lo_depth=``depth`` geometry; the PC
+    baselines split it into ``chains`` chains."""
     units: list[EvalUnit] = []
-    depth = ref_depth if ref_depth is not None else _reference_depth(ctx, arch_units)
     nonupa = _rydberg_geometry(n_blocks, depth, block_spacing, intra_spacing)
     for b in baselines:
         if b == "ideal_digital_no_reuse":
@@ -267,7 +233,6 @@ def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
                 label=f"ideal digital, lo_depth={depth}",
                 kind="ideal_digital", geometry=nonupa, sweep_value=sweep_value))
         elif b in ("upa_pc", "nonupa_pc"):
-            chains = chains_override if chains_override is not None else pc_chains
             if chains is None:
                 raise ConfigError(f"baseline {b!r} requires pc_chains")
             n_r = n_blocks * depth
@@ -285,101 +250,69 @@ def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
     return units
 
 
-def _units_sweep_snr(ctx: _Ctx, command: str, n_blocks: int,
-                     block_spacing: float, intra_spacing: float,
-                     baselines: list[str],
-                     pc_chains: Optional[int]) -> tuple[list[EvalUnit], str]:
+def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
+                 block_spacing: float, intra_spacing: float,
+                 baselines: list[str],
+                 pc_chains: Optional[int]) -> list[EvalUnit]:
+    """One unit per (swept value, architecture entry), each value followed
+    by its baselines on the reference depth (default: the deepest entry).
+    A chain-count sweep sets apd_depth = N_r / chains and a depth sweep
+    sets lo_depth, so entries may not fix that field; default labels name
+    the fields that are not swept."""
+    param = _SWEPT_FIELD[command]
+    values: list = [None]
+    if param != "snr_db":
+        sweep = ctx.sub("sweep", required=True)
+        if sweep.get("param", str, required=True) != param:
+            raise ConfigError(f"sweep.param must be {param!r} for {command}")
+        values = sweep.num_list("values", int, required=True)
+        if not values:
+            raise ConfigError("sweep.values is empty")
+    if command == "convergence" and baselines:
+        raise ConfigError("convergence traces do not take baselines")
+    bad = [b for b in baselines if b in ("upa_pc", "nonupa_pc")]
+    if param == "lo_depth" and bad:
+        raise ConfigError(
+            f"PC baselines {bad} are not supported in sweep-depth")
+    swept_key = {"n_chains": "apd_depth", "lo_depth": "lo_depth"}.get(param)
+    entries = _arch_entries(ctx, swept_key=swept_key)
     units: list[EvalUnit] = []
-    for entry in _arch_entries(ctx, swept_key=None):
-        lo = entry.get("lo_depth", int, default=1)
-        apd = entry.get("apd_depth", int, default=1)
-        label = entry.get("label", str,
-                          default=f"lo_depth={lo}, apd_depth={apd}")
-        arch = _build_arch(n_blocks, lo, apd, _resolution(entry), intra_spacing)
-        units.append(EvalUnit(
-            label=label, kind="rydberg",
-            geometry=_rydberg_geometry(n_blocks, lo, block_spacing,
-                                       intra_spacing),
-            arch=arch, solver=entry.get("solver", str, default="auto")))
-    if command == "convergence":
-        if baselines:
-            raise ConfigError("convergence traces do not take baselines")
-    else:
-        units.extend(_baseline_units(ctx, baselines, n_blocks, block_spacing,
-                                     intra_spacing, pc_chains, units))
-    return units, "snr_db"
-
-
-def _units_sweep_chains(ctx: _Ctx, n_blocks: int, block_spacing: float,
-                        intra_spacing: float,
-                        baselines: list[str]) -> tuple[list[EvalUnit], str]:
-    sweep = ctx.sub("sweep", required=True)
-    if sweep.get("param", str, required=True) != "n_chains":
-        raise ConfigError("sweep.param must be 'n_chains' for sweep-chains")
-    values = sweep.int_list("values", required=True)
-    if not values:
-        raise ConfigError("sweep.values is empty")
-    units: list[EvalUnit] = []
-    entries = _arch_entries(ctx, swept_key="apd_depth")
-    for chains in values:
+    for value in values:
+        if param == "lo_depth" and value < 1:
+            raise ConfigError(f"sweep.values: lo_depth {value} must be >= 1")
+        sweep_value = None if value is None else float(value)
         arch_units: list[EvalUnit] = []
         for entry in entries:
-            lo = entry.get("lo_depth", int, default=1)
-            n_r = n_blocks * lo
-            if chains <= 0 or n_r % chains != 0:
-                raise ConfigError(
-                    f"sweep.values: {chains} chains do not divide N_r={n_r}")
-            label = entry.get("label", str, default=f"lo_depth={lo}")
-            arch = _build_arch(n_blocks, lo, n_r // chains,
-                               _resolution(entry), intra_spacing)
+            lo = (value if param == "lo_depth"
+                  else entry.get("lo_depth", int, default=1))
+            apd = entry.get("apd_depth", int, default=1)
+            if param == "n_chains":
+                if value <= 0 or n_blocks * lo % value != 0:
+                    raise ConfigError(f"sweep.values: {value} chains do not "
+                                      f"divide N_r={n_blocks * lo}")
+                apd = n_blocks * lo // value
+            label = entry.get("label", str, default=", ".join(
+                f"{k}={v}" for k, v in (("lo_depth", lo), ("apd_depth", apd))
+                if k != swept_key))
+            arch = ReuseArchitecture(
+                n_blocks, lo, apd,
+                default_intra_offsets(n_blocks, lo, intra_spacing),
+                _resolution(entry))
             arch_units.append(EvalUnit(
                 label=label, kind="rydberg",
                 geometry=_rydberg_geometry(n_blocks, lo, block_spacing,
                                            intra_spacing),
                 arch=arch, solver=entry.get("solver", str, default="auto"),
-                sweep_value=float(chains)))
+                sweep_value=sweep_value))
         units.extend(arch_units)
+        depth = value if param == "lo_depth" else ctx.get(
+            "reference_lo_depth", int,
+            default=max(u.arch.lo_depth for u in arch_units))
         units.extend(_baseline_units(
-            ctx, baselines, n_blocks, block_spacing, intra_spacing, None,
-            arch_units, sweep_value=float(chains), chains_override=chains))
-    return units, "n_chains"
-
-
-def _units_sweep_depth(ctx: _Ctx, n_blocks: int, block_spacing: float,
-                       intra_spacing: float,
-                       baselines: list[str]) -> tuple[list[EvalUnit], str]:
-    sweep = ctx.sub("sweep", required=True)
-    if sweep.get("param", str, required=True) != "lo_depth":
-        raise ConfigError("sweep.param must be 'lo_depth' for sweep-depth")
-    values = sweep.int_list("values", required=True)
-    if not values:
-        raise ConfigError("sweep.values is empty")
-    bad = [b for b in baselines if b in ("upa_pc", "nonupa_pc")]
-    if bad:
-        raise ConfigError(
-            f"PC baselines {bad} are not supported in sweep-depth")
-    units: list[EvalUnit] = []
-    entries = _arch_entries(ctx, swept_key="lo_depth")
-    for depth in values:
-        if depth < 1:
-            raise ConfigError(f"sweep.values: lo_depth {depth} must be >= 1")
-        arch_units: list[EvalUnit] = []
-        for entry in entries:
-            apd = entry.get("apd_depth", int, default=1)
-            label = entry.get("label", str, default=f"apd_depth={apd}")
-            arch = _build_arch(n_blocks, depth, apd, _resolution(entry),
-                               intra_spacing)
-            arch_units.append(EvalUnit(
-                label=label, kind="rydberg",
-                geometry=_rydberg_geometry(n_blocks, depth, block_spacing,
-                                           intra_spacing),
-                arch=arch, solver=entry.get("solver", str, default="auto"),
-                sweep_value=float(depth)))
-        units.extend(arch_units)
-        units.extend(_baseline_units(
-            ctx, baselines, n_blocks, block_spacing, intra_spacing, None,
-            arch_units, sweep_value=float(depth), ref_depth=depth))
-    return units, "lo_depth"
+            baselines, n_blocks, depth,
+            value if param == "n_chains" else pc_chains,
+            block_spacing, intra_spacing, sweep_value))
+    return units
 
 
 def emit_results(table: ResultTable, output_dir: Path,
@@ -435,10 +368,16 @@ def emit_results(table: ResultTable, output_dir: Path,
 
 def validate_command(config_path: Optional[Path] = None) -> int:
     """Run the oracle self-checks, optionally adding the proportional
-    equivalence check for each architecture in a config file."""
+    equivalence check for each architecture in a config file, which is
+    parsed by the command its sweep.param selects."""
     archs = [None]
     if config_path is not None:
-        spec, _ = parse_config(config_path, "sweep-snr")
+        doc = _read_config(config_path)
+        param = _Ctx(doc).sub("sweep").get("param", str, default="snr_db")
+        commands = [c for c, f in _SWEPT_FIELD.items() if f == param]
+        if not commands:
+            raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
+        spec = build_spec(doc, commands[0])
         archs = [u.arch for u in spec.units if u.kind == "rydberg"] or [None]
     results = checks.run_all(arch=archs[0])
     for extra in archs[1:]:

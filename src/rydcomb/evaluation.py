@@ -59,6 +59,12 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
     return np.maximum(ev, 0.0)
 
 
+def _rates(ev: np.ndarray, n_streams: int, snr_linear_grid) -> np.ndarray:
+    """Rate sum(log2(1 + snr * ev / N_s)) over streams at each grid SNR."""
+    snr = np.asarray(snr_linear_grid, dtype=float)
+    return np.log2(1.0 + snr[:, None] * ev[None, :] / n_streams).sum(axis=1)
+
+
 def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
                         w_rf: np.ndarray, w_bb: np.ndarray,
                         f_opt: np.ndarray, n_streams: int,
@@ -69,7 +75,7 @@ def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
     if snr_linear < 0:
         raise ValueError("snr_linear must be >= 0")
     ev = combined_gain_eigenvalues(h, w_rf, w_bb, f_opt)
-    return float(np.sum(np.log2(1.0 + snr_linear * ev / n_streams)))
+    return float(_rates(ev, n_streams, [snr_linear])[0])
 
 
 def fully_digital_se(singular_values: np.ndarray, n_streams: int,
@@ -77,7 +83,7 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
     """Rate of the unconstrained digital combiner: the first n_streams
     squared singular values enter the water-free log-det directly."""
     sv = np.asarray(singular_values)[:n_streams]
-    return float(np.sum(np.log2(1.0 + snr_linear * sv ** 2 / n_streams)))
+    return float(_rates(sv ** 2, n_streams, [snr_linear])[0])
 
 
 def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
@@ -97,9 +103,7 @@ def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
     sol = solve_combiner(arch, ref.w_opt, config=config, rng=rng, method=solver)
     w_rf = compose_wrf(arch, sol.phases)
     ev = combined_gain_eigenvalues(h, w_rf, sol.w_bb, ref.f_opt)
-    snr = np.asarray(snr_linear_grid, dtype=float)
-    rates = np.log2(1.0 + snr[:, None] * ev[None, :] / n_streams).sum(axis=1)
-    return rates, sol
+    return _rates(ev, n_streams, snr_linear_grid), sol
 
 
 def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:
@@ -110,21 +114,6 @@ def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:
             f"n_rf_chains={n_rf_chains} does not divide n_r={n_r}")
     return ReuseArchitecture(n_blocks=n_r, lo_depth=1,
                              apd_depth=n_r // n_rf_chains)
-
-
-def conventional_pc_baseline(geometry: ArrayGeometry, n_rf_chains: int,
-                             w_opt: np.ndarray,
-                             config: Optional[OptimizerConfig] = None,
-                             rng: Optional[np.random.Generator] = None,
-                             ) -> CombinerSolution:
-    """Solve the conventional partially-connected array with the same
-    alternating minimization used for the reuse architectures."""
-    n_r = geometry.n_elements
-    if w_opt.shape[0] != n_r:
-        raise ValueError(
-            f"w_opt has {w_opt.shape[0]} rows, geometry has {n_r} elements")
-    arch = pc_architecture(n_r, n_rf_chains)
-    return alternating_minimize(arch, w_opt, config=config, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -264,8 +253,8 @@ def _run_trial(spec: ExperimentSpec, trial: int, snr_linear: np.ndarray) -> np.n
     for i, unit in enumerate(spec.units):
         h, ref = channels[unit.geometry]
         if unit.arch is None:
-            out[i] = [fully_digital_se(ref.singular_values, spec.n_streams, s)
-                      for s in snr_linear]
+            out[i] = _rates(ref.singular_values[:spec.n_streams] ** 2,
+                            spec.n_streams, snr_linear)
         else:
             rates, _ = evaluate_architecture(
                 h, unit.arch, spec.n_streams, snr_linear, solver=unit.solver,
@@ -273,36 +262,6 @@ def _run_trial(spec: ExperimentSpec, trial: int, snr_linear: np.ndarray) -> np.n
                 reference=ref)
             out[i] = rates
     return out
-
-
-def _map_trials(spec: ExperimentSpec, threads: int, worker):
-    """Run one callable per trial, preserving trial order in the output.
-
-    Failed trials yield None and are reported once at the end.
-    """
-    results: list = [None] * spec.trials
-    errors: list[str] = []
-
-    def safe(t: int):
-        try:
-            return t, worker(t), None
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            return t, None, f"trial {t}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(safe, range(spec.trials)))
-    else:
-        done = [safe(t) for t in range(spec.trials)]
-    for t, value, err in done:
-        results[t] = value
-        if err is not None:
-            errors.append(err)
-    if errors:
-        warnings.warn(
-            f"{len(errors)} of {spec.trials} trials failed and were excluded "
-            f"(first: {errors[0]})", RuntimeWarning)
-    return results, len(errors)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
@@ -315,6 +274,46 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
+def _tabulate(spec: ExperimentSpec, threads: int, worker, n_points: int,
+              sweep_param: str, sweep_value) -> ResultTable:
+    """Run ``worker`` on every trial, stack its (units, n_points) arrays in
+    trial order and reduce each (unit, point) column to one row whose
+    sweep value is ``sweep_value(unit, point)``.
+
+    Failed trials are excluded from the means and reported once at the end.
+    """
+    def safe(t: int):
+        try:
+            return worker(t), None
+        except (NumericError, np.linalg.LinAlgError) as exc:
+            return None, f"trial {t}: {exc}"
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(safe, range(spec.trials)))
+    else:
+        done = [safe(t) for t in range(spec.trials)]
+    stacked = np.full((spec.trials, len(spec.units), n_points), np.nan)
+    errors = [err for _, err in done if err is not None]
+    for t, (value, err) in enumerate(done):
+        if err is None:
+            stacked[t] = value
+    if errors:
+        warnings.warn(
+            f"{len(errors)} of {spec.trials} trials failed and were excluded "
+            f"(first: {errors[0]})", RuntimeWarning)
+
+    rows: list[ResultRow] = []
+    for i, unit in enumerate(spec.units):
+        for k in range(n_points):
+            mean, stderr, n = _mean_stderr(stacked[:, i, k])
+            rows.append(ResultRow(label=unit.label, sweep_param=sweep_param,
+                                  sweep_value=float(sweep_value(unit, k)),
+                                  mean_se=mean, stderr=stderr, trials=n))
+    return ResultTable(rows=rows, sweep_param=sweep_param, seed=spec.seed,
+                       failures=len(errors), name=spec.name)
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Evaluate all curves over the SNR grid, averaged over paired trials.
 
@@ -324,23 +323,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     thread count.
     """
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
-    per_trial, failures = _map_trials(
-        spec, threads, lambda t: _run_trial(spec, t, snr_linear))
-    stacked = np.full((spec.trials, len(spec.units), snr_linear.size), np.nan)
-    for t, value in enumerate(per_trial):
-        if value is not None:
-            stacked[t] = value
-
-    rows: list[ResultRow] = []
-    for i, unit in enumerate(spec.units):
-        for k, snr_db in enumerate(spec.snr_db):
-            mean, stderr, n = _mean_stderr(stacked[:, i, k])
-            sweep_value = snr_db if spec.sweep_param == "snr_db" else unit.sweep_value
-            rows.append(ResultRow(label=unit.label, sweep_param=spec.sweep_param,
-                                  sweep_value=float(sweep_value), mean_se=mean,
-                                  stderr=stderr, trials=n))
-    return ResultTable(rows=rows, sweep_param=spec.sweep_param, seed=spec.seed,
-                       failures=failures, name=spec.name)
+    return _tabulate(
+        spec, threads, lambda t: _run_trial(spec, t, snr_linear),
+        snr_linear.size, spec.sweep_param,
+        lambda unit, k: (spec.snr_db[k] if spec.sweep_param == "snr_db"
+                         else unit.sweep_value))
 
 
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
@@ -368,18 +355,5 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
             out[i, hist.size:] = hist[-1]
         return out
 
-    per_trial, failures = _map_trials(spec, threads, worker)
-    stacked = np.full((spec.trials, len(spec.units), max_iter), np.nan)
-    for t, value in enumerate(per_trial):
-        if value is not None:
-            stacked[t] = value
-
-    rows: list[ResultRow] = []
-    for i, unit in enumerate(spec.units):
-        for p in range(max_iter):
-            mean, stderr, n = _mean_stderr(stacked[:, i, p])
-            rows.append(ResultRow(label=unit.label, sweep_param="iteration",
-                                  sweep_value=float(p + 1), mean_se=mean,
-                                  stderr=stderr, trials=n))
-    return ResultTable(rows=rows, sweep_param="iteration", seed=spec.seed,
-                       failures=failures, name=spec.name)
+    return _tabulate(spec, threads, worker, max_iter, "iteration",
+                     lambda unit, p: p + 1)

@@ -20,9 +20,6 @@ from .architecture import (TWO_PI, ReuseArchitecture, diagonal_phases,
 from .channel import LowRankChannel
 from .errors import ArchitectureError, NumericError
 
-_ORTHO_RTOL = 1e-8
-
-
 class SolveMethod(enum.Enum):
     ALT_MIN = "altmin"
     DIRECT_PROPORTIONAL = "direct"
@@ -123,24 +120,6 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
         singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
 
 
-def update_wbb(w_rf: np.ndarray, w_opt: np.ndarray) -> np.ndarray:
-    """Least-squares digital combiner for a fixed analog stage.
-
-    Valid analog combiners have orthogonal columns of squared norm
-    apd_depth, so the pseudoinverse reduces to a scaled adjoint:
-    W_BB = W_RF^H W_opt / apd_depth.
-    """
-    gram = w_rf.conj().T @ w_rf
-    n_chains = gram.shape[0]
-    depth = float(np.mean(np.real(np.diagonal(gram))))
-    if not np.isfinite(depth) or depth <= 0:
-        raise NumericError("analog combiner is rank deficient")
-    if np.linalg.norm(gram - depth * np.eye(n_chains)) > _ORTHO_RTOL * depth * n_chains:
-        raise NumericError(
-            "analog combiner columns are not orthogonal with equal norm")
-    return w_rf.conj().T @ w_opt / depth
-
-
 def optimal_phase(block_target: np.ndarray, block_product: np.ndarray) -> float:
     """Globally optimal rotation phase for min ||Y - e^{j phi} X||_F.
 
@@ -158,25 +137,28 @@ def optimal_phase(block_target: np.ndarray, block_product: np.ndarray) -> float:
     return 0.0 if TWO_PI - phi < 1e-12 else phi
 
 
-def quantize_phase(phase: float, bits: int) -> float:
+def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     """Nearest B-bit grid phase under wrapped (circular) distance,
-    i.e. the feasible phase maximizing cos(grid - phase)."""
+    i.e. the feasible phase maximizing cos(grid - phase).  Works
+    elementwise on arrays; a scalar phase gives a float."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
     n_levels = 2 ** bits
     step = TWO_PI / n_levels
-    return float(step * (int(np.round(phase / step)) % n_levels))
+    q = step * (np.round(np.asarray(phase, dtype=float) / step).astype(int)
+                % n_levels)
+    return float(q) if q.ndim == 0 else q
 
 
-def _quantize_vec(phases: np.ndarray, bits: int) -> np.ndarray:
-    n_levels = 2 ** bits
-    step = TWO_PI / n_levels
-    return step * (np.round(phases / step).astype(int) % n_levels)
+def update_wbb(u: np.ndarray, w_opt: np.ndarray, apd_depth: int) -> np.ndarray:
+    """Least-squares digital combiner for the analog stage with per-antenna
+    phase factors u = exp(j*diagonal_phases).
 
-
-def _wbb_for_phases(u: np.ndarray, w_opt: np.ndarray, apd_depth: int) -> np.ndarray:
-    """Least-squares W_BB given per-antenna phase factors u = exp(j*...).
-    Row n is the mean of conj(u)*W_opt over the n-th adder group."""
+    Its columns are orthogonal with squared norm apd_depth, so the
+    pseudoinverse reduces to a scaled adjoint: row n of
+    W_BB = W_RF^H W_opt / apd_depth is the mean of conj(u)*W_opt over the
+    n-th adder group.
+    """
     n_chains = u.size // apd_depth
     prod = np.conj(u)[:, None] * w_opt
     return prod.reshape(n_chains, apd_depth, -1).sum(axis=1) / apd_depth
@@ -234,12 +216,12 @@ def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
 
     for _ in range(config.max_iterations):
         u = np.exp(1j * (np.repeat(phases, arch.lo_depth) + offsets_flat))
-        w_bb = _wbb_for_phases(u, w_opt, arch.apd_depth)
+        w_bb = update_wbb(u, w_opt, arch.apd_depth)
         traces = _block_traces(arch, w_bb, w_opt)
         phases = np.where(np.abs(traces) == 0, 0.0,
                           np.angle(traces) % TWO_PI)
         if arch.resolution_bits is not None:
-            phases = _quantize_vec(phases, arch.resolution_bits)
+            phases = quantize_phase(phases, arch.resolution_bits)
         u = np.exp(1j * (np.repeat(phases, arch.lo_depth) + offsets_flat))
         res = _residual(u, w_bb, w_opt, arch.apd_depth)
         history.append(res)
@@ -272,7 +254,7 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
         phases = np.zeros(arch.n_blocks)
     u = np.exp(1j * diagonal_phases(arch, phases))
 
-    w_bb = _wbb_for_phases(u, w_opt, arch.apd_depth)
+    w_bb = update_wbb(u, w_opt, arch.apd_depth)
     res = _residual(u, w_bb, w_opt, arch.apd_depth)
     return CombinerSolution(phases=np.asarray(phases, dtype=float), w_bb=w_bb,
                             residual=res, iterations=0,

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcomb import (AnalogCombiner, ArchitectureError, ReuseArchitecture,
-                     build_combiner, build_wlc, build_wlo, compose_wrf,
-                     default_intra_offsets, is_proportional)
+from rydcomb import (ArchitectureError, ReuseArchitecture, build_wlc,
+                     compose_wrf, default_intra_offsets, diagonal_phases,
+                     is_proportional)
 
 
 def rand_phases(arch, rng):
@@ -30,38 +30,46 @@ class TestBuildWlc:
 
 
 class TestBuildWlo:
+    """The LO stage W_LO = diag(exp(j*diagonal_phases)), checked through
+    the phase vector and the composed W_RF."""
+
     def test_dedicated_zero_phase_identity(self):
         arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
-        np.testing.assert_allclose(build_wlo(arch, np.zeros(4)), np.eye(4),
+        np.testing.assert_allclose(compose_wrf(arch, np.zeros(4)), np.eye(4),
                                    atol=1e-15)
 
     def test_default_offsets_depth_two(self):
         # symmetric sub-element positions give +-0.05*pi at depth 2
         arch = ReuseArchitecture(n_blocks=1, lo_depth=2, apd_depth=1)
-        w = build_wlo(arch, np.zeros(1))
         np.testing.assert_allclose(
-            np.diag(w),
+            np.exp(1j * diagonal_phases(arch, np.zeros(1))),
             [np.exp(-1j * 0.05 * np.pi), np.exp(1j * 0.05 * np.pi)],
             atol=1e-15)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(0)
         arch = ReuseArchitecture(n_blocks=9, lo_depth=4, apd_depth=6)
-        w = build_wlo(arch, rand_phases(arch, rng))
-        np.testing.assert_allclose(np.abs(np.diag(w)), 1.0, atol=1e-12)
-        assert np.count_nonzero(w - np.diag(np.diag(w))) == 0
+        w = compose_wrf(arch, rand_phases(arch, rng))
+        # one unit-modulus LO factor per antenna, nothing else
+        nonzero = w[w != 0]
+        assert nonzero.size == arch.n_r
+        np.testing.assert_allclose(np.abs(nonzero), 1.0, atol=1e-12)
 
     def test_finite_resolution_grid_enforced(self):
         arch = ReuseArchitecture(n_blocks=2, lo_depth=2, apd_depth=1,
                                  resolution_bits=2)
-        build_wlo(arch, np.array([0.0, 3 * np.pi / 2]))  # on the grid
+        diagonal_phases(arch, np.array([0.0, 3 * np.pi / 2]))  # on the grid
         with pytest.raises(ArchitectureError):
-            build_wlo(arch, np.array([0.0, 0.3]))
+            diagonal_phases(arch, np.array([0.0, 0.3]))
+        with pytest.raises(ArchitectureError):
+            compose_wrf(arch, np.array([0.0, 0.3]))
 
     def test_phase_length_checked(self):
         arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
         with pytest.raises(ArchitectureError):
-            build_wlo(arch, np.zeros(3))
+            diagonal_phases(arch, np.zeros(3))
+        with pytest.raises(ArchitectureError):
+            compose_wrf(arch, np.zeros(3))
 
 
 class TestComposeWrf:
@@ -89,7 +97,9 @@ class TestComposeWrf:
             apd = int(rng.choice([d for d in (1, 2, 3, 6, 9) if n_r % d == 0]))
             arch = ReuseArchitecture(n_blocks=9, lo_depth=lo, apd_depth=apd)
             phases = rand_phases(arch, rng)
-            dense = build_wlo(arch, phases) @ build_wlc(n_r, apd)
+            w_lo = np.diag(np.exp(1j * (np.repeat(phases, lo)
+                                        + arch.intra_offsets.ravel())))
+            dense = w_lo @ build_wlc(n_r, apd)
             np.testing.assert_allclose(compose_wrf(arch, phases), dense,
                                        atol=1e-13)
 
@@ -170,16 +180,3 @@ class TestArchitectureValidation:
             ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1,
                               resolution_bits=0)
 
-
-class TestAnalogCombiner:
-    def test_build_combiner_product(self):
-        arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=2)
-        phases = np.random.default_rng(6).uniform(0, 2 * np.pi, 4)
-        combiner = build_combiner(arch, phases)
-        assert isinstance(combiner, AnalogCombiner)
-        np.testing.assert_allclose(combiner.w_rf, compose_wrf(arch, phases),
-                                   atol=1e-14)
-        np.testing.assert_allclose(np.abs(np.diag(combiner.w_lo)), 1.0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(combiner.w_lc.T @ combiner.w_lc,
-                                   2 * np.eye(4), atol=1e-13)

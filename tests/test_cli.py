@@ -135,6 +135,21 @@ class TestSweepPlans:
         with pytest.raises(ConfigError, match="not supported"):
             build_spec(doc, "sweep-depth")
 
+    @pytest.mark.parametrize("command, sweep, entry, label", [
+        ("sweep-snr", None, {"lo_depth": 2, "apd_depth": 2},
+         "lo_depth=2, apd_depth=2"),
+        ("sweep-chains", {"param": "n_chains", "values": [2]},
+         {"lo_depth": 4}, "lo_depth=4"),
+        ("sweep-depth", {"param": "lo_depth", "values": [2]},
+         {"apd_depth": 2}, "apd_depth=2"),
+    ])
+    def test_default_labels_name_unswept_fields(self, command, sweep, entry,
+                                                label):
+        doc = smoke_doc(snr_db=[0.0], architectures=[entry])
+        if sweep is not None:
+            doc["sweep"] = sweep
+        assert build_spec(doc, command).units[0].label == label
+
     def test_swept_key_fixed_in_entries(self):
         doc = smoke_doc(snr_db=[0.0],
                         sweep={"param": "lo_depth", "values": [1, 2]},
@@ -301,3 +316,26 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "SKIP" in out
         assert "not proportional" in out
+
+    def test_sweep_config_uses_its_command(self, capsys, configs_dir):
+        # fig10 sweeps n_chains with PC baselines, so it must be parsed as
+        # sweep-chains; one equivalence line per swept architecture
+        assert main(["validate", "--config",
+                     str(configs_dir / "fig10.json")]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("proportional-equivalence")]
+        assert len(lines) == 9
+        # proportional only at 36 and 72 chains (apd_depth 4 and 2 | 4)
+        assert sum("PASS" in l for l in lines) == 2
+        assert sum("SKIP" in l for l in lines) == 7
+
+    def test_raising_check_reported_as_fail(self, capsys, monkeypatch):
+        def explode(block_target, block_product):
+            raise RuntimeError("synthetic breakdown")
+        monkeypatch.setattr(rydcomb.optimizer, "optimal_phase", explode)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines()
+                    if l.startswith("phase-update-grid"))
+        assert "FAIL" in line and "RuntimeError" in line
+        assert out.count("PASS") == 5

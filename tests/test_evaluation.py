@@ -4,8 +4,8 @@ import pytest
 from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      ChannelParams, ConfigError, EvalUnit, ExperimentSpec,
                      NumericError, OptimizerConfig, ReuseArchitecture,
-                     channel_matrix, combined_gain_eigenvalues, compose_wrf,
-                     conventional_pc_baseline, draw_paths,
+                     alternating_minimize, channel_matrix,
+                     combined_gain_eigenvalues, compose_wrf, draw_paths,
                      evaluate_architecture, fully_digital_se,
                      generate_channel, optimal_digital_combiner,
                      pc_architecture, run_convergence, run_experiment,
@@ -164,14 +164,15 @@ class TestConventionalPc:
         rng = np.random.default_rng(6)
         geometry = ArrayGeometry(ArrayKind.UPA, 16, 1)
         w_opt = np.linalg.qr(rand_complex(rng, (16, 3)))[0][:, :3]
-        sol = conventional_pc_baseline(geometry, 16, w_opt, rng=rng)
+        arch = pc_architecture(geometry.n_elements, 16)
+        sol = alternating_minimize(arch, w_opt, rng=rng)
         assert sol.residual < 1e-8
 
     def test_row_count_checked(self):
         geometry = ArrayGeometry(ArrayKind.UPA, 16, 1)
+        arch = pc_architecture(geometry.n_elements, 4)
         with pytest.raises(ValueError):
-            conventional_pc_baseline(geometry, 4,
-                                     np.zeros((9, 2), dtype=complex))
+            alternating_minimize(arch, np.zeros((9, 2), dtype=complex))
 
     def test_pc_architecture_shape(self):
         arch = pc_architecture(144, 12)
