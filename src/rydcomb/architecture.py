@@ -86,7 +86,8 @@ def phase_grid(bits: int) -> np.ndarray:
     return TWO_PI * np.arange(2 ** bits) / (2 ** bits)
 
 
-def _check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
+def check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
+    """One block phase per block, on the resolution grid if there is one."""
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (arch.n_blocks,):
         raise ArchitectureError(
@@ -112,7 +113,7 @@ def build_wlc(n_r: int, apd_depth: int) -> np.ndarray:
 def diagonal_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     """Length-N_r vector of total per-antenna LO phases: block phase plus
     fixed intra-block offset, in block-major order."""
-    phases = _check_phases(arch, phases)
+    phases = check_phases(arch, phases)
     return np.repeat(phases, arch.lo_depth) + arch.intra_offsets.ravel()
 
 

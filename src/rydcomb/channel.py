@@ -103,6 +103,10 @@ class LowRankChannel:
     def dense(self) -> np.ndarray:
         return (self.a_rx * self.gains) @ self.transmit.steering.conj().T
 
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """H @ f through the factors, without forming H."""
+        return (self.a_rx * self.gains) @ (self.transmit.steering.conj().T @ f)
+
 
 @dataclass(frozen=True)
 class ChannelRealization:

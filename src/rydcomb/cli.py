@@ -367,10 +367,10 @@ def emit_results(table: ResultTable, output_dir: Path,
 
 
 def validate_command(config_path: Optional[Path] = None) -> int:
-    """Run the oracle self-checks, optionally adding the proportional
-    equivalence check for each architecture in a config file, which is
-    parsed by the command its sweep.param selects."""
-    archs = [None]
+    """Run the oracle self-checks, then one proportional-equivalence check
+    per architecture of a config file, which is parsed by the command its
+    sweep.param selects."""
+    archs = []
     if config_path is not None:
         doc = _read_config(config_path)
         param = _Ctx(doc).sub("sweep").get("param", str, default="snr_db")
@@ -378,10 +378,9 @@ def validate_command(config_path: Optional[Path] = None) -> int:
         if not commands:
             raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
         spec = build_spec(doc, commands[0])
-        archs = [u.arch for u in spec.units if u.kind == "rydberg"] or [None]
-    results = checks.run_all(arch=archs[0])
-    for extra in archs[1:]:
-        results.append(checks.check_proportional_equivalence(arch=extra))
+        archs = [u.arch for u in spec.units if u.kind == "rydberg"]
+    results = checks.run_all() + [
+        checks.check_proportional_equivalence(arch=arch) for arch in archs]
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

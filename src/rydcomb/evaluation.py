@@ -3,8 +3,13 @@
 The achievable rate uses the pseudoinverse form of the combined receive
 filter, which accounts for combiner-colored noise and is invariant to any
 invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
-on identical per-trial channels (paired comparison) and aggregate with a
-fixed trial order so results do not depend on scheduling.
+on identical per-trial channels (paired comparison).  Trials run in blocks
+of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one:
+the channels of a block are drawn trial by trial, then each curve is
+solved and rated for all trials of the block at once.  Every
+sample is computed exactly as it would be alone, and results are
+aggregated in fixed trial order, so they depend on neither the block size
+nor the scheduling.
 """
 
 from __future__ import annotations
@@ -12,20 +17,44 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
+# compose_wrf and alternating_minimize stay importable here: the per-layer
+# benchmark trace patches them at these names.
 from .architecture import ReuseArchitecture, compose_wrf
 from .arrays import ArrayGeometry
 from .channel import ChannelParams, LowRankChannel, channel_matrix, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
-                        alternating_minimize, optimal_digital_combiner,
-                        solve_combiner)
+                        SolutionBatch, alternating_minimize,
+                        optimal_digital_combiner, solve_batch)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
+TRIAL_BLOCK = 32  # trials whose curves are solved and rated together
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _gain_eigenvalues(t: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L^-1 T T^H L^-H, with L the Cholesky factor of the
+    combiner Gram matrix, for each sample of a stack.  Raises if any sample
+    is rank deficient or has a significantly negative eigenvalue."""
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "combined combiner W_RF @ W_BB is rank deficient") from exc
+    x = np.linalg.solve(chol, t)
+    ev = np.linalg.eigvalsh(x @ _adjoint(x))
+    if ev.min() < _EIG_FLOOR:
+        raise NumericError(
+            f"indefinite effective channel (min eigenvalue {ev.min():.3e})")
+    return np.maximum(ev, 0.0)
 
 
 def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
@@ -37,32 +66,36 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
     (W^H W)^{-1/2} T T^H (W^H W)^{-1/2}; the rate at a given SNR is
     sum(log2(1 + snr/N_s * ev)).  Computed via a Cholesky factor of W^H W
     for stability; raises on rank deficiency or significantly negative
-    eigenvalues.  A ``LowRankChannel`` forms T through its factors.
+    eigenvalues.  A ``LowRankChannel`` forms H F_opt through its factors.
     """
     w = w_rf @ w_bb
-    if isinstance(h, LowRankChannel):
-        t = (((w.conj().T @ h.a_rx) * h.gains)
-             @ (h.transmit.steering.conj().T @ f_opt))
-    else:
-        t = w.conj().T @ h @ f_opt
-    gram = w.conj().T @ w
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "combined combiner W_RF @ W_BB is rank deficient") from exc
-    x = np.linalg.solve(chol, t)
-    ev = np.linalg.eigvalsh(x @ x.conj().T)
-    if ev.min() < _EIG_FLOOR:
-        raise NumericError(
-            f"indefinite effective channel (min eigenvalue {ev.min():.3e})")
-    return np.maximum(ev, 0.0)
+    return _gain_eigenvalues(_adjoint(w) @ _precoded(h, f_opt), _adjoint(w) @ w)
+
+
+def _precoded(h: Union[np.ndarray, LowRankChannel],
+              f_opt: np.ndarray) -> np.ndarray:
+    """H F_opt, through the factors of a ``LowRankChannel``."""
+    return h.apply(f_opt) if isinstance(h, LowRankChannel) else h @ f_opt
+
+
+def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
+                            hf: np.ndarray) -> np.ndarray:
+    """``combined_gain_eigenvalues`` for a stack of solutions, with
+    H F_opt given per sample.  W = diag(u) W_LC W_BB is formed row-wise,
+    and its Gram matrix is apd_depth * W_BB^H W_BB."""
+    u = np.exp(1j * (np.repeat(sol.phases, arch.lo_depth, axis=-1)
+                     + arch.intra_offsets.ravel()))
+    w = u[..., None] * np.repeat(sol.w_bb, arch.apd_depth, axis=-2)
+    gram = arch.apd_depth * (_adjoint(sol.w_bb) @ sol.w_bb)
+    return _gain_eigenvalues(_adjoint(w) @ hf, gram)
 
 
 def _rates(ev: np.ndarray, n_streams: int, snr_linear_grid) -> np.ndarray:
-    """Rate sum(log2(1 + snr * ev / N_s)) over streams at each grid SNR."""
+    """Rate sum(log2(1 + snr * ev / N_s)) over streams at each grid SNR;
+    leading axes of ev (..., N_s) are batch axes."""
     snr = np.asarray(snr_linear_grid, dtype=float)
-    return np.log2(1.0 + snr[:, None] * ev[None, :] / n_streams).sum(axis=1)
+    return np.log2(1.0 + snr[:, None] * ev[..., None, :] / n_streams
+                   ).sum(axis=-1)
 
 
 def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
@@ -98,12 +131,13 @@ def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
 
     Returns the per-SNR rates and the combiner solution.  The SVD reference
     may be passed in to share it across architectures on the same channel.
+    A batch of one through the solver and rate of the trial blocks.
     """
     ref = reference if reference is not None else optimal_digital_combiner(h, n_streams)
-    sol = solve_combiner(arch, ref.w_opt, config=config, rng=rng, method=solver)
-    w_rf = compose_wrf(arch, sol.phases)
-    ev = combined_gain_eigenvalues(h, w_rf, sol.w_bb, ref.f_opt)
-    return _rates(ev, n_streams, snr_linear_grid), sol
+    sol = solve_batch(arch, ref.w_opt[None], config,
+                      [rng or np.random.default_rng()], solver)
+    ev = _batch_gain_eigenvalues(arch, sol, _precoded(h, ref.f_opt)[None])[0]
+    return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
 
 def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:
@@ -216,13 +250,16 @@ class ResultTable:
     name: str = "experiment"
 
 
-def _solver_rng(seed: int, trial: int, unit: EvalUnit) -> np.random.Generator:
+def _solver_rngs(seed: int, trials: tuple[int, ...],
+                 unit: EvalUnit) -> Iterator[np.random.Generator]:
     """Independent init stream per (trial, structural identity).  Resolution
-    variants of one structure share a stream, pairing their initial phases."""
+    variants of one structure share a stream, pairing their initial phases.
+    Lazy: the direct solver draws nothing, so it builds no stream."""
     arch = unit.arch
-    key = (1, trial, _KIND_CODES[unit.kind],
-           arch.n_blocks, arch.lo_depth, arch.apd_depth)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return (np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(1, t, _KIND_CODES[unit.kind],
+                         arch.n_blocks, arch.lo_depth, arch.apd_depth)))
+        for t in trials)
 
 
 def _channel_rng(seed: int, trial: int) -> np.random.Generator:
@@ -230,38 +267,73 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _trial_channels(spec: ExperimentSpec, trial: int
-                    ) -> dict[ArrayGeometry, tuple[LowRankChannel, DigitalReference]]:
-    """Draw the trial's paths once and build, per receive geometry, the
-    factored channel and its SVD reference.  All geometries share one
-    transmit factor."""
+                    ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
+    """Draw the trial's paths once and keep, per receive geometry, the
+    combining target w_opt, the ideally precoded channel H f_opt and the
+    singular values.  All geometries share one transmit factor."""
     paths = draw_paths(spec.channel, _channel_rng(spec.seed, trial))
-    out: dict[ArrayGeometry, tuple[LowRankChannel, DigitalReference]] = {}
+    out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
     transmit = None
     for unit in spec.units:
         if unit.geometry not in out:
             channel = channel_matrix(paths, spec.channel.n_tx, unit.geometry,
                                      transmit=transmit)
             transmit = channel.transmit
-            out[unit.geometry] = (
-                channel, optimal_digital_combiner(channel, spec.n_streams))
+            ref = optimal_digital_combiner(channel, spec.n_streams)
+            out[unit.geometry] = (ref.w_opt, channel.apply(ref.f_opt),
+                                  ref.singular_values)
     return out
 
 
-def _run_trial(spec: ExperimentSpec, trial: int, snr_linear: np.ndarray) -> np.ndarray:
-    channels = _trial_channels(spec, trial)
-    out = np.empty((len(spec.units), snr_linear.size))
+# A curve maps (unit, trials, stacked w_opt, H f_opt, singular values) to
+# one (len(trials), n_points) array.
+Curve = Callable[..., np.ndarray]
+
+
+def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
+               n_points: int) -> tuple[np.ndarray, dict[int, str]]:
+    """Evaluate every curve on one block of trials.
+
+    Each trial's references are copied into one stack per geometry, row
+    by row, as the trials are drawn.  A trial that fails, in its channels
+    or in any curve, loses its value for every curve.  When a curve raises
+    for the block, it is re-run on each trial alone to find the ones that
+    failed.
+    """
+    out = np.full((len(trials), len(spec.units), n_points), np.nan)
+    errors: dict[int, str] = {}
+    stacks: dict[ArrayGeometry, list[np.ndarray]] = {}
+    for row, t in enumerate(trials):
+        try:
+            channels = _trial_channels(spec, t)
+        except (NumericError, np.linalg.LinAlgError) as exc:
+            errors[t] = f"trial {t}: {exc}"
+            continue
+        for geometry, parts in channels.items():
+            if geometry not in stacks:
+                stacks[geometry] = [np.empty((len(trials), *p.shape), p.dtype)
+                                    for p in parts]
+            for stack, part in zip(stacks[geometry], parts):
+                stack[row] = part
+
+    def evaluate(unit: EvalUnit, rows: list[int]) -> np.ndarray:
+        return curve(unit, tuple(trials[r] for r in rows),
+                     *(stack[rows] for stack in stacks[unit.geometry]))
+
     for i, unit in enumerate(spec.units):
-        h, ref = channels[unit.geometry]
-        if unit.arch is None:
-            out[i] = _rates(ref.singular_values[:spec.n_streams] ** 2,
-                            spec.n_streams, snr_linear)
-        else:
-            rates, _ = evaluate_architecture(
-                h, unit.arch, spec.n_streams, snr_linear, solver=unit.solver,
-                config=spec.solver, rng=_solver_rng(spec.seed, trial, unit),
-                reference=ref)
-            out[i] = rates
-    return out
+        rows = [r for r, t in enumerate(trials) if t not in errors]
+        if not rows:
+            break
+        try:
+            out[rows, i] = evaluate(unit, rows)
+        except (NumericError, np.linalg.LinAlgError):
+            for row in rows:
+                try:
+                    out[row, i] = evaluate(unit, [row])[0]
+                except (NumericError, np.linalg.LinAlgError) as exc:
+                    errors[trials[row]] = f"trial {trials[row]}: {exc}"
+    out[[t - trials.start for t in errors]] = np.nan
+    return out, errors
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
@@ -274,30 +346,30 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
-def _tabulate(spec: ExperimentSpec, threads: int, worker, n_points: int,
+def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
               sweep_param: str, sweep_value) -> ResultTable:
-    """Run ``worker`` on every trial, stack its (units, n_points) arrays in
-    trial order and reduce each (unit, point) column to one row whose
-    sweep value is ``sweep_value(unit, point)``.
+    """Run ``curve`` for every unit over blocks of trials, stack the
+    (units, n_points) values in trial order and reduce each (unit, point)
+    column to one row whose sweep value is ``sweep_value(unit, point)``.
+    Blocks hold at most TRIAL_BLOCK trials and no more than an even share
+    of the trials per thread.
 
     Failed trials are excluded from the means and reported once at the end.
     """
-    def safe(t: int):
-        try:
-            return worker(t), None
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            return None, f"trial {t}: {exc}"
+    size = min(TRIAL_BLOCK, -(-spec.trials // threads))
+    blocks = [range(first, min(first + size, spec.trials))
+              for first in range(0, spec.trials, size)]
+
+    def run(block: range):
+        return _run_block(spec, block, curve, n_points)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(safe, range(spec.trials)))
+            done = list(pool.map(run, blocks))
     else:
-        done = [safe(t) for t in range(spec.trials)]
-    stacked = np.full((spec.trials, len(spec.units), n_points), np.nan)
-    errors = [err for _, err in done if err is not None]
-    for t, (value, err) in enumerate(done):
-        if err is None:
-            stacked[t] = value
+        done = [run(block) for block in blocks]
+    stacked = np.concatenate([values for values, _ in done])
+    errors = [err for _, errs in done for _, err in sorted(errs.items())]
     if errors:
         warnings.warn(
             f"{len(errors)} of {spec.trials} trials failed and were excluded "
@@ -318,14 +390,25 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Evaluate all curves over the SNR grid, averaged over paired trials.
 
     Every trial draws one set of propagation paths shared by all curves;
-    per-curve channels differ only through the receive geometry.  Results
-    are aggregated in fixed trial order, so they are independent of the
-    thread count.
+    per-curve channels differ only through the receive geometry.  Each
+    curve is solved and rated for a block of trials at once, and ``threads``
+    workers take whole blocks, with blocks cut so that each worker gets
+    one.  Results are aggregated in fixed trial order, so they are
+    independent of the block size and thread count.
     """
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
+    n_s = spec.n_streams
+
+    def curve(unit, trials, w_opt, hf, singular_values):
+        if unit.arch is None:
+            return _rates(singular_values[:, :n_s] ** 2, n_s, snr_linear)
+        sol = solve_batch(unit.arch, w_opt, spec.solver,
+                          _solver_rngs(spec.seed, trials, unit), unit.solver)
+        return _rates(_batch_gain_eigenvalues(unit.arch, sol, hf), n_s,
+                      snr_linear)
+
     return _tabulate(
-        spec, threads, lambda t: _run_trial(spec, t, snr_linear),
-        snr_linear.size, spec.sweep_param,
+        spec, threads, curve, snr_linear.size, spec.sweep_param,
         lambda unit, k: (spec.snr_db[k] if spec.sweep_param == "snr_db"
                          else unit.sweep_value))
 
@@ -340,20 +423,11 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
         if unit.arch is None:
             raise ConfigError(
                 f"{unit.label}: convergence traces need an architecture")
-    max_iter = spec.solver.max_iterations
 
-    def worker(t: int) -> np.ndarray:
-        channels = _trial_channels(spec, t)
-        out = np.empty((len(spec.units), max_iter))
-        for i, unit in enumerate(spec.units):
-            _, ref = channels[unit.geometry]
-            sol = alternating_minimize(unit.arch, ref.w_opt,
-                                       config=spec.solver,
-                                       rng=_solver_rng(spec.seed, t, unit))
-            hist = sol.residual_history
-            out[i, :hist.size] = hist
-            out[i, hist.size:] = hist[-1]
-        return out
+    def curve(unit, trials, w_opt, hf, singular_values):
+        rngs = _solver_rngs(spec.seed, trials, unit)
+        return solve_batch(unit.arch, w_opt, spec.solver, rngs,
+                           "altmin").history
 
-    return _tabulate(spec, threads, worker, max_iter, "iteration",
-                     lambda unit, p: p + 1)
+    return _tabulate(spec, threads, curve, spec.solver.max_iterations,
+                     "iteration", lambda unit, p: p + 1)

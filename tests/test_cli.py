@@ -324,10 +324,23 @@ class TestValidateCommand:
                      str(configs_dir / "fig10.json")]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("proportional-equivalence")]
-        assert len(lines) == 9
-        # proportional only at 36 and 72 chains (apd_depth 4 and 2 | 4)
-        assert sum("PASS" in l for l in lines) == 2
+        assert len(lines) == 1 + 9
+        # the default check, then proportional only at 36 and 72 chains
+        # (apd_depth 4 and 2 | 4)
+        assert sum("PASS" in l for l in lines) == 1 + 2
         assert sum("SKIP" in l for l in lines) == 7
+
+    def test_config_keeps_the_default_checks(self, capsys, configs_dir):
+        # fig10's first architecture is not proportional; the default
+        # 36/6/3 equivalence check must still run and pass
+        assert main(["validate"]) == 0
+        default = capsys.readouterr().out.splitlines()[:-1]
+        assert main(["validate", "--config",
+                     str(configs_dir / "fig10.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:len(default)] == default
+        assert any(l.startswith("proportional-equivalence") and "PASS" in l
+                   for l in default)
 
     def test_raising_check_reported_as_fail(self, capsys, monkeypatch):
         def explode(block_target, block_product):
@@ -338,4 +351,9 @@ class TestValidateCommand:
         line = next(l for l in out.splitlines()
                     if l.startswith("phase-update-grid"))
         assert "FAIL" in line and "RuntimeError" in line
-        assert out.count("PASS") == 5
+        # the solver's phase half-step is optimal_phase, so the solver
+        # check fails with its oracle and the other four still pass
+        line = next(l for l in out.splitlines()
+                    if l.startswith("proportional-equivalence"))
+        assert "FAIL" in line and "RuntimeError" in line
+        assert out.count("PASS") == 4

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
-                     ChannelParams, ConfigError, EvalUnit, ExperimentSpec,
-                     NumericError, OptimizerConfig, ReuseArchitecture,
-                     alternating_minimize, channel_matrix,
+                     ChannelParams, ConfigError, DigitalReference, EvalUnit,
+                     ExperimentSpec, NumericError, OptimizerConfig,
+                     ReuseArchitecture, alternating_minimize, channel_matrix,
                      combined_gain_eigenvalues, compose_wrf, draw_paths,
                      evaluate_architecture, fully_digital_se,
                      generate_channel, optimal_digital_combiner,
                      pc_architecture, run_convergence, run_experiment,
                      solve_combiner, spectral_efficiency)
+from rydcomb import evaluation
+from rydcomb.cli import main
 
 
 def rand_complex(rng, shape):
@@ -159,6 +161,25 @@ class TestEvaluateArchitecture:
             assert rates[0] <= fully_digital_se(ref.singular_values, 2, 1.0) + 1e-9
 
 
+    @pytest.mark.parametrize("lo,apd", [(6, 4), (6, 3)])
+    def test_rates_match_dense_combiner(self, lo, apd):
+        geometry = nonupa(16, lo)
+        params = ChannelParams(n_tx=36, rx_geometry=geometry)
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=lo, apd_depth=apd)
+        snr = 10.0 ** (np.array([-10.0, 0.0, 10.0]) / 10.0)
+        for seed in range(3):
+            h = channel_matrix(draw_paths(params, np.random.default_rng(seed)),
+                               36, geometry)
+            ref = optimal_digital_combiner(h, 3)
+            rates, sol = evaluate_architecture(
+                h, arch, 3, snr, rng=np.random.default_rng(seed),
+                reference=ref)
+            w_rf = compose_wrf(arch, sol.phases)
+            dense = [spectral_efficiency(h, w_rf, sol.w_bb, ref.f_opt, 3, s)
+                     for s in snr]
+            np.testing.assert_allclose(rates, dense, rtol=1e-10)
+
+
 class TestConventionalPc:
     def test_full_chain_count_is_fully_digital(self):
         rng = np.random.default_rng(6)
@@ -269,3 +290,102 @@ class TestRunConvergence:
         spec = small_spec()
         with pytest.raises(ConfigError):
             run_convergence(spec)
+
+
+class TestFailedTrials:
+    """A trial that fails anywhere loses its value for every curve; the
+    other trials of its block keep theirs."""
+
+    BAD = 2
+
+    def _fail_trial(self, monkeypatch, fail):
+        current = {}
+        channel_rng = evaluation._channel_rng
+        reference = evaluation.optimal_digital_combiner
+
+        def recording_rng(seed, trial):
+            current["trial"] = trial
+            return channel_rng(seed, trial)
+
+        def failing_reference(h, n_streams):
+            ref = reference(h, n_streams)
+            return fail(ref) if current["trial"] == self.BAD else ref
+
+        monkeypatch.setattr(evaluation, "_channel_rng", recording_rng)
+        monkeypatch.setattr(evaluation, "optimal_digital_combiner",
+                            failing_reference)
+
+    def _check_contained(self, spec):
+        with pytest.warns(RuntimeWarning) as record:
+            table = run_experiment(spec)
+        assert table.failures == 1
+        assert all(r.trials == spec.trials - 1 for r in table.rows)
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, RuntimeWarning)]
+        assert len(messages) == 1
+        assert f"trial {self.BAD}:" in messages[0]
+
+    def test_reference_failure_drops_one_trial(self, monkeypatch):
+        def explode(ref):
+            raise NumericError("synthetic SVD failure")
+        self._fail_trial(monkeypatch, explode)
+        self._check_contained(small_spec(trials=6))
+
+    @staticmethod
+    def zero_target(ref):
+        # W_BB = 0 for a zero target, so the rate's Cholesky factor fails
+        return DigitalReference(w_opt=np.zeros_like(ref.w_opt),
+                                f_opt=ref.f_opt,
+                                singular_values=ref.singular_values)
+
+    def rate_failure_spec(self):
+        # the digital curve comes first, so the failing trial has a value
+        # for it before the hybrid curve's rate fails for that sample
+        return small_spec(trials=6, units=tuple(reversed(small_spec().units)))
+
+    def test_rate_failure_drops_one_trial(self, monkeypatch):
+        self._fail_trial(monkeypatch, self.zero_target)
+        self._check_contained(self.rate_failure_spec())
+
+    def test_rate_failure_independent_of_block_size(self, monkeypatch):
+        self._fail_trial(monkeypatch, self.zero_target)
+        rows = []
+        for block in (1, 4, evaluation.TRIAL_BLOCK):
+            monkeypatch.setattr(evaluation, "TRIAL_BLOCK", block)
+            with pytest.warns(RuntimeWarning):
+                table = run_experiment(self.rate_failure_spec())
+            rows.append([(r.mean_se, r.stderr, r.trials) for r in table.rows])
+        assert rows[0] == rows[1] == rows[2]
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("name,command", [("fig10", "sweep-chains"),
+                                              ("convergence", "convergence")])
+    def test_results_independent_of_block_size_and_threads(
+            self, tmp_path, monkeypatch, configs_dir, name, command):
+        outputs = set()
+        for block in (1, 7, evaluation.TRIAL_BLOCK):
+            monkeypatch.setattr(evaluation, "TRIAL_BLOCK", block)
+            for threads in (1, 2):
+                out = tmp_path / f"{block}-{threads}"
+                assert main([command, "--config",
+                             str(configs_dir / f"{name}.json"),
+                             "--out", str(out), "--trials", "10",
+                             "--threads", str(threads)]) == 0
+                outputs.add((out / "results.csv").read_bytes())
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("trials,threads,sizes", [
+        (8, 1, [8]), (8, 2, [4, 4]), (50, 2, [25, 25]), (9, 2, [5, 4]),
+        (70, 1, [32, 32, 6]), (70, 2, [32, 32, 6])])
+    def test_threads_cut_blocks(self, monkeypatch, trials, threads, sizes):
+        seen = []
+        run_block = evaluation._run_block
+
+        def recording(spec, block, *args):
+            seen.append(len(block))
+            return run_block(spec, block, *args)
+
+        monkeypatch.setattr(evaluation, "_run_block", recording)
+        run_experiment(small_spec(trials=trials), threads=threads)
+        assert sorted(seen, reverse=True) == sizes

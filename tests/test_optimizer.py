@@ -10,6 +10,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, solve_combiner, update_wbb)
+from rydcomb.optimizer import solve_batch
 
 
 def rand_complex(rng, shape):
@@ -389,3 +390,73 @@ class TestSolveDispatch:
         with pytest.raises(ValueError):
             solve_combiner(arch, np.eye(4, dtype=complex)[:, :1],
                            method="exhaustive")
+
+
+class TestSolveBatch:
+    """Every row of a batched solve equals the lone solve of its target,
+    whether the sample stops early, late or at the iteration cap."""
+
+    @staticmethod
+    def channel_targets(lo, count, seed):
+        geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 16, lo)
+        params = ChannelParams(n_tx=16, rx_geometry=geometry, n_clusters=3,
+                               n_rays=4)
+        rng = np.random.default_rng(seed)
+        return np.stack([optimal_digital_combiner(
+            channel_matrix(draw_paths(params, rng), 16, geometry), 3).w_opt
+            for _ in range(count)])
+
+    @pytest.mark.parametrize("lo,apd,bits", [(6, 4, None), (6, 12, 3),
+                                             (2, 4, None)])
+    def test_rows_equal_lone_solves(self, lo, apd, bits):
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=lo, apd_depth=apd,
+                                 resolution_bits=bits)
+        w_opt = self.channel_targets(lo, 6, seed=20)
+        config = OptimizerConfig(epsilon=1e-4, max_iterations=20)
+        batch = solve_batch(arch, w_opt, config,
+                            [np.random.default_rng(s) for s in range(6)],
+                            "altmin")
+        for i in range(6):
+            lone = alternating_minimize(arch, w_opt[i], config=config,
+                                        rng=np.random.default_rng(i))
+            row = batch.solution(i)
+            np.testing.assert_array_equal(row.phases, lone.phases)
+            np.testing.assert_array_equal(row.w_bb, lone.w_bb)
+            np.testing.assert_array_equal(row.residual_history,
+                                          lone.residual_history)
+            assert (row.iterations, row.converged) == (lone.iterations,
+                                                       lone.converged)
+            assert np.all(batch.history[i, lone.iterations:] == lone.residual)
+        assert len(set(batch.iterations.tolist())) > 1
+
+    def test_direct_rows_equal_lone_solves(self):
+        rng = np.random.default_rng(21)
+        arch = ReuseArchitecture(n_blocks=12, lo_depth=6, apd_depth=3)
+        w_opt = np.stack([rand_orthonormal(rng, arch.n_r, 3)
+                          for _ in range(4)])
+        batch = solve_batch(arch, w_opt, None, [], "direct")
+        for i in range(4):
+            lone = direct_solve_proportional(arch, w_opt[i])
+            np.testing.assert_array_equal(batch.w_bb[i], lone.w_bb)
+            assert batch.solution(i).residual == lone.residual
+            assert batch.iterations[i] == 0
+
+    def test_direct_stack_equals_lone_solves(self):
+        rng = np.random.default_rng(23)
+        arch = ReuseArchitecture(n_blocks=12, lo_depth=6, apd_depth=3)
+        w_opt = np.stack([rand_orthonormal(rng, arch.n_r, 3)
+                          for _ in range(3)])
+        phases = rng.uniform(0, 2 * np.pi, arch.n_blocks)
+        batch = direct_solve_proportional(arch, w_opt, phases=phases)
+        for i in range(3):
+            lone = direct_solve_proportional(arch, w_opt[i], phases=phases)
+            np.testing.assert_array_equal(batch.phases[i], lone.phases)
+            np.testing.assert_array_equal(batch.w_bb[i], lone.w_bb)
+            assert batch.solution(i).residual == lone.residual
+
+    def test_one_generator_per_target(self):
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
+        w_opt = self.channel_targets(6, 3, seed=22)
+        with pytest.raises(ValueError, match="generators"):
+            solve_batch(arch, w_opt, None, [np.random.default_rng(0)],
+                        "altmin")
