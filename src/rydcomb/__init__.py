@@ -11,9 +11,8 @@ from .architecture import (ReuseArchitecture, build_wlc, compose_wrf,
                            is_proportional, phase_grid)
 from .arrays import (ArrayGeometry, ArrayKind, array_response, axial_response,
                      rydberg_response, upa_response)
-from .channel import (ChannelParams, ChannelRealization, LowRankChannel, Paths,
-                      TransmitFactor, channel_matrix, draw_paths,
-                      generate_channel)
+from .channel import (ChannelParams, LowRankChannel, Paths, TransmitFactor,
+                      channel_matrix, draw_paths, generate_channel)
 from .errors import (ArchitectureError, ConfigError, GeometryError,
                      NumericError)
 from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
@@ -23,14 +22,13 @@ from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
 from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
                         SolveMethod, alternating_minimize,
                         direct_solve_proportional, optimal_digital_combiner,
-                        optimal_phase, quantize_phase, solve_combiner,
-                        update_wbb)
+                        optimal_phase, quantize_phase, update_wbb)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchitectureError", "ArrayGeometry", "ArrayKind", "ChannelParams",
-    "ChannelRealization", "CombinerSolution", "ConfigError",
+    "CombinerSolution", "ConfigError",
     "DigitalReference", "EvalUnit", "ExperimentSpec", "GeometryError",
     "LowRankChannel", "NumericError", "OptimizerConfig", "Paths", "ResultRow",
     "ResultTable", "TransmitFactor",
@@ -41,6 +39,6 @@ __all__ = [
     "evaluate_architecture", "fully_digital_se", "generate_channel",
     "is_proportional", "optimal_digital_combiner", "optimal_phase",
     "pc_architecture", "phase_grid", "quantize_phase", "run_convergence",
-    "run_experiment", "solve_combiner", "spectral_efficiency", "update_wbb",
+    "run_experiment", "spectral_efficiency", "update_wbb",
     "upa_response", "rydberg_response",
 ]

@@ -11,7 +11,7 @@ rank is at most the path count L = n_clusters * n_rays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,11 +22,10 @@ from .errors import GeometryError
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Parameters of the clustered channel between a UPA transmitter and a
-    configurable receive array."""
+    """Parameters of the clustered channel between a UPA transmitter and
+    any receive array."""
 
     n_tx: int
-    rx_geometry: ArrayGeometry
     n_clusters: int = 5
     n_rays: int = 10
     cluster_powers: tuple[float, ...] = ()
@@ -108,12 +107,6 @@ class LowRankChannel:
         return (self.a_rx * self.gains) @ (self.transmit.steering.conj().T @ f)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    matrix: np.ndarray = field(repr=False)
-    paths: Paths = field(repr=False)
-
-
 def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
     """Draw per-path gains and angles.
 
@@ -145,16 +138,16 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
 
 
 def channel_matrix(paths: Paths, n_tx: int, rx_geometry: ArrayGeometry,
-                   tx_spacing: float = 0.5,
                    transmit: Optional[TransmitFactor] = None) -> LowRankChannel:
     """Assemble the N_r x N_t channel matrix from the paths, in factored form.
+    The transmitter is a half-wavelength UPA.
 
     Keeping this separate from the path draw lets several receive
     geometries share one set of paths for paired comparisons; they can also
     share one ``transmit`` factor, which depends on the paths only.
     """
     if transmit is None:
-        a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, tx_spacing)
+        a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
         transmit = TransmitFactor(a_tx, *np.linalg.qr(a_tx))
     elif transmit.steering.shape != (n_tx, paths.n_paths):
         raise ValueError("transmit factor does not match n_tx and the paths")
@@ -164,9 +157,8 @@ def channel_matrix(paths: Paths, n_tx: int, rx_geometry: ArrayGeometry,
     return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains, transmit=transmit)
 
 
-def generate_channel(params: ChannelParams,
-                     rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization.  Deterministic given the generator state."""
+def generate_channel(params: ChannelParams, rx_geometry: ArrayGeometry,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw one dense channel matrix, deterministic given the generator."""
     paths = draw_paths(params, rng)
-    matrix = channel_matrix(paths, params.n_tx, params.rx_geometry).dense()
-    return ChannelRealization(matrix=matrix, paths=paths)
+    return channel_matrix(paths, params.n_tx, rx_geometry).dense()

@@ -13,20 +13,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import checks
-from .architecture import ReuseArchitecture, default_intra_offsets
+from .architecture import (ReuseArchitecture, default_intra_offsets,
+                           is_proportional)
 from .arrays import ArrayGeometry, ArrayKind
 from .channel import ChannelParams
 from .errors import ArchitectureError, ConfigError, GeometryError, NumericError
 from .evaluation import (EvalUnit, ExperimentSpec, ResultTable,
                          pc_architecture, run_convergence, run_experiment)
-from .optimizer import OptimizerConfig
+from .optimizer import SOLVE_METHODS, OptimizerConfig
 from .svgplot import render_line_svg
 
 # Field each command sweeps; an SNR-grid command lists sweep-snr first, so
@@ -35,18 +35,6 @@ _SWEPT_FIELD = {"sweep-snr": "snr_db", "convergence": "snr_db",
                 "sweep-chains": "n_chains", "sweep-depth": "lo_depth"}
 _BASELINES = ("none", "upa_pc", "nonupa_pc", "ideal_digital_reuse",
               "ideal_digital_no_reuse")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command-line invocation."""
-
-    command: str
-    config_path: Optional[Path]
-    output_dir: Optional[Path]
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    threads: int = 1
 
 
 class _Ctx:
@@ -89,6 +77,13 @@ class _Ctx:
                 raise ConfigError(f"{self._at(key)}[{i}]: expected "
                                   f"{'integer' if kind is int else 'number'}")
         return [kind(v) for v in values]
+
+    def build(self, make, **fields):
+        """``make(**fields)``; a rejected value names this object's path."""
+        try:
+            return make(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
 
 
 def _rydberg_geometry(n_blocks: int, lo_depth: int, block_spacing: float,
@@ -161,11 +156,13 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     name = ctx.get("name", str, default="experiment")
 
     ch = ctx.sub("channel", required=True)
-    n_tx = ch.get("n_tx", int, required=True)
-    n_clusters = ch.get("n_clusters", int, default=5)
-    n_rays = ch.get("n_rays", int, default=10)
-    powers = tuple(ch.num_list("cluster_powers", float)) or (1.0,) * n_clusters
-    spread = math.radians(ch.get("angular_spread_deg", float, default=10.0))
+    channel = ch.build(
+        ChannelParams, n_tx=ch.get("n_tx", int, required=True),
+        n_clusters=ch.get("n_clusters", int, default=5),
+        n_rays=ch.get("n_rays", int, default=10),
+        cluster_powers=tuple(ch.num_list("cluster_powers", float)),
+        angular_spread=math.radians(
+            ch.get("angular_spread_deg", float, default=10.0)))
     block_spacing = ch.get("block_spacing", float, default=0.5)
     intra_spacing = ch.get("intra_spacing", float,
                            default=0.1 * block_spacing)
@@ -182,8 +179,8 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     seed = ctx.get("seed", int, required=True)
 
     sv = ctx.sub("solver")
-    solver_cfg = OptimizerConfig(
-        epsilon=sv.get("epsilon", float, default=1e-4),
+    solver_cfg = sv.build(
+        OptimizerConfig, epsilon=sv.get("epsilon", float, default=1e-4),
         max_iterations=sv.get("max_iterations", int, default=100))
 
     baselines = ctx.get("baselines", list, default=[])
@@ -202,10 +199,6 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     except (GeometryError, ArchitectureError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    reference = next((u.geometry for u in units), None)
-    channel = ChannelParams(n_tx=n_tx, rx_geometry=reference,
-                            n_clusters=n_clusters, n_rays=n_rays,
-                            cluster_powers=powers, angular_spread=spread)
     return ExperimentSpec(channel=channel, units=tuple(units),
                           n_streams=n_streams, snr_db=snr_db, trials=trials,
                           seed=seed, solver=solver_cfg,
@@ -298,12 +291,18 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
                 n_blocks, lo, apd,
                 default_intra_offsets(n_blocks, lo, intra_spacing),
                 _resolution(entry))
+            solver = entry.get("solver", str, default="auto")
+            if solver not in SOLVE_METHODS:
+                raise ConfigError(f"{entry.path}.solver: unknown solver "
+                                  f"{solver!r} (choose from {SOLVE_METHODS})")
+            if solver == "direct" and not is_proportional(arch):
+                raise ConfigError(f"{entry.path}.solver: 'direct' needs "
+                                  f"apd_depth={apd} to divide lo_depth={lo}")
             arch_units.append(EvalUnit(
                 label=label, kind="rydberg",
                 geometry=_rydberg_geometry(n_blocks, lo, block_spacing,
                                            intra_spacing),
-                arch=arch, solver=entry.get("solver", str, default="auto"),
-                sweep_value=sweep_value))
+                arch=arch, solver=solver, sweep_value=sweep_value))
         units.extend(arch_units)
         depth = value if param == "lo_depth" else ctx.get(
             "reference_lo_depth", int,
@@ -424,25 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    if config.command == "validate":
-        return validate_command(config.config_path)
-    spec, doc = parse_config(config.config_path, config.command,
-                             seed_override=config.seed,
-                             trials_override=config.trials)
-    if config.command == "convergence":
-        table = run_convergence(spec, threads=config.threads)
-        value_name = "mean_residual"
-    else:
-        table = run_experiment(spec, threads=config.threads)
-        value_name = "mean_se_bps_hz"
-    paths = emit_results(table, config.output_dir, manifest_config=doc,
-                         command=config.command, value_name=value_name)
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     threads = args.__dict__.get("threads")
@@ -454,14 +434,20 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: SIM_THREADS={env!r} is not a positive integer",
                   file=sys.stderr)
             return 1
-    config = RunConfig(command=args.command,
-                       config_path=getattr(args, "config", None),
-                       output_dir=getattr(args, "out", None),
-                       seed=getattr(args, "seed", None),
-                       trials=getattr(args, "trials", None),
-                       threads=threads)
     try:
-        return run(config)
+        if args.command == "validate":
+            return validate_command(args.config)
+        spec, doc = parse_config(args.config, args.command,
+                                 seed_override=args.seed,
+                                 trials_override=args.trials)
+        convergence = args.command == "convergence"
+        table = (run_convergence if convergence else run_experiment)(
+            spec, threads=threads)
+        paths = emit_results(
+            table, args.out, manifest_config=doc, command=args.command,
+            value_name="mean_residual" if convergence else "mean_se_bps_hz")
+        print(f"wrote {', '.join(str(p) for p in paths)}")
+        return 0
     except (ConfigError, GeometryError, ArchitectureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

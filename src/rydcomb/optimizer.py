@@ -22,6 +22,9 @@ from .architecture import (TWO_PI, ReuseArchitecture, check_phases,
 from .channel import LowRankChannel
 from .errors import ArchitectureError, NumericError
 
+SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_batch
+
+
 class SolveMethod(enum.Enum):
     ALT_MIN = "altmin"
     DIRECT_PROPORTIONAL = "direct"
@@ -57,11 +60,11 @@ class DigitalReference:
 class CombinerSolution:
     phases: np.ndarray = field(repr=False)
     w_bb: np.ndarray = field(repr=False)
-    residual: float = 0.0
-    iterations: int = 0
-    method: SolveMethod = SolveMethod.ALT_MIN
-    converged: bool = True
-    residual_history: np.ndarray = field(default=None, repr=False)
+    residual: float
+    iterations: int
+    method: SolveMethod
+    converged: bool
+    residual_history: np.ndarray = field(repr=False)
 
 
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
@@ -189,7 +192,7 @@ class SolutionBatch:
     history: np.ndarray = field(repr=False)
     iterations: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
-    method: SolveMethod = SolveMethod.ALT_MIN
+    method: SolveMethod
 
     def solution(self, i: int) -> CombinerSolution:
         history = self.history[i, :max(int(self.iterations[i]), 1)]
@@ -273,7 +276,8 @@ def _solve(arch: ReuseArchitecture, w_opt: np.ndarray, phases: np.ndarray,
                 break
         prev_sq = sq
     return SolutionBatch(phases=out_phases, w_bb=out_wbb, history=history,
-                         iterations=iterations, converged=converged)
+                         iterations=iterations, converged=converged,
+                         method=SolveMethod.ALT_MIN)
 
 
 def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
@@ -293,7 +297,7 @@ def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
     differ by less than epsilon, or at the iteration cap (flagged as
     unconverged), and keeps its last iterate.
     """
-    if method not in ("auto", "altmin", "direct"):
+    if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     w_opt = _validate_target(arch, w_opt)
     if method == "direct" or (method == "auto" and is_proportional(arch)):
@@ -310,7 +314,8 @@ def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
     """Alternate between the closed-form digital combiner and per-block
     optimal (quantized) phases; see ``solve_batch``.  Returns the last
     iterate."""
-    return solve_combiner(arch, w_opt, config=config, rng=rng, method="altmin")
+    return solve_batch(arch, np.asarray(w_opt)[None], config,
+                       [rng or np.random.default_rng()], "altmin").solution(0)
 
 
 def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
@@ -333,12 +338,3 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
     sol = _solve(arch, batch, np.tile(phases, (len(batch), 1)))
     return sol if w_opt.ndim == 3 else sol.solution(0)
 
-
-def solve_combiner(arch: ReuseArchitecture, w_opt: np.ndarray,
-                   config: Optional[OptimizerConfig] = None,
-                   rng: Optional[np.random.Generator] = None,
-                   method: str = "auto") -> CombinerSolution:
-    """Dispatch to the direct solver when applicable, else alternate: a
-    batch of one through ``solve_batch``."""
-    return solve_batch(arch, np.asarray(w_opt)[None], config,
-                       [rng or np.random.default_rng()], method).solution(0)

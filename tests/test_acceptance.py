@@ -18,7 +18,7 @@ from rydcomb import (ArrayGeometry, ArrayKind, ChannelParams,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, rydberg_response, spectral_efficiency,
                      upa_response)
-from rydcomb.cli import RunConfig, run
+from rydcomb.cli import main
 
 SEED = 20260810
 TREND_TRIALS = 500
@@ -76,7 +76,7 @@ def nonupa(n_blocks, depth):
 def trend():
     """Per-trial spectral efficiencies for criteria 3-6, paired channels."""
     cluster = dict(n_clusters=5, n_rays=10)
-    params = ChannelParams(n_tx=144, rx_geometry=nonupa(36, 6), **cluster)
+    params = ChannelParams(n_tx=144, **cluster)
     geometries = {
         1: ArrayGeometry(ArrayKind.UPA, 36, 1),
         2: nonupa(36, 2),
@@ -142,11 +142,10 @@ def trend():
 
 def test_criterion_1_fully_digital_degeneracy():
     def body():
-        params = ChannelParams(n_tx=36, rx_geometry=nonupa(16, 1),
-                               n_clusters=5, n_rays=10)
+        params = ChannelParams(n_tx=36, n_clusters=5, n_rays=10)
         arch = ReuseArchitecture(16, 1, 1)
         for t in range(50):
-            h = generate_channel(params, _channel_rng(t)).matrix
+            h = generate_channel(params, nonupa(16, 1), _channel_rng(t))
             ref = optimal_digital_combiner(h, N_STREAMS)
             sol = _altmin(arch, ref.w_opt, _solver_rng(t, 0, arch))
             assert sol.residual < 1e-8
@@ -161,10 +160,9 @@ def test_criterion_1_fully_digital_degeneracy():
 
 def test_criterion_2_proportional_equivalence():
     def body():
-        params = ChannelParams(n_tx=144, rx_geometry=nonupa(36, 6),
-                               n_clusters=5, n_rays=10)
+        params = ChannelParams(n_tx=144, n_clusters=5, n_rays=10)
         for t in range(50):
-            h = generate_channel(params, _channel_rng(1000 + t)).matrix
+            h = generate_channel(params, nonupa(36, 6), _channel_rng(1000 + t))
             ref = optimal_digital_combiner(h, N_STREAMS)
             for nlm in (1, 3, 6):
                 cont = ReuseArchitecture(36, 6, nlm)
@@ -288,13 +286,12 @@ def test_criterion_7_optimizer_oracles(trend):
 def test_criterion_8_channel_statistics():
     def body():
         geometry = nonupa(36, 6)
-        params = ChannelParams(n_tx=144, rx_geometry=geometry, n_clusters=5,
-                               n_rays=10)
+        params = ChannelParams(n_tx=144, n_clusters=5, n_rays=10)
         total = 0.0
         trials = 2000
         for t in range(trials):
-            total += np.linalg.norm(
-                generate_channel(params, _channel_rng(5000 + t)).matrix) ** 2
+            h = generate_channel(params, geometry, _channel_rng(5000 + t))
+            total += np.linalg.norm(h) ** 2
         ratio = total / trials / (144 * 216)
         assert abs(ratio - 1.0) <= 0.05, f"energy ratio {ratio:.4f}"
 
@@ -320,9 +317,9 @@ def test_criterion_9_determinism(tmp_path, configs_dir):
         outputs = []
         for name, threads in (("a", 1), ("b", 1), ("c", 4)):
             out = tmp_path / name
-            code = run(RunConfig(command="sweep-snr",
-                                 config_path=configs_dir / "smoke.json",
-                                 output_dir=out, threads=threads))
+            code = main(["sweep-snr", "--config",
+                         str(configs_dir / "smoke.json"), "--out", str(out),
+                         "--threads", str(threads)])
             assert code == 0
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1], "re-run changed the CSV"

@@ -13,7 +13,7 @@ def nonupa(n_blocks=36, n_per_block=6):
 
 
 def default_params(**kwargs):
-    base = dict(n_tx=144, rx_geometry=nonupa(), n_clusters=5, n_rays=10)
+    base = dict(n_tx=144, n_clusters=5, n_rays=10)
     base.update(kwargs)
     return ChannelParams(**base)
 
@@ -55,7 +55,7 @@ class TestSinglePath:
 
     def test_matrix_shape(self):
         params = default_params()
-        h = generate_channel(params, np.random.default_rng(0)).matrix
+        h = generate_channel(params, nonupa(), np.random.default_rng(0))
         assert h.shape == (216, 144)
 
 
@@ -63,12 +63,13 @@ class TestStatistics:
     def test_energy_normalization(self):
         # sample mean of ||H||_F^2 against the Nt*Nr target
         params = default_params()
-        target = params.n_tx * params.rx_geometry.n_elements
+        target = params.n_tx * nonupa().n_elements
         total = 0.0
         trials = 500
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(t,)))
-            total += np.linalg.norm(generate_channel(params, rng).matrix) ** 2
+            h = generate_channel(params, nonupa(), rng)
+            total += np.linalg.norm(h) ** 2
         assert abs(total / trials / target - 1.0) < 0.05
 
     def test_cluster_powers_scale_gains(self):
@@ -101,14 +102,14 @@ class TestStatistics:
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         params = default_params()
-        h1 = generate_channel(params, np.random.default_rng(123)).matrix
-        h2 = generate_channel(params, np.random.default_rng(123)).matrix
+        h1 = generate_channel(params, nonupa(), np.random.default_rng(123))
+        h2 = generate_channel(params, nonupa(), np.random.default_rng(123))
         assert np.array_equal(h1, h2)
 
     def test_different_seed_differs(self):
         params = default_params()
-        h1 = generate_channel(params, np.random.default_rng(123)).matrix
-        h2 = generate_channel(params, np.random.default_rng(124)).matrix
+        h1 = generate_channel(params, nonupa(), np.random.default_rng(123))
+        h2 = generate_channel(params, nonupa(), np.random.default_rng(124))
         assert not np.array_equal(h1, h2)
 
     def test_shared_paths_pair_geometries(self):

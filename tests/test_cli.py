@@ -6,8 +6,8 @@ import pytest
 
 import rydcomb.optimizer
 from rydcomb import ConfigError, ResultRow, ResultTable
-from rydcomb.cli import (RunConfig, build_spec, emit_results, main,
-                         parse_config, run, validate_command)
+from rydcomb.cli import (build_spec, emit_results, main, parse_config,
+                         validate_command)
 
 
 def smoke_doc(**overrides):
@@ -190,8 +190,8 @@ class TestRunEndToEnd:
         outputs = []
         for name, threads in (("r1", 1), ("r2", 1), ("r4", 4)):
             out = tmp_path / name
-            code = run(RunConfig(command="sweep-snr", config_path=path,
-                                 output_dir=out, threads=threads))
+            code = main(["sweep-snr", "--config", str(path), "--out",
+                         str(out), "--threads", str(threads)])
             assert code == 0
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
@@ -199,8 +199,8 @@ class TestRunEndToEnd:
     def test_manifest_roundtrip(self, tmp_path):
         path = write_doc(tmp_path, smoke_doc())
         out = tmp_path / "out"
-        assert run(RunConfig(command="sweep-snr", config_path=path,
-                             output_dir=out, threads=1)) == 0
+        assert main(["sweep-snr", "--config", str(path), "--out", str(out),
+                     "--threads", "1"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         respec = build_spec(manifest["config"], manifest["command"])
         original, _ = parse_config(path, "sweep-snr")
@@ -228,8 +228,8 @@ class TestRunEndToEnd:
                             {"label": "a", "lo_depth": 4, "apd_depth": 8}])
         path = write_doc(tmp_path, doc)
         out = tmp_path / "conv"
-        assert run(RunConfig(command="convergence", config_path=path,
-                             output_dir=out, threads=1)) == 0
+        assert main(["convergence", "--config", str(path), "--out",
+                     str(out), "--threads", "1"]) == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 6
         assert all(",iteration," in line for line in lines[1:])
@@ -292,6 +292,40 @@ class TestRunEndToEnd:
         doc["channel"] = dict(doc["channel"], n_clusters=1, n_rays=1)
         with pytest.raises(ConfigError, match="rank bound"):
             build_spec(doc, "sweep-snr")
+
+    BAD_CONFIGS = {
+        "cluster-powers-length": (
+            {"cluster_powers": [1.0]}, None, "channel: cluster_powers"),
+        "negative-spread": (
+            {"angular_spread_deg": -1.0}, None, "channel: angular_spread"),
+        "zero-rays": ({"n_rays": 0}, None, "channel: n_clusters and n_rays"),
+        "negative-epsilon": (
+            {}, {"solver": {"epsilon": -1}}, "solver: epsilon"),
+        "unknown-solver": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 2, "solver": "exhaustive"}]},
+            "architectures[0].solver"),
+        "direct-non-proportional": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4, "solver": "direct"}]},
+            "architectures[0].solver"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
+    def test_config_error_exit_one(self, tmp_path, capsys, case, command):
+        # an exception escaping main, which would end the process in a
+        # traceback, fails the test
+        channel, top, message = self.BAD_CONFIGS[case]
+        doc = smoke_doc(**(top or {}))
+        doc["channel"] = dict(doc["channel"], **channel)
+        argv = [command, "--config", str(write_doc(tmp_path, doc))]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "checks passed" not in captured.out
+        assert not (tmp_path / "o").exists()
 
 
 class TestValidateCommand:

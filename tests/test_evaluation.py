@@ -9,7 +9,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      evaluate_architecture, fully_digital_se,
                      generate_channel, optimal_digital_combiner,
                      pc_architecture, run_convergence, run_experiment,
-                     solve_combiner, spectral_efficiency)
+                     spectral_efficiency)
 from rydcomb import evaluation
 from rydcomb.cli import main
 
@@ -45,8 +45,7 @@ def small_spec(**overrides):
         EvalUnit(label="digital", kind="ideal_digital", geometry=geometry),
     )
     base = dict(
-        channel=ChannelParams(n_tx=16, rx_geometry=geometry, n_clusters=3,
-                              n_rays=4),
+        channel=ChannelParams(n_tx=16, n_clusters=3, n_rays=4),
         units=units, n_streams=2, snr_db=(-10.0, 0.0, 10.0), trials=6, seed=11)
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -116,13 +115,14 @@ class TestSpectralEfficiency:
 
     def test_factored_channel_matches_dense(self):
         geometry = nonupa(36, 6)
-        params = ChannelParams(n_tx=144, rx_geometry=geometry)
+        params = ChannelParams(n_tx=144)
         arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=4)
         for seed in range(3):
             paths = draw_paths(params, np.random.default_rng(seed))
             channel = channel_matrix(paths, 144, geometry)
             ref = optimal_digital_combiner(channel, 3)
-            sol = solve_combiner(arch, ref.w_opt, rng=np.random.default_rng(seed))
+            sol = alternating_minimize(arch, ref.w_opt,
+                                       rng=np.random.default_rng(seed))
             w_rf = compose_wrf(arch, sol.phases)
             factored = combined_gain_eigenvalues(channel, w_rf, sol.w_bb, ref.f_opt)
             dense = combined_gain_eigenvalues(channel.dense(), w_rf, sol.w_bb,
@@ -133,12 +133,11 @@ class TestSpectralEfficiency:
 class TestEvaluateArchitecture:
     def test_fully_dedicated_equals_ideal_digital(self):
         geometry = nonupa(16, 1)
-        params = ChannelParams(n_tx=36, rx_geometry=geometry, n_clusters=3,
-                               n_rays=5)
+        params = ChannelParams(n_tx=36, n_clusters=3, n_rays=5)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=1, apd_depth=1)
         snr = 10.0 ** (np.array([-10.0, 0.0, 10.0]) / 10.0)
         for seed in range(5):
-            h = generate_channel(params, np.random.default_rng(seed)).matrix
+            h = generate_channel(params, geometry, np.random.default_rng(seed))
             ref = optimal_digital_combiner(h, 3)
             rates, sol = evaluate_architecture(
                 h, arch, 3, snr, solver="altmin",
@@ -149,11 +148,10 @@ class TestEvaluateArchitecture:
 
     def test_hybrid_never_beats_digital_ceiling(self):
         geometry = nonupa(9, 4)
-        params = ChannelParams(n_tx=16, rx_geometry=geometry, n_clusters=3,
-                               n_rays=5)
+        params = ChannelParams(n_tx=16, n_clusters=3, n_rays=5)
         arch = ReuseArchitecture(n_blocks=9, lo_depth=4, apd_depth=12)
         for seed in range(10):
-            h = generate_channel(params, np.random.default_rng(seed)).matrix
+            h = generate_channel(params, geometry, np.random.default_rng(seed))
             ref = optimal_digital_combiner(h, 2)
             rates, _ = evaluate_architecture(
                 h, arch, 2, [1.0], rng=np.random.default_rng(seed),
@@ -164,7 +162,7 @@ class TestEvaluateArchitecture:
     @pytest.mark.parametrize("lo,apd", [(6, 4), (6, 3)])
     def test_rates_match_dense_combiner(self, lo, apd):
         geometry = nonupa(16, lo)
-        params = ChannelParams(n_tx=36, rx_geometry=geometry)
+        params = ChannelParams(n_tx=36)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=lo, apd_depth=apd)
         snr = 10.0 ** (np.array([-10.0, 0.0, 10.0]) / 10.0)
         for seed in range(3):
@@ -274,8 +272,7 @@ class TestRunConvergence:
         geometry = nonupa(16, 6)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
         spec = ExperimentSpec(
-            channel=ChannelParams(n_tx=16, rx_geometry=geometry, n_clusters=3,
-                                  n_rays=4),
+            channel=ChannelParams(n_tx=16, n_clusters=3, n_rays=4),
             units=(EvalUnit(label="trace", kind="rydberg", geometry=geometry,
                             arch=arch),),
             n_streams=2, snr_db=(0.0,), trials=5, seed=3,

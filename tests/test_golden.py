@@ -1,9 +1,12 @@
 """Golden outputs: bundled configs must keep producing the recorded curves.
 
-The goldens in tests/golden/ were written by the code before the low-rank
-channel pipeline.  Labels, sweep values, trial counts and seeds must match
-exactly; means must agree to a relative 1e-9, which absorbs reordered
-floating-point work but not a changed curve.
+smoke.csv, fig8.csv and fig10.csv in tests/golden/ were written by the code
+before the low-rank channel pipeline.  fig5.csv (four receive geometries,
+direct solves only) and convergence.csv (the convergence command) were
+written by the trial-block code, before its unused public API was removed.
+Labels, sweep values, trial counts and seeds must match exactly; means
+must agree to a relative 1e-9, which absorbs reordered floating-point work
+but not a changed curve.
 """
 
 import csv
@@ -20,6 +23,8 @@ CASES = [
     ("smoke", "sweep-snr", None),
     ("fig8", "sweep-snr", 20),
     ("fig10", "sweep-chains", 20),
+    ("fig5", "sweep-snr", 20),
+    ("convergence", "convergence", 20),
 ]
 
 

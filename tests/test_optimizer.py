@@ -9,7 +9,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      channel_matrix, compose_wrf, diagonal_phases,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, optimal_phase, phase_grid,
-                     quantize_phase, solve_combiner, update_wbb)
+                     quantize_phase, update_wbb)
 from rydcomb.optimizer import solve_batch
 
 
@@ -73,8 +73,7 @@ class TestDigitalCombiner:
 
 
 def factored_channel(geometry, seed):
-    params = ChannelParams(n_tx=144, rx_geometry=geometry)
-    paths = draw_paths(params, np.random.default_rng(seed))
+    paths = draw_paths(ChannelParams(n_tx=144), np.random.default_rng(seed))
     return channel_matrix(paths, 144, geometry)
 
 
@@ -375,21 +374,21 @@ class TestSolveDispatch:
         rng = np.random.default_rng(20)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_combiner(arch, w_opt, rng=rng)
+        sol = solve_batch(arch, w_opt[None], None, [rng], "auto")
         assert sol.method is SolveMethod.DIRECT_PROPORTIONAL
 
     def test_auto_routes_general_to_altmin(self):
         rng = np.random.default_rng(21)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_combiner(arch, w_opt, rng=rng)
+        sol = solve_batch(arch, w_opt[None], None, [rng], "auto")
         assert sol.method is SolveMethod.ALT_MIN
 
     def test_unknown_method_rejected(self):
         arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
         with pytest.raises(ValueError):
-            solve_combiner(arch, np.eye(4, dtype=complex)[:, :1],
-                           method="exhaustive")
+            solve_batch(arch, np.eye(4, dtype=complex)[None, :, :1], None,
+                        [np.random.default_rng()], "exhaustive")
 
 
 class TestSolveBatch:
@@ -399,8 +398,7 @@ class TestSolveBatch:
     @staticmethod
     def channel_targets(lo, count, seed):
         geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 16, lo)
-        params = ChannelParams(n_tx=16, rx_geometry=geometry, n_clusters=3,
-                               n_rays=4)
+        params = ChannelParams(n_tx=16, n_clusters=3, n_rays=4)
         rng = np.random.default_rng(seed)
         return np.stack([optimal_digital_combiner(
             channel_matrix(draw_paths(params, rng), 16, geometry), 3).w_opt
