@@ -19,14 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import checks
-from .architecture import (ReuseArchitecture, default_intra_offsets,
-                           is_proportional)
+from .architecture import ReuseArchitecture, default_intra_offsets
 from .arrays import ArrayGeometry, ArrayKind
 from .channel import ChannelParams
 from .errors import ArchitectureError, ConfigError, GeometryError, NumericError
 from .evaluation import (EvalUnit, ExperimentSpec, ResultTable,
                          pc_architecture, run_convergence, run_experiment)
-from .optimizer import SOLVE_METHODS, OptimizerConfig
+from .optimizer import OptimizerConfig
 from .svgplot import render_line_svg
 
 # Field each command sweeps; an SNR-grid command lists sweep-snr first, so
@@ -291,18 +290,15 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
                 n_blocks, lo, apd,
                 default_intra_offsets(n_blocks, lo, intra_spacing),
                 _resolution(entry))
+            geometry = _rydberg_geometry(n_blocks, lo, block_spacing,
+                                         intra_spacing)
             solver = entry.get("solver", str, default="auto")
-            if solver not in SOLVE_METHODS:
-                raise ConfigError(f"{entry.path}.solver: unknown solver "
-                                  f"{solver!r} (choose from {SOLVE_METHODS})")
-            if solver == "direct" and not is_proportional(arch):
-                raise ConfigError(f"{entry.path}.solver: 'direct' needs "
-                                  f"apd_depth={apd} to divide lo_depth={lo}")
-            arch_units.append(EvalUnit(
-                label=label, kind="rydberg",
-                geometry=_rydberg_geometry(n_blocks, lo, block_spacing,
-                                           intra_spacing),
-                arch=arch, solver=solver, sweep_value=sweep_value))
+            try:
+                arch_units.append(EvalUnit(
+                    label=label, kind="rydberg", geometry=geometry, arch=arch,
+                    solver=solver, sweep_value=sweep_value))
+            except ConfigError as exc:  # the message starts with its field
+                raise ConfigError(f"{entry.path}.{exc}") from exc
         units.extend(arch_units)
         depth = value if param == "lo_depth" else ctx.get(
             "reference_lo_depth", int,

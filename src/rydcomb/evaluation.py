@@ -5,31 +5,33 @@ filter, which accounts for combiner-colored noise and is invariant to any
 invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
 on identical per-trial channels (paired comparison).  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one:
-the channels of a block are drawn trial by trial, then each curve is
-solved and rated for all trials of the block at once.  Every
-sample is computed exactly as it would be alone, and results are
-aggregated in fixed trial order, so they depend on neither the block size
-nor the scheduling.
+the channels of a block are drawn trial by trial, then the curves that
+share a block structure are solved in one stack over the whole block,
+and each curve is rated from its own rows.  Every sample is computed
+exactly as it would be alone, and results are aggregated in fixed trial
+order, so they depend on neither the block size nor the scheduling.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 # compose_wrf and alternating_minimize stay importable here: the per-layer
 # benchmark trace patches them at these names.
-from .architecture import ReuseArchitecture, compose_wrf
+from .architecture import ReuseArchitecture, compose_wrf, is_proportional
 from .arrays import ArrayGeometry
 from .channel import ChannelParams, LowRankChannel, channel_matrix, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
-from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
-                        SolutionBatch, alternating_minimize,
-                        optimal_digital_combiner, solve_batch)
+from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
+                        OptimizerConfig, SolutionBatch, alternating_minimize,
+                        optimal_digital_combiner, solve_batch, solve_stack,
+                        stack_key)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -164,14 +166,22 @@ class EvalUnit:
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
-            raise ConfigError(f"unknown unit kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown unit kind {self.kind!r}")
         if (self.arch is None) != (self.kind == "ideal_digital"):
             raise ConfigError(
-                "arch must be set exactly when kind != 'ideal_digital'")
+                "arch: must be set exactly when kind != 'ideal_digital'")
         if self.arch is not None and self.arch.n_r != self.geometry.n_elements:
             raise ConfigError(
-                f"architecture size {self.arch.n_r} != geometry element "
+                f"arch: size {self.arch.n_r} != geometry element "
                 f"count {self.geometry.n_elements}")
+        if self.solver not in SOLVE_METHODS:
+            raise ConfigError(f"solver: unknown solver {self.solver!r} "
+                              f"(choose from {SOLVE_METHODS})")
+        if self.solver == "direct" and self.arch and not is_proportional(
+                self.arch):
+            raise ConfigError(
+                f"solver: 'direct' needs apd_depth={self.arch.apd_depth} "
+                f"to divide lo_depth={self.arch.lo_depth}")
 
 
 @dataclass(frozen=True)
@@ -285,8 +295,8 @@ def _trial_channels(spec: ExperimentSpec, trial: int
     return out
 
 
-# A curve maps (unit, trials, stacked w_opt, H f_opt, singular values) to
-# one (len(trials), n_points) array.
+# A curve maps (unit, solution batch or None, H F_opt, singular values) on
+# some trials to one (trials, n_points) array.
 Curve = Callable[..., np.ndarray]
 
 
@@ -295,10 +305,13 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     """Evaluate every curve on one block of trials.
 
     Each trial's references are copied into one stack per geometry, row
-    by row, as the trials are drawn.  A trial that fails, in its channels
-    or in any curve, loses its value for every curve.  When a curve raises
-    for the block, it is re-run on each trial alone to find the ones that
-    failed.
+    by row, as the trials are drawn.  The alternating-minimization curves
+    of one ``stack_key`` are solved in one stack, each rated from its own
+    rows; a direct curve, or every curve of a stack whose solve raises,
+    is solved alone.  A trial that fails, in its channels or in any
+    curve, loses its value for every curve.  When a curve raises for the
+    block, it is rated (or solved) on each trial alone to find the ones
+    that failed.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
     errors: dict[int, str] = {}
@@ -316,20 +329,39 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
             for stack, part in zip(stacks[geometry], parts):
                 stack[row] = part
 
-    def evaluate(unit: EvalUnit, rows: list[int]) -> np.ndarray:
-        return curve(unit, tuple(trials[r] for r in rows),
-                     *(stack[rows] for stack in stacks[unit.geometry]))
+    def segment(unit: EvalUnit, rows: list[int]) -> tuple:
+        return (unit.arch, stacks[unit.geometry][0][rows],
+                _solver_rngs(spec.seed, tuple(trials[r] for r in rows), unit))
 
-    for i, unit in enumerate(spec.units):
+    good = [r for r, t in enumerate(trials) if t not in errors]
+    keys = [u.arch and stack_key(u.arch, u.solver) for u in spec.units]
+    solved: dict[int, SolutionBatch] = {}
+    for key in dict.fromkeys(filter(None, keys) if good else ()):
+        group = [i for i, k in enumerate(keys) if k == key]
+        with suppress(NumericError, np.linalg.LinAlgError):  # else alone
+            solved.update(zip(group, solve_stack(
+                [segment(spec.units[i], good) for i in group], spec.solver)))
+
+    def evaluate(i: int, rows: list[int]) -> np.ndarray:
+        unit, sol = spec.units[i], None
+        if i in solved:  # rows are the solved ones, or some of them
+            sol = solved[i].take(np.searchsorted(good, rows))
+        elif unit.arch is not None:
+            arch, w_opt, rngs = segment(unit, rows)
+            sol = solve_batch(arch, w_opt, spec.solver, rngs, unit.solver)
+        return curve(unit, sol, *(stack[rows]
+                                  for stack in stacks[unit.geometry][1:]))
+
+    for i in range(len(spec.units)):
         rows = [r for r, t in enumerate(trials) if t not in errors]
         if not rows:
             break
         try:
-            out[rows, i] = evaluate(unit, rows)
+            out[rows, i] = evaluate(i, rows)
         except (NumericError, np.linalg.LinAlgError):
             for row in rows:
                 try:
-                    out[row, i] = evaluate(unit, [row])[0]
+                    out[row, i] = evaluate(i, [row])[0]
                 except (NumericError, np.linalg.LinAlgError) as exc:
                     errors[trials[row]] = f"trial {trials[row]}: {exc}"
     out[[t - trials.start for t in errors]] = np.nan
@@ -399,11 +431,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
     n_s = spec.n_streams
 
-    def curve(unit, trials, w_opt, hf, singular_values):
-        if unit.arch is None:
+    def curve(unit, sol, hf, singular_values):
+        if sol is None:
             return _rates(singular_values[:, :n_s] ** 2, n_s, snr_linear)
-        sol = solve_batch(unit.arch, w_opt, spec.solver,
-                          _solver_rngs(spec.seed, trials, unit), unit.solver)
         return _rates(_batch_gain_eigenvalues(unit.arch, sol, hf), n_s,
                       snr_linear)
 
@@ -414,7 +444,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
 
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
-    """Record solver residual trajectories instead of rates.
+    """Record alternating-minimization residual trajectories instead of
+    rates, whatever solver the curves name.
 
     Rows carry the mean residual (in the value column) per iteration index;
     runs that converge early are padded with their final residual.
@@ -423,11 +454,8 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
         if unit.arch is None:
             raise ConfigError(
                 f"{unit.label}: convergence traces need an architecture")
-
-    def curve(unit, trials, w_opt, hf, singular_values):
-        rngs = _solver_rngs(spec.seed, trials, unit)
-        return solve_batch(unit.arch, w_opt, spec.solver, rngs,
-                           "altmin").history
-
-    return _tabulate(spec, threads, curve, spec.solver.max_iterations,
-                     "iteration", lambda unit, p: p + 1)
+    spec = replace(spec, units=tuple(replace(unit, solver="altmin")
+                                     for unit in spec.units))
+    return _tabulate(spec, threads, lambda unit, sol, *refs: sol.history,
+                     spec.solver.max_iterations, "iteration",
+                     lambda unit, p: p + 1)

@@ -5,15 +5,16 @@ Both solvers minimize ||W_opt - W_LO W_LC W_BB||_F over the block LO phases
 group size divides the LO block size the problem decouples per laser chain
 and the optimum is reached in closed form with any phase choice; otherwise
 the alternating scheme converges monotonically to a fixed point.  One
-kernel runs both over a stack of targets; the single-target solvers are
-batches of one.
+kernel runs both over a stack of targets, which may mix architectures
+that share the LO block structure; the single-target solvers are batches
+of one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -158,19 +159,26 @@ def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     return float(q) if q.ndim == 0 else q
 
 
-def update_wbb(u: np.ndarray, w_opt: np.ndarray, apd_depth: int) -> np.ndarray:
+def update_wbb(u: np.ndarray, w_opt: np.ndarray,
+               apd_depth: Union[int, np.ndarray]) -> np.ndarray:
     """Least-squares digital combiner for the analog stage with per-antenna
     phase factors u = exp(j*diagonal_phases).
 
     Its columns are orthogonal with squared norm apd_depth, so the
     pseudoinverse reduces to a scaled adjoint: row n of
     W_BB = W_RF^H W_opt / apd_depth is the mean of conj(u)*W_opt over the
-    n-th adder group.  Leading axes of u (..., N_r) and w_opt
-    (..., N_r, N_s) are batch axes.
+    n-th adder group.  It returns each W_BB repeated to antenna rows,
+    W_LC W_BB (..., N_r, N_s).  Leading axes of u (..., N_r) and w_opt
+    (..., N_r, N_s) are batch axes; apd_depth is one per sample or one
+    for all, and every group is summed the same way.
     """
     prod = np.conj(u)[..., None] * w_opt
-    groups = prod.reshape(*prod.shape[:-2], -1, apd_depth, prod.shape[-1])
-    return groups.sum(axis=-2) / apd_depth
+    *batch, n_r, n_s = prod.shape
+    sizes = np.broadcast_to(apd_depth, batch).ravel()
+    groups = np.repeat(sizes, n_r // sizes)
+    w_bb = (np.add.reduceat(prod.reshape(-1, n_s), np.cumsum(groups) - groups)
+            / groups[:, None])
+    return np.repeat(w_bb, groups, axis=0).reshape(prod.shape)
 
 
 def _residual(target: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -202,6 +210,10 @@ class SolutionBatch:
             method=self.method, converged=bool(self.converged[i]),
             residual_history=history)
 
+    def take(self, rows: Sequence[int]) -> "SolutionBatch":
+        return replace(self, **{f: getattr(self, f)[rows] for f in (
+            "phases", "w_bb", "history", "iterations", "converged")})
+
 
 def _validate_target(arch: ReuseArchitecture, w_opt: np.ndarray) -> np.ndarray:
     w_opt = np.asarray(w_opt, dtype=complex)
@@ -214,44 +226,55 @@ def _validate_target(arch: ReuseArchitecture, w_opt: np.ndarray) -> np.ndarray:
     return w_opt
 
 
-def _solve(arch: ReuseArchitecture, w_opt: np.ndarray, phases: np.ndarray,
-           config: Optional[OptimizerConfig] = None) -> SolutionBatch:
-    """The one solver kernel, over stacked targets (B, N_r, N_s) from
-    block phases (B, n_blocks).
+def _solve(segments: Sequence[tuple],
+           config: Optional[OptimizerConfig] = None) -> list[SolutionBatch]:
+    """The one solver kernel, over segments (arch, targets (B_s, N_r, N_s),
+    block phases (B_s, n_blocks)) that share n_blocks, lo_depth and
+    resolution; one batch per segment.
 
     The fixed intra-block offsets are folded into the target once, so
-    W_BB, the block traces and the residual see only the block rotations
-    exp(j*phases); the rotation of one residual is the next W_BB's.
-    Without a config this is the direct solver: one W_BB half-step at the
-    given phases.  Otherwise it alternates; each sample stops on its own
-    test and is frozen from then on.
+    W_BB (as antenna rows W_LC W_BB), the block traces and the residual
+    see only the block rotations exp(j*phases); the rotation of one
+    residual is the next W_BB's.  Without a config this is the direct
+    solver: one W_BB half-step at the given phases.  Otherwise it
+    alternates; each sample stops on its own test and is frozen then.
     """
-    n_b, _, n_s = w_opt.shape
-    target = np.conj(np.exp(1j * arch.intra_offsets.ravel()))[:, None] * w_opt
+    arch = segments[0][0]
+    target = np.concatenate([
+        np.conj(np.exp(1j * a.intra_offsets.ravel()))[:, None] * w
+        for a, w, _ in segments])
+    sizes = [len(w) for _, w, _ in segments]
+    apd = np.repeat([a.apd_depth for a, _, _ in segments], sizes)
+    phases = np.concatenate([p for _, _, p in segments])
+    n_b, _, n_s = target.shape
     u = np.repeat(np.exp(1j * phases), arch.lo_depth, axis=-1)
+
+    def split(phases, rows, history, iterations, converged, method):
+        ends = np.cumsum(sizes)
+        return [SolutionBatch(
+            phases=phases[i:j], history=history[i:j],
+            w_bb=np.ascontiguousarray(rows[i:j, ::a.apd_depth]),
+            iterations=iterations[i:j], converged=converged[i:j],
+            method=method)
+            for (a, _, _), i, j in zip(segments, ends - sizes, ends)]
+
     if config is None:
-        if not is_proportional(arch):
-            raise ArchitectureError(f"apd_depth={arch.apd_depth} does not "
-                                    f"divide lo_depth={arch.lo_depth}")
-        w_bb = update_wbb(u, target, arch.apd_depth)
-        res = _residual(target, u, np.repeat(w_bb, arch.apd_depth, axis=-2))
-        return SolutionBatch(phases=phases, w_bb=w_bb, history=res[:, None],
-                             iterations=np.zeros(n_b, dtype=int),
-                             converged=np.ones(n_b, dtype=bool),
-                             method=SolveMethod.DIRECT_PROPORTIONAL)
+        rows = update_wbb(u, target, apd)
+        return split(phases, rows, _residual(target, u, rows)[:, None],
+                     np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool),
+                     SolveMethod.DIRECT_PROPORTIONAL)
 
     cap = config.max_iterations
     blocks = (arch.n_blocks, arch.lo_depth, n_s)
     out_phases = np.empty_like(phases)
-    out_wbb = np.empty((n_b, arch.n_chains, n_s), dtype=complex)
+    out_rows = np.empty_like(target)
     history = np.empty((n_b, cap))
     iterations = np.full(n_b, cap)
     converged = np.zeros(n_b, dtype=bool)
     live = np.arange(n_b)
     prev_sq = None
     for k in range(cap):
-        w_bb = update_wbb(u, target, arch.apd_depth)
-        rows = np.repeat(w_bb, arch.apd_depth, axis=-2)
+        rows = update_wbb(u, target, apd)
         phases = optimal_phase(target.reshape(-1, *blocks),
                                rows.reshape(-1, *blocks))
         if arch.resolution_bits is not None:
@@ -266,18 +289,50 @@ def _solve(arch: ReuseArchitecture, w_opt: np.ndarray, phases: np.ndarray,
         if stop.any():
             idx = live[stop]
             out_phases[idx] = phases[stop]
-            out_wbb[idx] = w_bb[stop]
+            out_rows[idx] = rows[stop]
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
             converged[idx] = done[stop]
             keep = ~stop
             live, target, u, sq = live[keep], target[keep], u[keep], sq[keep]
+            apd = apd[keep]
             if not live.size:
                 break
         prev_sq = sq
-    return SolutionBatch(phases=out_phases, w_bb=out_wbb, history=history,
-                         iterations=iterations, converged=converged,
-                         method=SolveMethod.ALT_MIN)
+    return split(out_phases, out_rows, history, iterations, converged,
+                 SolveMethod.ALT_MIN)
+
+
+def stack_key(arch: ReuseArchitecture, method: str) -> Optional[tuple]:
+    """Alternating-minimization targets of equal keys (n_blocks, lo_depth,
+    resolution_bits) can share one ``solve_stack``; None where ``method``
+    runs the direct solver on ``arch`` (see ``solve_batch``)."""
+    if method not in SOLVE_METHODS:
+        raise ValueError(f"unknown solver method {method!r}")
+    if method == "direct" or (method == "auto" and is_proportional(arch)):
+        return None
+    return arch.n_blocks, arch.lo_depth, arch.resolution_bits
+
+
+def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
+                ) -> list[SolutionBatch]:
+    """Alternating minimization (see ``solve_batch``) of segments (arch,
+    targets (B_s, N_r, N_s), generators) of one ``stack_key`` in one
+    kernel loop, one batch per segment; every row equals the lone solve
+    of its target."""
+    if len({stack_key(arch, "altmin") for arch, _, _ in segments}) != 1:
+        raise ValueError("stacked segments must share n_blocks, lo_depth "
+                         "and resolution")
+    stack = []
+    for arch, w_opt, rngs in segments:
+        w_opt = _validate_target(arch, w_opt)
+        phases = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
+                           for rng in rngs])
+        if len(phases) != len(w_opt):
+            raise ValueError(f"{len(phases)} generators for {len(w_opt)} "
+                             "targets")
+        stack.append((arch, w_opt, phases))
+    return _solve(stack, config or OptimizerConfig())
 
 
 def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
@@ -297,15 +352,9 @@ def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
     differ by less than epsilon, or at the iteration cap (flagged as
     unconverged), and keeps its last iterate.
     """
-    if method not in SOLVE_METHODS:
-        raise ValueError(f"unknown solver method {method!r}")
-    w_opt = _validate_target(arch, w_opt)
-    if method == "direct" or (method == "auto" and is_proportional(arch)):
-        return direct_solve_proportional(arch, w_opt)
-    phases = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks) for rng in rngs])
-    if len(phases) != len(w_opt):
-        raise ValueError(f"{len(phases)} generators for {len(w_opt)} targets")
-    return _solve(arch, w_opt, phases, config or OptimizerConfig())
+    if stack_key(arch, method) is None:
+        return direct_solve_proportional(arch, _validate_target(arch, w_opt))
+    return solve_stack([(arch, w_opt, rngs)], config)[0]
 
 
 def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
@@ -331,10 +380,12 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
     stack of targets (B, N_r, N_s) gives a ``SolutionBatch``, every sample
     at the same phases.
     """
+    if not is_proportional(arch):
+        raise ArchitectureError(f"apd_depth={arch.apd_depth} does not "
+                                f"divide lo_depth={arch.lo_depth}")
     w_opt = np.asarray(w_opt)
     phases = check_phases(arch, np.zeros(arch.n_blocks) if phases is None
                           else phases)
     batch = _validate_target(arch, w_opt if w_opt.ndim == 3 else w_opt[None])
-    sol = _solve(arch, batch, np.tile(phases, (len(batch), 1)))
+    sol = _solve([(arch, batch, np.tile(phases, (len(batch), 1)))])[0]
     return sol if w_opt.ndim == 3 else sol.solution(0)
-

@@ -266,6 +266,19 @@ class TestRunExperiment:
                      arch=ReuseArchitecture(n_blocks=9, lo_depth=2,
                                             apd_depth=2))
 
+    def test_solver_checked_at_construction(self, monkeypatch):
+        def no_channels(*args):
+            raise AssertionError("a channel was drawn")
+        monkeypatch.setattr(evaluation, "draw_paths", no_channels)
+        geometry = nonupa(4, 2)
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=4)
+        with pytest.raises(ConfigError, match="'direct' needs apd_depth=4"):
+            EvalUnit(label="x", kind="rydberg", geometry=geometry, arch=arch,
+                     solver="direct")
+        with pytest.raises(ConfigError, match="unknown solver 'exhaustive'"):
+            EvalUnit(label="x", kind="rydberg", geometry=geometry, arch=arch,
+                     solver="exhaustive")
+
 
 class TestRunConvergence:
     def test_mean_residual_nonincreasing(self):
@@ -344,6 +357,44 @@ class TestFailedTrials:
         self._fail_trial(monkeypatch, self.zero_target)
         self._check_contained(self.rate_failure_spec())
 
+    def shared_stack_spec(self):
+        # fig10's upa_pc and nonupa_pc: one partially-connected
+        # architecture on two geometries, solved as one stack
+        arch = pc_architecture(16, 4)
+        return small_spec(trials=6, units=(
+            EvalUnit(label="digital", kind="ideal_digital",
+                     geometry=nonupa(4, 4)),
+            EvalUnit(label="UPA PC", kind="pc_upa", arch=arch,
+                     geometry=ArrayGeometry(ArrayKind.UPA, 16, 1),
+                     solver="altmin"),
+            EvalUnit(label="non-UPA PC", kind="pc_nonupa", arch=arch,
+                     geometry=nonupa(4, 4), solver="altmin")))
+
+    def test_rate_failure_in_shared_stack_drops_one_trial(self, monkeypatch):
+        stacked = []
+        solve_stack = evaluation.solve_stack
+
+        def recording(segments, *args):
+            stacked.append(len(segments))
+            return solve_stack(segments, *args)
+
+        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        self._fail_trial(monkeypatch, self.zero_target)
+        self._check_contained(self.shared_stack_spec())
+        assert stacked == [2]
+
+    @staticmethod
+    def refuse_stacks(segments, config):
+        raise NumericError("synthetic stack failure")
+
+    def test_failed_stack_solve_falls_back_to_each_curve(self, monkeypatch):
+        want = run_experiment(self.shared_stack_spec())
+        monkeypatch.setattr(evaluation, "solve_stack", self.refuse_stacks)
+        got = run_experiment(self.shared_stack_spec())
+        assert got.failures == 0
+        assert [(r.mean_se, r.stderr, r.trials) for r in got.rows] \
+            == [(r.mean_se, r.stderr, r.trials) for r in want.rows]
+
     def test_rate_failure_independent_of_block_size(self, monkeypatch):
         self._fail_trial(monkeypatch, self.zero_target)
         rows = []
@@ -353,6 +404,21 @@ class TestFailedTrials:
                 table = run_experiment(self.rate_failure_spec())
             rows.append([(r.mean_se, r.stderr, r.trials) for r in table.rows])
         assert rows[0] == rows[1] == rows[2]
+
+    def test_reference_failure_in_shared_stack_keeps_rows(self, monkeypatch):
+        # the stack is solved on the trials whose references succeeded;
+        # each curve must still read its own rows, as when solved alone
+        def explode(ref):
+            raise NumericError("synthetic SVD failure")
+        self._fail_trial(monkeypatch, explode)
+        self._check_contained(self.shared_stack_spec())
+        with pytest.warns(RuntimeWarning):
+            stacked = run_experiment(self.shared_stack_spec())
+        monkeypatch.setattr(evaluation, "solve_stack", self.refuse_stacks)
+        with pytest.warns(RuntimeWarning):
+            alone = run_experiment(self.shared_stack_spec())
+        assert [(r.mean_se, r.stderr, r.trials) for r in stacked.rows] \
+            == [(r.mean_se, r.stderr, r.trials) for r in alone.rows]
 
 
 class TestTrialBlocks:

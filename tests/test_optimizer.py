@@ -10,7 +10,8 @@ from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, update_wbb)
-from rydcomb.optimizer import solve_batch
+from rydcomb.evaluation import pc_architecture
+from rydcomb.optimizer import solve_batch, solve_stack
 
 
 def rand_complex(rng, shape):
@@ -141,8 +142,9 @@ class TestUpdateWbb:
         u = np.exp(1j * diagonal_phases(arch, phases))
         w_opt = rand_complex(rng, (36, 3))
         np.testing.assert_allclose(update_wbb(u, w_opt, 6),
-                                   np.linalg.pinv(compose_wrf(arch, phases))
-                                   @ w_opt, atol=1e-12)
+                                   np.repeat(np.linalg.pinv(
+                                       compose_wrf(arch, phases)) @ w_opt,
+                                       6, axis=0), atol=1e-12)
 
     def test_least_squares_optimality(self):
         rng = np.random.default_rng(4)
@@ -151,10 +153,20 @@ class TestUpdateWbb:
         u = np.exp(1j * diagonal_phases(arch, phases))
         w_rf = compose_wrf(arch, phases)
         w_opt = rand_complex(rng, (12, 2))
-        best = np.linalg.norm(w_opt - w_rf @ update_wbb(u, w_opt, 2))
+        w_bb = update_wbb(u, w_opt, 2)[::2]
+        best = np.linalg.norm(w_opt - w_rf @ w_bb)
         for _ in range(25):
-            other = update_wbb(u, w_opt, 2) + 0.1 * rand_complex(rng, (6, 2))
+            other = w_bb + 0.1 * rand_complex(rng, (6, 2))
             assert np.linalg.norm(w_opt - w_rf @ other) >= best - 1e-12
+
+    def test_per_sample_group_sizes_equal_lone_calls(self):
+        rng = np.random.default_rng(5)
+        apd = np.array([2, 8, 48, 1, 144, 8])
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 144)))
+        w_opt = rand_complex(rng, (6, 144, 3))
+        np.testing.assert_array_equal(
+            update_wbb(u, w_opt, apd),
+            [update_wbb(u[i], w_opt[i], apd[i]) for i in range(6)])
 
 
 class TestOptimalPhase:
@@ -396,13 +408,72 @@ class TestSolveBatch:
     whether the sample stops early, late or at the iteration cap."""
 
     @staticmethod
-    def channel_targets(lo, count, seed):
-        geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 16, lo)
+    def channel_targets(lo, count, seed, geometry=None):
+        geometry = geometry or ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 16, lo)
         params = ChannelParams(n_tx=16, n_clusters=3, n_rays=4)
         rng = np.random.default_rng(seed)
         return np.stack([optimal_digital_combiner(
             channel_matrix(draw_paths(params, rng), 16, geometry), 3).w_opt
             for _ in range(count)])
+
+    @staticmethod
+    def assert_rows_equal_lone_solves(archs, targets, seeds, config):
+        """Solve the segments as one stack; every row must equal the lone
+        solve of its target, bit for bit."""
+        batches = solve_stack(
+            [(arch, w, [np.random.default_rng(s) for s in ss])
+             for arch, w, ss in zip(archs, targets, seeds)], config)
+        iterations = set()
+        for arch, w, ss, batch in zip(archs, targets, seeds, batches):
+            assert batch.w_bb.shape == (len(w), arch.n_chains, 3)
+            for i, s in enumerate(ss):
+                lone = alternating_minimize(arch, w[i], config=config,
+                                            rng=np.random.default_rng(s))
+                row = batch.solution(i)
+                np.testing.assert_array_equal(row.phases, lone.phases)
+                np.testing.assert_array_equal(row.w_bb, lone.w_bb)
+                np.testing.assert_array_equal(row.residual_history,
+                                              lone.residual_history)
+                assert (row.iterations, row.converged) == (lone.iterations,
+                                                           lone.converged)
+                iterations.add(row.iterations)
+        assert len(iterations) > 1
+
+    def test_mixed_apd_stack_rows_equal_lone_solves(self):
+        # fig10's partially-connected curves: one structure (144 blocks,
+        # lo_depth 1), adder depths 36, 9 and 3
+        geometry = ArrayGeometry(ArrayKind.UPA, 144, 1)
+        archs = [pc_architecture(144, c) for c in (4, 16, 48)]
+        targets = [self.channel_targets(1, 3, seed=30 + k, geometry=geometry)
+                   for k in range(3)]
+        seeds = [range(3 * k, 3 * k + 3) for k in range(3)]
+        self.assert_rows_equal_lone_solves(
+            archs, targets, seeds, OptimizerConfig(epsilon=1e-6,
+                                                   max_iterations=30))
+
+    def test_mixed_quantized_stack_rows_equal_lone_solves(self):
+        # 4-bit phases, adder depths 4, 12 and 32 on 16 blocks of depth 6;
+        # the last segment has its own intra-block offsets
+        offsets = np.tile(np.linspace(-0.4, 0.7, 6), (16, 1))
+        archs = [ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=apd,
+                                   intra_offsets=offs, resolution_bits=4)
+                 for apd, offs in ((4, None), (12, None), (32, offsets))]
+        targets = [self.channel_targets(6, 4, seed=40 + k) for k in range(3)]
+        seeds = [range(10 * k, 10 * k + 4) for k in range(3)]
+        self.assert_rows_equal_lone_solves(
+            archs, targets, seeds, OptimizerConfig(epsilon=1e-4,
+                                                   max_iterations=8))
+
+    def test_stack_must_share_block_structure(self):
+        w_opt = self.channel_targets(6, 1, seed=24)
+        rngs = [np.random.default_rng(0)]
+        for other in (ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4,
+                                        resolution_bits=1),
+                      ReuseArchitecture(n_blocks=24, lo_depth=4, apd_depth=4)):
+            with pytest.raises(ValueError, match="share"):
+                solve_stack([(ReuseArchitecture(n_blocks=16, lo_depth=6,
+                                                apd_depth=4), w_opt, rngs),
+                             (other, w_opt, rngs)], None)
 
     @pytest.mark.parametrize("lo,apd,bits", [(6, 4, None), (6, 12, 3),
                                              (2, 4, None)])
