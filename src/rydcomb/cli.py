@@ -34,16 +34,32 @@ _SWEPT_FIELD = {"sweep-snr": "snr_db", "convergence": "snr_db",
                 "sweep-chains": "n_chains", "sweep-depth": "lo_depth"}
 _BASELINES = ("none", "upa_pc", "nonupa_pc", "ideal_digital_reuse",
               "ideal_digital_no_reuse")
+# Fields each config object reads, keyed by its path without the index
+_FIELDS = {
+    "": {"architectures", "baselines", "channel", "n_blocks", "n_streams",
+         "name", "pc_chains", "reference_lo_depth", "seed", "snr_db",
+         "solver", "sweep", "trials"},
+    "channel": {"angular_spread_deg", "block_spacing", "cluster_powers",
+                "intra_spacing", "n_clusters", "n_rays", "n_tx"},
+    "solver": {"epsilon", "max_iterations"},
+    "sweep": {"param", "values"},
+    "architectures": {"apd_depth", "label", "lo_depth", "resolution_bits",
+                      "solver"},
+}
 
 
 class _Ctx:
-    """Walks a JSON document tracking the field path for error messages."""
+    """Walks a JSON document tracking the field path for error messages;
+    an object with a field it does not read is rejected."""
 
     def __init__(self, doc: dict, path: str = ""):
         if not isinstance(doc, dict):
             raise ConfigError(f"{path or 'config'}: expected an object")
         self.doc = doc
         self.path = path
+        unknown = sorted(set(doc) - _FIELDS[path.split("[")[0]])
+        if unknown:
+            raise ConfigError(f"{self._at(unknown[0])}: unknown field")
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -60,6 +76,8 @@ class _Ctx:
             raise ConfigError(
                 f"{self._at(key)}: expected {getattr(kind, '__name__', kind)}, "
                 f"got {type(value).__name__}")
+        if kind is float and not math.isfinite(value):  # json takes NaN
+            raise ConfigError(f"{self._at(key)}: {value} is not finite")
         return value
 
     def sub(self, key: str, required: bool = False) -> "_Ctx":
@@ -72,9 +90,10 @@ class _Ctx:
         values = self.get(key, list, default=[], required=required)
         allowed = int if kind is int else (int, float)
         for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, allowed):
-                raise ConfigError(f"{self._at(key)}[{i}]: expected "
-                                  f"{'integer' if kind is int else 'number'}")
+            if isinstance(v, bool) or not isinstance(v, allowed) or (
+                    isinstance(v, float) and not math.isfinite(v)):
+                raise ConfigError(f"{self._at(key)}[{i}]: expected " + (
+                    "integer" if kind is int else "finite number"))
         return [kind(v) for v in values]
 
     def build(self, make, **fields):
@@ -326,7 +345,7 @@ def emit_results(table: ResultTable, output_dir: Path,
         lines = ["label,sweep_param,sweep_value,mean_se_bps_hz,stderr,trials,seed"]
         for r in table.rows:
             label = r.label.replace('"', '""')
-            label = f'"{label}"' if ("," in r.label or '"' in r.label) else label
+            label = f'"{label}"' if set(',"\n\r') & set(r.label) else label
             lines.append(
                 f"{label},{r.sweep_param},{r.sweep_value:.6g},"
                 f"{r.mean_se:.12e},{r.stderr:.12e},{r.trials},{table.seed}")

@@ -5,18 +5,18 @@ filter, which accounts for combiner-colored noise and is invariant to any
 invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
 on identical per-trial channels (paired comparison).  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one:
-the channels of a block are drawn trial by trial, then the curves that
-share a block structure are solved in one stack over the whole block,
-and each curve is rated from its own rows.  Every sample is computed
-exactly as it would be alone, and results are aggregated in fixed trial
-order, so they depend on neither the block size nor the scheduling.
+the channels of a block are drawn trial by trial, then every curve is
+solved once over the whole block, in one call that stacks the curves of
+one block structure, and each curve is rated from its own rows.  Every
+sample is computed exactly as it would be alone, and results are
+aggregated in fixed trial order, so they depend on neither the block size
+nor the scheduling.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Union
 
@@ -30,8 +30,7 @@ from .channel import ChannelParams, LowRankChannel, channel_matrix, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
-                        optimal_digital_combiner, solve_batch, solve_stack,
-                        stack_key)
+                        optimal_digital_combiner, solve_stack)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -136,8 +135,8 @@ def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
     A batch of one through the solver and rate of the trial blocks.
     """
     ref = reference if reference is not None else optimal_digital_combiner(h, n_streams)
-    sol = solve_batch(arch, ref.w_opt[None], config,
-                      [rng or np.random.default_rng()], solver)
+    sol = solve_stack([(arch, ref.w_opt[None],
+                        [rng or np.random.default_rng()], solver)], config)[0]
     ev = _batch_gain_eigenvalues(arch, sol, _precoded(h, ref.f_opt)[None])[0]
     return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
@@ -305,13 +304,12 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     """Evaluate every curve on one block of trials.
 
     Each trial's references are copied into one stack per geometry, row
-    by row, as the trials are drawn.  The alternating-minimization curves
-    of one ``stack_key`` are solved in one stack, each rated from its own
-    rows; a direct curve, or every curve of a stack whose solve raises,
-    is solved alone.  A trial that fails, in its channels or in any
-    curve, loses its value for every curve.  When a curve raises for the
-    block, it is rated (or solved) on each trial alone to find the ones
-    that failed.
+    by row, as the trials are drawn.  Every architecture curve is solved
+    once, in one ``solve_stack`` call on the trials whose channels
+    succeeded, and each is rated from its own rows.  A trial that fails,
+    in its channels or in any curve, loses its value for every curve.
+    When a curve's rate raises for the block, it is rated on each trial
+    alone to find the ones that failed.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
     errors: dict[int, str] = {}
@@ -329,26 +327,19 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
             for stack, part in zip(stacks[geometry], parts):
                 stack[row] = part
 
-    def segment(unit: EvalUnit, rows: list[int]) -> tuple:
-        return (unit.arch, stacks[unit.geometry][0][rows],
-                _solver_rngs(spec.seed, tuple(trials[r] for r in rows), unit))
-
     good = [r for r, t in enumerate(trials) if t not in errors]
-    keys = [u.arch and stack_key(u.arch, u.solver) for u in spec.units]
-    solved: dict[int, SolutionBatch] = {}
-    for key in dict.fromkeys(filter(None, keys) if good else ()):
-        group = [i for i, k in enumerate(keys) if k == key]
-        with suppress(NumericError, np.linalg.LinAlgError):  # else alone
-            solved.update(zip(group, solve_stack(
-                [segment(spec.units[i], good) for i in group], spec.solver)))
+    if not good:
+        return out, errors
+    curves = {i: u for i, u in enumerate(spec.units) if u.arch is not None}
+    solved = dict(zip(curves, solve_stack([
+        (unit.arch, stacks[unit.geometry][0][good],
+         _solver_rngs(spec.seed, tuple(trials[r] for r in good), unit),
+         unit.solver) for unit in curves.values()], spec.solver)))
 
     def evaluate(i: int, rows: list[int]) -> np.ndarray:
-        unit, sol = spec.units[i], None
-        if i in solved:  # rows are the solved ones, or some of them
-            sol = solved[i].take(np.searchsorted(good, rows))
-        elif unit.arch is not None:
-            arch, w_opt, rngs = segment(unit, rows)
-            sol = solve_batch(arch, w_opt, spec.solver, rngs, unit.solver)
+        unit, sol = spec.units[i], solved.get(i)
+        if sol is not None:  # rows are the solved ones, or some of them
+            sol = sol.take(np.searchsorted(good, rows))
         return curve(unit, sol, *(stack[rows]
                                   for stack in stacks[unit.geometry][1:]))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .architecture import (TWO_PI, ReuseArchitecture, check_phases,
 from .channel import LowRankChannel
 from .errors import ArchitectureError, NumericError
 
-SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_batch
+SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
 
 
 class SolveMethod(enum.Enum):
@@ -71,12 +71,10 @@ class CombinerSolution:
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive.
     Makes the SVD basis reproducible across runs and platforms."""
+    pivot = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    keep = pivot != 0  # a zero column stays as it is
     out = m.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        if pivot != 0:
-            out[:, k] *= np.conj(pivot) / np.abs(pivot)
+    out[:, keep] *= np.conj(pivot[keep]) / np.abs(pivot[keep])
     return out
 
 
@@ -303,46 +301,17 @@ def _solve(segments: Sequence[tuple],
                  SolveMethod.ALT_MIN)
 
 
-def stack_key(arch: ReuseArchitecture, method: str) -> Optional[tuple]:
-    """Alternating-minimization targets of equal keys (n_blocks, lo_depth,
-    resolution_bits) can share one ``solve_stack``; None where ``method``
-    runs the direct solver on ``arch`` (see ``solve_batch``)."""
-    if method not in SOLVE_METHODS:
-        raise ValueError(f"unknown solver method {method!r}")
-    if method == "direct" or (method == "auto" and is_proportional(arch)):
-        return None
-    return arch.n_blocks, arch.lo_depth, arch.resolution_bits
-
-
 def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
                 ) -> list[SolutionBatch]:
-    """Alternating minimization (see ``solve_batch``) of segments (arch,
-    targets (B_s, N_r, N_s), generators) of one ``stack_key`` in one
-    kernel loop, one batch per segment; every row equals the lone solve
-    of its target."""
-    if len({stack_key(arch, "altmin") for arch, _, _ in segments}) != 1:
-        raise ValueError("stacked segments must share n_blocks, lo_depth "
-                         "and resolution")
-    stack = []
-    for arch, w_opt, rngs in segments:
-        w_opt = _validate_target(arch, w_opt)
-        phases = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
-                           for rng in rngs])
-        if len(phases) != len(w_opt):
-            raise ValueError(f"{len(phases)} generators for {len(w_opt)} "
-                             "targets")
-        stack.append((arch, w_opt, phases))
-    return _solve(stack, config or OptimizerConfig())
+    """Solve segments (arch, targets (B_s, N_r, N_s), generators, method),
+    one batch per segment in input order; every row equals the lone solve
+    of its target.
 
-
-def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
-                config: Optional[OptimizerConfig],
-                rngs: Iterable[np.random.Generator],
-                method: str) -> SolutionBatch:
-    """Solve for a stack of combining targets (B, N_r, N_s): the direct
-    solver when ``method`` is 'direct', or 'auto' on proportional reuse;
-    else alternating minimization with sample i's initial phases drawn
-    from the i-th generator of ``rngs``, which only this branch reads.
+    A segment runs the direct solver when ``method`` is 'direct', or 'auto'
+    on proportional reuse; else alternating minimization with sample i's
+    initial phases drawn from its i-th generator, which only this branch
+    reads.  Alternating segments that share n_blocks, lo_depth and
+    resolution_bits run in one kernel loop.
 
     Alternating minimization draws its initial phases uniformly on
     [0, 2pi) and leaves them unquantized even under finite resolution:
@@ -352,19 +321,38 @@ def solve_batch(arch: ReuseArchitecture, w_opt: np.ndarray,
     differ by less than epsilon, or at the iteration cap (flagged as
     unconverged), and keeps its last iterate.
     """
-    if stack_key(arch, method) is None:
-        return direct_solve_proportional(arch, _validate_target(arch, w_opt))
-    return solve_stack([(arch, w_opt, rngs)], config)[0]
+    out: list[Optional[SolutionBatch]] = [None] * len(segments)
+    stacks: dict[tuple, list] = {}
+    for i, (arch, w_opt, rngs, method) in enumerate(segments):
+        if method not in SOLVE_METHODS:
+            raise ValueError(f"unknown solver method {method!r}")
+        w_opt = _validate_target(arch, w_opt)
+        if method == "direct" or (method == "auto" and is_proportional(arch)):
+            out[i] = direct_solve_proportional(arch, w_opt)
+            continue
+        phases = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
+                           for rng in rngs])
+        if len(phases) != len(w_opt):
+            raise ValueError(f"{len(phases)} generators for {len(w_opt)} "
+                             "targets")
+        stacks.setdefault((arch.n_blocks, arch.lo_depth, arch.resolution_bits),
+                          []).append((i, (arch, w_opt, phases)))
+    for stack in stacks.values():
+        solved = _solve([s for _, s in stack], config or OptimizerConfig())
+        for (i, _), sol in zip(stack, solved):
+            out[i] = sol
+    return out
 
 
 def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
                          config: Optional[OptimizerConfig] = None,
                          rng: Optional[np.random.Generator] = None) -> CombinerSolution:
     """Alternate between the closed-form digital combiner and per-block
-    optimal (quantized) phases; see ``solve_batch``.  Returns the last
+    optimal (quantized) phases; see ``solve_stack``.  Returns the last
     iterate."""
-    return solve_batch(arch, np.asarray(w_opt)[None], config,
-                       [rng or np.random.default_rng()], "altmin").solution(0)
+    return solve_stack([(arch, np.asarray(w_opt)[None],
+                         [rng or np.random.default_rng()], "altmin")],
+                       config)[0].solution(0)
 
 
 def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -178,6 +179,19 @@ class TestEmitResults:
         assert manifest["config"] == {"x": 1}
         assert (tmp_path / "results.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("label", ['a\nb', 'a\rb', 'x, "y"\r\nz'],
+                             ids=["lf", "cr", "crlf-comma-quote"])
+    def test_label_read_back_as_one_row(self, tmp_path, label):
+        rows = [ResultRow(label=label, sweep_param="snr_db", sweep_value=0.0,
+                          mean_se=1.0, stderr=0.1, trials=4)]
+        emit_results(ResultTable(rows=rows, sweep_param="snr_db", seed=5),
+                     tmp_path)
+        with open(tmp_path / "results.csv", newline="",
+                  encoding="utf-8") as f:
+            read = list(csv.reader(f))
+        assert len(read) == 2
+        assert read[1][0] == label
+
     def test_empty_table_refused(self, tmp_path):
         table = ResultTable(rows=[], sweep_param="snr_db", seed=5)
         with pytest.raises(ConfigError):
@@ -307,6 +321,14 @@ class TestRunEndToEnd:
         "direct-non-proportional": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "solver": "direct"}]},
             "architectures[0].solver"),
+        "nan-epsilon": (
+            {}, {"solver": {"epsilon": math.nan}}, "solver.epsilon"),
+        "nan-spread": (
+            {"angular_spread_deg": math.nan}, None,
+            "channel.angular_spread_deg"),
+        "misspelled-field": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4, "resolution_bit": 1}]},
+            "architectures[0].resolution_bit"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_CONFIGS))

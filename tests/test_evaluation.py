@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -383,18 +385,6 @@ class TestFailedTrials:
         self._check_contained(self.shared_stack_spec())
         assert stacked == [2]
 
-    @staticmethod
-    def refuse_stacks(segments, config):
-        raise NumericError("synthetic stack failure")
-
-    def test_failed_stack_solve_falls_back_to_each_curve(self, monkeypatch):
-        want = run_experiment(self.shared_stack_spec())
-        monkeypatch.setattr(evaluation, "solve_stack", self.refuse_stacks)
-        got = run_experiment(self.shared_stack_spec())
-        assert got.failures == 0
-        assert [(r.mean_se, r.stderr, r.trials) for r in got.rows] \
-            == [(r.mean_se, r.stderr, r.trials) for r in want.rows]
-
     def test_rate_failure_independent_of_block_size(self, monkeypatch):
         self._fail_trial(monkeypatch, self.zero_target)
         rows = []
@@ -407,18 +397,52 @@ class TestFailedTrials:
 
     def test_reference_failure_in_shared_stack_keeps_rows(self, monkeypatch):
         # the stack is solved on the trials whose references succeeded;
-        # each curve must still read its own rows, as when solved alone
+        # each curve must still read its own rows, as when solved alone in
+        # blocks of one trial, where no row is left to map
         def explode(ref):
             raise NumericError("synthetic SVD failure")
         self._fail_trial(monkeypatch, explode)
-        self._check_contained(self.shared_stack_spec())
+        spec = self.shared_stack_spec()
+        self._check_contained(spec)
         with pytest.warns(RuntimeWarning):
-            stacked = run_experiment(self.shared_stack_spec())
-        monkeypatch.setattr(evaluation, "solve_stack", self.refuse_stacks)
-        with pytest.warns(RuntimeWarning):
-            alone = run_experiment(self.shared_stack_spec())
+            stacked = run_experiment(spec)
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 1)
+        alone = []
+        for unit in spec.units:
+            with pytest.warns(RuntimeWarning):
+                alone += run_experiment(replace(spec, units=(unit,))).rows
         assert [(r.mean_se, r.stderr, r.trials) for r in stacked.rows] \
-            == [(r.mean_se, r.stderr, r.trials) for r in alone.rows]
+            == [(r.mean_se, r.stderr, r.trials) for r in alone]
+
+    def test_one_stack_solve_per_block(self, monkeypatch):
+        # a direct curve, two alternating block structures and a digital
+        # curve: one solve_stack call per block covers every arch curve
+        calls = []
+        solve_stack = evaluation.solve_stack
+
+        def recording(segments, *args):
+            calls.append([arch for arch, *_ in segments])
+            return solve_stack(segments, *args)
+
+        geometry = nonupa(4, 2)
+        units = (
+            EvalUnit(label="direct", kind="rydberg", geometry=geometry,
+                     arch=ReuseArchitecture(n_blocks=4, lo_depth=2,
+                                            apd_depth=2)),
+            EvalUnit(label="altmin", kind="rydberg", geometry=geometry,
+                     arch=ReuseArchitecture(n_blocks=4, lo_depth=2,
+                                            apd_depth=4)),
+            EvalUnit(label="digital", kind="ideal_digital",
+                     geometry=geometry),
+            EvalUnit(label="UPA PC", kind="pc_upa",
+                     arch=pc_architecture(16, 4),
+                     geometry=ArrayGeometry(ArrayKind.UPA, 16, 1),
+                     solver="altmin"))
+        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 3)
+        run_experiment(small_spec(trials=6, units=units))
+        archs = [u.arch for u in units if u.arch is not None]
+        assert calls == [archs, archs]
 
 
 class TestTrialBlocks:

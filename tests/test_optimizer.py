@@ -11,7 +11,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, update_wbb)
 from rydcomb.evaluation import pc_architecture
-from rydcomb.optimizer import solve_batch, solve_stack
+from rydcomb.optimizer import _fix_column_phases, solve_stack
 
 
 def rand_complex(rng, shape):
@@ -61,6 +61,24 @@ class TestDigitalCombiner:
         for k in range(3):
             pivot = a.w_opt[np.argmax(np.abs(a.w_opt[:, k])), k]
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+    def test_column_phases_equal_column_loop(self):
+        # the per-column loop is the reference; zero columns stay as given
+        def fix_each_column(m):
+            out = m.copy()
+            for k in range(out.shape[1]):
+                pivot = out[int(np.argmax(np.abs(out[:, k]))), k]
+                if pivot != 0:
+                    out[:, k] *= np.conj(pivot) / np.abs(pivot)
+            return out
+
+        rng = np.random.default_rng(7)
+        for rows, cols in ((2, 1), (6, 3), (36, 3), (144, 8)):
+            m = rand_complex(rng, (rows, cols))
+            m[:, 1:2] = -0.0  # a zero column, where there is a second
+            for view in (m, np.asfortranarray(m), m.conj().T.conj().T):
+                assert (_fix_column_phases(view).tobytes()
+                        == fix_each_column(view).tobytes())
 
     def test_stream_bounds(self):
         with pytest.raises(ValueError):
@@ -386,21 +404,21 @@ class TestSolveDispatch:
         rng = np.random.default_rng(20)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_batch(arch, w_opt[None], None, [rng], "auto")
+        sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
         assert sol.method is SolveMethod.DIRECT_PROPORTIONAL
 
     def test_auto_routes_general_to_altmin(self):
         rng = np.random.default_rng(21)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_batch(arch, w_opt[None], None, [rng], "auto")
+        sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
         assert sol.method is SolveMethod.ALT_MIN
 
     def test_unknown_method_rejected(self):
         arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
         with pytest.raises(ValueError):
-            solve_batch(arch, np.eye(4, dtype=complex)[None, :, :1], None,
-                        [np.random.default_rng()], "exhaustive")
+            solve_stack([(arch, np.eye(4, dtype=complex)[None, :, :1],
+                          [np.random.default_rng()], "exhaustive")], None)
 
 
 class TestSolveBatch:
@@ -421,7 +439,7 @@ class TestSolveBatch:
         """Solve the segments as one stack; every row must equal the lone
         solve of its target, bit for bit."""
         batches = solve_stack(
-            [(arch, w, [np.random.default_rng(s) for s in ss])
+            [(arch, w, [np.random.default_rng(s) for s in ss], "altmin")
              for arch, w, ss in zip(archs, targets, seeds)], config)
         iterations = set()
         for arch, w, ss, batch in zip(archs, targets, seeds, batches):
@@ -464,16 +482,18 @@ class TestSolveBatch:
             archs, targets, seeds, OptimizerConfig(epsilon=1e-4,
                                                    max_iterations=8))
 
-    def test_stack_must_share_block_structure(self):
-        w_opt = self.channel_targets(6, 1, seed=24)
-        rngs = [np.random.default_rng(0)]
-        for other in (ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4,
-                                        resolution_bits=1),
-                      ReuseArchitecture(n_blocks=24, lo_depth=4, apd_depth=4)):
-            with pytest.raises(ValueError, match="share"):
-                solve_stack([(ReuseArchitecture(n_blocks=16, lo_depth=6,
-                                                apd_depth=4), w_opt, rngs),
-                             (other, w_opt, rngs)], None)
+    def test_mixed_structure_stack_rows_equal_lone_solves(self):
+        # one 16x6 architecture with 1-bit and with continuous phases: two
+        # block structures, each solved in its own kernel loop, interleaved
+        # so that the batches must come back in input order
+        archs = [ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4,
+                                   resolution_bits=bits)
+                 for bits in (1, None, 1)]
+        targets = [self.channel_targets(6, 4, seed=24 + k) for k in range(3)]
+        seeds = [range(10 * k, 10 * k + 4) for k in range(3)]
+        self.assert_rows_equal_lone_solves(
+            archs, targets, seeds, OptimizerConfig(epsilon=1e-4,
+                                                   max_iterations=20))
 
     @pytest.mark.parametrize("lo,apd,bits", [(6, 4, None), (6, 12, 3),
                                              (2, 4, None)])
@@ -482,9 +502,9 @@ class TestSolveBatch:
                                  resolution_bits=bits)
         w_opt = self.channel_targets(lo, 6, seed=20)
         config = OptimizerConfig(epsilon=1e-4, max_iterations=20)
-        batch = solve_batch(arch, w_opt, config,
-                            [np.random.default_rng(s) for s in range(6)],
-                            "altmin")
+        batch = solve_stack([(arch, w_opt,
+                              [np.random.default_rng(s) for s in range(6)],
+                              "altmin")], config)[0]
         for i in range(6):
             lone = alternating_minimize(arch, w_opt[i], config=config,
                                         rng=np.random.default_rng(i))
@@ -503,7 +523,7 @@ class TestSolveBatch:
         arch = ReuseArchitecture(n_blocks=12, lo_depth=6, apd_depth=3)
         w_opt = np.stack([rand_orthonormal(rng, arch.n_r, 3)
                           for _ in range(4)])
-        batch = solve_batch(arch, w_opt, None, [], "direct")
+        batch = solve_stack([(arch, w_opt, [], "direct")], None)[0]
         for i in range(4):
             lone = direct_solve_proportional(arch, w_opt[i])
             np.testing.assert_array_equal(batch.w_bb[i], lone.w_bb)
@@ -527,5 +547,5 @@ class TestSolveBatch:
         arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
         w_opt = self.channel_targets(6, 3, seed=22)
         with pytest.raises(ValueError, match="generators"):
-            solve_batch(arch, w_opt, None, [np.random.default_rng(0)],
-                        "altmin")
+            solve_stack([(arch, w_opt, [np.random.default_rng(0)],
+                          "altmin")], None)
