@@ -71,7 +71,8 @@ def upa_response(azimuth, elevation, n_elements: int,
 
     Element (q1, q2) on the sqrt(N) x sqrt(N) grid contributes phase
     2*pi*spacing*(q1*sin(az)*sin(el) + q2*cos(el)); the flat index is
-    q1*sqrt(N) + q2 (q2 fastest).
+    q1*sqrt(N) + q2 (q2 fastest): the outer product of the two per-axis
+    responses, 2*sqrt(N) exponentials per angle pair.
 
     Parameters
     ----------
@@ -85,11 +86,11 @@ def upa_response(azimuth, elevation, n_elements: int,
     if spacing <= 0:
         raise GeometryError("spacing must be > 0")
     side = _square_side(n_elements)
-    q1, q2 = np.divmod(np.arange(n_elements), side)
-    phase = 2.0 * np.pi * spacing * (
-        np.multiply.outer(q1, np.sin(azimuth) * np.sin(elevation))
-        + np.multiply.outer(q2, np.cos(elevation)))
-    return np.exp(1j * phase) / np.sqrt(n_elements)
+    k = 2.0 * np.pi * spacing * np.arange(side)
+    x, y = np.broadcast_arrays(np.sin(azimuth) * np.sin(elevation), np.cos(elevation))
+    e1 = np.exp(1j * np.multiply.outer(k, x)) / side
+    e2 = np.exp(1j * np.multiply.outer(k, y))
+    return (e1[:, None] * e2[None]).reshape((n_elements,) + x.shape)
 
 
 def axial_response(elevation, n_sub: int, spacing: float) -> np.ndarray:

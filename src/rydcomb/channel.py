@@ -75,11 +75,10 @@ class Paths:
 
 @dataclass(frozen=True, eq=False)
 class TransmitFactor:
-    """Transmit steering matrix A_tx (N_t x L) of one path draw and its
-    reduced QR factors, shared by every receive geometry of that draw."""
+    """Transmit steering matrix A_tx (N_t x L) of one path draw and its QR
+    R factor, shared by every receive geometry of that draw."""
 
     steering: np.ndarray
-    q: np.ndarray
     r: np.ndarray
 
 
@@ -148,7 +147,7 @@ def channel_matrix(paths: Paths, n_tx: int, rx_geometry: ArrayGeometry,
     """
     if transmit is None:
         a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
-        transmit = TransmitFactor(a_tx, *np.linalg.qr(a_tx))
+        transmit = TransmitFactor(a_tx, np.linalg.qr(a_tx, mode="r"))
     elif transmit.steering.shape != (n_tx, paths.n_paths):
         raise ValueError("transmit factor does not match n_tx and the paths")
     n_r = rx_geometry.n_elements

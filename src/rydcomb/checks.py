@@ -176,13 +176,15 @@ def check_channel_energy():
 
 @_check("factored-reference")
 def check_factored_reference():
-    """The QR-core reference of a factored channel must match the dense SVD
-    for 3 streams: singular values, stream projectors w w^H and f f^H, and
-    the phase-fixed columns.  Covers N_r below and above the path count."""
+    """The reference of a factored channel from its R factors must match the
+    dense SVD for 3 streams: singular values, stream projectors w w^H and
+    f f^H, and the phase-fixed columns.  Covers N_r below and above the
+    path count, and 36x2, the worst-conditioned bundled receive factor."""
     n_streams = 3
     rng = np.random.default_rng(16)
     geometries = (ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6))
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 2))
     worst = 0.0
     for _ in range(10):
         paths = draw_paths(ChannelParams(n_tx=144), rng)

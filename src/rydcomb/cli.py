@@ -71,7 +71,7 @@ class _Ctx:
             return default
         value = self.doc[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
         if kind is not None and not isinstance(value, kind):
             raise ConfigError(
                 f"{self._at(key)}: expected {getattr(kind, '__name__', kind)}, "
@@ -91,7 +91,7 @@ class _Ctx:
         allowed = int if kind is int else (int, float)
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, allowed) or (
-                    isinstance(v, float) and not math.isfinite(v)):
+                    kind is float and not abs(v) <= sys.float_info.max):
                 raise ConfigError(f"{self._at(key)}[{i}]: expected " + (
                     "integer" if kind is int else "finite number"))
         return [kind(v) for v in values]
@@ -146,7 +146,7 @@ def _read_config(path: Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

@@ -209,14 +209,16 @@ class ExperimentSpec:
             raise ConfigError("n_streams must be >= 1")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        # at zero angular spread every ray of a cluster shares its angles
+        rank = (self.channel.n_paths if self.channel.angular_spread > 0
+                else self.channel.n_clusters)
+        if self.n_streams > rank:
+            raise ConfigError(f"n_streams={self.n_streams} exceeds the channel "
+                              f"rank bound {rank} (paths of distinct angles)")
         for unit in self.units:
             if self.n_streams > min(unit.geometry.n_elements, self.channel.n_tx):
                 raise ConfigError(
                     f"{unit.label}: n_streams exceeds min(N_r, N_t)")
-            if self.n_streams > self.channel.n_paths:
-                raise ConfigError(
-                    f"n_streams={self.n_streams} exceeds the channel rank "
-                    f"bound n_clusters * n_rays = {self.channel.n_paths}")
             if unit.arch is not None and self.n_streams > unit.arch.n_chains:
                 raise ConfigError(
                     f"{unit.label}: n_streams={self.n_streams} > chain count "

@@ -78,24 +78,19 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factored_svd(h: LowRankChannel, n_streams: int):
-    """Leading singular triplets of H = A_rx diag(g) A_tx^H from its factors.
-
-    With A_rx = Q_rx R_rx and A_tx = Q_tx R_tx, H = Q_rx C Q_tx^H for the
-    small core C = R_rx diag(g) R_tx^H, so the singular vectors of C mapped
-    through Q_rx and Q_tx are those of H.
-    """
-    q_rx, r_rx = np.linalg.qr(h.a_rx)
-    core = (r_rx * h.gains) @ h.transmit.r.conj().T
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    return q_rx @ u[:, :n_streams], s, vh[:n_streams] @ h.transmit.q.conj().T
-
-
 def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
                              n_streams: int) -> DigitalReference:
     """SVD-based fully digital reference for a channel matrix, dense or
     factored.  A factored channel has at most L nonzero singular values;
-    the rest are returned as exact zeros."""
+    the rest are returned as exact zeros.  A channel of rank below
+    n_streams (by matrix_rank's tolerance) raises NumericError.
+
+    For H = A_rx diag(g) A_tx^H only the R factors of A_rx = Q_rx R_rx and
+    A_tx = Q_tx R_tx are formed: H = Q_rx C Q_tx^H has the singular values
+    of the core C = R_rx diag(g) R_tx^H = U S V^H, and H f = s w with
+    H^H w = s f give w_i = A_rx (g * R_tx^H v_i) / s_i and
+    f_i = A_tx (conj(g) * R_rx^H u_i) / s_i.
+    """
     if isinstance(h, LowRankChannel):
         parts = (h.a_rx, h.gains, h.transmit.steering)
     else:
@@ -110,7 +105,9 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
         raise NumericError("channel matrix contains non-finite entries")
     try:
         if isinstance(h, LowRankChannel):
-            u, s, vh = _factored_svd(h, n_streams)
+            r_rx = np.linalg.qr(h.a_rx, mode="r")
+            u, s, vh = np.linalg.svd((r_rx * h.gains) @ h.transmit.r.conj().T,
+                                     full_matrices=False)
         else:
             u, s, vh = np.linalg.svd(h, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -118,9 +115,16 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
     if n_streams > s.size:
         raise ValueError(
             f"n_streams={n_streams} exceeds the channel rank bound {s.size}")
+    if s[n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[0]:
+        raise NumericError(f"channel rank below n_streams={n_streams}: "
+                           f"singular values {s[:n_streams]}")
+    w, f = u[:, :n_streams], vh[:n_streams].conj().T
+    if isinstance(h, LowRankChannel):
+        w, f = (h.a_rx @ (h.gains[:, None] * (h.transmit.r.conj().T @ f)),
+                h.transmit.steering @ (np.conj(h.gains)[:, None] * (r_rx.conj().T @ w)))
+        w, f = w / s[:n_streams], f / s[:n_streams]
     return DigitalReference(
-        w_opt=_fix_column_phases(u[:, :n_streams]),
-        f_opt=_fix_column_phases(vh[:n_streams].conj().T),
+        w_opt=_fix_column_phases(w), f_opt=_fix_column_phases(f),
         singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
 
 

@@ -34,6 +34,18 @@ class TestUpaResponse:
                     q1 * np.sin(az) * np.sin(el) + q2 * np.cos(el))) / 3.0
                 assert v[q1 * side + q2] == pytest.approx(expected, abs=1e-14)
 
+    def test_angle_array_matches_elementwise_oracle(self):
+        rng = np.random.default_rng(11)
+        az, el = rng.uniform(0, 2 * np.pi, 50), rng.uniform(0, np.pi, 50)
+        n, d, side = 144, 0.5, 12
+        m = upa_response(az, el, n, d)
+        assert m.shape == (n, 50)
+        q1, q2 = np.divmod(np.arange(n), side)
+        for p in range(50):
+            expected = np.exp(1j * 2 * np.pi * d * (
+                q1 * np.sin(az[p]) * np.sin(el[p]) + q2 * np.cos(el[p]))) / side
+            np.testing.assert_allclose(m[:, p], expected, rtol=0, atol=1e-14)
+
     def test_unit_norm_144(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -329,7 +329,27 @@ class TestRunEndToEnd:
         "misspelled-field": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "resolution_bit": 1}]},
             "architectures[0].resolution_bit"),
+        # one cluster without spread has rank 1 < n_streams = 2
+        "rank-one-zero-spread": (
+            {"n_clusters": 1, "angular_spread_deg": 0}, None, "rank bound 1"),
+        "huge-int-spread": (
+            {"angular_spread_deg": 10 ** 400}, None,
+            "channel.angular_spread_deg: inf is not finite"),
+        "huge-int-snr": ({}, {"snr_db": [0.0, 10 ** 400]}, "snr_db[1]"),
     }
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
+    def test_integer_past_digit_limit_exit_one(self, tmp_path, capsys, command):
+        # Python refuses to read an integer literal of more than 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(smoke_doc()).replace(
+            '"seed": 5', '"seed": 1' + "0" * 5000))
+        argv = [command, "--config", str(path)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", list(BAD_CONFIGS))
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])

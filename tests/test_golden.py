@@ -4,6 +4,9 @@ smoke.csv, fig8.csv and fig10.csv in tests/golden/ were written by the code
 before the low-rank channel pipeline.  fig5.csv (four receive geometries,
 direct solves only) and convergence.csv (the convergence command) were
 written by the trial-block code, before its unused public API was removed.
+fig6a.csv, fig6b.csv, fig7.csv and fig9.csv were written by the QR-core
+reference (explicit Q factors), before the reference moved to the R factors
+and the UPA steering to its two separable axes.
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
@@ -25,6 +28,10 @@ CASES = [
     ("fig10", "sweep-chains", 20),
     ("fig5", "sweep-snr", 20),
     ("convergence", "convergence", 20),
+    ("fig6a", "sweep-snr", 20),
+    ("fig6b", "sweep-snr", 20),
+    ("fig7", "sweep-snr", 20),
+    ("fig9", "sweep-snr", 20),
 ]
 
 

@@ -97,12 +97,15 @@ def factored_channel(geometry, seed):
 
 
 class TestFactoredReference:
-    """The QR-core reference of a LowRankChannel against the dense SVD, for
-    N_r below (36 elements) and above (216 elements) the 50 paths."""
+    """The reference of a LowRankChannel from its R factors against the
+    dense SVD, for N_r below (36 elements) and above (72 to 216 elements)
+    the 50 paths; 36x2 has near-duplicate rows at intra_spacing 0.05."""
 
     GEOMETRIES = [ArrayGeometry(ArrayKind.UPA, 36, 1),
                   ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6)]
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 2),
+                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 4)]
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -119,6 +122,19 @@ class TestFactoredReference:
             np.testing.assert_allclose(a @ a.conj().T, b @ b.conj().T,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_singular_pairs_of_dense_channel(self, geometry):
+        # W^H H F = diag(s) up to the column phases; W and F orthonormal
+        channel = factored_channel(geometry, 4)
+        ref = optimal_digital_combiner(channel, 3)
+        s = ref.singular_values
+        np.testing.assert_allclose(
+            np.abs(ref.w_opt.conj().T @ channel.dense() @ ref.f_opt),
+            np.diag(s[:3]), rtol=0, atol=1e-12 * s[0])
+        for m in (ref.w_opt, ref.f_opt):
+            np.testing.assert_allclose(m.conj().T @ m, np.eye(3), rtol=0,
+                                       atol=1e-12)
 
     def test_columns_phase_fixed(self):
         ref = optimal_digital_combiner(factored_channel(self.GEOMETRIES[2], 5), 3)
@@ -137,6 +153,18 @@ class TestFactoredReference:
                   aod_elevation=np.ones(1)), 144, self.GEOMETRIES[0])
         with pytest.raises(ValueError, match="rank bound"):
             optimal_digital_combiner(single, 2)
+
+    def test_rank_below_streams_rejected(self):
+        # two copies of one path: rank 1, so a second stream does not exist
+        paths = draw_paths(ChannelParams(n_tx=144), np.random.default_rng(0))
+        twice = channel_matrix(
+            Paths(**{k: v[[0, 0]] for k, v in vars(paths).items()}), 144,
+            self.GEOMETRIES[2])
+        assert optimal_digital_combiner(twice, 1).singular_values[0] > 0
+        with pytest.raises(NumericError, match="rank below n_streams"):
+            optimal_digital_combiner(twice, 2)
+        with pytest.raises(NumericError, match="rank below n_streams"):
+            optimal_digital_combiner(twice.dense(), 2)
 
     def test_non_finite_rejected(self):
         channel = factored_channel(self.GEOMETRIES[0], 0)
