@@ -9,8 +9,8 @@ evaluation over clustered mmWave channels.
 from .architecture import (ReuseArchitecture, build_wlc, compose_wrf,
                            default_intra_offsets, diagonal_phases,
                            is_proportional, phase_grid)
-from .arrays import (ArrayGeometry, ArrayKind, array_response, axial_response,
-                     rydberg_response, upa_response)
+from .arrays import (ArrayGeometry, array_response, axial_response,
+                     upa_response)
 from .channel import (ChannelParams, LowRankChannel, Paths, TransmitFactor,
                       channel_matrix, draw_paths, generate_channel)
 from .errors import (ArchitectureError, ConfigError, GeometryError,
@@ -27,18 +27,16 @@ from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchitectureError", "ArrayGeometry", "ArrayKind", "ChannelParams",
-    "CombinerSolution", "ConfigError",
-    "DigitalReference", "EvalUnit", "ExperimentSpec", "GeometryError",
-    "LowRankChannel", "NumericError", "OptimizerConfig", "Paths", "ResultRow",
-    "ResultTable", "TransmitFactor",
-    "ReuseArchitecture", "SolveMethod", "alternating_minimize",
-    "array_response", "axial_response", "build_wlc", "channel_matrix",
+    "ArchitectureError", "ArrayGeometry", "ChannelParams", "CombinerSolution",
+    "ConfigError", "DigitalReference", "EvalUnit", "ExperimentSpec",
+    "GeometryError", "LowRankChannel", "NumericError", "OptimizerConfig",
+    "Paths", "ResultRow", "ResultTable", "ReuseArchitecture", "SolveMethod",
+    "TransmitFactor", "alternating_minimize", "array_response",
+    "axial_response", "build_wlc", "channel_matrix",
     "combined_gain_eigenvalues", "compose_wrf", "default_intra_offsets",
     "diagonal_phases", "direct_solve_proportional", "draw_paths",
     "evaluate_architecture", "fully_digital_se", "generate_channel",
     "is_proportional", "optimal_digital_combiner", "optimal_phase",
     "pc_architecture", "phase_grid", "quantize_phase", "run_convergence",
-    "run_experiment", "spectral_efficiency", "update_wbb",
-    "upa_response", "rydberg_response",
+    "run_experiment", "spectral_efficiency", "update_wbb", "upa_response",
 ]

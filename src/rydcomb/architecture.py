@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ArchitectureError
 
 TWO_PI = 2.0 * np.pi
+# Past 52 bits the 2^B phase grid is finer than the spacing of doubles near 2pi
+MAX_RESOLUTION_BITS = 52
 
 
 def default_intra_offsets(n_blocks: int, lo_depth: int,
@@ -50,8 +52,10 @@ class ReuseArchitecture:
         if self.n_r % self.apd_depth != 0:
             raise ArchitectureError(
                 f"apd_depth={self.apd_depth} does not divide N_r={self.n_r}")
-        if self.resolution_bits is not None and self.resolution_bits < 1:
-            raise ArchitectureError("resolution_bits must be >= 1 (or None)")
+        if self.resolution_bits is not None and not (
+                1 <= self.resolution_bits <= MAX_RESOLUTION_BITS):
+            raise ArchitectureError(f"resolution_bits must be in "
+                                    f"[1, {MAX_RESOLUTION_BITS}] (or None)")
         if self.intra_offsets is None:
             offs = default_intra_offsets(self.n_blocks, self.lo_depth)
         else:

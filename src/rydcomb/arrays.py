@@ -1,8 +1,9 @@
 """Array geometries and steering (array response) vectors.
 
-Two receive layouts are supported: a square uniform planar array (UPA) and
-the dense non-uniform layout in which each Cell & LO block hosts several
-closely spaced axial sub-elements.  All response vectors are unit-norm.
+A receive array is a square grid of Cell & LO blocks, each hosting
+n_per_block closely spaced axial sub-elements; with one sub-element per
+block it is the plain uniform planar array (UPA).  All response vectors
+are unit-norm.
 
 Every response function broadcasts over its angles: scalar angles give one
 steering vector, length-L angle arrays give an N x L steering matrix whose
@@ -11,18 +12,12 @@ column p is the response to the p-th angle pair.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
-
-
-class ArrayKind(enum.Enum):
-    UPA = "upa"
-    RYDBERG_NON_UPA = "rydberg_non_upa"
 
 
 def _square_side(n: int) -> int:
@@ -34,16 +29,14 @@ def _square_side(n: int) -> int:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Physical layout of a planar array.
+    """Physical layout of a receive array.
 
-    For kind=UPA, n_blocks is the total element count (arranged on a
-    sqrt(N) x sqrt(N) grid) and n_per_block must be 1.  For the Rydberg
-    non-UPA layout, n_blocks square blocks sit at block_spacing and each
-    hosts n_per_block axial sub-elements at intra_spacing.  Spacings are
-    in wavelengths.
+    n_blocks square blocks sit on a sqrt(n_blocks) x sqrt(n_blocks) grid at
+    block_spacing, and each hosts n_per_block axial sub-elements at
+    intra_spacing; n_per_block = 1 is the UPA.  Spacings are in
+    wavelengths.
     """
 
-    kind: ArrayKind
     n_blocks: int
     n_per_block: int = 1
     block_spacing: float = 0.5
@@ -53,8 +46,6 @@ class ArrayGeometry:
         if self.n_blocks <= 0 or self.n_per_block <= 0:
             raise GeometryError("n_blocks and n_per_block must be positive")
         _square_side(self.n_blocks)
-        if self.kind is ArrayKind.UPA and self.n_per_block != 1:
-            raise GeometryError("UPA geometry requires n_per_block = 1")
         if self.block_spacing <= 0:
             raise GeometryError("block_spacing must be > 0")
         if self.intra_spacing < 0:
@@ -104,28 +95,17 @@ def axial_response(elevation, n_sub: int, spacing: float) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(n_sub)
 
 
-def rydberg_response(azimuth, elevation,
-                     geometry: ArrayGeometry) -> np.ndarray:
-    """Steering vector of the non-UPA Rydberg layout.
+def array_response(geometry: ArrayGeometry, azimuth,
+                   elevation) -> np.ndarray:
+    """Steering vector of a receive geometry.
 
     Kronecker product of the per-block UPA response (outer index) with the
     axial sub-element response (inner index), taken column by column for
-    angle arrays.  Unit Euclidean norm.
+    angle arrays.  With one sub-element the axial factor is exactly 1, so
+    this is the UPA response over the blocks.  Unit Euclidean norm.
     """
-    if geometry.kind is not ArrayKind.RYDBERG_NON_UPA:
-        raise GeometryError(
-            f"rydberg_response requires RYDBERG_NON_UPA geometry, got {geometry.kind}")
     block = upa_response(azimuth, elevation, geometry.n_blocks,
                          geometry.block_spacing)
     axial = axial_response(elevation, geometry.n_per_block,
                            geometry.intra_spacing)
     return (block[:, None] * axial[None]).reshape((-1,) + block.shape[1:])
-
-
-def array_response(geometry: ArrayGeometry, azimuth,
-                   elevation) -> np.ndarray:
-    """Steering vector for either geometry kind."""
-    if geometry.kind is ArrayKind.UPA:
-        return upa_response(azimuth, elevation, geometry.n_blocks,
-                            geometry.block_spacing)
-    return rydberg_response(azimuth, elevation, geometry)

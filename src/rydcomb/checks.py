@@ -18,7 +18,7 @@ import numpy as np
 from . import optimizer
 from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
                            is_proportional, phase_grid)
-from .arrays import ArrayGeometry, ArrayKind
+from .arrays import ArrayGeometry
 from .channel import ChannelParams, channel_matrix, draw_paths, generate_channel
 
 
@@ -142,8 +142,7 @@ def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None):
     if not is_proportional(arch):
         return ("SKIP", f"not proportional (lo_depth={arch.lo_depth}, "
                         f"apd_depth={arch.apd_depth})")
-    geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, arch.n_blocks,
-                             arch.lo_depth)
+    geometry = ArrayGeometry(arch.n_blocks, arch.lo_depth)
     h = generate_channel(ChannelParams(n_tx=144), geometry,
                          np.random.default_rng(14))
     ref = optimizer.optimal_digital_combiner(h, 3)
@@ -163,7 +162,7 @@ def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None):
 def check_channel_energy():
     """Sample mean of ||H||_F^2 must sit within 5% of N_t * N_r."""
     trials = 200
-    geometry = ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6)
+    geometry = ArrayGeometry(36, 6)
     params = ChannelParams(n_tx=144)
     total = 0.0
     for t in range(trials):
@@ -182,9 +181,8 @@ def check_factored_reference():
     path count, and 36x2, the worst-conditioned bundled receive factor."""
     n_streams = 3
     rng = np.random.default_rng(16)
-    geometries = (ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 2))
+    geometries = (ArrayGeometry(9, 4), ArrayGeometry(36, 6),
+                  ArrayGeometry(36, 2))
     worst = 0.0
     for _ in range(10):
         paths = draw_paths(ChannelParams(n_tx=144), rng)

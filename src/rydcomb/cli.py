@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checks
 from .architecture import ReuseArchitecture, default_intra_offsets
-from .arrays import ArrayGeometry, ArrayKind
+from .arrays import ArrayGeometry
 from .channel import ChannelParams
 from .errors import ArchitectureError, ConfigError, GeometryError, NumericError
 from .evaluation import (EvalUnit, ExperimentSpec, ResultTable,
@@ -72,7 +72,8 @@ class _Ctx:
         value = self.doc[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value) if abs(value) <= sys.float_info.max else math.inf
-        if kind is not None and not isinstance(value, kind):
+        if kind is not None and (isinstance(value, bool)  # json true is an int
+                                 or not isinstance(value, kind)):
             raise ConfigError(
                 f"{self._at(key)}: expected {getattr(kind, '__name__', kind)}, "
                 f"got {type(value).__name__}")
@@ -102,16 +103,6 @@ class _Ctx:
             return make(**fields)
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
-
-
-def _rydberg_geometry(n_blocks: int, lo_depth: int, block_spacing: float,
-                      intra_spacing: float) -> ArrayGeometry:
-    """LO depth 1 degenerates to the plain UPA over the blocks."""
-    if lo_depth == 1:
-        return ArrayGeometry(ArrayKind.UPA, n_blocks, 1, block_spacing,
-                             intra_spacing)
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, lo_depth,
-                         block_spacing, intra_spacing)
 
 
 def _arch_entries(ctx: _Ctx, swept_key: Optional[str]) -> list[_Ctx]:
@@ -230,14 +221,13 @@ def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
     """Reference curves on the lo_depth=``depth`` geometry; the PC
     baselines split it into ``chains`` chains."""
     units: list[EvalUnit] = []
-    nonupa = _rydberg_geometry(n_blocks, depth, block_spacing, intra_spacing)
+    nonupa = ArrayGeometry(n_blocks, depth, block_spacing, intra_spacing)
     for b in baselines:
         if b == "ideal_digital_no_reuse":
             units.append(EvalUnit(
-                label="ideal digital, no reuse",
-                kind="ideal_digital",
-                geometry=_rydberg_geometry(n_blocks, 1, block_spacing,
-                                           intra_spacing),
+                label="ideal digital, no reuse", kind="ideal_digital",
+                geometry=ArrayGeometry(n_blocks, 1, block_spacing,
+                                       intra_spacing),
                 sweep_value=sweep_value))
         elif b == "ideal_digital_reuse":
             units.append(EvalUnit(
@@ -249,8 +239,7 @@ def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
             n_r = n_blocks * depth
             arch = pc_architecture(n_r, chains)
             if b == "upa_pc":
-                geometry = ArrayGeometry(ArrayKind.UPA, n_r, 1, block_spacing,
-                                         intra_spacing)
+                geometry = ArrayGeometry(n_r, 1, block_spacing, intra_spacing)
                 kind, label = "pc_upa", f"UPA PC, chains={chains}"
             else:
                 geometry = nonupa
@@ -305,12 +294,12 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
             label = entry.get("label", str, default=", ".join(
                 f"{k}={v}" for k, v in (("lo_depth", lo), ("apd_depth", apd))
                 if k != swept_key))
-            arch = ReuseArchitecture(
-                n_blocks, lo, apd,
-                default_intra_offsets(n_blocks, lo, intra_spacing),
-                _resolution(entry))
-            geometry = _rydberg_geometry(n_blocks, lo, block_spacing,
-                                         intra_spacing)
+            arch = entry.build(
+                ReuseArchitecture, n_blocks=n_blocks, lo_depth=lo,
+                apd_depth=apd, resolution_bits=_resolution(entry),
+                intra_offsets=default_intra_offsets(n_blocks, lo,
+                                                    intra_spacing))
+            geometry = ArrayGeometry(n_blocks, lo, block_spacing, intra_spacing)
             solver = entry.get("solver", str, default="auto")
             try:
                 arch_units.append(EvalUnit(

@@ -2,7 +2,7 @@
 
 
 class GeometryError(ValueError):
-    """Invalid array geometry (non-square element count, bad spacing, wrong kind)."""
+    """Invalid array geometry (non-square block count, bad spacing)."""
 
 
 class ArchitectureError(ValueError):

@@ -6,11 +6,10 @@ invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
 on identical per-trial channels (paired comparison).  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one:
 the channels of a block are drawn trial by trial, then every curve is
-solved once over the whole block, in one call that stacks the curves of
-one block structure, and each curve is rated from its own rows.  Every
-sample is computed exactly as it would be alone, and results are
-aggregated in fixed trial order, so they depend on neither the block size
-nor the scheduling.
+solved once over the whole block, in one ``solve_stack`` call per block,
+and each curve is rated from its own rows.  Every sample is computed
+exactly as it would be alone, and results are aggregated in fixed trial
+order, so they depend on neither the block size nor the scheduling.
 """
 
 from __future__ import annotations
@@ -70,20 +69,16 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
     eigenvalues.  A ``LowRankChannel`` forms H F_opt through its factors.
     """
     w = w_rf @ w_bb
-    return _gain_eigenvalues(_adjoint(w) @ _precoded(h, f_opt), _adjoint(w) @ w)
-
-
-def _precoded(h: Union[np.ndarray, LowRankChannel],
-              f_opt: np.ndarray) -> np.ndarray:
-    """H F_opt, through the factors of a ``LowRankChannel``."""
-    return h.apply(f_opt) if isinstance(h, LowRankChannel) else h @ f_opt
+    hf = h.apply(f_opt) if isinstance(h, LowRankChannel) else h @ f_opt
+    return _gain_eigenvalues(_adjoint(w) @ hf, _adjoint(w) @ w)
 
 
 def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
                             hf: np.ndarray) -> np.ndarray:
     """``combined_gain_eigenvalues`` for a stack of solutions, with
-    H F_opt given per sample.  W = diag(u) W_LC W_BB is formed row-wise,
-    and its Gram matrix is apd_depth * W_BB^H W_BB."""
+    H F_opt given per sample (or W_opt Sigma, equal to it up to column
+    phases, which cancel in T T^H).  W = diag(u) W_LC W_BB is formed
+    row-wise, and its Gram matrix is apd_depth * W_BB^H W_BB."""
     u = np.exp(1j * (np.repeat(sol.phases, arch.lo_depth, axis=-1)
                      + arch.intra_offsets.ravel()))
     w = u[..., None] * np.repeat(sol.w_bb, arch.apd_depth, axis=-2)
@@ -137,7 +132,8 @@ def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
     ref = reference if reference is not None else optimal_digital_combiner(h, n_streams)
     sol = solve_stack([(arch, ref.w_opt[None],
                         [rng or np.random.default_rng()], solver)], config)[0]
-    ev = _batch_gain_eigenvalues(arch, sol, _precoded(h, ref.f_opt)[None])[0]
+    hf = ref.w_opt * ref.singular_values[:n_streams]
+    ev = _batch_gain_eigenvalues(arch, sol, hf[None])[0]
     return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
 
@@ -280,8 +276,10 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
 def _trial_channels(spec: ExperimentSpec, trial: int
                     ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
     """Draw the trial's paths once and keep, per receive geometry, the
-    combining target w_opt, the ideally precoded channel H f_opt and the
-    singular values.  All geometries share one transmit factor."""
+    combining target w_opt, the ideally precoded channel as W_opt Sigma
+    (H f_i = sigma_i w_i up to a column phase, which the rate does not
+    see) and the singular values.  All geometries share one transmit
+    factor."""
     paths = draw_paths(spec.channel, _channel_rng(spec.seed, trial))
     out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
     transmit = None
@@ -291,13 +289,14 @@ def _trial_channels(spec: ExperimentSpec, trial: int
                                      transmit=transmit)
             transmit = channel.transmit
             ref = optimal_digital_combiner(channel, spec.n_streams)
-            out[unit.geometry] = (ref.w_opt, channel.apply(ref.f_opt),
-                                  ref.singular_values)
+            out[unit.geometry] = (
+                ref.w_opt, ref.w_opt * ref.singular_values[:spec.n_streams],
+                ref.singular_values)
     return out
 
 
-# A curve maps (unit, solution batch or None, H F_opt, singular values) on
-# some trials to one (trials, n_points) array.
+# A curve maps (unit, solution batch or None, W_opt Sigma, singular values)
+# on some trials to one (trials, n_points) array.
 Curve = Callable[..., np.ndarray]
 
 

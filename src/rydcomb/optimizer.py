@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .architecture import (TWO_PI, ReuseArchitecture, check_phases,
-                           is_proportional)
+from .architecture import (MAX_RESOLUTION_BITS, TWO_PI, ReuseArchitecture,
+                           check_phases, is_proportional)
 from .channel import LowRankChannel
 from .errors import ArchitectureError, NumericError
 
@@ -152,8 +152,8 @@ def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     """Nearest B-bit grid phase under wrapped (circular) distance,
     i.e. the feasible phase maximizing cos(grid - phase).  Works
     elementwise on arrays; a scalar phase gives a float."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    if not 1 <= bits <= MAX_RESOLUTION_BITS:
+        raise ValueError(f"bits must be in [1, {MAX_RESOLUTION_BITS}]")
     n_levels = 2 ** bits
     step = TWO_PI / n_levels
     q = step * (np.round(np.asarray(phase, dtype=float) / step).astype(int)

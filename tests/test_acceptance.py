@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from rydcomb import (ArrayGeometry, ArrayKind, ChannelParams,
-                     ReuseArchitecture, alternating_minimize,
+from rydcomb import (ArrayGeometry, ChannelParams,
+                     ReuseArchitecture, alternating_minimize, array_response,
                      channel_matrix, compose_wrf, direct_solve_proportional,
                      draw_paths, fully_digital_se, generate_channel,
                      optimal_digital_combiner, optimal_phase, phase_grid,
-                     quantize_phase, rydberg_response, spectral_efficiency,
+                     quantize_phase, spectral_efficiency,
                      upa_response)
 from rydcomb.cli import main
 
@@ -69,7 +69,7 @@ def _paired_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 def nonupa(n_blocks, depth):
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, depth)
+    return ArrayGeometry(n_blocks, depth)
 
 
 @pytest.fixture(scope="session")
@@ -78,12 +78,12 @@ def trend():
     cluster = dict(n_clusters=5, n_rays=10)
     params = ChannelParams(n_tx=144, **cluster)
     geometries = {
-        1: ArrayGeometry(ArrayKind.UPA, 36, 1),
+        1: ArrayGeometry(36, 1),
         2: nonupa(36, 2),
         4: nonupa(36, 4),
         6: nonupa(36, 6),
     }
-    upa144 = ArrayGeometry(ArrayKind.UPA, 144, 1)
+    upa144 = ArrayGeometry(144, 1)
 
     c3_archs = {(nlm, bits): ReuseArchitecture(36, 6, nlm, resolution_bits=bits)
                 for nlm in (4, 12) for bits in (1, 2, 3, None)}
@@ -299,7 +299,7 @@ def test_criterion_8_channel_statistics():
         for _ in range(200):
             az, el = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
             assert abs(np.linalg.norm(upa_response(az, el, 144, 0.5)) - 1) <= 1e-12
-            v = rydberg_response(az, el, geometry)
+            v = array_response(geometry, az, el)
             assert abs(np.linalg.norm(v) - 1) <= 1e-12
             block = upa_response(az, el, 36, 0.5)
             for i, k in ((0, 0), (7, 3), (35, 5)):

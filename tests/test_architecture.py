@@ -180,3 +180,8 @@ class TestArchitectureValidation:
             ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1,
                               resolution_bits=0)
 
+    def test_resolution_bits_at_most_52(self):
+        ReuseArchitecture(n_blocks=4, resolution_bits=52)
+        with pytest.raises(ArchitectureError, match=r"\[1, 52\]"):
+            ReuseArchitecture(n_blocks=4, resolution_bits=53)
+

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcomb import (ArrayGeometry, ArrayKind, GeometryError, array_response,
-                     axial_response, rydberg_response, upa_response)
+from rydcomb import (ArrayGeometry, GeometryError, array_response,
+                     axial_response, upa_response)
 
 
 def nonupa(n_blocks=36, n_per_block=6, block_spacing=0.5, intra_spacing=0.05):
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, n_per_block,
-                         block_spacing, intra_spacing)
+    return ArrayGeometry(n_blocks, n_per_block, block_spacing, intra_spacing)
 
 
 class TestUpaResponse:
@@ -64,10 +63,15 @@ class TestUpaResponse:
 
 class TestRydbergResponse:
     def test_single_sub_element_equals_upa(self):
-        g = nonupa(n_blocks=16, n_per_block=1)
-        az, el = 1.1, 0.7
-        np.testing.assert_allclose(rydberg_response(az, el, g),
-                                   upa_response(az, el, 16, 0.5), atol=1e-15)
+        # one sub-element per block is the UPA, bit for bit
+        rng = np.random.default_rng(5)
+        angles = [(1.1, 0.7), (rng.uniform(0, 2 * np.pi, 50),
+                               rng.uniform(0, np.pi, 50))]
+        for n in (16, 36, 144):
+            for az, el in angles:
+                assert np.array_equal(
+                    array_response(nonupa(n, 1, 0.4), az, el),
+                    upa_response(az, el, n, 0.4))
 
     def test_horizontal_axial_uniform(self):
         # cos(el) = 0 kills the axial exponents
@@ -77,7 +81,7 @@ class TestRydbergResponse:
     def test_kron_matches_double_loop_oracle(self):
         az, el = 0.3, 1.1
         g = nonupa(36, 6, 0.5, 0.05)
-        v = rydberg_response(az, el, g)
+        v = array_response(g, az, el)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         block = upa_response(az, el, 36, 0.5)
         expected = np.empty(36 * 6, dtype=complex)
@@ -87,33 +91,30 @@ class TestRydbergResponse:
                 expected[i * 6 + k] = block[i] * axial / np.sqrt(6)
         np.testing.assert_allclose(v, expected, atol=1e-12)
 
-    def test_upa_kind_rejected(self):
-        g = ArrayGeometry(ArrayKind.UPA, 16, 1)
-        with pytest.raises(GeometryError):
-            rydberg_response(0.1, 0.2, g)
-
     def test_dispatch(self):
-        g_upa = ArrayGeometry(ArrayKind.UPA, 16, 1)
+        g_upa = ArrayGeometry(16, 1)
         g_ryd = nonupa(16, 3)
         np.testing.assert_array_equal(array_response(g_upa, 0.4, 0.9),
                                       upa_response(0.4, 0.9, 16, 0.5))
-        np.testing.assert_array_equal(array_response(g_ryd, 0.4, 0.9),
-                                      rydberg_response(0.4, 0.9, g_ryd))
+        np.testing.assert_allclose(
+            array_response(g_ryd, 0.4, 0.9),
+            np.kron(upa_response(0.4, 0.9, 16, 0.5),
+                    axial_response(0.9, 3, 0.05)), atol=1e-15)
 
     @settings(deadline=None, max_examples=50)
     @given(az=st.floats(-10, 10), el=st.floats(-10, 10),
            n_blocks=st.sampled_from([4, 9, 16, 36]),
            n_sub=st.integers(1, 8))
     def test_unit_norm_property(self, az, el, n_blocks, n_sub):
-        v = rydberg_response(az, el, nonupa(n_blocks, n_sub))
+        v = array_response(nonupa(n_blocks, n_sub), az, el)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 class TestSteeringMatrix:
     """Angle arrays give one column per path, equal to the per-path vector."""
 
-    @pytest.mark.parametrize("geometry", [ArrayGeometry(ArrayKind.UPA, 144, 1),
-                                          ArrayGeometry(ArrayKind.UPA, 36, 1),
+    @pytest.mark.parametrize("geometry", [ArrayGeometry(144, 1),
+                                          ArrayGeometry(36, 1),
                                           nonupa(36, 6), nonupa(9, 4)])
     def test_columns_match_per_path(self, geometry):
         rng = np.random.default_rng(3)
@@ -129,7 +130,7 @@ class TestSteeringMatrix:
         rng = np.random.default_rng(4)
         az = rng.uniform(0, 2 * np.pi, 20)
         el = rng.uniform(0, np.pi, 20)
-        m = rydberg_response(az, el, nonupa(36, 6))
+        m = array_response(nonupa(36, 6), az, el)
         for p in range(20):
             expected = np.kron(upa_response(az[p], el[p], 36, 0.5),
                                axial_response(el[p], 6, 0.05))
@@ -137,10 +138,6 @@ class TestSteeringMatrix:
 
 
 class TestGeometryValidation:
-    def test_upa_requires_single_per_block(self):
-        with pytest.raises(GeometryError):
-            ArrayGeometry(ArrayKind.UPA, 16, 2)
-
     def test_blocks_must_be_square(self):
         with pytest.raises(GeometryError):
             nonupa(n_blocks=10)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rydcomb import (ArrayGeometry, ArrayKind, ChannelParams, GeometryError,
-                     Paths, channel_matrix, draw_paths, generate_channel,
-                     rydberg_response, upa_response)
+from rydcomb import (ArrayGeometry, ChannelParams, GeometryError, Paths,
+                     array_response, channel_matrix, draw_paths,
+                     generate_channel, upa_response)
 
 
 def nonupa(n_blocks=36, n_per_block=6):
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, n_per_block)
+    return ArrayGeometry(n_blocks, n_per_block)
 
 
 def default_params(**kwargs):
@@ -48,7 +48,7 @@ class TestSinglePath:
                       aoa_elevation=np.array([1.2]), aod_azimuth=np.array([2.1]),
                       aod_elevation=np.array([0.4]))
         h = channel_matrix(paths, 36, geometry).dense()
-        a_r = rydberg_response(0.8, 1.2, geometry)
+        a_r = array_response(geometry, 0.8, 1.2)
         a_t = upa_response(2.1, 0.4, 36, 0.5)
         expected = math.sqrt(36 * 48) * np.outer(a_r, a_t.conj())
         np.testing.assert_allclose(h, expected, atol=1e-12)
@@ -117,6 +117,6 @@ class TestDeterminism:
         params = default_params()
         paths = draw_paths(params, np.random.default_rng(77))
         h_deep = channel_matrix(paths, 144, nonupa(36, 6))
-        h_flat = channel_matrix(paths, 144, ArrayGeometry(ArrayKind.UPA, 36, 1))
+        h_flat = channel_matrix(paths, 144, ArrayGeometry(36, 1))
         assert h_deep.shape == (216, 144)
         assert h_flat.shape == (36, 144)

@@ -336,6 +336,17 @@ class TestRunEndToEnd:
             {"angular_spread_deg": 10 ** 400}, None,
             "channel.angular_spread_deg: inf is not finite"),
         "huge-int-snr": ({}, {"snr_db": [0.0, 10 ** 400]}, "snr_db[1]"),
+        # JSON true is a Python int; it must not pass for a count
+        "bool-trials": ({}, {"trials": True}, "trials: expected int"),
+        "bool-max-iterations": ({}, {"solver": {"max_iterations": True}},
+                                "solver.max_iterations: expected int"),
+        "bool-lo-depth": ({}, {"architectures": [
+            {"lo_depth": True, "apd_depth": 2}]},
+            "architectures[0].lo_depth: expected int"),
+        # a 2^64-point grid overflowed the quantizer's integer levels
+        "huge-resolution": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4, "resolution_bits": 64}]},
+            "architectures[0]: resolution_bits must be in [1, 52]"),
     }
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])

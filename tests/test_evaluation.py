@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
+from rydcomb import (ArchitectureError, ArrayGeometry,
                      ChannelParams, ConfigError, DigitalReference, EvalUnit,
                      ExperimentSpec, NumericError, OptimizerConfig,
                      ReuseArchitecture, alternating_minimize, channel_matrix,
@@ -36,7 +36,7 @@ def known_sv_channel(rng, n_rx, n_tx, singular_values):
 
 
 def nonupa(n_blocks, depth):
-    return ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, n_blocks, depth)
+    return ArrayGeometry(n_blocks, depth)
 
 
 def small_spec(**overrides):
@@ -183,14 +183,14 @@ class TestEvaluateArchitecture:
 class TestConventionalPc:
     def test_full_chain_count_is_fully_digital(self):
         rng = np.random.default_rng(6)
-        geometry = ArrayGeometry(ArrayKind.UPA, 16, 1)
+        geometry = ArrayGeometry(16, 1)
         w_opt = np.linalg.qr(rand_complex(rng, (16, 3)))[0][:, :3]
         arch = pc_architecture(geometry.n_elements, 16)
         sol = alternating_minimize(arch, w_opt, rng=rng)
         assert sol.residual < 1e-8
 
     def test_row_count_checked(self):
-        geometry = ArrayGeometry(ArrayKind.UPA, 16, 1)
+        geometry = ArrayGeometry(16, 1)
         arch = pc_architecture(geometry.n_elements, 4)
         with pytest.raises(ValueError):
             alternating_minimize(arch, np.zeros((9, 2), dtype=complex))
@@ -367,7 +367,7 @@ class TestFailedTrials:
             EvalUnit(label="digital", kind="ideal_digital",
                      geometry=nonupa(4, 4)),
             EvalUnit(label="UPA PC", kind="pc_upa", arch=arch,
-                     geometry=ArrayGeometry(ArrayKind.UPA, 16, 1),
+                     geometry=ArrayGeometry(16, 1),
                      solver="altmin"),
             EvalUnit(label="non-UPA PC", kind="pc_nonupa", arch=arch,
                      geometry=nonupa(4, 4), solver="altmin")))
@@ -436,7 +436,7 @@ class TestFailedTrials:
                      geometry=geometry),
             EvalUnit(label="UPA PC", kind="pc_upa",
                      arch=pc_architecture(16, 4),
-                     geometry=ArrayGeometry(ArrayKind.UPA, 16, 1),
+                     geometry=ArrayGeometry(16, 1),
                      solver="altmin"))
         monkeypatch.setattr(evaluation, "solve_stack", recording)
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcomb import (ArchitectureError, ArrayGeometry, ArrayKind,
+from rydcomb import (ArchitectureError, ArrayGeometry,
                      ChannelParams, NumericError, OptimizerConfig, Paths,
                      ReuseArchitecture, SolveMethod, alternating_minimize,
                      channel_matrix, compose_wrf, diagonal_phases,
@@ -101,11 +101,11 @@ class TestFactoredReference:
     dense SVD, for N_r below (36 elements) and above (72 to 216 elements)
     the 50 paths; 36x2 has near-duplicate rows at intra_spacing 0.05."""
 
-    GEOMETRIES = [ArrayGeometry(ArrayKind.UPA, 36, 1),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 9, 4),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 6),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 2),
-                  ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 36, 4)]
+    GEOMETRIES = [ArrayGeometry(36, 1),
+                  ArrayGeometry(9, 4),
+                  ArrayGeometry(36, 6),
+                  ArrayGeometry(36, 2),
+                  ArrayGeometry(36, 4)]
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -258,6 +258,14 @@ class TestQuantizePhase:
     def test_wraparound(self):
         # 6.1 is closer to 0 (distance 2*pi - 6.1) than to pi
         assert quantize_phase(6.1, 1) == 0.0
+
+    def test_bits_bounded_by_double_spacing(self):
+        # 52 bits is the finest grid doubles resolve near 2*pi; past it the
+        # level count no longer fits the integer rounding
+        assert quantize_phase(1.0, 52) == pytest.approx(1.0, abs=1e-15)
+        for bits in (0, 53, 64):
+            with pytest.raises(ValueError):
+                quantize_phase(1.0, bits)
 
     def test_matches_cosine_maximization_oracle(self):
         rng = np.random.default_rng(8)
@@ -455,7 +463,7 @@ class TestSolveBatch:
 
     @staticmethod
     def channel_targets(lo, count, seed, geometry=None):
-        geometry = geometry or ArrayGeometry(ArrayKind.RYDBERG_NON_UPA, 16, lo)
+        geometry = geometry or ArrayGeometry(16, lo)
         params = ChannelParams(n_tx=16, n_clusters=3, n_rays=4)
         rng = np.random.default_rng(seed)
         return np.stack([optimal_digital_combiner(
@@ -488,7 +496,7 @@ class TestSolveBatch:
     def test_mixed_apd_stack_rows_equal_lone_solves(self):
         # fig10's partially-connected curves: one structure (144 blocks,
         # lo_depth 1), adder depths 36, 9 and 3
-        geometry = ArrayGeometry(ArrayKind.UPA, 144, 1)
+        geometry = ArrayGeometry(144, 1)
         archs = [pc_architecture(144, c) for c in (4, 16, 48)]
         targets = [self.channel_targets(1, 3, seed=30 + k, geometry=geometry)
                    for k in range(3)]
