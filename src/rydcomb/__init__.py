@@ -7,8 +7,7 @@ evaluation over clustered mmWave channels.
 """
 
 from .architecture import (ReuseArchitecture, build_wlc, compose_wrf,
-                           default_intra_offsets, diagonal_phases,
-                           is_proportional, phase_grid)
+                           diagonal_phases, is_proportional, phase_grid)
 from .arrays import (ArrayGeometry, array_response, axial_response,
                      upa_response)
 from .channel import (ChannelParams, LowRankChannel, Paths, TransmitFactor,
@@ -20,9 +19,9 @@ from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
                          fully_digital_se, pc_architecture, run_convergence,
                          run_experiment, spectral_efficiency)
 from .optimizer import (CombinerSolution, DigitalReference, OptimizerConfig,
-                        SolveMethod, alternating_minimize,
-                        direct_solve_proportional, optimal_digital_combiner,
-                        optimal_phase, quantize_phase, update_wbb)
+                        alternating_minimize, direct_solve_proportional,
+                        optimal_digital_combiner, optimal_phase,
+                        quantize_phase, update_wbb)
 
 __version__ = "0.1.0"
 
@@ -30,10 +29,9 @@ __all__ = [
     "ArchitectureError", "ArrayGeometry", "ChannelParams", "CombinerSolution",
     "ConfigError", "DigitalReference", "EvalUnit", "ExperimentSpec",
     "GeometryError", "LowRankChannel", "NumericError", "OptimizerConfig",
-    "Paths", "ResultRow", "ResultTable", "ReuseArchitecture", "SolveMethod",
-    "TransmitFactor", "alternating_minimize", "array_response",
-    "axial_response", "build_wlc", "channel_matrix",
-    "combined_gain_eigenvalues", "compose_wrf", "default_intra_offsets",
+    "Paths", "ResultRow", "ResultTable", "ReuseArchitecture", "TransmitFactor",
+    "alternating_minimize", "array_response", "axial_response", "build_wlc",
+    "channel_matrix", "combined_gain_eigenvalues", "compose_wrf",
     "diagonal_phases", "direct_solve_proportional", "draw_paths",
     "evaluate_architecture", "fully_digital_se", "generate_channel",
     "is_proportional", "optimal_digital_combiner", "optimal_phase",

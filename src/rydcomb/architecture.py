@@ -9,7 +9,7 @@ instances of the same parameterization (depth 1 = dedicated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,30 +21,24 @@ TWO_PI = 2.0 * np.pi
 MAX_RESOLUTION_BITS = 52
 
 
-def default_intra_offsets(n_blocks: int, lo_depth: int,
-                          intra_spacing: float = 0.05) -> np.ndarray:
-    """Fixed intra-block phase offsets from the symmetric sub-element
-    positions: 2*pi*intra_spacing*(k - (lo_depth-1)/2), identical per block."""
-    k = np.arange(lo_depth) - (lo_depth - 1) / 2.0
-    row = TWO_PI * intra_spacing * k
-    return np.tile(row, (n_blocks, 1))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReuseArchitecture:
     """Reuse configuration of the receive array.
 
     lo_depth antennas share each local oscillator (1 = LO-Dedicated) and
     apd_depth probe signals share each photodiode (1 = APD-Dedicated).
-    resolution_bits=None means continuous LO phases; an integer B restricts
-    phases to the 2^B-point grid {2*pi*b/2^B}.
+    The fixed intra-block LO offsets follow from the symmetric sub-element
+    positions, 2*pi*intra_spacing*(k - (lo_depth-1)/2), identical per
+    block.  resolution_bits=None means continuous LO phases; an integer B
+    restricts phases to the 2^B-point grid {2*pi*b/2^B}.
     """
 
     n_blocks: int
     lo_depth: int = 1
     apd_depth: int = 1
-    intra_offsets: Optional[np.ndarray] = None
+    intra_spacing: float = 0.05
     resolution_bits: Optional[int] = None
+    intra_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_blocks <= 0 or self.lo_depth <= 0 or self.apd_depth <= 0:
@@ -56,16 +50,10 @@ class ReuseArchitecture:
                 1 <= self.resolution_bits <= MAX_RESOLUTION_BITS):
             raise ArchitectureError(f"resolution_bits must be in "
                                     f"[1, {MAX_RESOLUTION_BITS}] (or None)")
-        if self.intra_offsets is None:
-            offs = default_intra_offsets(self.n_blocks, self.lo_depth)
-        else:
-            offs = np.asarray(self.intra_offsets, dtype=float)
-        if offs.shape != (self.n_blocks, self.lo_depth):
-            raise ArchitectureError(
-                f"intra_offsets shape {offs.shape} != ({self.n_blocks}, {self.lo_depth})")
-        if self.lo_depth == 1 and np.any(offs != 0.0):
-            raise ArchitectureError("lo_depth=1 requires all intra offsets 0")
-        offs = offs.copy()
+        if not np.isfinite(self.intra_spacing):
+            raise ArchitectureError("intra_spacing must be finite")
+        k = np.arange(self.lo_depth) - (self.lo_depth - 1) / 2.0
+        offs = np.tile(TWO_PI * self.intra_spacing * k, (self.n_blocks, 1))
         offs.flags.writeable = False
         object.__setattr__(self, "intra_offsets", offs)
 
@@ -96,6 +84,8 @@ def check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     if phases.shape != (arch.n_blocks,):
         raise ArchitectureError(
             f"phases shape {phases.shape} != ({arch.n_blocks},)")
+    if not np.all(np.isfinite(phases)):
+        raise ArchitectureError("phases must be finite")
     if arch.resolution_bits is not None:
         step = TWO_PI / (2 ** arch.resolution_bits)
         dist = np.abs(phases / step - np.round(phases / step))

@@ -46,10 +46,10 @@ class ArrayGeometry:
         if self.n_blocks <= 0 or self.n_per_block <= 0:
             raise GeometryError("n_blocks and n_per_block must be positive")
         _square_side(self.n_blocks)
-        if self.block_spacing <= 0:
-            raise GeometryError("block_spacing must be > 0")
-        if self.intra_spacing < 0:
-            raise GeometryError("intra_spacing must be >= 0")
+        if not 0 < self.block_spacing < np.inf:
+            raise GeometryError("block_spacing must be finite and > 0")
+        if not 0 <= self.intra_spacing < np.inf:
+            raise GeometryError("intra_spacing must be finite and >= 0")
 
     @property
     def n_elements(self) -> int:
@@ -74,8 +74,8 @@ def upa_response(azimuth, elevation, n_elements: int,
     spacing : float
         Inter-element spacing in wavelengths.
     """
-    if spacing <= 0:
-        raise GeometryError("spacing must be > 0")
+    if not 0 < spacing < np.inf:
+        raise GeometryError("spacing must be finite and > 0")
     side = _square_side(n_elements)
     k = 2.0 * np.pi * spacing * np.arange(side)
     x, y = np.broadcast_arrays(np.sin(azimuth) * np.sin(elevation), np.cos(elevation))

@@ -42,10 +42,10 @@ class ChannelParams:
                                (1.0,) * self.n_clusters)
         if len(self.cluster_powers) != self.n_clusters:
             raise ValueError("cluster_powers must have length n_clusters")
-        if any(p <= 0 for p in self.cluster_powers):
-            raise ValueError("cluster powers must be > 0")
-        if self.angular_spread < 0:
-            raise ValueError("angular_spread must be >= 0")
+        if not all(0 < p < math.inf for p in self.cluster_powers):
+            raise ValueError("cluster powers must be finite and > 0")
+        if not 0 <= self.angular_spread < math.inf:
+            raise ValueError("angular_spread must be finite and >= 0")
 
     @property
     def n_paths(self) -> int:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import checks
-from .architecture import ReuseArchitecture, default_intra_offsets
+from .architecture import ReuseArchitecture
 from .arrays import ArrayGeometry
 from .channel import ChannelParams
 from .errors import ArchitectureError, ConfigError, GeometryError, NumericError
@@ -65,7 +65,10 @@ class _Ctx:
         return f"{self.path}.{key}" if self.path else key
 
     def get(self, key: str, kind, default=None, required: bool = False):
-        if key not in self.doc:
+        """The field's value, or ``default`` when it is omitted; an explicit
+        null reads as omitted for an optional field that defaults to None."""
+        if key not in self.doc or (self.doc[key] is None and default is None
+                                   and not required):
             if required:
                 raise ConfigError(f"missing required field {self._at(key)}")
             return default
@@ -118,16 +121,6 @@ def _arch_entries(ctx: _Ctx, swept_key: Optional[str]) -> list[_Ctx]:
                 f"{sub.path}.{swept_key}: fixed here; it is the sweep parameter")
         entries.append(sub)
     return entries
-
-
-def _resolution(entry: _Ctx) -> Optional[int]:
-    value = entry.doc.get("resolution_bits", None)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(
-            f"{entry.path}.resolution_bits: expected positive integer or null")
-    return value
 
 
 def _read_config(path: Path) -> dict:
@@ -296,9 +289,8 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
                 if k != swept_key))
             arch = entry.build(
                 ReuseArchitecture, n_blocks=n_blocks, lo_depth=lo,
-                apd_depth=apd, resolution_bits=_resolution(entry),
-                intra_offsets=default_intra_offsets(n_blocks, lo,
-                                                    intra_spacing))
+                apd_depth=apd, intra_spacing=intra_spacing,
+                resolution_bits=entry.get("resolution_bits", int))
             geometry = ArrayGeometry(n_blocks, lo, block_spacing, intra_spacing)
             solver = entry.get("solver", str, default="auto")
             try:

@@ -74,16 +74,16 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
 
 
 def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
-                            hf: np.ndarray) -> np.ndarray:
-    """``combined_gain_eigenvalues`` for a stack of solutions, with
-    H F_opt given per sample (or W_opt Sigma, equal to it up to column
-    phases, which cancel in T T^H).  W = diag(u) W_LC W_BB is formed
+                            w_opt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``combined_gain_eigenvalues`` for a stack of solutions, with H F_opt
+    taken as W_opt Sigma per sample (H f_i = sigma_i w_i up to a column
+    phase, which cancels in T T^H).  W = diag(u) W_LC W_BB is formed
     row-wise, and its Gram matrix is apd_depth * W_BB^H W_BB."""
     u = np.exp(1j * (np.repeat(sol.phases, arch.lo_depth, axis=-1)
                      + arch.intra_offsets.ravel()))
     w = u[..., None] * np.repeat(sol.w_bb, arch.apd_depth, axis=-2)
     gram = arch.apd_depth * (_adjoint(sol.w_bb) @ sol.w_bb)
-    return _gain_eigenvalues(_adjoint(w) @ hf, gram)
+    return _gain_eigenvalues(_adjoint(w) @ (w_opt * sigma[..., None, :]), gram)
 
 
 def _rates(ev: np.ndarray, n_streams: int, snr_linear_grid) -> np.ndarray:
@@ -132,8 +132,8 @@ def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
     ref = reference if reference is not None else optimal_digital_combiner(h, n_streams)
     sol = solve_stack([(arch, ref.w_opt[None],
                         [rng or np.random.default_rng()], solver)], config)[0]
-    hf = ref.w_opt * ref.singular_values[:n_streams]
-    ev = _batch_gain_eigenvalues(arch, sol, hf[None])[0]
+    ev = _batch_gain_eigenvalues(arch, sol, ref.w_opt[None],
+                                 ref.singular_values[None, :n_streams])[0]
     return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
 
@@ -276,10 +276,8 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
 def _trial_channels(spec: ExperimentSpec, trial: int
                     ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
     """Draw the trial's paths once and keep, per receive geometry, the
-    combining target w_opt, the ideally precoded channel as W_opt Sigma
-    (H f_i = sigma_i w_i up to a column phase, which the rate does not
-    see) and the singular values.  All geometries share one transmit
-    factor."""
+    combining target W_opt and its n_streams singular values Sigma.  All
+    geometries share one transmit factor."""
     paths = draw_paths(spec.channel, _channel_rng(spec.seed, trial))
     out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
     transmit = None
@@ -289,14 +287,13 @@ def _trial_channels(spec: ExperimentSpec, trial: int
                                      transmit=transmit)
             transmit = channel.transmit
             ref = optimal_digital_combiner(channel, spec.n_streams)
-            out[unit.geometry] = (
-                ref.w_opt, ref.w_opt * ref.singular_values[:spec.n_streams],
-                ref.singular_values)
+            out[unit.geometry] = (ref.w_opt,
+                                  ref.singular_values[:spec.n_streams])
     return out
 
 
-# A curve maps (unit, solution batch or None, W_opt Sigma, singular values)
-# on some trials to one (trials, n_points) array.
+# A curve maps (unit, solution batch or None, W_opt, Sigma) on some trials
+# to one (trials, n_points) array.
 Curve = Callable[..., np.ndarray]
 
 
@@ -342,7 +339,7 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
         if sol is not None:  # rows are the solved ones, or some of them
             sol = sol.take(np.searchsorted(good, rows))
         return curve(unit, sol, *(stack[rows]
-                                  for stack in stacks[unit.geometry][1:]))
+                                  for stack in stacks[unit.geometry]))
 
     for i in range(len(spec.units)):
         rows = [r for r, t in enumerate(trials) if t not in errors]
@@ -423,11 +420,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
     n_s = spec.n_streams
 
-    def curve(unit, sol, hf, singular_values):
+    def curve(unit, sol, w_opt, sigma):
         if sol is None:
-            return _rates(singular_values[:, :n_s] ** 2, n_s, snr_linear)
-        return _rates(_batch_gain_eigenvalues(unit.arch, sol, hf), n_s,
-                      snr_linear)
+            return _rates(sigma ** 2, n_s, snr_linear)
+        return _rates(_batch_gain_eigenvalues(unit.arch, sol, w_opt, sigma),
+                      n_s, snr_linear)
 
     return _tabulate(
         spec, threads, curve, snr_linear.size, spec.sweep_param,

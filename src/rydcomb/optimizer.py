@@ -12,7 +12,6 @@ of one.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -26,11 +25,6 @@ from .errors import ArchitectureError, NumericError
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
 
 
-class SolveMethod(enum.Enum):
-    ALT_MIN = "altmin"
-    DIRECT_PROPORTIONAL = "direct"
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Stopping threshold on the difference of consecutive squared residuals,
@@ -40,8 +34,8 @@ class OptimizerConfig:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -63,7 +57,7 @@ class CombinerSolution:
     w_bb: np.ndarray = field(repr=False)
     residual: float
     iterations: int
-    method: SolveMethod
+    method: str  # "altmin" or "direct"
     converged: bool
     residual_history: np.ndarray = field(repr=False)
 
@@ -202,7 +196,7 @@ class SolutionBatch:
     history: np.ndarray = field(repr=False)
     iterations: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
-    method: SolveMethod
+    method: str
 
     def solution(self, i: int) -> CombinerSolution:
         history = self.history[i, :max(int(self.iterations[i]), 1)]
@@ -264,7 +258,7 @@ def _solve(segments: Sequence[tuple],
         rows = update_wbb(u, target, apd)
         return split(phases, rows, _residual(target, u, rows)[:, None],
                      np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool),
-                     SolveMethod.DIRECT_PROPORTIONAL)
+                     "direct")
 
     cap = config.max_iterations
     blocks = (arch.n_blocks, arch.lo_depth, n_s)
@@ -302,7 +296,7 @@ def _solve(segments: Sequence[tuple],
                 break
         prev_sq = sq
     return split(out_phases, out_rows, history, iterations, converged,
-                 SolveMethod.ALT_MIN)
+                 "altmin")
 
 
 def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydcomb import (ArchitectureError, ReuseArchitecture, build_wlc,
-                     compose_wrf, default_intra_offsets, diagonal_phases,
-                     is_proportional)
+                     compose_wrf, diagonal_phases, is_proportional)
 
 
 def rand_phases(arch, rng):
@@ -81,9 +80,8 @@ class TestComposeWrf:
         assert np.count_nonzero(w - np.diag(np.diag(w))) == 0
 
     def test_zero_phase_shared_collapses_to_wlc(self):
-        offsets = np.zeros((2, 2))
         arch = ReuseArchitecture(n_blocks=2, lo_depth=2, apd_depth=2,
-                                 intra_offsets=offsets)
+                                 intra_spacing=0.0)
         w = compose_wrf(arch, np.zeros(2))
         np.testing.assert_allclose(
             w, np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex),
@@ -155,20 +153,22 @@ class TestArchitectureValidation:
         with pytest.raises(ArchitectureError):
             ReuseArchitecture(n_blocks=4, lo_depth=3, apd_depth=5)
 
-    def test_offsets_shape(self):
-        with pytest.raises(ArchitectureError):
-            ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=1,
-                              intra_offsets=np.zeros((4, 3)))
-
-    def test_dedicated_lo_requires_zero_offsets(self):
-        with pytest.raises(ArchitectureError):
-            ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1,
-                              intra_offsets=np.full((4, 1), 0.2))
-
     def test_default_offsets_match_helper(self):
-        arch = ReuseArchitecture(n_blocks=3, lo_depth=4, apd_depth=2)
-        np.testing.assert_array_equal(arch.intra_offsets,
-                                      default_intra_offsets(3, 4))
+        # the offsets follow from intra_spacing, vanish for a dedicated LO,
+        # are read-only, and leave the architecture a hashable value
+        arch = ReuseArchitecture(n_blocks=3, lo_depth=4, apd_depth=2,
+                                 intra_spacing=0.17)
+        row = 2 * np.pi * 0.17 * np.array([-1.5, -0.5, 0.5, 1.5])
+        np.testing.assert_allclose(arch.intra_offsets, np.tile(row, (3, 1)),
+                                   rtol=1e-15, atol=0)
+        dedicated = ReuseArchitecture(n_blocks=3, intra_spacing=0.17)
+        np.testing.assert_array_equal(dedicated.intra_offsets, np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            arch.intra_offsets[0, 0] = 0.0
+        twin = ReuseArchitecture(n_blocks=3, lo_depth=4, apd_depth=2,
+                                 intra_spacing=0.17)
+        assert twin == arch and hash(twin) == hash(arch)
+        assert twin != ReuseArchitecture(n_blocks=3, lo_depth=4, apd_depth=2)
 
     def test_counts(self):
         arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=4)

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 import rydcomb.optimizer
@@ -94,6 +93,14 @@ class TestParseConfig:
         doc = smoke_doc(baselines=["upa_pc"])
         with pytest.raises(ConfigError, match="pc_chains"):
             parse_config(write_doc(tmp_path, doc), "sweep-snr")
+
+    def test_null_reads_as_omitted(self):
+        # resolution_bits and pc_chains default to None, so null omits them
+        doc = smoke_doc(pc_chains=None, architectures=[
+            {"label": "a", "lo_depth": 2, "apd_depth": 2,
+             "resolution_bits": None}])
+        assert build_spec(doc, "sweep-snr") == build_spec(smoke_doc(),
+                                                          "sweep-snr")
 
 
 class TestSweepPlans:
@@ -231,9 +238,7 @@ class TestRunEndToEnd:
 
         assert summary(respec) == summary(original)
         for a, b in zip(respec.units, original.units):
-            if a.arch is not None:
-                np.testing.assert_array_equal(a.arch.intra_offsets,
-                                              b.arch.intra_offsets)
+            assert a.arch == b.arch
 
     def test_convergence_command(self, tmp_path):
         doc = smoke_doc(snr_db=[0.0], trials=3,
@@ -347,6 +352,12 @@ class TestRunEndToEnd:
         "huge-resolution": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "resolution_bits": 64}]},
             "architectures[0]: resolution_bits must be in [1, 52]"),
+        "zero-resolution": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4, "resolution_bits": 0}]},
+            "architectures[0]: resolution_bits must be in [1, 52] (or None)"),
+        "string-resolution": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4, "resolution_bits": "x"}]},
+            "architectures[0].resolution_bits: expected int, got str"),
     }
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])

@@ -6,7 +6,9 @@ direct solves only) and convergence.csv (the convergence command) were
 written by the trial-block code, before its unused public API was removed.
 fig6a.csv, fig6b.csv, fig7.csv and fig9.csv were written by the QR-core
 reference (explicit Q factors), before the reference moved to the R factors
-and the UPA steering to its two separable axes.
+and the UPA steering to its two separable axes.  depth.csv runs the small
+sweep-depth config in tests/configs/ and was written by the code that still
+took the intra-block LO offsets as an array.
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
@@ -20,6 +22,7 @@ import pytest
 from rydcomb.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 MEAN_RTOL = 1e-9
 
 CASES = [
@@ -32,7 +35,14 @@ CASES = [
     ("fig6b", "sweep-snr", 20),
     ("fig7", "sweep-snr", 20),
     ("fig9", "sweep-snr", 20),
+    ("depth", "sweep-depth", None),
 ]
+
+
+def _config(configs_dir, name):
+    """A bundled config, or else one of the small test configs."""
+    path = configs_dir / f"{name}.json"
+    return path if path.exists() else TEST_CONFIGS / f"{name}.json"
 
 
 def _rows(path):
@@ -42,7 +52,7 @@ def _rows(path):
 
 @pytest.mark.parametrize("name,command,trials", CASES)
 def test_matches_golden(tmp_path, configs_dir, name, command, trials):
-    argv = [command, "--config", str(configs_dir / f"{name}.json"),
+    argv = [command, "--config", str(_config(configs_dir, name)),
             "--out", str(tmp_path), "--threads", "1"]
     if trials is not None:
         argv += ["--trials", str(trials)]
@@ -55,3 +65,13 @@ def test_matches_golden(tmp_path, configs_dir, name, command, trials):
             assert g[key] == w[key], (key, w)
         assert float(g["mean_se_bps_hz"]) == pytest.approx(
             float(w["mean_se_bps_hz"]), rel=MEAN_RTOL, abs=0), w
+
+
+def test_depth_sweep_threads_write_identical_csv(tmp_path):
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["sweep-depth", "--config", str(TEST_CONFIGS / "depth.json"),
+                     "--out", str(out), "--threads", threads]) == 0
+        csvs.append((out / "results.csv").read_bytes())
+    assert csvs[0] == csvs[1]

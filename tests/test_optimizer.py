@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rydcomb import (ArchitectureError, ArrayGeometry,
                      ChannelParams, NumericError, OptimizerConfig, Paths,
-                     ReuseArchitecture, SolveMethod, alternating_minimize,
+                     ReuseArchitecture, alternating_minimize,
                      channel_matrix, compose_wrf, diagonal_phases,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, optimal_phase, phase_grid,
@@ -300,7 +300,7 @@ class TestAlternatingMinimize:
         w_opt = rand_orthonormal(rng, 16, 3)
         sol = alternating_minimize(arch, w_opt, rng=rng)
         assert sol.residual < 1e-8
-        assert sol.method is SolveMethod.ALT_MIN
+        assert sol.method == "altmin"
         assert sol.converged
 
     @pytest.mark.parametrize("lo,apd,bits", [
@@ -383,7 +383,7 @@ class TestDirectSolver:
         np.testing.assert_allclose(sol.w_bb, w_opt, atol=1e-13)
         assert sol.residual < 1e-12
         assert sol.iterations == 0
-        assert sol.method is SolveMethod.DIRECT_PROPORTIONAL
+        assert sol.method == "direct"
 
     def test_matches_alternating_minimization(self):
         rng = np.random.default_rng(16)
@@ -441,14 +441,14 @@ class TestSolveDispatch:
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
         sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
-        assert sol.method is SolveMethod.DIRECT_PROPORTIONAL
+        assert sol.method == "direct"
 
     def test_auto_routes_general_to_altmin(self):
         rng = np.random.default_rng(21)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
         w_opt = rand_orthonormal(rng, 32, 2)
         sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
-        assert sol.method is SolveMethod.ALT_MIN
+        assert sol.method == "altmin"
 
     def test_unknown_method_rejected(self):
         arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
@@ -507,11 +507,10 @@ class TestSolveBatch:
 
     def test_mixed_quantized_stack_rows_equal_lone_solves(self):
         # 4-bit phases, adder depths 4, 12 and 32 on 16 blocks of depth 6;
-        # the last segment has its own intra-block offsets
-        offsets = np.tile(np.linspace(-0.4, 0.7, 6), (16, 1))
+        # the last segment has its own intra-block spacing, so its own offsets
         archs = [ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=apd,
-                                   intra_offsets=offs, resolution_bits=4)
-                 for apd, offs in ((4, None), (12, None), (32, offsets))]
+                                   intra_spacing=spacing, resolution_bits=4)
+                 for apd, spacing in ((4, 0.05), (12, 0.05), (32, 0.17))]
         targets = [self.channel_targets(6, 4, seed=40 + k) for k in range(3)]
         seeds = [range(10 * k, 10 * k + 4) for k in range(3)]
         self.assert_rows_equal_lone_solves(
