@@ -79,11 +79,12 @@ def phase_grid(bits: int) -> np.ndarray:
 
 
 def check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
-    """One block phase per block, on the resolution grid if there is one."""
+    """One block phase per block, on the resolution grid if there is one.
+    Leading axes are batch axes."""
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (arch.n_blocks,):
+    if phases.shape[-1:] != (arch.n_blocks,):
         raise ArchitectureError(
-            f"phases shape {phases.shape} != ({arch.n_blocks},)")
+            f"phases shape {phases.shape} != (..., {arch.n_blocks})")
     if not np.all(np.isfinite(phases)):
         raise ArchitectureError("phases must be finite")
     if arch.resolution_bits is not None:
@@ -106,9 +107,11 @@ def build_wlc(n_r: int, apd_depth: int) -> np.ndarray:
 
 def diagonal_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     """Length-N_r vector of total per-antenna LO phases: block phase plus
-    fixed intra-block offset, in block-major order."""
+    fixed intra-block offset, in block-major order.  Leading axes of the
+    block phases (..., n_blocks) are batch axes."""
     phases = check_phases(arch, phases)
-    return np.repeat(phases, arch.lo_depth) + arch.intra_offsets.ravel()
+    return (np.repeat(phases, arch.lo_depth, axis=-1)
+            + arch.intra_offsets.ravel())
 
 
 def compose_wrf(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -95,17 +96,20 @@ def axial_response(elevation, n_sub: int, spacing: float) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(n_sub)
 
 
-def array_response(geometry: ArrayGeometry, azimuth,
-                   elevation) -> np.ndarray:
+def array_response(geometry: ArrayGeometry, azimuth, elevation,
+                   block: Optional[np.ndarray] = None) -> np.ndarray:
     """Steering vector of a receive geometry.
 
     Kronecker product of the per-block UPA response (outer index) with the
     axial sub-element response (inner index), taken column by column for
     angle arrays.  With one sub-element the axial factor is exactly 1, so
     this is the UPA response over the blocks.  Unit Euclidean norm.
+    ``block`` passes in that UPA response to the same angles, so that
+    geometries with equal n_blocks and block_spacing can share it.
     """
-    block = upa_response(azimuth, elevation, geometry.n_blocks,
-                         geometry.block_spacing)
+    if block is None:
+        block = upa_response(azimuth, elevation, geometry.n_blocks,
+                             geometry.block_spacing)
     axial = axial_response(elevation, geometry.n_per_block,
                            geometry.intra_spacing)
     return (block[:, None] * axial[None]).reshape((-1,) + block.shape[1:])

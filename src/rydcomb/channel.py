@@ -5,14 +5,15 @@ complex Gaussian with per-cluster variance, mean angles are uniform, and
 per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
 The channel is kept as its path factors H = A_rx diag(g) A_tx^H, whose
-rank is at most the path count L = n_clusters * n_rays.
+rank is at most the path count L = n_clusters * n_rays.  A trial block
+stacks its draws and builds the factors of all of them at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class ChannelParams:
 
 @dataclass(frozen=True, eq=False)
 class Paths:
-    """Gains and angles of all propagation paths, one length-L array each."""
+    """Gains and angles of all propagation paths, one length-L array each;
+    a block of B draws (``Paths.stack``) holds (B, L) arrays."""
 
     gains: np.ndarray
     aoa_azimuth: np.ndarray
@@ -63,20 +65,34 @@ class Paths:
     aod_elevation: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = (self.gains, self.aoa_azimuth, self.aoa_elevation,
-                  self.aod_azimuth, self.aod_elevation)
-        if np.ndim(self.gains) != 1 or len({np.shape(a) for a in arrays}) != 1:
-            raise ValueError("path gains and angles must be 1-D arrays of equal length")
+        if (np.ndim(self.gains) not in (1, 2)
+                or len({np.shape(a) for a in vars(self).values()}) != 1):
+            raise ValueError("path gains and angles must be arrays of equal "
+                             "shape, (L,) for one draw or (B, L) for a block")
 
     @property
     def n_paths(self) -> int:
-        return len(self.gains)
+        return np.shape(self.gains)[-1]
+
+    @classmethod
+    def stack(cls, draws: Sequence["Paths"]) -> "Paths":
+        return cls(**{k: np.stack([vars(p)[k] for p in draws])
+                      for k in vars(draws[0])})
+
+    def take(self, rows) -> "Paths":
+        """The draws ``rows`` of a block."""
+        return Paths(**{k: a[rows] for k, a in vars(self).items()})
+
+    def finite(self) -> np.ndarray:
+        """Whether every gain and angle is finite, per draw of a block."""
+        return np.logical_and.reduce([np.isfinite(a).all(axis=-1)
+                                      for a in vars(self).values()])
 
 
 @dataclass(frozen=True, eq=False)
 class TransmitFactor:
     """Transmit steering matrix A_tx (N_t x L) of one path draw and its QR
-    R factor, shared by every receive geometry of that draw."""
+    R factor."""
 
     steering: np.ndarray
     r: np.ndarray
@@ -136,24 +152,73 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
                  aod_elevation=np.repeat(aod_el_mean, nray) + offsets[3])
 
 
-def channel_matrix(paths: Paths, n_tx: int, rx_geometry: ArrayGeometry,
-                   transmit: Optional[TransmitFactor] = None) -> LowRankChannel:
+def channel_matrix(paths: Paths, n_tx: int,
+                   rx_geometry: ArrayGeometry) -> LowRankChannel:
     """Assemble the N_r x N_t channel matrix from the paths, in factored form.
     The transmitter is a half-wavelength UPA.
 
     Keeping this separate from the path draw lets several receive
-    geometries share one set of paths for paired comparisons; they can also
-    share one ``transmit`` factor, which depends on the paths only.
+    geometries share one set of paths for paired comparisons.
     """
-    if transmit is None:
-        a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
-        transmit = TransmitFactor(a_tx, np.linalg.qr(a_tx, mode="r"))
-    elif transmit.steering.shape != (n_tx, paths.n_paths):
-        raise ValueError("transmit factor does not match n_tx and the paths")
+    if np.ndim(paths.gains) != 1:
+        raise ValueError("channel_matrix takes one draw; a block of draws "
+                         "goes through block_channels")
+    a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
     n_r = rx_geometry.n_elements
     a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
     scale = math.sqrt(n_tx * n_r / paths.n_paths)
-    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains, transmit=transmit)
+    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains,
+                          transmit=TransmitFactor(
+                              a_tx, np.linalg.qr(a_tx, mode="r")))
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelBlock:
+    """The channels of a block of B draws on one receive geometry, stacked
+    on a leading draw axis and kept only as far as the reference reads
+    them: the receive steering a_rx (B, N_r, L), the normalized gains
+    (B, L) and the transmit R factors r_tx (B, min(N_t, L), L).  Sample b
+    holds the factors ``channel_matrix`` gives for draw b."""
+
+    a_rx: np.ndarray
+    gains: np.ndarray
+    r_tx: np.ndarray
+    n_tx: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(N_r, N_t) of every sample."""
+        return self.a_rx.shape[1], self.n_tx
+
+
+def block_channels(paths: Paths, n_tx: int,
+                   geometries: Iterable[ArrayGeometry]
+                   ) -> Iterator[tuple[ArrayGeometry, ChannelBlock]]:
+    """The channels of a block of draws (B, L), one receive geometry at a
+    time, each sample bit for bit the factors of ``channel_matrix``.
+
+    The transmit steering of the block is one ``upa_response`` call over
+    the (B, L) angles; it is factored by one QR per draw (a stacked QR is
+    slower) and dropped.  Geometries with equal n_blocks and block_spacing
+    share one block-UPA factor, and each geometry's steering is built only
+    when the caller asks for it, so that one that drops it before asking
+    for the next holds one receive stack at a time.
+    """
+    a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
+    r_tx = np.stack([np.linalg.qr(a_tx[:, b], mode="r")
+                     for b in range(a_tx.shape[1])])
+    del a_tx
+    az, el = paths.aoa_azimuth, paths.aoa_elevation
+    blocks: dict[tuple, np.ndarray] = {}
+    for geometry in geometries:
+        key = (geometry.n_blocks, geometry.block_spacing)
+        if key not in blocks:
+            blocks[key] = upa_response(az, el, *key)
+        a_rx = array_response(geometry, az, el, block=blocks[key])
+        scale = math.sqrt(n_tx * geometry.n_elements / paths.n_paths)
+        yield geometry, ChannelBlock(np.moveaxis(a_rx, 0, 1),
+                                     scale * paths.gains, r_tx, n_tx)
+        del a_rx
 
 
 def generate_channel(params: ChannelParams, rx_geometry: ArrayGeometry,

@@ -2,7 +2,8 @@
 
 Each check exercises one optimizer or channel contract against an
 independent oracle (grid search, exhaustive enumeration, generic
-pseudoinverse, Monte-Carlo statistic, dense SVD) and reports PASS/FAIL/SKIP.
+pseudoinverse, Monte-Carlo statistic, dense SVD, lone reference) and
+reports PASS/FAIL/SKIP.
 A check that raises reports FAIL with the exception, and the suite goes on.
 """
 
@@ -19,7 +20,8 @@ from . import optimizer
 from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
                            is_proportional, phase_grid)
 from .arrays import ArrayGeometry
-from .channel import ChannelParams, channel_matrix, draw_paths, generate_channel
+from .channel import (ChannelParams, Paths, block_channels, channel_matrix,
+                      draw_paths, generate_channel)
 
 
 @dataclass(frozen=True)
@@ -178,15 +180,18 @@ def check_factored_reference():
     """The reference of a factored channel from its R factors must match the
     dense SVD for 3 streams: singular values, stream projectors w w^H and
     f f^H, and the phase-fixed columns.  Covers N_r below and above the
-    path count, and 36x2, the worst-conditioned bundled receive factor."""
-    n_streams = 3
+    path count, and 36x2, the worst-conditioned bundled receive factor.
+    The block stage a run uses must give, for the same draws stacked,
+    W_opt and Sigma bit for bit equal to the lone reference."""
+    n_streams, n_draws = 3, 10
     rng = np.random.default_rng(16)
     geometries = (ArrayGeometry(9, 4), ArrayGeometry(36, 6),
                   ArrayGeometry(36, 2))
-    worst = 0.0
-    for _ in range(10):
-        paths = draw_paths(ChannelParams(n_tx=144), rng)
-        for geometry in geometries:
+    draws = [draw_paths(ChannelParams(n_tx=144), rng) for _ in range(n_draws)]
+    worst, unequal = 0.0, 0
+    for geometry, block in block_channels(Paths.stack(draws), 144, geometries):
+        w_block, s_block, ok = optimizer.block_reference(block, n_streams)
+        for row, paths in enumerate(draws):
             channel = channel_matrix(paths, 144, geometry)
             dense = optimizer.optimal_digital_combiner(channel.dense(), n_streams)
             factored = optimizer.optimal_digital_combiner(channel, n_streams)
@@ -198,8 +203,13 @@ def check_factored_reference():
                 deviations += [np.max(np.abs(a @ a.conj().T - b @ b.conj().T)),
                                np.max(np.abs(a - b))]
             worst = max(worst, *deviations)
-    return (_status(worst <= 1e-9),
-            f"max deviation from the dense SVD: {worst:.2e}")
+            same = (ok[row] and np.array_equal(w_block[row], factored.w_opt)
+                    and np.array_equal(s_block[row],
+                                       factored.singular_values[:n_streams]))
+            unequal += not same
+    return (_status(worst <= 1e-9 and not unequal),
+            f"max deviation from the dense SVD: {worst:.2e}, block stage "
+            f"unequal in {unequal} of {n_draws * len(geometries)} samples")
 
 
 def run_all() -> list[CheckResult]:

@@ -4,12 +4,15 @@ The achievable rate uses the pseudoinverse form of the combined receive
 filter, which accounts for combiner-colored noise and is invariant to any
 invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
 on identical per-trial channels (paired comparison).  Trials run in blocks
-of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one:
-the channels of a block are drawn trial by trial, then every curve is
-solved once over the whole block, in one ``solve_stack`` call per block,
-and each curve is rated from its own rows.  Every sample is computed
-exactly as it would be alone, and results are aggregated in fixed trial
-order, so they depend on neither the block size nor the scheduling.
+of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
+The paths of a block are drawn trial by trial, and its references are
+built for the whole block at once: one stacked core SVD per receive
+geometry, with a lone re-run through the single-channel oracle for a
+trial that fails there.  Then every curve is solved once over the whole
+block, in one ``solve_stack`` call per block, and each curve is rated from
+its own rows.  Every sample is computed exactly as it would be alone, and
+results are aggregated in fixed trial order, so they depend on neither the
+block size nor the scheduling.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ import numpy as np
 
 # compose_wrf and alternating_minimize stay importable here: the per-layer
 # benchmark trace patches them at these names.
-from .architecture import ReuseArchitecture, compose_wrf, is_proportional
+from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
+                           is_proportional)
 from .arrays import ArrayGeometry
-from .channel import ChannelParams, LowRankChannel, channel_matrix, draw_paths
+from .channel import (ChannelParams, LowRankChannel, Paths, block_channels,
+                      channel_matrix, draw_paths)
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
-                        optimal_digital_combiner, solve_stack)
+                        block_reference, optimal_digital_combiner,
+                        solve_stack)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -79,8 +85,7 @@ def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
     taken as W_opt Sigma per sample (H f_i = sigma_i w_i up to a column
     phase, which cancels in T T^H).  W = diag(u) W_LC W_BB is formed
     row-wise, and its Gram matrix is apd_depth * W_BB^H W_BB."""
-    u = np.exp(1j * (np.repeat(sol.phases, arch.lo_depth, axis=-1)
-                     + arch.intra_offsets.ravel()))
+    u = np.exp(1j * diagonal_phases(arch, sol.phases))
     w = u[..., None] * np.repeat(sol.w_bb, arch.apd_depth, axis=-2)
     gram = arch.apd_depth * (_adjoint(sol.w_bb) @ sol.w_bb)
     return _gain_eigenvalues(_adjoint(w) @ (w_opt * sigma[..., None, :]), gram)
@@ -257,39 +262,88 @@ class ResultTable:
     name: str = "experiment"
 
 
-def _solver_rngs(seed: int, trials: tuple[int, ...],
-                 unit: EvalUnit) -> Iterator[np.random.Generator]:
-    """Independent init stream per (trial, structural identity).  Resolution
-    variants of one structure share a stream, pairing their initial phases.
-    Lazy: the direct solver draws nothing, so it builds no stream."""
+def _stream_key(unit: EvalUnit) -> tuple[int, ...]:
+    """Structural identity of a curve.  Resolution variants of one
+    structure share it, and with it their initial phases."""
     arch = unit.arch
+    return (_KIND_CODES[unit.kind], arch.n_blocks, arch.lo_depth,
+            arch.apd_depth)
+
+
+def _solver_rngs(seed: int, trials: tuple[int, ...],
+                 key: tuple[int, ...]) -> Iterator[np.random.Generator]:
+    """Independent init stream per (trial, stream key).  Lazy: the direct
+    solver draws nothing, so it builds no stream."""
     return (np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(1, t, _KIND_CODES[unit.kind],
-                         arch.n_blocks, arch.lo_depth, arch.apd_depth)))
-        for t in trials)
+        seed, spawn_key=(1, t, *key))) for t in trials)
 
 
 def _channel_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, trial)))
 
 
-def _trial_channels(spec: ExperimentSpec, trial: int
-                    ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
-    """Draw the trial's paths once and keep, per receive geometry, the
-    combining target W_opt and its n_streams singular values Sigma.  All
-    geometries share one transmit factor."""
-    paths = draw_paths(spec.channel, _channel_rng(spec.seed, trial))
+def _trial_references(spec: ExperimentSpec, paths: Paths
+                      ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
+    """One trial alone, through the single-channel oracle: per receive
+    geometry, the combining target W_opt and its n_streams singular values
+    Sigma."""
     out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
-    transmit = None
     for unit in spec.units:
         if unit.geometry not in out:
-            channel = channel_matrix(paths, spec.channel.n_tx, unit.geometry,
-                                     transmit=transmit)
-            transmit = channel.transmit
-            ref = optimal_digital_combiner(channel, spec.n_streams)
+            ref = optimal_digital_combiner(channel_matrix(
+                paths, spec.channel.n_tx, unit.geometry), spec.n_streams)
             out[unit.geometry] = (ref.w_opt,
                                   ref.singular_values[:spec.n_streams])
     return out
+
+
+def _block_references(spec: ExperimentSpec, trials: range
+                      ) -> tuple[dict[ArrayGeometry, tuple[np.ndarray, ...]],
+                                 dict[int, str]]:
+    """Draw each trial's paths once and build, per receive geometry, the
+    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) for the whole block,
+    with the errors of the trials that failed.
+
+    The stacks come from ``block_channels`` and ``block_reference``.  A
+    trial whose paths are not finite, whose channel fails the rank test,
+    or whose stack's SVD raises, is run again alone from the same paths
+    through ``_trial_references``; it is dropped if that raises, with the
+    oracle's error, and keeps the rows it gives otherwise.  The rows of a
+    dropped trial are left unset.
+    """
+    n_s = spec.n_streams
+    draws = [draw_paths(spec.channel, _channel_rng(spec.seed, t))
+             for t in trials]
+    paths = Paths.stack(draws)
+    redo = ~paths.finite()
+    rows = np.flatnonzero(~redo)
+    stacks = {geometry: (
+        np.empty((len(trials), geometry.n_elements, n_s), complex),
+        np.empty((len(trials), n_s)))
+        for geometry in dict.fromkeys(unit.geometry for unit in spec.units)}
+    if rows.size:
+        for geometry, channels in block_channels(
+                paths.take(rows), spec.channel.n_tx, stacks):
+            try:
+                w_opt, sigma, ok = block_reference(channels, n_s)
+            except np.linalg.LinAlgError:
+                ok = np.zeros(rows.size, dtype=bool)
+            else:
+                stacks[geometry][0][rows] = w_opt
+                stacks[geometry][1][rows] = sigma
+            del channels  # free its steering before the next geometry's
+            redo[rows[~ok]] = True
+    errors: dict[int, str] = {}
+    for row in np.flatnonzero(redo):
+        try:
+            refs = _trial_references(spec, draws[row])
+        except (NumericError, np.linalg.LinAlgError) as exc:
+            errors[trials[row]] = f"trial {trials[row]}: {exc}"
+            continue
+        for geometry, parts in refs.items():
+            for stack, part in zip(stacks[geometry], parts):
+                stack[row] = part
+    return stacks, errors
 
 
 # A curve maps (unit, solution batch or None, W_opt, Sigma) on some trials
@@ -301,38 +355,28 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
                n_points: int) -> tuple[np.ndarray, dict[int, str]]:
     """Evaluate every curve on one block of trials.
 
-    Each trial's references are copied into one stack per geometry, row
-    by row, as the trials are drawn.  Every architecture curve is solved
-    once, in one ``solve_stack`` call on the trials whose channels
+    The references of the whole block are built first, one stack per
+    geometry (``_block_references``).  Every architecture curve is solved
+    once, in one ``solve_stack`` call on the trials whose references
     succeeded, and each is rated from its own rows.  A trial that fails,
-    in its channels or in any curve, loses its value for every curve.
+    in its references or in any curve, loses its value for every curve.
     When a curve's rate raises for the block, it is rated on each trial
     alone to find the ones that failed.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
-    errors: dict[int, str] = {}
-    stacks: dict[ArrayGeometry, list[np.ndarray]] = {}
-    for row, t in enumerate(trials):
-        try:
-            channels = _trial_channels(spec, t)
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            errors[t] = f"trial {t}: {exc}"
-            continue
-        for geometry, parts in channels.items():
-            if geometry not in stacks:
-                stacks[geometry] = [np.empty((len(trials), *p.shape), p.dtype)
-                                    for p in parts]
-            for stack, part in zip(stacks[geometry], parts):
-                stack[row] = part
+    stacks, errors = _block_references(spec, trials)
 
     good = [r for r, t in enumerate(trials) if t not in errors]
     if not good:
         return out, errors
     curves = {i: u for i, u in enumerate(spec.units) if u.arch is not None}
+    streams = {key: _solver_rngs(spec.seed, tuple(trials[r] for r in good),
+                                 key)
+               for key in map(_stream_key, curves.values())}
     solved = dict(zip(curves, solve_stack([
         (unit.arch, stacks[unit.geometry][0][good],
-         _solver_rngs(spec.seed, tuple(trials[r] for r in good), unit),
-         unit.solver) for unit in curves.values()], spec.solver)))
+         streams[_stream_key(unit)], unit.solver)
+        for unit in curves.values()], spec.solver)))
 
     def evaluate(i: int, rows: list[int]) -> np.ndarray:
         unit, sol = spec.units[i], solved.get(i)

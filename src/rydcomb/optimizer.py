@@ -19,7 +19,7 @@ import numpy as np
 
 from .architecture import (MAX_RESOLUTION_BITS, TWO_PI, ReuseArchitecture,
                            check_phases, is_proportional)
-from .channel import LowRankChannel
+from .channel import ChannelBlock, LowRankChannel
 from .errors import ArchitectureError, NumericError
 
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
@@ -64,12 +64,14 @@ class CombinerSolution:
 
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive.
-    Makes the SVD basis reproducible across runs and platforms."""
-    pivot = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    Makes the SVD basis reproducible across runs and platforms.  Leading
+    axes are batch axes."""
+    pivot = np.take_along_axis(m, np.argmax(np.abs(m), axis=-2)[..., None, :],
+                               axis=-2)
     keep = pivot != 0  # a zero column stays as it is
-    out = m.copy()
-    out[:, keep] *= np.conj(pivot[keep]) / np.abs(pivot[keep])
-    return out
+    rotation = np.divide(np.conj(pivot), np.abs(pivot), where=keep,
+                         out=np.ones_like(pivot))
+    return np.multiply(m, rotation, where=keep, out=m.copy())
 
 
 def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
@@ -120,6 +122,26 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
     return DigitalReference(
         w_opt=_fix_column_phases(w), f_opt=_fix_column_phases(f),
         singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
+
+
+def block_reference(h: ChannelBlock, n_streams: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a run reads of ``optimal_digital_combiner``, for a block of
+    factored channels: the phase-fixed W_opt (B, N_r, N_s), the leading
+    singular values (B, N_s), and per sample whether the channel passes
+    the rank test.  Where it does, the sample equals the lone reference
+    bit for bit.  One QR per sample, then one core product, one SVD and
+    one vector mapping for the whole stack; raises LinAlgError when the
+    SVD of any sample fails.
+    """
+    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
+    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
+    u, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
+                             full_matrices=False)
+    ok = ~(s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0])
+    f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
+    w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
+    return _fix_column_phases(w / s[:, None, :n_streams]), s[:, :n_streams], ok
 
 
 def optimal_phase(block_target: np.ndarray,
@@ -308,7 +330,9 @@ def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
     A segment runs the direct solver when ``method`` is 'direct', or 'auto'
     on proportional reuse; else alternating minimization with sample i's
     initial phases drawn from its i-th generator, which only this branch
-    reads.  Alternating segments that share n_blocks, lo_depth and
+    reads.  Segments given the same generators object draw from it once
+    and start from the same phases, as resolution variants of one structure
+    do in a run.  Alternating segments that share n_blocks, lo_depth and
     resolution_bits run in one kernel loop.
 
     Alternating minimization draws its initial phases uniformly on
@@ -321,6 +345,7 @@ def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
     """
     out: list[Optional[SolutionBatch]] = [None] * len(segments)
     stacks: dict[tuple, list] = {}
+    drawn: dict[int, np.ndarray] = {}  # initial phases by generators object
     for i, (arch, w_opt, rngs, method) in enumerate(segments):
         if method not in SOLVE_METHODS:
             raise ValueError(f"unknown solver method {method!r}")
@@ -328,11 +353,13 @@ def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
         if method == "direct" or (method == "auto" and is_proportional(arch)):
             out[i] = direct_solve_proportional(arch, w_opt)
             continue
-        phases = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
-                           for rng in rngs])
-        if len(phases) != len(w_opt):
+        if id(rngs) not in drawn:
+            drawn[id(rngs)] = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
+                                        for rng in rngs])
+        phases = drawn[id(rngs)]
+        if phases.shape != (len(w_opt), arch.n_blocks):
             raise ValueError(f"{len(phases)} generators for {len(w_opt)} "
-                             "targets")
+                             f"targets of {arch.n_blocks} blocks")
         stacks.setdefault((arch.n_blocks, arch.lo_depth, arch.resolution_bits),
                           []).append((i, (arch, w_opt, phases)))
     for stack in stacks.values():

@@ -6,6 +6,8 @@ import pytest
 from rydcomb import (ArrayGeometry, ChannelParams, GeometryError, Paths,
                      array_response, channel_matrix, draw_paths,
                      generate_channel, upa_response)
+from rydcomb import channel
+from rydcomb.channel import block_channels
 
 
 def nonupa(n_blocks=36, n_per_block=6):
@@ -120,3 +122,47 @@ class TestDeterminism:
         h_flat = channel_matrix(paths, 144, ArrayGeometry(36, 1))
         assert h_deep.shape == (216, 144)
         assert h_flat.shape == (36, 144)
+
+
+class TestBlockChannels:
+    GEOMETRIES = [ArrayGeometry(36, 1), nonupa(36, 6), nonupa(9, 4)]
+
+    def test_samples_equal_channel_matrix(self):
+        rng = np.random.default_rng(3)
+        draws = [draw_paths(default_params(), rng) for _ in range(4)]
+        for geometry, block in block_channels(Paths.stack(draws), 144,
+                                              self.GEOMETRIES):
+            assert block.shape == (geometry.n_elements, 144)
+            for b, paths in enumerate(draws):
+                lone = channel_matrix(paths, 144, geometry)
+                np.testing.assert_array_equal(block.a_rx[b], lone.a_rx)
+                np.testing.assert_array_equal(block.gains[b], lone.gains)
+                np.testing.assert_array_equal(block.r_tx[b], lone.transmit.r)
+
+    def test_one_upa_factor_per_block_layout(self, monkeypatch):
+        # the transmitter, then one factor for the two 36-block layouts
+        # and one for the 9-block layout
+        calls = []
+        upa = channel.upa_response
+
+        def recording(az, el, n_elements, spacing):
+            calls.append(n_elements)
+            return upa(az, el, n_elements, spacing)
+
+        monkeypatch.setattr(channel, "upa_response", recording)
+        paths = Paths.stack([draw_paths(default_params(),
+                                        np.random.default_rng(s))
+                             for s in range(3)])
+        list(block_channels(paths, 144, self.GEOMETRIES))
+        assert calls == [144, 36, 9]
+
+    def test_block_and_single_draw_kept_apart(self):
+        paths = draw_paths(default_params(), np.random.default_rng(0))
+        block = Paths.stack([paths, paths])
+        assert block.gains.shape == (2, 50) and block.n_paths == 50
+        np.testing.assert_array_equal(block.finite(), [True, True])
+        with pytest.raises(ValueError, match="one draw"):
+            channel_matrix(block, 144, self.GEOMETRIES[0])
+        with pytest.raises(ValueError):
+            Paths(**{k: np.stack([v] * 2)[..., None]
+                     for k, v in vars(paths).items()})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rydcomb import (ArchitectureError, ArrayGeometry,
-                     ChannelParams, ConfigError, DigitalReference, EvalUnit,
+                     ChannelParams, ConfigError, EvalUnit,
                      ExperimentSpec, NumericError, OptimizerConfig,
                      ReuseArchitecture, alternating_minimize, channel_matrix,
                      combined_gain_eigenvalues, compose_wrf, draw_paths,
@@ -13,7 +13,8 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      pc_architecture, run_convergence, run_experiment,
                      spectral_efficiency)
 from rydcomb import evaluation
-from rydcomb.cli import main
+from rydcomb.channel import Paths
+from rydcomb.cli import main, parse_config
 
 
 def rand_complex(rng, shape):
@@ -310,22 +311,66 @@ class TestFailedTrials:
 
     BAD = 2
 
-    def _fail_trial(self, monkeypatch, fail):
-        current = {}
+    def _watch(self, monkeypatch, replace_paths=None):
+        """Record the block stage's draws, as (trial, paths), and the paths
+        it runs again alone; ``replace_paths`` makes trial BAD's paths of
+        its draw."""
+        drawn, rerun, trial = [], [], []
         channel_rng = evaluation._channel_rng
-        reference = evaluation.optimal_digital_combiner
+        paths_of = evaluation.draw_paths
+        trial_references = evaluation._trial_references
 
-        def recording_rng(seed, trial):
-            current["trial"] = trial
-            return channel_rng(seed, trial)
+        def recording_rng(seed, t):
+            trial[:] = [t]
+            return channel_rng(seed, t)
 
-        def failing_reference(h, n_streams):
-            ref = reference(h, n_streams)
-            return fail(ref) if current["trial"] == self.BAD else ref
+        def recording_draw(params, rng):
+            paths = paths_of(params, rng)
+            if replace_paths is not None and trial[0] == self.BAD:
+                paths = replace_paths(paths)
+            drawn.append((trial[0], paths))
+            return paths
+
+        def recording_rerun(spec, paths):
+            rerun.append(paths)
+            return trial_references(spec, paths)
 
         monkeypatch.setattr(evaluation, "_channel_rng", recording_rng)
-        monkeypatch.setattr(evaluation, "optimal_digital_combiner",
-                            failing_reference)
+        monkeypatch.setattr(evaluation, "draw_paths", recording_draw)
+        monkeypatch.setattr(evaluation, "_trial_references", recording_rerun)
+        return drawn, rerun
+
+    def _fail_trial(self, monkeypatch, fail):
+        """Pass trial BAD's combining target through ``fail`` in the block
+        stage's stacks and in its lone re-run.  When ``fail`` raises, the
+        stack holding BAD raises LinAlgError, as a stacked SVD does, so
+        that every trial of it is re-run alone.  The stage draws the trials
+        of a block in order before it builds any stack, so the trials drawn
+        last are the rows of each stack (these draws are all finite)."""
+        drawn, _ = self._watch(monkeypatch)
+        stage = evaluation.block_reference
+        rerun = evaluation._trial_references
+
+        def failing_stage(channels, n_streams):
+            w_opt, sigma, ok = stage(channels, n_streams)
+            rows = [t for t, _ in drawn[-len(w_opt):]]
+            if self.BAD in rows:
+                row = rows.index(self.BAD)
+                try:
+                    w_opt[row] = fail(w_opt[row])
+                except NumericError as exc:
+                    raise np.linalg.LinAlgError(str(exc)) from exc
+            return w_opt, sigma, ok
+
+        def failing_rerun(spec, paths):
+            refs = rerun(spec, paths)
+            if any(t == self.BAD and p is paths for t, p in drawn):
+                refs = {g: (fail(w_opt), sigma)
+                        for g, (w_opt, sigma) in refs.items()}
+            return refs
+
+        monkeypatch.setattr(evaluation, "block_reference", failing_stage)
+        monkeypatch.setattr(evaluation, "_trial_references", failing_rerun)
 
     def _check_contained(self, spec):
         with pytest.warns(RuntimeWarning) as record:
@@ -336,19 +381,43 @@ class TestFailedTrials:
                     if issubclass(w.category, RuntimeWarning)]
         assert len(messages) == 1
         assert f"trial {self.BAD}:" in messages[0]
+        return messages[0]
+
+    def test_non_finite_paths_drop_one_trial(self, monkeypatch):
+        def nan_gain(paths):
+            gains = paths.gains.copy()
+            gains[3] = np.nan
+            return replace(paths, gains=gains)
+        drawn, rerun = self._watch(monkeypatch, nan_gain)
+        message = self._check_contained(small_spec(trials=6))
+        assert "non-finite" in message
+        assert [t for t, _ in drawn] == list(range(6))  # none drawn again
+        # kept out of the stacks, so no stack fails and the others stay
+        assert len(rerun) == 1 and np.isnan(rerun[0].gains[3])
+
+    def test_rank_deficient_paths_drop_one_trial(self, monkeypatch):
+        # every path a copy of the first: rank 1, below the 2 streams
+        def one_path(paths):
+            return Paths(**{k: v[np.zeros(v.size, dtype=int)]
+                            for k, v in vars(paths).items()})
+        drawn, rerun = self._watch(monkeypatch, one_path)
+        message = self._check_contained(small_spec(trials=6))
+        assert "rank below n_streams=2" in message
+        assert [t for t, _ in drawn] == list(range(6))
+        assert len(rerun) == 1 and np.all(rerun[0].gains == rerun[0].gains[0])
+
+    @staticmethod
+    def explode(w_opt):
+        raise NumericError("synthetic SVD failure")
 
     def test_reference_failure_drops_one_trial(self, monkeypatch):
-        def explode(ref):
-            raise NumericError("synthetic SVD failure")
-        self._fail_trial(monkeypatch, explode)
+        self._fail_trial(monkeypatch, self.explode)
         self._check_contained(small_spec(trials=6))
 
     @staticmethod
-    def zero_target(ref):
+    def zero_target(w_opt):
         # W_BB = 0 for a zero target, so the rate's Cholesky factor fails
-        return DigitalReference(w_opt=np.zeros_like(ref.w_opt),
-                                f_opt=ref.f_opt,
-                                singular_values=ref.singular_values)
+        return np.zeros_like(w_opt)
 
     def rate_failure_spec(self):
         # the digital curve comes first, so the failing trial has a value
@@ -399,9 +468,7 @@ class TestFailedTrials:
         # the stack is solved on the trials whose references succeeded;
         # each curve must still read its own rows, as when solved alone in
         # blocks of one trial, where no row is left to map
-        def explode(ref):
-            raise NumericError("synthetic SVD failure")
-        self._fail_trial(monkeypatch, explode)
+        self._fail_trial(monkeypatch, self.explode)
         spec = self.shared_stack_spec()
         self._check_contained(spec)
         with pytest.warns(RuntimeWarning):
@@ -443,6 +510,58 @@ class TestFailedTrials:
         run_experiment(small_spec(trials=6, units=units))
         archs = [u.arch for u in units if u.arch is not None]
         assert calls == [archs, archs]
+
+
+class TestBlockReferences:
+    """The block reference stage against the single-channel oracle."""
+
+    CONFIGS = [("smoke", "sweep-snr"), ("fig5", "sweep-snr"),
+               ("fig6a", "sweep-snr"), ("fig6b", "sweep-snr"),
+               ("fig7", "sweep-snr"), ("fig8", "sweep-snr"),
+               ("fig9", "sweep-snr"), ("fig10", "sweep-chains"),
+               ("convergence", "convergence")]
+
+    @pytest.mark.parametrize("block", [1, 4, 32])
+    def test_equal_to_lone_references(self, configs_dir, block):
+        # every bundled geometry: N_r = 36 below the 50 paths, the 72- to
+        # 216-element reuse arrays, and fig10's 144-element UPA and
+        # 36x4 non-UPA partially-connected arrays
+        seen = set()
+        trials = range(3, 3 + block)
+        for name, command in self.CONFIGS:
+            spec, _ = parse_config(configs_dir / f"{name}.json", command)
+            stacks, errors = evaluation._block_references(spec, trials)
+            assert not errors
+            for row, t in enumerate(trials):
+                paths = draw_paths(spec.channel,
+                                   evaluation._channel_rng(spec.seed, t))
+                for geometry, (w_opt, sigma) in stacks.items():
+                    ref = optimal_digital_combiner(channel_matrix(
+                        paths, spec.channel.n_tx, geometry), spec.n_streams)
+                    np.testing.assert_array_equal(w_opt[row], ref.w_opt)
+                    np.testing.assert_array_equal(
+                        sigma[row], ref.singular_values[:spec.n_streams])
+            seen.update(stacks)
+        assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
+        assert ArrayGeometry(144, 1) in seen
+
+    def test_one_stream_per_trial_and_structure(self, monkeypatch,
+                                                configs_dir):
+        # convergence: two structures, each at 1 bit and continuous; the
+        # variants of one structure share its generator of each trial
+        built = []
+        solver_rngs = evaluation._solver_rngs
+
+        def recording(seed, trials, key):
+            for t, rng in zip(trials, solver_rngs(seed, trials, key)):
+                built.append((t, key))
+                yield rng
+
+        monkeypatch.setattr(evaluation, "_solver_rngs", recording)
+        spec, _ = parse_config(configs_dir / "convergence.json",
+                               "convergence", trials_override=4)
+        run_convergence(spec)
+        assert len(built) == len(set(built)) == 4 * 2
 
 
 class TestTrialBlocks:

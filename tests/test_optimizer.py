@@ -578,6 +578,26 @@ class TestSolveBatch:
             np.testing.assert_array_equal(batch.w_bb[i], lone.w_bb)
             assert batch.solution(i).residual == lone.residual
 
+    def test_shared_generators_drawn_once(self):
+        # resolution variants given one generators object start from the
+        # same phases: each row equals its lone solve from a fresh
+        # generator of the same seed
+        archs = [ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4,
+                                   resolution_bits=bits) for bits in (1, None)]
+        w_opt = self.channel_targets(6, 3, seed=25)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        config = OptimizerConfig(epsilon=1e-4, max_iterations=20)
+        batches = solve_stack([(arch, w_opt, rngs, "altmin")
+                               for arch in archs], config)
+        for arch, batch in zip(archs, batches):
+            for i in range(3):
+                lone = alternating_minimize(arch, w_opt[i], config=config,
+                                            rng=np.random.default_rng(i))
+                np.testing.assert_array_equal(batch.solution(i).phases,
+                                              lone.phases)
+                np.testing.assert_array_equal(batch.solution(i).w_bb,
+                                              lone.w_bb)
+
     def test_one_generator_per_target(self):
         arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
         w_opt = self.channel_targets(6, 3, seed=22)
