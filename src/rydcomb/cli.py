@@ -9,6 +9,7 @@ in dB and converted once here at the boundary.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -275,6 +276,7 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
             raise ConfigError(f"sweep.values: lo_depth {value} must be >= 1")
         sweep_value = None if value is None else float(value)
         arch_units: list[EvalUnit] = []
+        first_with: dict[str, str] = {}  # entry path by label
         for entry in entries:
             lo = (value if param == "lo_depth"
                   else entry.get("lo_depth", int, default=1))
@@ -287,6 +289,11 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
             label = entry.get("label", str, default=", ".join(
                 f"{k}={v}" for k, v in (("lo_depth", lo), ("apd_depth", apd))
                 if k != swept_key))
+            if label in first_with:
+                raise ConfigError(
+                    f"{first_with[label]} and {entry.path} have the same "
+                    f"label {label!r}; set label on one of them")
+            first_with[label] = entry.path
             arch = entry.build(
                 ReuseArchitecture, n_blocks=n_blocks, lo_depth=lo,
                 apd_depth=apd, intra_spacing=intra_spacing,
@@ -392,6 +399,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use, then shared by every call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydcomb",

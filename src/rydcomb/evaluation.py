@@ -440,10 +440,21 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
             f"{len(errors)} of {spec.trials} trials failed and were excluded "
             f"(first: {errors[0]})", RuntimeWarning)
 
+    # one (unit, point) column per row; the row-wise mean and std of the
+    # columns without a failed trial equal the lone ones bit for bit
+    columns = np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
+    full = np.isfinite(columns).all(axis=1)
+    reduced = np.zeros((len(columns), 2))  # mean, stderr
+    reduced[full, 0] = columns[full].mean(axis=1)
+    if len(stacked) > 1:
+        reduced[full, 1] = (columns[full].std(axis=1, ddof=1)
+                            / np.sqrt(len(stacked)))
     rows: list[ResultRow] = []
     for i, unit in enumerate(spec.units):
         for k in range(n_points):
-            mean, stderr, n = _mean_stderr(stacked[:, i, k])
+            c = i * n_points + k
+            mean, stderr, n = ((*reduced[c].tolist(), len(stacked)) if full[c]
+                               else _mean_stderr(columns[c]))
             rows.append(ResultRow(label=unit.label, sweep_param=sweep_param,
                                   sweep_value=float(sweep_value(unit, k)),
                                   mean_se=mean, stderr=stderr, trials=n))

@@ -144,6 +144,18 @@ def block_reference(h: ChannelBlock, n_streams: int
     return _fix_column_phases(w / s[:, None, :n_streams]), s[:, :n_streams], ok
 
 
+def _trace_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, as np.sum adds it.  numpy adds fewer than 4
+    complex terms one by one, so slice adds in order give the same bits
+    (up to the sign of a zero) and are much faster on a short axis."""
+    if not 0 < p.shape[-1] < 4:
+        return p.sum(-1)
+    t = p[..., 0].copy()
+    for i in range(1, p.shape[-1]):
+        t += p[..., i]
+    return t
+
+
 def optimal_phase(block_target: np.ndarray,
                   block_product: np.ndarray) -> Union[float, np.ndarray]:
     """Globally optimal rotation phase for min ||Y - e^{j phi} X||_F.
@@ -158,10 +170,18 @@ def optimal_phase(block_target: np.ndarray,
     x = np.asarray(block_product)
     if y.shape != x.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {x.shape}")
-    t = np.sum(np.conj(x) * y, axis=(-2, -1))
+    p = np.conj(x) * y
+    t = _trace_sum(p.reshape(*p.shape[:-2], -1))
     phi = np.angle(t) % TWO_PI
     phi = np.where((t == 0) | (TWO_PI - phi < 1e-12), 0.0, phi)
     return float(phi) if phi.ndim == 0 else phi
+
+
+def _phase_level(phase: np.ndarray, bits: int) -> np.ndarray:
+    """Index k of the nearest B-bit grid phase k * 2pi / 2^B."""
+    n_levels = 2 ** bits
+    return np.round(np.asarray(phase, dtype=float) / (TWO_PI / n_levels)
+                    ).astype(int) % n_levels
 
 
 def quantize_phase(phase: Union[float, np.ndarray], bits: int):
@@ -170,11 +190,30 @@ def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     elementwise on arrays; a scalar phase gives a float."""
     if not 1 <= bits <= MAX_RESOLUTION_BITS:
         raise ValueError(f"bits must be in [1, {MAX_RESOLUTION_BITS}]")
-    n_levels = 2 ** bits
-    step = TWO_PI / n_levels
-    q = step * (np.round(np.asarray(phase, dtype=float) / step).astype(int)
-                % n_levels)
+    q = TWO_PI / 2 ** bits * _phase_level(phase, bits)
     return float(q) if q.ndim == 0 else q
+
+
+def _group_layout(apd_depth: np.ndarray, n_r: int):
+    """The reduceat starts, divisors and repeat counts of the adder groups
+    of a stack whose sample i has apd_depth[i]; None when every group holds
+    one antenna, whose mean is its own row."""
+    if np.all(apd_depth == 1):
+        return None
+    groups = np.repeat(apd_depth, n_r // apd_depth)
+    return np.cumsum(groups) - groups, groups[:, None], groups
+
+
+def _group_rows(prod: np.ndarray, layout) -> np.ndarray:
+    """Each adder group's mean of prod (B, N_r, N_s), repeated to its
+    antenna rows.  reduceat adds x_0 + pairwise(x_1, ...), which neither a
+    reshape-sum nor a sum over the group axis first reproduces from an
+    apd_depth of 3 on."""
+    if layout is None:
+        return prod
+    starts, divisor, groups = layout
+    w_bb = np.add.reduceat(prod.reshape(-1, prod.shape[-1]), starts) / divisor
+    return np.repeat(w_bb, groups, axis=0).reshape(prod.shape)
 
 
 def update_wbb(u: np.ndarray, w_opt: np.ndarray,
@@ -191,17 +230,17 @@ def update_wbb(u: np.ndarray, w_opt: np.ndarray,
     for all, and every group is summed the same way.
     """
     prod = np.conj(u)[..., None] * w_opt
-    *batch, n_r, n_s = prod.shape
-    sizes = np.broadcast_to(apd_depth, batch).ravel()
-    groups = np.repeat(sizes, n_r // sizes)
-    w_bb = (np.add.reduceat(prod.reshape(-1, n_s), np.cumsum(groups) - groups)
-            / groups[:, None])
-    return np.repeat(w_bb, groups, axis=0).reshape(prod.shape)
+    *batch, n_r, _ = prod.shape
+    return _group_rows(prod, _group_layout(
+        np.broadcast_to(apd_depth, batch).ravel(), n_r))
 
 
-def _residual(target: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """||target - diag(u) rows||_F per sample of a stack."""
-    return np.linalg.norm(target - u[..., None] * rows, axis=(-2, -1))
+def _residual(target: np.ndarray, u: np.ndarray, rows: np.ndarray,
+              buf: np.ndarray) -> np.ndarray:
+    """||target - diag(u) rows||_F per sample of a stack, formed in buf."""
+    np.multiply(u[..., None], rows, out=buf)
+    np.subtract(target, buf, out=buf)
+    return np.linalg.norm(buf, axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,16 +295,25 @@ def _solve(segments: Sequence[tuple],
     residual is the next W_BB's.  Without a config this is the direct
     solver: one W_BB half-step at the given phases.  Otherwise it
     alternates; each sample stops on its own test and is frozen then.
+
+    The phase half-step is ``optimal_phase``, then ``quantize_phase`` on
+    B-bit phases, whose rotation is looked up among the 2^B grid rotations.
+    On continuous phases the rotation is taken from the block trace t
+    without its angle, as t/|t| (1 where t = 0), and the phases are formed
+    only for a sample that stops, from its last iterate.
     """
     arch = segments[0][0]
+    lo, bits = arch.lo_depth, arch.resolution_bits
     target = np.concatenate([
         np.conj(np.exp(1j * a.intra_offsets.ravel()))[:, None] * w
         for a, w, _ in segments])
     sizes = [len(w) for _, w, _ in segments]
     apd = np.repeat([a.apd_depth for a, _, _ in segments], sizes)
     phases = np.concatenate([p for _, _, p in segments])
-    n_b, _, n_s = target.shape
-    u = np.repeat(np.exp(1j * phases), arch.lo_depth, axis=-1)
+    n_b, n_r, n_s = target.shape
+    u = np.repeat(np.exp(1j * phases), lo, axis=-1)
+    layout = _group_layout(apd, n_r)
+    buf = np.empty_like(target)
 
     def split(phases, rows, history, iterations, converged, method):
         ends = np.cumsum(sizes)
@@ -277,13 +325,15 @@ def _solve(segments: Sequence[tuple],
             for (a, _, _), i, j in zip(segments, ends - sizes, ends)]
 
     if config is None:
-        rows = update_wbb(u, target, apd)
-        return split(phases, rows, _residual(target, u, rows)[:, None],
+        rows = _group_rows(np.conj(u)[..., None] * target, layout)
+        return split(phases, rows, _residual(target, u, rows, buf)[:, None],
                      np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool),
                      "direct")
 
+    blocks = (arch.n_blocks, lo, n_s)
+    if bits is not None:
+        grid = np.exp(1j * (TWO_PI / 2 ** bits * np.arange(2 ** bits)))
     cap = config.max_iterations
-    blocks = (arch.n_blocks, arch.lo_depth, n_s)
     out_phases = np.empty_like(phases)
     out_rows = np.empty_like(target)
     history = np.empty((n_b, cap))
@@ -292,13 +342,18 @@ def _solve(segments: Sequence[tuple],
     live = np.arange(n_b)
     prev_sq = None
     for k in range(cap):
-        rows = update_wbb(u, target, apd)
-        phases = optimal_phase(target.reshape(-1, *blocks),
-                               rows.reshape(-1, *blocks))
-        if arch.resolution_bits is not None:
-            phases = quantize_phase(phases, arch.resolution_bits)
-        u = np.repeat(np.exp(1j * phases), arch.lo_depth, axis=-1)
-        res = _residual(target, u, rows)
+        rows = _group_rows(np.conj(u)[..., None] * target, layout)
+        if bits is None:
+            np.conjugate(rows, out=buf)
+            np.multiply(buf, target, out=buf)
+            t = _trace_sum(buf.reshape(-1, arch.n_blocks, lo * n_s))
+            size = np.abs(t)
+            rotation = np.divide(t, size, out=np.ones_like(t), where=size != 0)
+        else:
+            rotation = grid[_phase_level(optimal_phase(
+                target.reshape(-1, *blocks), rows.reshape(-1, *blocks)), bits)]
+        u = np.repeat(rotation, lo, axis=-1)
+        res = _residual(target, u, rows, buf)
         history[live, k] = res
         sq = res * res
         done = (np.zeros(live.size, dtype=bool) if prev_sq is None
@@ -306,16 +361,20 @@ def _solve(segments: Sequence[tuple],
         stop = done | (k == cap - 1)
         if stop.any():
             idx = live[stop]
-            out_phases[idx] = phases[stop]
+            phases = optimal_phase(target[stop].reshape(-1, *blocks),
+                                   rows[stop].reshape(-1, *blocks))
+            out_phases[idx] = (phases if bits is None
+                               else quantize_phase(phases, bits))
             out_rows[idx] = rows[stop]
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
             converged[idx] = done[stop]
             keep = ~stop
             live, target, u, sq = live[keep], target[keep], u[keep], sq[keep]
-            apd = apd[keep]
             if not live.size:
                 break
+            apd, buf = apd[keep], buf[:live.size]
+            layout = _group_layout(apd, n_r)
         prev_sq = sq
     return split(out_phases, out_rows, history, iterations, converged,
                  "altmin")

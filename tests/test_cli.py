@@ -358,6 +358,12 @@ class TestRunEndToEnd:
         "string-resolution": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "resolution_bits": "x"}]},
             "architectures[0].resolution_bits: expected int, got str"),
+        # default labels name lo_depth and apd_depth only
+        "same-default-label": ({}, {"architectures": [
+            {"lo_depth": 2, "apd_depth": 4},
+            {"lo_depth": 2, "apd_depth": 4, "resolution_bits": 2}]},
+            "architectures[0] and architectures[1] have the same label "
+            "'lo_depth=2, apd_depth=4'; set label"),
     }
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])

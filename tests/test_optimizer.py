@@ -11,7 +11,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, update_wbb)
 from rydcomb.evaluation import pc_architecture
-from rydcomb.optimizer import _fix_column_phases, solve_stack
+from rydcomb.optimizer import _fix_column_phases, _solve, solve_stack
 
 
 def rand_complex(rng, shape):
@@ -604,3 +604,168 @@ class TestSolveBatch:
         with pytest.raises(ValueError, match="generators"):
             solve_stack([(arch, w_opt, [np.random.default_rng(0)],
                           "altmin")], None)
+
+
+# The solver kernel as it stood before the phase half-step took the block
+# rotation from the trace: every pass formed the angle of each block trace
+# and its exp, summed the trace over two axes and summed the adder groups
+# through the general reduceat path.  Kept verbatim as the reference.
+
+def _oracle_phase(block_target, block_product):
+    t = np.sum(np.conj(block_product) * block_target, axis=(-2, -1))
+    phi = np.angle(t) % (2 * np.pi)
+    return np.where((t == 0) | (2 * np.pi - phi < 1e-12), 0.0, phi)
+
+
+def _oracle_quantize(phase, bits):
+    n_levels = 2 ** bits
+    step = 2 * np.pi / n_levels
+    return step * (np.round(np.asarray(phase, dtype=float) / step).astype(int)
+                   % n_levels)
+
+
+def _oracle_wbb(u, w_opt, apd_depth):
+    prod = np.conj(u)[..., None] * w_opt
+    *batch, n_r, n_s = prod.shape
+    sizes = np.broadcast_to(apd_depth, batch).ravel()
+    groups = np.repeat(sizes, n_r // sizes)
+    w_bb = (np.add.reduceat(prod.reshape(-1, n_s), np.cumsum(groups) - groups)
+            / groups[:, None])
+    return np.repeat(w_bb, groups, axis=0).reshape(prod.shape)
+
+
+def _oracle_residual(target, u, rows):
+    return np.linalg.norm(target - u[..., None] * rows, axis=(-2, -1))
+
+
+def _oracle_solve(segments, config=None):
+    """(phases, w_bb, history, iterations, converged) per segment."""
+    arch = segments[0][0]
+    target = np.concatenate([
+        np.conj(np.exp(1j * a.intra_offsets.ravel()))[:, None] * w
+        for a, w, _ in segments])
+    sizes = [len(w) for _, w, _ in segments]
+    apd = np.repeat([a.apd_depth for a, _, _ in segments], sizes)
+    phases = np.concatenate([p for _, _, p in segments])
+    n_b, _, n_s = target.shape
+    u = np.repeat(np.exp(1j * phases), arch.lo_depth, axis=-1)
+
+    def split(phases, rows, history, iterations, converged):
+        ends = np.cumsum(sizes)
+        return [(phases[i:j], np.ascontiguousarray(rows[i:j, ::a.apd_depth]),
+                 history[i:j], iterations[i:j], converged[i:j])
+                for (a, _, _), i, j in zip(segments, ends - sizes, ends)]
+
+    if config is None:
+        rows = _oracle_wbb(u, target, apd)
+        return split(phases, rows, _oracle_residual(target, u, rows)[:, None],
+                     np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool))
+
+    cap = config.max_iterations
+    blocks = (arch.n_blocks, arch.lo_depth, n_s)
+    out_phases = np.empty_like(phases)
+    out_rows = np.empty_like(target)
+    history = np.empty((n_b, cap))
+    iterations = np.full(n_b, cap)
+    converged = np.zeros(n_b, dtype=bool)
+    live = np.arange(n_b)
+    prev_sq = None
+    for k in range(cap):
+        rows = _oracle_wbb(u, target, apd)
+        phases = _oracle_phase(target.reshape(-1, *blocks),
+                               rows.reshape(-1, *blocks))
+        if arch.resolution_bits is not None:
+            phases = _oracle_quantize(phases, arch.resolution_bits)
+        u = np.repeat(np.exp(1j * phases), arch.lo_depth, axis=-1)
+        res = _oracle_residual(target, u, rows)
+        history[live, k] = res
+        sq = res * res
+        done = (np.zeros(live.size, dtype=bool) if prev_sq is None
+                else np.abs(prev_sq - sq) < config.epsilon)
+        stop = done | (k == cap - 1)
+        if stop.any():
+            idx = live[stop]
+            out_phases[idx] = phases[stop]
+            out_rows[idx] = rows[stop]
+            history[idx, k + 1:] = res[stop, None]
+            iterations[idx] = k + 1
+            converged[idx] = done[stop]
+            keep = ~stop
+            live, target, u, sq = live[keep], target[keep], u[keep], sq[keep]
+            apd = apd[keep]
+            if not live.size:
+                break
+        prev_sq = sq
+    return split(out_phases, out_rows, history, iterations, converged)
+
+
+class TestKernelMatchesOracle:
+    """The kernel against the verbatim reference on random stacks that mix
+    adder depths 1, 3, 4 and 36 on 36 blocks: B-bit and direct solves agree
+    bit for bit; continuous solves stop at the same iteration with the same
+    flag, and their iterates agree to 1e-12."""
+
+    @staticmethod
+    def random_stack(lo, n_s, bits, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 55))
+        apds = rng.choice([1, 3, 4, 36], size=count)
+        apds[0] = 1
+        segments = []
+        for apd in (1, 3, 4, 36):
+            n = int(np.sum(apds == apd))
+            if not n:
+                continue
+            arch = ReuseArchitecture(n_blocks=36, lo_depth=lo, apd_depth=apd,
+                                     resolution_bits=bits)
+            w = np.stack([rand_orthonormal(rng, arch.n_r, n_s)
+                          for _ in range(n)])
+            segments.append((arch, w, rng.uniform(0, 2 * np.pi, (n, 36))))
+        # one block whose trace vanishes, and one start just below 2pi: on
+        # one antenna per group the trace keeps the phase it is given
+        arch, w, phases = segments[0]
+        w[0, 5 * lo:6 * lo] = 0
+        phases[-1, 7] = 2 * np.pi - 1e-13
+        return segments
+
+    @staticmethod
+    def kernel(segments, config):
+        return [(b.phases, b.w_bb, b.history, b.iterations, b.converged)
+                for b in _solve(segments, config)]
+
+    @pytest.mark.parametrize("bits", [None, 1, 2, 3])
+    @pytest.mark.parametrize("n_s", [2, 3])
+    @pytest.mark.parametrize("lo", [1, 4, 6])
+    def test_alternating(self, lo, n_s, bits):
+        for seed, config in ((lo * 10 + n_s, OptimizerConfig(1e-4, 100)),
+                             (lo * 10 + n_s + 5, OptimizerConfig(1e-10, 40))):
+            segments = self.random_stack(lo, n_s, bits, seed)
+            oracle = _oracle_solve(segments, config)
+            assert oracle[0][0][0, 5] == 0 and oracle[0][0][-1, 7] < 1e-12
+            for got, want in zip(self.kernel(segments, config), oracle):
+                np.testing.assert_array_equal(got[3], want[3])
+                np.testing.assert_array_equal(got[4], want[4])
+                for g, w in zip(got[:3], want[:3]):
+                    if bits is None:
+                        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+                    else:
+                        np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 2),
+                                       (4, 2), (4, 3), (6, 3)])
+    def test_phase_equals_two_axis_sum(self, shape):
+        # a flat sum, and slice adds below 4 terms, add in np.sum's order
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        x, y = (rand_complex(rng, (50, 36) + shape) for _ in range(2))
+        np.testing.assert_array_equal(optimal_phase(y, x),
+                                      _oracle_phase(y, x))
+
+    @pytest.mark.parametrize("lo", [1, 4, 6])
+    def test_direct(self, lo):
+        for apds in ((1, 3, 4, 36), (1,)):
+            segments = [s for s in self.random_stack(lo, 3, None, lo)
+                        if s[0].apd_depth in apds]
+            for got, want in zip(self.kernel(segments, None),
+                                 _oracle_solve(segments, None)):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
