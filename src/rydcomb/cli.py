@@ -317,18 +317,31 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
     return units
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Write text to path as a new file.  Whatever is at path is unlinked
+    first: a link there is replaced, not written through, and no file
+    holding data is truncated in place."""
+    path.unlink(missing_ok=True)
+    with open(path, "x", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
 def emit_results(table: ResultTable, output_dir: Path,
                  manifest_config: Optional[dict] = None,
                  command: str = "", value_name: str = "mean_se_bps_hz") -> list[Path]:
-    """Write results.csv, results.svg, and manifest.json.
+    """Write results.csv, results.svg, and manifest.json, each as a new
+    file.  The old manifest is removed first and the new one written last,
+    so a manifest marks a complete set of outputs from one run.
 
     The CSV is the authoritative output: UTF-8, LF endings, %.12e means.
     """
     if not table.rows:
         raise ConfigError("result table is empty; nothing to write")
     out = Path(output_dir)
+    manifest_path = out / "manifest.json"
     try:
         out.mkdir(parents=True, exist_ok=True)
+        manifest_path.unlink(missing_ok=True)
         csv_path = out / "results.csv"
         lines = ["label,sweep_param,sweep_value,mean_se_bps_hz,stderr,trials,seed"]
         for r in table.rows:
@@ -337,8 +350,7 @@ def emit_results(table: ResultTable, output_dir: Path,
             lines.append(
                 f"{label},{r.sweep_param},{r.sweep_value:.6g},"
                 f"{r.mean_se:.12e},{r.stderr:.12e},{r.trials},{table.seed}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8",
-                            newline="\n")
+        _write_new(csv_path, "\n".join(lines) + "\n")
 
         series: dict[str, tuple[list[float], list[float]]] = {}
         for r in table.rows:
@@ -349,7 +361,7 @@ def emit_results(table: ResultTable, output_dir: Path,
                               title=table.name, x_label=table.sweep_param,
                               y_label=value_name)
         svg_path = out / "results.svg"
-        svg_path.write_text(svg, encoding="utf-8", newline="\n")
+        _write_new(svg_path, svg)
 
         manifest = {
             "command": command,
@@ -359,10 +371,8 @@ def emit_results(table: ResultTable, output_dir: Path,
             "seed": table.seed,
             "sweep_param": table.sweep_param,
         }
-        manifest_path = out / "manifest.json"
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8", newline="\n")
+        _write_new(manifest_path,
+                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc
     return [csv_path, svg_path, manifest_path]

@@ -18,7 +18,6 @@ block size nor the scheduling.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Union
 
@@ -429,6 +428,9 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
         return _run_block(spec, block, curve, n_points)
 
     if threads > 1:
+        # imported here: concurrent.futures pulls in logging, which a
+        # one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, blocks))
     else:

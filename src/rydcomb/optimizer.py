@@ -12,6 +12,7 @@ of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -156,6 +157,12 @@ def _trace_sum(p: np.ndarray) -> np.ndarray:
     return t
 
 
+def _trace_phase(t: np.ndarray) -> np.ndarray:
+    """``optimal_phase`` from the block traces t themselves."""
+    phi = np.angle(t) % TWO_PI
+    return np.where((t == 0) | (TWO_PI - phi < 1e-12), 0.0, phi)
+
+
 def optimal_phase(block_target: np.ndarray,
                   block_product: np.ndarray) -> Union[float, np.ndarray]:
     """Globally optimal rotation phase for min ||Y - e^{j phi} X||_F.
@@ -171,9 +178,7 @@ def optimal_phase(block_target: np.ndarray,
     if y.shape != x.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {x.shape}")
     p = np.conj(x) * y
-    t = _trace_sum(p.reshape(*p.shape[:-2], -1))
-    phi = np.angle(t) % TWO_PI
-    phi = np.where((t == 0) | (TWO_PI - phi < 1e-12), 0.0, phi)
+    phi = _trace_phase(_trace_sum(p.reshape(*p.shape[:-2], -1)))
     return float(phi) if phi.ndim == 0 else phi
 
 
@@ -194,26 +199,37 @@ def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     return float(q) if q.ndim == 0 else q
 
 
-def _group_layout(apd_depth: np.ndarray, n_r: int):
-    """The reduceat starts, divisors and repeat counts of the adder groups
-    of a stack whose sample i has apd_depth[i]; None when every group holds
-    one antenna, whose mean is its own row."""
-    if np.all(apd_depth == 1):
-        return None
-    groups = np.repeat(apd_depth, n_r // apd_depth)
+def _group_layout(size: np.ndarray, count):
+    """How to take the adder-group means of a stack whose sample i has
+    count[i] groups (or count for all) of size[i] rows: None when every
+    group holds one row, whose mean is that row; the size when every group
+    holds the same 2 to 4 rows; else the reduceat starts, divisors and
+    repeat counts."""
+    if np.all(size == size[0]) and size[0] <= 4:
+        return None if size[0] == 1 else int(size[0])
+    groups = np.repeat(size, count)
     return np.cumsum(groups) - groups, groups[:, None], groups
 
 
-def _group_rows(prod: np.ndarray, layout) -> np.ndarray:
-    """Each adder group's mean of prod (B, N_r, N_s), repeated to its
-    antenna rows.  reduceat adds x_0 + pairwise(x_1, ...), which neither a
-    reshape-sum nor a sum over the group axis first reproduces from an
-    apd_depth of 3 on."""
+def _group_means(prod: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
+    """Each adder group's mean of the rows of prod (rows, N_s), and those
+    means repeated to the group's rows.  reduceat adds x_0 + pairwise(x_1,
+    ...), which neither a reshape-sum nor a sum over the group axis first
+    reproduces from 3 rows on.  Below 5 rows the pairwise part adds in
+    order, so slice adds give the same bits (up to the sign of a zero)."""
     if layout is None:
-        return prod
+        return prod, prod
+    if isinstance(layout, int):
+        rows = prod.reshape(-1, layout, prod.shape[-1])
+        w_bb = rows[:, 1].copy()
+        for i in range(2, layout):
+            w_bb += rows[:, i]
+        np.add(rows[:, 0], w_bb, out=w_bb)
+        w_bb /= layout
+        return w_bb, np.repeat(w_bb, layout, axis=0)
     starts, divisor, groups = layout
-    w_bb = np.add.reduceat(prod.reshape(-1, prod.shape[-1]), starts) / divisor
-    return np.repeat(w_bb, groups, axis=0).reshape(prod.shape)
+    w_bb = np.add.reduceat(prod, starts) / divisor
+    return w_bb, np.repeat(w_bb, groups, axis=0)
 
 
 def update_wbb(u: np.ndarray, w_opt: np.ndarray,
@@ -230,17 +246,62 @@ def update_wbb(u: np.ndarray, w_opt: np.ndarray,
     for all, and every group is summed the same way.
     """
     prod = np.conj(u)[..., None] * w_opt
-    *batch, n_r, _ = prod.shape
-    return _group_rows(prod, _group_layout(
-        np.broadcast_to(apd_depth, batch).ravel(), n_r))
+    *batch, n_r, n_s = prod.shape
+    apd = np.broadcast_to(apd_depth, batch).ravel()
+    layout = _group_layout(apd, n_r // apd)
+    return _group_means(prod.reshape(-1, n_s), layout)[1].reshape(prod.shape)
 
 
-def _residual(target: np.ndarray, u: np.ndarray, rows: np.ndarray,
-              buf: np.ndarray) -> np.ndarray:
-    """||target - diag(u) rows||_F per sample of a stack, formed in buf."""
-    np.multiply(u[..., None], rows, out=buf)
-    np.subtract(target, buf, out=buf)
-    return np.linalg.norm(buf, axis=(-2, -1))
+def _square_sums(x: np.ndarray) -> np.ndarray:
+    """sum |x|^2 over the last axis, as np.linalg.norm adds it."""
+    return np.add.reduce((x.conj() * x).real, axis=-1)
+
+
+def _cell_classes(counts, n_r: int) -> list[tuple[int, ...]]:
+    """(g, first and end sample, first and end cell) of each run of samples
+    whose cells hold g rows, from (g, sample count) pairs sorted by g."""
+    runs: dict[int, int] = {}
+    for g, n in counts:
+        runs[g] = runs.get(g, 0) + n
+    classes, i, a = [], 0, 0
+    for g, n in runs.items():
+        if n:
+            classes.append((g, i, i + n, a, a + n * (n_r // g)))
+            i, a = i + n, a + n * (n_r // g)
+    return classes
+
+
+def _by_class(classes: list, part) -> np.ndarray:
+    """part(g, i, j, a, b) of each class, joined in order."""
+    parts = [part(*c) for c in classes]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _block_entries(classes: list, block_rows: int, n_blocks: int):
+    """The entries of each LO block's cells, block_rows // g; one count
+    for the stack when it is one class, else one per block."""
+    if len(classes) == 1:
+        return block_rows // classes[0][0]
+    return np.concatenate([np.full((j - i) * n_blocks, block_rows // g)
+                           for g, i, j, _, _ in classes])
+
+
+def _cell_means(target: np.ndarray, classes: list
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The mean row m_c of each cell (cells, N_s), and per sample
+    V = sum over its cells c and their rows r of ||t_r - m_c||^2, formed as
+    a direct difference.  A cell of one row is that row, with V = 0."""
+    n_s = target.shape[-1]
+    means, spread = [], []
+    for g, i, j, _, _ in classes:
+        rows = target[i:j].reshape(j - i, -1, g, n_s)
+        m = rows[:, :, 0] if g == 1 else rows.sum(axis=2) / g
+        means.append(m.reshape(-1, n_s))
+        spread.append(_square_sums((rows - m[:, :, None]).reshape(j - i, -1))
+                      if g > 1 else np.zeros(j - i))
+    if len(means) == 1:
+        return means[0], spread[0]
+    return np.concatenate(means), np.concatenate(spread)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,70 +351,108 @@ def _solve(segments: Sequence[tuple],
     resolution; one batch per segment.
 
     The fixed intra-block offsets are folded into the target once, so
-    W_BB (as antenna rows W_LC W_BB), the block traces and the residual
-    see only the block rotations exp(j*phases); the rotation of one
-    residual is the next W_BB's.  Without a config this is the direct
-    solver: one W_BB half-step at the given phases.  Otherwise it
-    alternates; each sample stops on its own test and is frozen then.
+    W_BB, the block traces and the residual see only the block rotations
+    exp(j*phases).  Without a config this is the direct solver: one W_BB
+    half-step at the given phases.  Otherwise it alternates; each sample
+    stops on its own test and is frozen then.
+
+    Alternation runs on cells: runs of g = gcd(lo_depth, apd_depth) rows
+    of a sample, each inside one LO block and one adder group, so one
+    rotation and one W_BB row serve the whole cell.  With m_c the mean
+    target row of cell c, the squared residual is V + g * sum_c
+    ||m_c - u_c w_c||^2 with V fixed per sample; W_BB is the mean of
+    conj(u) m over a group's cells and a block trace is 1/g of the rows'
+    trace, with the same angle.  Samples are sorted by g, so each g is one
+    run of the flat cell array, and a row depends on its own sample only.
+    The direct solver runs on cells of one row.
 
     The phase half-step is ``optimal_phase``, then ``quantize_phase`` on
     B-bit phases, whose rotation is looked up among the 2^B grid rotations.
     On continuous phases the rotation is taken from the block trace t
-    without its angle, as t/|t| (1 where t = 0), and the phases are formed
-    only for a sample that stops, from its last iterate.
+    without its angle, as t/|t| (1 where t = 0), and a stopping sample's
+    phases from that trace by ``_trace_phase``.
     """
     arch = segments[0][0]
-    lo, bits = arch.lo_depth, arch.resolution_bits
+    lo, bits, n_blocks = arch.lo_depth, arch.resolution_bits, arch.n_blocks
+    cell = [1 if config is None else math.gcd(lo, a.apd_depth)
+            for a, _, _ in segments]
+    order = sorted(range(len(segments)), key=cell.__getitem__)
+    segs = [(cell[s], *segments[s]) for s in order]
+    sizes = [len(w) for _, _, w, _ in segs]
+    # per sample: cells per adder group, and adder groups
+    group_cells = np.array([a.apd_depth // g for g, a, _, _ in segs]
+                           ).repeat(sizes)
+    n_groups = np.array([a.n_chains for _, a, _, _ in segs]).repeat(sizes)
+    phases = np.concatenate([p for _, _, _, p in segs])
     target = np.concatenate([
         np.conj(np.exp(1j * a.intra_offsets.ravel()))[:, None] * w
-        for a, w, _ in segments])
-    sizes = [len(w) for _, w, _ in segments]
-    apd = np.repeat([a.apd_depth for a, _, _ in segments], sizes)
-    phases = np.concatenate([p for _, _, p in segments])
+        for _, a, w, _ in segs])
     n_b, n_r, n_s = target.shape
-    u = np.repeat(np.exp(1j * phases), lo, axis=-1)
-    layout = _group_layout(apd, n_r)
-    buf = np.empty_like(target)
+    classes = _cell_classes([(g, len(w)) for g, _, w, _ in segs], n_r)
+    cells, spread = _cell_means(target, classes)
+    layout = _group_layout(group_cells, n_groups)
+    buf = np.empty_like(cells)
+    per_block = _block_entries(classes, lo * n_s, n_blocks)
 
-    def split(phases, rows, history, iterations, converged, method):
-        ends = np.cumsum(sizes)
-        return [SolutionBatch(
-            phases=phases[i:j], history=history[i:j],
-            w_bb=np.ascontiguousarray(rows[i:j, ::a.apd_depth]),
-            iterations=iterations[i:j], converged=converged[i:j],
-            method=method)
-            for (a, _, _), i, j in zip(segments, ends - sizes, ends)]
+    def rotate(rotation):  # block rotations (B, n_blocks) to (cells, N_s)
+        return np.repeat(rotation.ravel(), per_block).reshape(-1, n_s)
 
+    def residual(u, rows):  # sqrt(V + g * sum_c ||m_c - u_c w_c||^2)
+        np.multiply(u, rows, out=buf)
+        np.subtract(cells, buf, out=buf)
+        return np.sqrt(_by_class(classes, lambda gc, i, j, a, b: (
+            spread[i:j] + gc * _square_sums(buf[a:b].reshape(j - i, -1)))))
+
+    def take(x, keep):  # the cells of the kept samples
+        return _by_class(classes, lambda gc, i, j, a, b: x[a:b].reshape(
+            j - i, -1, n_s)[keep[i:j]].reshape(-1, n_s))
+
+    def split(phases, w_bb, history, iterations, converged, method):
+        out = [None] * len(segs)
+        i = c = 0
+        for s, (_, a, w, _) in zip(order, segs):
+            j, d = i + len(w), c + len(w) * a.n_chains
+            out[s] = SolutionBatch(
+                phases=phases[i:j], w_bb=w_bb[c:d].reshape(j - i, -1, n_s),
+                history=history[i:j], iterations=iterations[i:j],
+                converged=converged[i:j], method=method)
+            i, c = j, d
+        return out
+
+    u = rotate(np.exp(1j * phases))
     if config is None:
-        rows = _group_rows(np.conj(u)[..., None] * target, layout)
-        return split(phases, rows, _residual(target, u, rows, buf)[:, None],
+        w_bb, rows = _group_means(np.conj(u) * cells, layout)
+        return split(phases, w_bb, residual(u, rows)[:, None],
                      np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool),
                      "direct")
 
-    blocks = (arch.n_blocks, lo, n_s)
     if bits is not None:
         grid = np.exp(1j * (TWO_PI / 2 ** bits * np.arange(2 ** bits)))
     cap = config.max_iterations
     out_phases = np.empty_like(phases)
-    out_rows = np.empty_like(target)
+    out_groups = n_groups
+    out_w = np.empty((int(out_groups.sum()), n_s), dtype=complex)
     history = np.empty((n_b, cap))
     iterations = np.full(n_b, cap)
     converged = np.zeros(n_b, dtype=bool)
     live = np.arange(n_b)
     prev_sq = None
     for k in range(cap):
-        rows = _group_rows(np.conj(u)[..., None] * target, layout)
+        w_bb, rows = _group_means(np.conj(u) * cells, layout)
         if bits is None:
             np.conjugate(rows, out=buf)
-            np.multiply(buf, target, out=buf)
-            t = _trace_sum(buf.reshape(-1, arch.n_blocks, lo * n_s))
+            np.multiply(buf, cells, out=buf)
+            t = _by_class(classes, lambda gc, i, j, a, b: _trace_sum(
+                buf[a:b].reshape(-1, lo // gc * n_s))).reshape(-1, n_blocks)
             size = np.abs(t)
             rotation = np.divide(t, size, out=np.ones_like(t), where=size != 0)
         else:
-            rotation = grid[_phase_level(optimal_phase(
-                target.reshape(-1, *blocks), rows.reshape(-1, *blocks)), bits)]
-        u = np.repeat(rotation, lo, axis=-1)
-        res = _residual(target, u, rows, buf)
+            phi = _by_class(classes, lambda gc, i, j, a, b: optimal_phase(
+                cells[a:b].reshape(-1, lo // gc, n_s),
+                rows[a:b].reshape(-1, lo // gc, n_s))).reshape(-1, n_blocks)
+            rotation = grid[_phase_level(phi, bits)]
+        u = rotate(rotation)
+        res = residual(u, rows)
         history[live, k] = res
         sq = res * res
         done = (np.zeros(live.size, dtype=bool) if prev_sq is None
@@ -361,23 +460,29 @@ def _solve(segments: Sequence[tuple],
         stop = done | (k == cap - 1)
         if stop.any():
             idx = live[stop]
-            phases = optimal_phase(target[stop].reshape(-1, *blocks),
-                                   rows[stop].reshape(-1, *blocks))
-            out_phases[idx] = (phases if bits is None
-                               else quantize_phase(phases, bits))
-            out_rows[idx] = rows[stop]
+            out_phases[idx] = (_trace_phase(t[stop]) if bits is None
+                               else quantize_phase(phi[stop], bits))
+            taken = np.zeros(n_b, dtype=bool)
+            taken[idx] = True
+            out_w[np.repeat(taken, out_groups)] = w_bb[np.repeat(stop,
+                                                                 n_groups)]
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
             converged[idx] = done[stop]
             keep = ~stop
-            live, target, u, sq = live[keep], target[keep], u[keep], sq[keep]
+            live, sq = live[keep], sq[keep]
             if not live.size:
                 break
-            apd, buf = apd[keep], buf[:live.size]
-            layout = _group_layout(apd, n_r)
+            cells, u = take(cells, keep), take(u, keep)
+            group_cells, n_groups = group_cells[keep], n_groups[keep]
+            spread = spread[keep]
+            classes = _cell_classes([(gc, np.count_nonzero(keep[i:j]))
+                                     for gc, i, j, _, _ in classes], n_r)
+            layout = _group_layout(group_cells, n_groups)
+            buf = buf[:len(cells)]
+            per_block = _block_entries(classes, lo * n_s, n_blocks)
         prev_sq = sq
-    return split(out_phases, out_rows, history, iterations, converged,
-                 "altmin")
+    return split(out_phases, out_w, history, iterations, converged, "altmin")
 
 
 def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
+import rydcomb.cli
 import rydcomb.optimizer
 from rydcomb import ConfigError, ResultRow, ResultTable
 from rydcomb.cli import (build_spec, emit_results, main, parse_config,
@@ -216,6 +218,47 @@ class TestRunEndToEnd:
             assert code == 0
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_rerun_replaces_linked_outputs(self, tmp_path):
+        # a second run into the same --out writes new files: a hard link to
+        # the old CSV and the file behind a symlinked SVG keep their bytes
+        path = write_doc(tmp_path, smoke_doc())
+        out = tmp_path / "out"
+        argv = ["sweep-snr", "--config", str(path), "--out", str(out),
+                "--threads", "1"]
+        assert main(argv) == 0
+        first = (out / "results.csv").read_bytes()
+        os.link(out / "results.csv", tmp_path / "kept.csv")
+        behind = tmp_path / "behind.svg"
+        behind.write_text("kept")
+        (out / "results.svg").unlink()
+        (out / "results.svg").symlink_to(behind)
+        assert main(argv + ["--seed", "6"]) == 0
+        assert (tmp_path / "kept.csv").read_bytes() == first
+        assert (out / "results.csv").read_bytes() != first
+        assert behind.read_text() == "kept"
+        assert not (out / "results.svg").is_symlink()
+        assert (out / "results.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("fault", ["svg-is-directory", "svg-raises"])
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                             capsys, fault):
+        path = write_doc(tmp_path, smoke_doc())
+        out = tmp_path / "out"
+        argv = ["sweep-snr", "--config", str(path), "--out", str(out),
+                "--threads", "1"]
+        assert main(argv) == 0
+        assert (out / "manifest.json").exists()
+        if fault == "svg-is-directory":
+            (out / "results.svg").unlink()
+            (out / "results.svg").mkdir()
+        else:
+            def fail(*args, **kwargs):
+                raise OSError("synthetic write failure")
+            monkeypatch.setattr(rydcomb.cli, "render_line_svg", fail)
+        assert main(argv) == 1
+        assert "cannot write outputs" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_manifest_roundtrip(self, tmp_path):
         path = write_doc(tmp_path, smoke_doc())

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -595,3 +599,14 @@ class TestTrialBlocks:
         monkeypatch.setattr(evaluation, "_run_block", recording)
         run_experiment(small_spec(trials=trials), threads=threads)
         assert sorted(seen, reverse=True) == sizes
+
+    def test_thread_pool_imported_only_for_threads(self):
+        # concurrent.futures pulls in logging, which importing the package
+        # and the CLI does not need
+        src = Path(evaluation.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, rydcomb.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
