@@ -33,8 +33,8 @@ from .channel import (ChannelParams, LowRankChannel, Paths, block_channels,
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
-                        block_reference, optimal_digital_combiner,
-                        solve_stack)
+                        block_reference, block_singular_values,
+                        optimal_digital_combiner, solve_stack)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -78,16 +78,33 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
     return _gain_eigenvalues(_adjoint(w) @ hf, _adjoint(w) @ w)
 
 
-def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
-                            w_opt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``combined_gain_eigenvalues`` for a stack of solutions, with H F_opt
-    taken as W_opt Sigma per sample (H f_i = sigma_i w_i up to a column
-    phase, which cancels in T T^H).  W = diag(u) W_LC W_BB is formed
-    row-wise, and its Gram matrix is apd_depth * W_BB^H W_BB."""
+def _gain_terms(arch: ReuseArchitecture, sol: SolutionBatch,
+                w_opt: np.ndarray, sigma: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """T = W^H H F_opt and the Gram matrix W^H W of a stack of solutions,
+    with H F_opt taken as W_opt Sigma per sample (H f_i = sigma_i w_i up to
+    a column phase, which cancels in T T^H).  W = diag(u) W_LC W_BB is
+    formed row-wise, and its Gram matrix is apd_depth * W_BB^H W_BB."""
     u = np.exp(1j * diagonal_phases(arch, sol.phases))
     w = u[..., None] * np.repeat(sol.w_bb, arch.apd_depth, axis=-2)
     gram = arch.apd_depth * (_adjoint(sol.w_bb) @ sol.w_bb)
-    return _gain_eigenvalues(_adjoint(w) @ (w_opt * sigma[..., None, :]), gram)
+    return _adjoint(w) @ (w_opt * sigma[..., None, :]), gram
+
+
+def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
+                            w_opt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``combined_gain_eigenvalues`` for a stack of solutions."""
+    return _gain_eigenvalues(*_gain_terms(arch, sol, w_opt, sigma))
+
+
+def _stacked_gain_eigenvalues(items: list[tuple]) -> np.ndarray:
+    """``_batch_gain_eigenvalues`` of (arch, solutions, W_opt, Sigma) items
+    of one N_s, stacked in item order: their N_s x N_s T and Gram matrices
+    go through one Cholesky, solve and eigvalsh call, which factor each
+    sample alone, so every sample equals its per-item value bit for bit.
+    Raises if any sample fails."""
+    t, gram = zip(*(_gain_terms(*item) for item in items))
+    return _gain_eigenvalues(np.concatenate(t), np.concatenate(gram))
 
 
 def _rates(ev: np.ndarray, n_streams: int, snr_linear_grid) -> np.ndarray:
@@ -98,6 +115,11 @@ def _rates(ev: np.ndarray, n_streams: int, snr_linear_grid) -> np.ndarray:
                    ).sum(axis=-1)
 
 
+def _check_snr(snr_linear: float) -> None:
+    if not 0 <= snr_linear < np.inf:
+        raise ValueError("snr_linear must be finite and >= 0")
+
+
 def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
                         w_rf: np.ndarray, w_bb: np.ndarray,
                         f_opt: np.ndarray, n_streams: int,
@@ -105,8 +127,7 @@ def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
     """Achievable rate in bits/s/Hz for one channel, combiner, and SNR."""
     if w_bb.shape[1] != n_streams or f_opt.shape[1] != n_streams:
         raise ValueError("stream count mismatch between w_bb/f_opt and n_streams")
-    if snr_linear < 0:
-        raise ValueError("snr_linear must be >= 0")
+    _check_snr(snr_linear)
     ev = combined_gain_eigenvalues(h, w_rf, w_bb, f_opt)
     return float(_rates(ev, n_streams, [snr_linear])[0])
 
@@ -114,9 +135,14 @@ def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
 def fully_digital_se(singular_values: np.ndarray, n_streams: int,
                      snr_linear: float) -> float:
     """Rate of the unconstrained digital combiner: the first n_streams
-    squared singular values enter the water-free log-det directly."""
-    sv = np.asarray(singular_values)[:n_streams]
-    return float(_rates(sv ** 2, n_streams, [snr_linear])[0])
+    squared singular values enter the water-free log-det directly.
+    n_streams must be in [1, len(singular_values)]."""
+    sv = np.asarray(singular_values)
+    if not 1 <= n_streams <= sv.size:
+        raise ValueError(f"n_streams={n_streams} must be in "
+                         f"[1, {sv.size}] (the singular values given)")
+    _check_snr(snr_linear)
+    return float(_rates(sv[:n_streams] ** 2, n_streams, [snr_linear])[0])
 
 
 def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
@@ -281,18 +307,27 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, trial)))
 
 
+def _geometries(spec: ExperimentSpec) -> dict[ArrayGeometry, bool]:
+    """Each receive geometry of the curves, in their order, and whether a
+    solved curve reads its W_opt; else only its Sigma is formed."""
+    out: dict[ArrayGeometry, bool] = {}
+    for unit in spec.units:
+        out[unit.geometry] = (out.get(unit.geometry, False)
+                              or unit.arch is not None)
+    return out
+
+
 def _trial_references(spec: ExperimentSpec, paths: Paths
                       ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
     """One trial alone, through the single-channel oracle: per receive
-    geometry, the combining target W_opt and its n_streams singular values
-    Sigma."""
+    geometry, the combining target W_opt (None where no solved curve reads
+    it) and its n_streams singular values Sigma."""
     out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
-    for unit in spec.units:
-        if unit.geometry not in out:
-            ref = optimal_digital_combiner(channel_matrix(
-                paths, spec.channel.n_tx, unit.geometry), spec.n_streams)
-            out[unit.geometry] = (ref.w_opt,
-                                  ref.singular_values[:spec.n_streams])
+    for geometry, vectors in _geometries(spec).items():
+        ref = optimal_digital_combiner(channel_matrix(
+            paths, spec.channel.n_tx, geometry), spec.n_streams)
+        out[geometry] = (ref.w_opt if vectors else None,
+                         ref.singular_values[:spec.n_streams])
     return out
 
 
@@ -301,14 +336,15 @@ def _block_references(spec: ExperimentSpec, trials: range
                                  dict[int, str]]:
     """Draw each trial's paths once and build, per receive geometry, the
     stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) for the whole block,
-    with the errors of the trials that failed.
+    with the errors of the trials that failed.  A geometry that no solved
+    curve uses gets Sigma alone, and None for W_opt.
 
-    The stacks come from ``block_channels`` and ``block_reference``.  A
-    trial whose paths are not finite, whose channel fails the rank test,
-    or whose stack's SVD raises, is run again alone from the same paths
-    through ``_trial_references``; it is dropped if that raises, with the
-    oracle's error, and keeps the rows it gives otherwise.  The rows of a
-    dropped trial are left unset.
+    The stacks come from ``block_channels``, then ``block_reference`` or
+    ``block_singular_values``.  A trial whose paths are not finite, whose
+    channel fails the rank test, or whose stack's SVD raises, is run again
+    alone from the same paths through ``_trial_references``; it is dropped
+    if that raises, with the oracle's error, and keeps the rows it gives
+    otherwise.  The rows of a dropped trial are left unset.
     """
     n_s = spec.n_streams
     draws = [draw_paths(spec.channel, _channel_rng(spec.seed, t))
@@ -317,19 +353,23 @@ def _block_references(spec: ExperimentSpec, trials: range
     redo = ~paths.finite()
     rows = np.flatnonzero(~redo)
     stacks = {geometry: (
-        np.empty((len(trials), geometry.n_elements, n_s), complex),
-        np.empty((len(trials), n_s)))
-        for geometry in dict.fromkeys(unit.geometry for unit in spec.units)}
+        np.empty((len(trials), geometry.n_elements, n_s), complex)
+        if vectors else None, np.empty((len(trials), n_s)))
+        for geometry, vectors in _geometries(spec).items()}
     if rows.size:
         for geometry, channels in block_channels(
                 paths.take(rows), spec.channel.n_tx, stacks):
+            w_stack, sigma_stack = stacks[geometry]
             try:
-                w_opt, sigma, ok = block_reference(channels, n_s)
+                if w_stack is None:
+                    sigma, ok = block_singular_values(channels, n_s)
+                else:
+                    w_opt, sigma, ok = block_reference(channels, n_s)
+                    w_stack[rows] = w_opt
             except np.linalg.LinAlgError:
                 ok = np.zeros(rows.size, dtype=bool)
             else:
-                stacks[geometry][0][rows] = w_opt
-                stacks[geometry][1][rows] = sigma
+                sigma_stack[rows] = sigma
             del channels  # free its steering before the next geometry's
             redo[rows[~ok]] = True
     errors: dict[int, str] = {}
@@ -341,13 +381,14 @@ def _block_references(spec: ExperimentSpec, trials: range
             continue
         for geometry, parts in refs.items():
             for stack, part in zip(stacks[geometry], parts):
-                stack[row] = part
+                if stack is not None:
+                    stack[row] = part
     return stacks, errors
 
 
-# A curve maps (unit, solution batch or None, W_opt, Sigma) on some trials
-# to one (trials, n_points) array.
-Curve = Callable[..., np.ndarray]
+# A curve maps items (unit, solution batch or None, W_opt or None, Sigma),
+# all on the same trials, to one (trials, n_points) array per item.
+Curve = Callable[[list[tuple]], list[np.ndarray]]
 
 
 def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
@@ -357,10 +398,12 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     The references of the whole block are built first, one stack per
     geometry (``_block_references``).  Every architecture curve is solved
     once, in one ``solve_stack`` call on the trials whose references
-    succeeded, and each is rated from its own rows.  A trial that fails,
-    in its references or in any curve, loses its value for every curve.
-    When a curve's rate raises for the block, it is rated on each trial
-    alone to find the ones that failed.
+    succeeded, and ``curve`` evaluates all curves in one call.  A trial
+    that fails, in its references or in any curve, loses its value for
+    every curve.  When that call raises, each curve is evaluated alone,
+    and a curve that raises for the block is evaluated on each trial alone
+    to find the ones that failed.  Rows are mapped only when some trial of
+    the block failed.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
     stacks, errors = _block_references(spec, trials)
@@ -377,25 +420,33 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
          streams[_stream_key(unit)], unit.solver)
         for unit in curves.values()], spec.solver)))
 
-    def evaluate(i: int, rows: list[int]) -> np.ndarray:
-        unit, sol = spec.units[i], solved.get(i)
-        if sol is not None:  # rows are the solved ones, or some of them
-            sol = sol.take(np.searchsorted(good, rows))
-        return curve(unit, sol, *(stack[rows]
-                                  for stack in stacks[unit.geometry]))
+    def evaluate(indices, rows: list[int]) -> list[np.ndarray]:
+        items = []
+        for i in indices:
+            unit, sol = spec.units[i], solved.get(i)
+            refs = stacks[unit.geometry]
+            if len(rows) < len(trials):  # the solved rows, or some of them
+                if sol is not None:
+                    sol = sol.take(np.searchsorted(good, rows))
+                refs = [None if s is None else s[rows] for s in refs]
+            items.append((unit, sol, *refs))
+        return curve(items)
 
-    for i in range(len(spec.units)):
-        rows = [r for r, t in enumerate(trials) if t not in errors]
-        if not rows:
-            break
-        try:
-            out[rows, i] = evaluate(i, rows)
-        except (NumericError, np.linalg.LinAlgError):
-            for row in rows:
-                try:
-                    out[row, i] = evaluate(i, [row])[0]
-                except (NumericError, np.linalg.LinAlgError) as exc:
-                    errors[trials[row]] = f"trial {trials[row]}: {exc}"
+    try:
+        out[good] = np.stack(evaluate(range(len(spec.units)), good), axis=1)
+    except (NumericError, np.linalg.LinAlgError):
+        for i in range(len(spec.units)):
+            rows = [r for r, t in enumerate(trials) if t not in errors]
+            if not rows:
+                break
+            try:
+                out[rows, i] = evaluate([i], rows)[0]
+            except (NumericError, np.linalg.LinAlgError):
+                for row in rows:
+                    try:
+                        out[row, i] = evaluate([i], [row])[0][0]
+                    except (NumericError, np.linalg.LinAlgError) as exc:
+                        errors[trials[row]] = f"trial {trials[row]}: {exc}"
     out[[t - trials.start for t in errors]] = np.nan
     return out, errors
 
@@ -477,11 +528,22 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
     n_s = spec.n_streams
 
-    def curve(unit, sol, w_opt, sigma):
-        if sol is None:
-            return _rates(sigma ** 2, n_s, snr_linear)
-        return _rates(_batch_gain_eigenvalues(unit.arch, sol, w_opt, sigma),
-                      n_s, snr_linear)
+    def curve(items):
+        # the architecture curves from one stacked rate evaluation, and the
+        # ideal digital ones once per geometry (the items share their rows)
+        hybrid = [(unit.arch, sol, w_opt, sigma)
+                  for unit, sol, w_opt, sigma in items if sol is not None]
+        rates = iter(np.split(_rates(_stacked_gain_eigenvalues(hybrid), n_s,
+                                     snr_linear), len(hybrid))
+                     if hybrid else ())
+        digital: dict[ArrayGeometry, np.ndarray] = {}
+        out = []
+        for unit, sol, _, sigma in items:
+            if sol is None and unit.geometry not in digital:
+                digital[unit.geometry] = _rates(sigma ** 2, n_s, snr_linear)
+            out.append(next(rates) if sol is not None
+                       else digital[unit.geometry])
+        return out
 
     return _tabulate(
         spec, threads, curve, snr_linear.size, spec.sweep_param,
@@ -502,6 +564,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
                 f"{unit.label}: convergence traces need an architecture")
     spec = replace(spec, units=tuple(replace(unit, solver="altmin")
                                      for unit in spec.units))
-    return _tabulate(spec, threads, lambda unit, sol, *refs: sol.history,
+    return _tabulate(spec, threads,
+                     lambda items: [sol.history for _, sol, *_ in items],
                      spec.solver.max_iterations, "iteration",
                      lambda unit, p: p + 1)

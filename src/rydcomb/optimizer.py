@@ -125,6 +125,22 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
         singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
 
 
+def _full_rank(s: np.ndarray, shape: tuple[int, int],
+               n_streams: int) -> np.ndarray:
+    """The rank test of ``optimal_digital_combiner`` per sample of
+    descending singular values s (B, K): s_{n_streams} above
+    max(N_r, N_t) * eps * s_1."""
+    return ~(s[:, n_streams - 1] <= max(shape) * np.finfo(float).eps * s[:, 0])
+
+
+def _block_core(h: ChannelBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The cores R_rx diag(g) R_tx^H of a block, one QR per sample, and
+    the R_tx^H they were formed with."""
+    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
+    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
+    return (r_rx * h.gains[:, None]) @ r_tx_h, r_tx_h
+
+
 def block_reference(h: ChannelBlock, n_streams: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a run reads of ``optimal_digital_combiner``, for a block of
@@ -135,14 +151,24 @@ def block_reference(h: ChannelBlock, n_streams: int
     one vector mapping for the whole stack; raises LinAlgError when the
     SVD of any sample fails.
     """
-    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
-    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
-    u, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
-                             full_matrices=False)
-    ok = ~(s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0])
+    core, r_tx_h = _block_core(h)
+    u, s, vh = np.linalg.svd(core, full_matrices=False)
+    ok = _full_rank(s, h.shape, n_streams)
     f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
     w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
     return _fix_column_phases(w / s[:, None, :n_streams]), s[:, :n_streams], ok
+
+
+def block_singular_values(h: ChannelBlock, n_streams: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``block_reference`` for a curve that reads only Sigma: the leading
+    singular values (B, N_s) from the same QRs, core and SVD, and the rank
+    flags, without mapping the singular vectors.  Each sample that passes
+    equals the lone reference's Sigma bit for bit (LAPACK gives other bits
+    when it forms no vectors); raises LinAlgError when the SVD of any
+    sample fails."""
+    s = np.linalg.svd(_block_core(h)[0], full_matrices=False)[1]
+    return s[:, :n_streams], _full_rank(s, h.shape, n_streams)
 
 
 def _trace_sum(p: np.ndarray) -> np.ndarray:
@@ -192,9 +218,12 @@ def _phase_level(phase: np.ndarray, bits: int) -> np.ndarray:
 def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     """Nearest B-bit grid phase under wrapped (circular) distance,
     i.e. the feasible phase maximizing cos(grid - phase).  Works
-    elementwise on arrays; a scalar phase gives a float."""
+    elementwise on arrays; a scalar phase gives a float, and a non-finite
+    phase raises ValueError."""
     if not 1 <= bits <= MAX_RESOLUTION_BITS:
         raise ValueError(f"bits must be in [1, {MAX_RESOLUTION_BITS}]")
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("phases must be finite")
     q = TWO_PI / 2 ** bits * _phase_level(phase, bits)
     return float(q) if q.ndim == 0 else q
 
@@ -370,7 +399,10 @@ def _solve(segments: Sequence[tuple],
     B-bit phases, whose rotation is looked up among the 2^B grid rotations.
     On continuous phases the rotation is taken from the block trace t
     without its angle, as t/|t| (1 where t = 0), and a stopping sample's
-    phases from that trace by ``_trace_phase``.
+    phases from that trace by ``_trace_phase``.  A stop keeps the sample's
+    last traces (B-bit: phases) and W_BB rows as they are; they are formed
+    and put in sample order once, after the loop, and the live samples' u
+    is rebuilt from their kept rotations.
     """
     arch = segments[0][0]
     lo, bits, n_blocks = arch.lo_depth, arch.resolution_bits, arch.n_blocks
@@ -429,13 +461,13 @@ def _solve(segments: Sequence[tuple],
     if bits is not None:
         grid = np.exp(1j * (TWO_PI / 2 ** bits * np.arange(2 ** bits)))
     cap = config.max_iterations
-    out_phases = np.empty_like(phases)
     out_groups = n_groups
-    out_w = np.empty((int(out_groups.sum()), n_s), dtype=complex)
     history = np.empty((n_b, cap))
     iterations = np.full(n_b, cap)
     converged = np.zeros(n_b, dtype=bool)
     live = np.arange(n_b)
+    # per stop: the samples, their traces (B-bit: phases) and W_BB rows
+    stopped, traces, stopped_w = [], [], []
     prev_sq = None
     for k in range(cap):
         w_bb, rows = _group_means(np.conj(u) * cells, layout)
@@ -460,12 +492,9 @@ def _solve(segments: Sequence[tuple],
         stop = done | (k == cap - 1)
         if stop.any():
             idx = live[stop]
-            out_phases[idx] = (_trace_phase(t[stop]) if bits is None
-                               else quantize_phase(phi[stop], bits))
-            taken = np.zeros(n_b, dtype=bool)
-            taken[idx] = True
-            out_w[np.repeat(taken, out_groups)] = w_bb[np.repeat(stop,
-                                                                 n_groups)]
+            stopped.append(idx)
+            traces.append(t[stop] if bits is None else phi[stop])
+            stopped_w.append(w_bb[np.repeat(stop, n_groups)])
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
             converged[idx] = done[stop]
@@ -473,7 +502,7 @@ def _solve(segments: Sequence[tuple],
             live, sq = live[keep], sq[keep]
             if not live.size:
                 break
-            cells, u = take(cells, keep), take(u, keep)
+            cells = take(cells, keep)
             group_cells, n_groups = group_cells[keep], n_groups[keep]
             spread = spread[keep]
             classes = _cell_classes([(gc, np.count_nonzero(keep[i:j]))
@@ -481,7 +510,20 @@ def _solve(segments: Sequence[tuple],
             layout = _group_layout(group_cells, n_groups)
             buf = buf[:len(cells)]
             per_block = _block_entries(classes, lo * n_s, n_blocks)
+            u = rotate(rotation[keep])
         prev_sq = sq
+    # every sample stopped once: form its phases, and put the outputs in
+    # sample order, W_BB rows by each sample's first row in stop order
+    idx, t = np.concatenate(stopped), np.concatenate(traces)
+    out_phases = np.empty_like(phases)
+    out_phases[idx] = (_trace_phase(t) if bits is None
+                       else quantize_phase(t, bits))
+    groups = out_groups[idx]
+    first = np.empty(n_b, dtype=int)
+    first[idx] = np.cumsum(groups) - groups
+    out_w = np.concatenate(stopped_w)[
+        np.repeat(first - (np.cumsum(out_groups) - out_groups),
+                  out_groups) + np.arange(groups.sum())]
     return split(out_phases, out_w, history, iterations, converged, "altmin")
 
 

@@ -19,6 +19,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
 from rydcomb import evaluation
 from rydcomb.channel import Paths
 from rydcomb.cli import main, parse_config
+from rydcomb.optimizer import solve_stack
 
 
 def rand_complex(rng, shape):
@@ -119,6 +120,23 @@ class TestSpectralEfficiency:
                                           3, snr)
             assert direct == pytest.approx(general, abs=1e-10)
 
+
+    def test_fully_digital_bad_input_rejected(self):
+        sv = np.array([2.0, 1.0])
+        for n_streams in (0, 3):
+            with pytest.raises(ValueError, match="n_streams"):
+                fully_digital_se(sv, n_streams, 1.0)
+        for snr in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="snr_linear"):
+                fully_digital_se(sv, 2, snr)
+
+    def test_non_finite_snr_rejected(self):
+        rng = np.random.default_rng(6)
+        h = rand_complex(rng, (4, 4))
+        ref = optimal_digital_combiner(h, 2)
+        for snr in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="snr_linear"):
+                spectral_efficiency(h, np.eye(4), ref.w_opt, ref.f_opt, 2, snr)
 
     def test_factored_channel_matches_dense(self):
         geometry = nonupa(36, 6)
@@ -345,35 +363,51 @@ class TestFailedTrials:
         return drawn, rerun
 
     def _fail_trial(self, monkeypatch, fail):
-        """Pass trial BAD's combining target through ``fail`` in the block
-        stage's stacks and in its lone re-run.  When ``fail`` raises, the
-        stack holding BAD raises LinAlgError, as a stacked SVD does, so
-        that every trial of it is re-run alone.  The stage draws the trials
-        of a block in order before it builds any stack, so the trials drawn
-        last are the rows of each stack (these draws are all finite)."""
+        """Pass trial BAD's combining target (or, on a geometry that only
+        ideal digital curves read, its singular values) through ``fail``
+        in the block stage's stacks and in its lone re-run.  When ``fail``
+        raises, the stack holding BAD raises LinAlgError, as a stacked SVD
+        does, so that every trial of it is re-run alone.  The stage draws
+        the trials of a block in order before it builds any stack, so the
+        trials drawn last are the rows of each stack (these draws are all
+        finite)."""
         drawn, _ = self._watch(monkeypatch)
         stage = evaluation.block_reference
+        sigma_stage = evaluation.block_singular_values
         rerun = evaluation._trial_references
 
-        def failing_stage(channels, n_streams):
-            w_opt, sigma, ok = stage(channels, n_streams)
-            rows = [t for t, _ in drawn[-len(w_opt):]]
+        def failed(parts):  # BAD's part passed through fail, in place
+            rows = [t for t, _ in drawn[-len(parts):]]
             if self.BAD in rows:
                 row = rows.index(self.BAD)
                 try:
-                    w_opt[row] = fail(w_opt[row])
+                    parts[row] = fail(parts[row])
                 except NumericError as exc:
                     raise np.linalg.LinAlgError(str(exc)) from exc
+
+        def failing_stage(channels, n_streams):
+            w_opt, sigma, ok = stage(channels, n_streams)
+            failed(w_opt)
             return w_opt, sigma, ok
+
+        def failing_sigma_stage(channels, n_streams):
+            # a geometry no solved curve reads has no target: its
+            # singular values go through fail instead
+            sigma, ok = sigma_stage(channels, n_streams)
+            failed(sigma)
+            return sigma, ok
 
         def failing_rerun(spec, paths):
             refs = rerun(spec, paths)
             if any(t == self.BAD and p is paths for t, p in drawn):
-                refs = {g: (fail(w_opt), sigma)
+                refs = {g: (None, fail(sigma)) if w_opt is None
+                        else (fail(w_opt), sigma)
                         for g, (w_opt, sigma) in refs.items()}
             return refs
 
         monkeypatch.setattr(evaluation, "block_reference", failing_stage)
+        monkeypatch.setattr(evaluation, "block_singular_values",
+                            failing_sigma_stage)
         monkeypatch.setattr(evaluation, "_trial_references", failing_rerun)
 
     def _check_contained(self, spec):
@@ -530,10 +564,13 @@ class TestBlockReferences:
         # every bundled geometry: N_r = 36 below the 50 paths, the 72- to
         # 216-element reuse arrays, and fig10's 144-element UPA and
         # 36x4 non-UPA partially-connected arrays
-        seen = set()
+        # a geometry that only ideal digital curves read (fig10's 36x1)
+        # gets Sigma alone
+        seen, sigma_only = set(), set()
         trials = range(3, 3 + block)
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
+            n_s = spec.n_streams
             stacks, errors = evaluation._block_references(spec, trials)
             assert not errors
             for row, t in enumerate(trials):
@@ -541,13 +578,17 @@ class TestBlockReferences:
                                    evaluation._channel_rng(spec.seed, t))
                 for geometry, (w_opt, sigma) in stacks.items():
                     ref = optimal_digital_combiner(channel_matrix(
-                        paths, spec.channel.n_tx, geometry), spec.n_streams)
-                    np.testing.assert_array_equal(w_opt[row], ref.w_opt)
+                        paths, spec.channel.n_tx, geometry), n_s)
+                    if w_opt is None:
+                        sigma_only.add(geometry)
+                    else:
+                        np.testing.assert_array_equal(w_opt[row], ref.w_opt)
                     np.testing.assert_array_equal(
-                        sigma[row], ref.singular_values[:spec.n_streams])
+                        sigma[row], ref.singular_values[:n_s])
             seen.update(stacks)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
+        assert ArrayGeometry(36, 1) in sigma_only
 
     def test_one_stream_per_trial_and_structure(self, monkeypatch,
                                                 configs_dir):
@@ -566,6 +607,28 @@ class TestBlockReferences:
                                "convergence", trials_override=4)
         run_convergence(spec)
         assert len(built) == len(set(built)) == 4 * 2
+
+
+class TestStackedRate:
+    def test_equal_to_per_curve_rates(self, configs_dir):
+        # fig10's 27 architecture curves: the reuse array and the two PC
+        # baselines at 9 chain counts, on two geometries
+        spec, _ = parse_config(configs_dir / "fig10.json", "sweep-chains")
+        trials = range(4)
+        stacks, errors = evaluation._block_references(spec, trials)
+        assert not errors
+        units = [u for u in spec.units if u.arch is not None]
+        solved = solve_stack([
+            (u.arch, stacks[u.geometry][0],
+             [np.random.default_rng(t) for t in trials], u.solver)
+            for u in units], spec.solver)
+        items = [(u.arch, sol, *stacks[u.geometry])
+                 for u, sol in zip(units, solved)]
+        assert len(items) == 27
+        np.testing.assert_array_equal(
+            evaluation._stacked_gain_eigenvalues(items),
+            np.concatenate([evaluation._batch_gain_eigenvalues(*item)
+                            for item in items]))
 
 
 class TestTrialBlocks:

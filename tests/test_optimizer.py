@@ -295,6 +295,11 @@ class TestQuantizePhase:
         with pytest.raises(ValueError):
             quantize_phase(0.5, 0)
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, [0.5, np.nan]])
+    def test_non_finite_rejected(self, phase):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_phase(phase, 2)
+
 
 class TestAlternatingMinimize:
     def test_fully_dedicated_reaches_zero(self):
