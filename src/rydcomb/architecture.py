@@ -9,6 +9,7 @@ instances of the same parameterization (depth 1 = dedicated).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +20,11 @@ from .errors import ArchitectureError
 TWO_PI = 2.0 * np.pi
 # Past 52 bits the 2^B phase grid is finer than the spacing of doubles near 2pi
 MAX_RESOLUTION_BITS = 52
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,17 +47,22 @@ class ReuseArchitecture:
     intra_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_blocks <= 0 or self.lo_depth <= 0 or self.apd_depth <= 0:
-            raise ArchitectureError("depths and block count must be positive")
+        if not all(_is_int(n) and n > 0
+                   for n in (self.n_blocks, self.lo_depth, self.apd_depth)):
+            raise ArchitectureError(
+                "depths and block count must be positive integers")
         if self.n_r % self.apd_depth != 0:
             raise ArchitectureError(
                 f"apd_depth={self.apd_depth} does not divide N_r={self.n_r}")
-        if self.resolution_bits is not None and not (
-                1 <= self.resolution_bits <= MAX_RESOLUTION_BITS):
+        bits = self.resolution_bits
+        if bits is not None and not _is_int(bits):
+            raise ArchitectureError("resolution_bits must be an integer "
+                                    "(or None)")
+        if bits is not None and not 1 <= bits <= MAX_RESOLUTION_BITS:
             raise ArchitectureError(f"resolution_bits must be in "
                                     f"[1, {MAX_RESOLUTION_BITS}] (or None)")
-        if not np.isfinite(self.intra_spacing):
-            raise ArchitectureError("intra_spacing must be finite")
+        if not 0 <= self.intra_spacing < np.inf:
+            raise ArchitectureError("intra_spacing must be finite and >= 0")
         k = np.arange(self.lo_depth) - (self.lo_depth - 1) / 2.0
         offs = np.tile(TWO_PI * self.intra_spacing * k, (self.n_blocks, 1))
         offs.flags.writeable = False

@@ -398,11 +398,11 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     The references of the whole block are built first, one stack per
     geometry (``_block_references``).  Every architecture curve is solved
     once, in one ``solve_stack`` call on the trials whose references
-    succeeded, and ``curve`` evaluates all curves in one call.  A trial
-    that fails, in its references or in any curve, loses its value for
-    every curve.  When that call raises, each curve is evaluated alone,
-    and a curve that raises for the block is evaluated on each trial alone
-    to find the ones that failed.  Rows are mapped only when some trial of
+    succeeded, and ``curve`` evaluates all curves in one call.  When that
+    call raises, each kept trial is evaluated alone, curve by curve in unit
+    order, and a trial fails with the error of its first curve that raises.
+    A failed trial, in its references or in any curve, is NaN in every
+    column; a kept trial in none.  Rows are mapped only when some trial of
     the block failed.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
@@ -435,30 +435,15 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     try:
         out[good] = np.stack(evaluate(range(len(spec.units)), good), axis=1)
     except (NumericError, np.linalg.LinAlgError):
-        for i in range(len(spec.units)):
-            rows = [r for r, t in enumerate(trials) if t not in errors]
-            if not rows:
-                break
-            try:
-                out[rows, i] = evaluate([i], rows)[0]
-            except (NumericError, np.linalg.LinAlgError):
-                for row in rows:
-                    try:
-                        out[row, i] = evaluate([i], [row])[0][0]
-                    except (NumericError, np.linalg.LinAlgError) as exc:
-                        errors[trials[row]] = f"trial {trials[row]}: {exc}"
+        for row in good:
+            for i in range(len(spec.units)):
+                try:
+                    out[row, i] = evaluate([i], [row])[0][0]
+                except (NumericError, np.linalg.LinAlgError) as exc:
+                    errors[trials[row]] = f"trial {trials[row]}: {exc}"
+                    break
     out[[t - trials.start for t in errors]] = np.nan
     return out, errors
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
-    ok = values[np.isfinite(values)]
-    n = ok.size
-    if n == 0:
-        raise NumericError("no successful trials")
-    mean = float(np.mean(ok))
-    stderr = float(np.std(ok, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr, n
 
 
 def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
@@ -469,7 +454,8 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
     Blocks hold at most TRIAL_BLOCK trials and no more than an even share
     of the trials per thread.
 
-    Failed trials are excluded from the means and reported once at the end.
+    Failed trials are dropped from every column and reported once at the
+    end; every column is reduced over the same kept trials.
     """
     size = min(TRIAL_BLOCK, -(-spec.trials // threads))
     blocks = [range(first, min(first + size, spec.trials))
@@ -487,30 +473,30 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
     else:
         done = [run(block) for block in blocks]
     stacked = np.concatenate([values for values, _ in done])
-    errors = [err for _, errs in done for _, err in sorted(errs.items())]
+    errors = dict(sorted(item for _, errs in done for item in errs.items()))
     if errors:
         warnings.warn(
             f"{len(errors)} of {spec.trials} trials failed and were excluded "
-            f"(first: {errors[0]})", RuntimeWarning)
+            f"(first: {next(iter(errors.values()))})", RuntimeWarning)
+    kept = np.delete(stacked, list(errors), axis=0)
+    n = len(kept)
+    if n == 0:
+        raise NumericError("no successful trials")
 
-    # one (unit, point) column per row; the row-wise mean and std of the
-    # columns without a failed trial equal the lone ones bit for bit
-    columns = np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
-    full = np.isfinite(columns).all(axis=1)
-    reduced = np.zeros((len(columns), 2))  # mean, stderr
-    reduced[full, 0] = columns[full].mean(axis=1)
-    if len(stacked) > 1:
-        reduced[full, 1] = (columns[full].std(axis=1, ddof=1)
-                            / np.sqrt(len(stacked)))
+    # one (unit, point) column per row: the row-wise mean and std equal the
+    # lone ones of each column bit for bit
+    columns = np.ascontiguousarray(kept.reshape(n, -1).T)
+    means = columns.mean(axis=1).tolist()
+    stderrs = ((columns.std(axis=1, ddof=1) / np.sqrt(n)).tolist() if n > 1
+               else [0.0] * len(columns))
     rows: list[ResultRow] = []
     for i, unit in enumerate(spec.units):
         for k in range(n_points):
             c = i * n_points + k
-            mean, stderr, n = ((*reduced[c].tolist(), len(stacked)) if full[c]
-                               else _mean_stderr(columns[c]))
             rows.append(ResultRow(label=unit.label, sweep_param=sweep_param,
                                   sweep_value=float(sweep_value(unit, k)),
-                                  mean_se=mean, stderr=stderr, trials=n))
+                                  mean_se=means[c], stderr=stderrs[c],
+                                  trials=n))
     return ResultTable(rows=rows, sweep_param=sweep_param, seed=spec.seed,
                        failures=len(errors), name=spec.name)
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .architecture import (MAX_RESOLUTION_BITS, TWO_PI, ReuseArchitecture,
-                           check_phases, is_proportional)
+                           _is_int, check_phases, is_proportional)
 from .channel import ChannelBlock, LowRankChannel
 from .errors import ArchitectureError, NumericError
 
@@ -37,8 +37,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not (_is_int(self.max_iterations) and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True, eq=False)

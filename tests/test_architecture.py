@@ -185,3 +185,30 @@ class TestArchitectureValidation:
         with pytest.raises(ArchitectureError, match=r"\[1, 52\]"):
             ReuseArchitecture(n_blocks=4, resolution_bits=53)
 
+    @pytest.mark.parametrize("fields", [
+        dict(n_blocks=4.0), dict(n_blocks=4, lo_depth=2.0, apd_depth=4),
+        dict(n_blocks=4, lo_depth=2, apd_depth=4.0), dict(n_blocks=True),
+        dict(n_blocks=4, lo_depth=True), dict(n_blocks=4, apd_depth=True)])
+    def test_counts_must_be_integers(self, fields):
+        # a float depth gives a float N_r, which the solver cannot size
+        with pytest.raises(ArchitectureError, match="positive integers"):
+            ReuseArchitecture(**fields)
+
+    @pytest.mark.parametrize("bits", [2.0, True])
+    def test_resolution_bits_must_be_integer(self, bits):
+        # 2.0 cannot index the B-bit grid
+        with pytest.raises(ArchitectureError, match="integer"):
+            ReuseArchitecture(n_blocks=4, resolution_bits=bits)
+
+    def test_numpy_integers_accepted(self):
+        arch = ReuseArchitecture(np.int64(4), np.int64(2), np.int64(4),
+                                 resolution_bits=np.int64(3))
+        assert arch == ReuseArchitecture(4, 2, 4, resolution_bits=3)
+
+    def test_negative_intra_spacing_rejected(self):
+        # the receive geometry rejects it with the same message
+        with pytest.raises(ArchitectureError,
+                           match="intra_spacing must be finite and >= 0"):
+            ReuseArchitecture(n_blocks=4, lo_depth=2, intra_spacing=-0.05)
+        ReuseArchitecture(n_blocks=4, lo_depth=2, intra_spacing=0.0)
+

@@ -401,6 +401,10 @@ class TestRunEndToEnd:
         "string-resolution": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "resolution_bits": "x"}]},
             "architectures[0].resolution_bits: expected int, got str"),
+        # the architecture rejects it before the receive geometry does
+        "negative-intra-spacing": ({"intra_spacing": -0.1}, None,
+                                   "architectures[0]: intra_spacing must be "
+                                   "finite and >= 0"),
         # default labels name lo_depth and apd_depth only
         "same-default-label": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4},

@@ -549,6 +549,93 @@ class TestFailedTrials:
         archs = [u.arch for u in units if u.arch is not None]
         assert calls == [archs, archs]
 
+    @pytest.mark.parametrize("block", [4, evaluation.TRIAL_BLOCK])
+    @pytest.mark.parametrize("fail", ["explode", "zero_target"])
+    def test_failed_trial_is_nan_in_every_column(self, monkeypatch, fail,
+                                                 block):
+        # a reference failure and a rate failure alike: the failed trial's
+        # row is NaN for every curve and point, and every other row is
+        # finite.  In the rate failure, the digital curve (first) has a
+        # value for trial BAD before the hybrid curve fails.
+        self._fail_trial(monkeypatch, getattr(self, fail))
+        blocks = []
+        run_block = evaluation._run_block
+
+        def recording(spec, trials, *args):
+            values, errors = run_block(spec, trials, *args)
+            blocks.append((values, errors))
+            return values, errors
+
+        monkeypatch.setattr(evaluation, "_run_block", recording)
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", block)
+        with pytest.warns(RuntimeWarning):
+            run_experiment(self.rate_failure_spec())
+        values = np.concatenate([v for v, _ in blocks])
+        assert [t for _, errors in blocks for t in errors] == [self.BAD]
+        assert np.isnan(values[self.BAD]).all()
+        assert np.isfinite(np.delete(values, self.BAD, axis=0)).all()
+
+
+def _column_oracle(values: np.ndarray) -> tuple[float, float, int]:
+    """Mean and std(ddof=1)/sqrt(n) of one column's finite values."""
+    ok = values[np.isfinite(values)]
+    n = ok.size
+    stderr = float(np.std(ok, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(ok)), stderr, n
+
+
+class TestTabulate:
+    """``_tabulate`` over blocks with failed trials against a per-column
+    reduction of each column's finite values."""
+
+    N_POINTS = 3
+
+    def _fake_blocks(self, monkeypatch, failed):
+        """``_run_block`` as a stand-in: random values per trial, and NaN
+        in every column of a failed trial."""
+        def run_block(spec, trials, curve, n_points):
+            values = np.stack([np.random.default_rng(t).uniform(
+                0.5, 20.0, (len(spec.units), n_points)) for t in trials])
+            errors = {t: f"trial {t}: synthetic" for t in trials
+                      if t in failed}
+            values[[t - trials.start for t in errors]] = np.nan
+            return values, errors
+
+        monkeypatch.setattr(evaluation, "_run_block", run_block)
+
+    def _tabulate(self, spec, threads):
+        return evaluation._tabulate(spec, threads, None, self.N_POINTS,
+                                    "snr_db", lambda unit, k: spec.snr_db[k])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("trials,failed", [
+        (3, (0, 2)), (7, (1, 4)), (200, (5, 77, 150, 199))])
+    def test_equals_per_column_oracle(self, monkeypatch, trials, failed,
+                                      threads):
+        self._fake_blocks(monkeypatch, failed)
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 3)
+        spec = small_spec(trials=trials)
+        with pytest.warns(RuntimeWarning) as record:
+            table = self._tabulate(spec, threads)
+        assert table.failures == len(failed)
+        assert [str(w.message) for w in record] == [
+            f"{len(failed)} of {trials} trials failed and were excluded "
+            f"(first: trial {failed[0]}: synthetic)"]
+        values = np.stack([np.random.default_rng(t).uniform(
+            0.5, 20.0, (len(spec.units), self.N_POINTS))
+            for t in range(trials)])
+        values[list(failed)] = np.nan
+        columns = values.reshape(trials, -1).T
+        assert [(r.mean_se, r.stderr, r.trials) for r in table.rows] == [
+            _column_oracle(c) for c in columns]
+        assert all(r.trials == trials - len(failed) for r in table.rows)
+
+    def test_no_kept_trial_raises(self, monkeypatch):
+        self._fake_blocks(monkeypatch, (0, 1, 2))
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericError, match="no successful trials"):
+            self._tabulate(small_spec(trials=3), 1)
+
 
 class TestBlockReferences:
     """The block reference stage against the single-channel oracle."""

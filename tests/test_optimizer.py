@@ -381,6 +381,21 @@ class TestAlternatingMinimize:
             alternating_minimize(arch, np.eye(4, dtype=complex)[:, :3],
                                  rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
+    def test_iteration_cap_must_be_integer(self, cap):
+        # neither 2.5 nor True can size the solver's history buffer
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerConfig(max_iterations=cap)
+
+    def test_numpy_integer_cap(self):
+        rng = np.random.default_rng(15)
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
+        sol = alternating_minimize(
+            arch, rand_orthonormal(rng, 96, 3), rng=rng,
+            config=OptimizerConfig(epsilon=1e-30,
+                                   max_iterations=np.int64(3)))
+        assert sol.iterations == 3
+
 
 class TestDirectSolver:
     def test_fully_dedicated_zero_phase(self):
