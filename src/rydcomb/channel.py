@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .architecture import _is_int
 from .arrays import ArrayGeometry, array_response, upa_response
 from .errors import GeometryError
 
@@ -33,6 +34,8 @@ class ChannelParams:
     angular_spread: float = math.radians(10.0)
 
     def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.n_tx, self.n_clusters, self.n_rays))):
+            raise ValueError("n_tx, n_clusters and n_rays must be integers")
         m = math.isqrt(self.n_tx)
         if m * m != self.n_tx:
             raise GeometryError(f"n_tx={self.n_tx} is not a perfect square")

@@ -7,12 +7,11 @@ on identical per-trial channels (paired comparison).  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
 The paths of a block are drawn trial by trial, and its references are
 built for the whole block at once: one stacked core SVD per receive
-geometry, with a lone re-run through the single-channel oracle for a
-trial that fails there.  Then every curve is solved once over the whole
-block, in one ``solve_stack`` call per block, and each curve is rated from
-its own rows.  Every sample is computed exactly as it would be alone, and
-results are aggregated in fixed trial order, so they depend on neither the
-block size nor the scheduling.
+geometry, which alone decides which trials fail.  Then every curve is
+solved once over the kept trials, in one ``solve_stack`` call per block,
+and each curve is rated from its own rows.  Every sample is computed
+exactly as it would be alone, and results are aggregated in fixed trial
+order, so they depend on neither the block size nor the scheduling.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-# compose_wrf and alternating_minimize stay importable here: the per-layer
-# benchmark trace patches them at these names.
-from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
-                           is_proportional)
+# compose_wrf, alternating_minimize and channel_matrix stay importable here:
+# the per-layer benchmark trace patches them at these names.
+from .architecture import (ReuseArchitecture, _is_int, compose_wrf,
+                           diagonal_phases, is_proportional)
 from .arrays import ArrayGeometry
-from .channel import (ChannelParams, LowRankChannel, Paths, block_channels,
-                      channel_matrix, draw_paths)
+from .channel import (ChannelBlock, ChannelParams, LowRankChannel, Paths,
+                      block_channels, channel_matrix, draw_paths)
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
@@ -229,6 +228,8 @@ class ExperimentSpec:
             raise ConfigError("experiment has no curves to evaluate")
         if not self.snr_db:
             raise ConfigError("snr_db grid is empty")
+        if not all(map(_is_int, (self.trials, self.n_streams, self.seed))):
+            raise ConfigError("trials, n_streams and seed must be integers")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.n_streams < 1:
@@ -317,73 +318,68 @@ def _geometries(spec: ExperimentSpec) -> dict[ArrayGeometry, bool]:
     return out
 
 
-def _trial_references(spec: ExperimentSpec, paths: Paths
-                      ) -> dict[ArrayGeometry, tuple[np.ndarray, ...]]:
-    """One trial alone, through the single-channel oracle: per receive
-    geometry, the combining target W_opt (None where no solved curve reads
-    it) and its n_streams singular values Sigma."""
-    out: dict[ArrayGeometry, tuple[np.ndarray, ...]] = {}
-    for geometry, vectors in _geometries(spec).items():
-        ref = optimal_digital_combiner(channel_matrix(
-            paths, spec.channel.n_tx, geometry), spec.n_streams)
-        out[geometry] = (ref.w_opt if vectors else None,
-                         ref.singular_values[:spec.n_streams])
-    return out
-
-
 def _block_references(spec: ExperimentSpec, trials: range
                       ) -> tuple[dict[ArrayGeometry, tuple[np.ndarray, ...]],
                                  dict[int, str]]:
     """Draw each trial's paths once and build, per receive geometry, the
-    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) for the whole block,
-    with the errors of the trials that failed.  A geometry that no solved
-    curve uses gets Sigma alone, and None for W_opt.
+    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) over the trials that
+    did not fail, with the errors of those that did.  A geometry that no
+    solved curve uses gets Sigma alone, and None for W_opt.
 
     The stacks come from ``block_channels``, then ``block_reference`` or
-    ``block_singular_values``.  A trial whose paths are not finite, whose
-    channel fails the rank test, or whose stack's SVD raises, is run again
-    alone from the same paths through ``_trial_references``; it is dropped
-    if that raises, with the oracle's error, and keeps the rows it gives
-    otherwise.  The rows of a dropped trial are left unset.
+    ``block_singular_values``, whose rows equal the single-channel oracle's
+    bit for bit.  A trial fails when its paths are not finite, or on the
+    rank test of its first geometry, in unit order, that it fails.  Only a
+    stack whose SVD raises is built again, one trial at a time, and a trial
+    whose own SVD raises fails.  The stacks are cut to the kept trials
+    only when some trial failed.
     """
-    n_s = spec.n_streams
-    draws = [draw_paths(spec.channel, _channel_rng(spec.seed, t))
-             for t in trials]
-    paths = Paths.stack(draws)
-    redo = ~paths.finite()
-    rows = np.flatnonzero(~redo)
-    stacks = {geometry: (
-        np.empty((len(trials), geometry.n_elements, n_s), complex)
-        if vectors else None, np.empty((len(trials), n_s)))
-        for geometry, vectors in _geometries(spec).items()}
-    if rows.size:
-        for geometry, channels in block_channels(
-                paths.take(rows), spec.channel.n_tx, stacks):
-            w_stack, sigma_stack = stacks[geometry]
-            try:
-                if w_stack is None:
-                    sigma, ok = block_singular_values(channels, n_s)
-                else:
-                    w_opt, sigma, ok = block_reference(channels, n_s)
-                    w_stack[rows] = w_opt
-            except np.linalg.LinAlgError:
-                ok = np.zeros(rows.size, dtype=bool)
-            else:
-                sigma_stack[rows] = sigma
-            del channels  # free its steering before the next geometry's
-            redo[rows[~ok]] = True
-    errors: dict[int, str] = {}
-    for row in np.flatnonzero(redo):
+    n_s, n_tx = spec.n_streams, spec.channel.n_tx
+    geometries = _geometries(spec)
+    paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
+                         for t in trials])
+    finite = paths.finite()
+    errors = {row: "channel matrix contains non-finite entries"
+              for row in np.flatnonzero(~finite)}
+    rows = np.flatnonzero(finite)
+
+    def stage(h: ChannelBlock, vectors: bool) -> tuple:
+        if vectors:
+            return block_reference(h, n_s)
+        return None, *block_singular_values(h, n_s)
+
+    stacks = {}
+    for geometry, channels in (block_channels(paths.take(rows), n_tx,
+                                              geometries) if rows.size else ()):
+        vectors = geometries[geometry]
         try:
-            refs = _trial_references(spec, draws[row])
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            errors[trials[row]] = f"trial {trials[row]}: {exc}"
-            continue
-        for geometry, parts in refs.items():
-            for stack, part in zip(stacks[geometry], parts):
-                if stack is not None:
-                    stack[row] = part
-    return stacks, errors
+            w_opt, sigma, ok = stage(channels, vectors)
+        except np.linalg.LinAlgError:
+            # again trial by trial; a raising trial fails, its row stays zero
+            w_opt = (np.zeros((rows.size, geometry.n_elements, n_s), complex)
+                     if vectors else None)
+            sigma, ok = np.zeros((rows.size, n_s)), np.ones(rows.size, bool)
+            for i, row in enumerate(rows):
+                try:
+                    parts = stage(next(block_channels(
+                        paths.take([row]), n_tx, [geometry]))[1], vectors)
+                except np.linalg.LinAlgError as exc:
+                    errors.setdefault(row, f"SVD failed: {exc}")
+                    continue
+                for stack, part in zip((w_opt, sigma, ok), parts):
+                    if stack is not None:
+                        stack[i] = part[0]
+        del channels  # free its steering before the next geometry's
+        for row, s in zip(rows[~ok], sigma[~ok]):
+            errors.setdefault(row, f"channel rank below n_streams={n_s}: "
+                                   f"singular values {s}")
+        stacks[geometry] = w_opt, sigma
+    kept = [i for i, row in enumerate(rows) if row not in errors]
+    if len(kept) < rows.size:
+        stacks = {geometry: tuple(None if s is None else s[kept] for s in refs)
+                  for geometry, refs in stacks.items()}
+    return stacks, {trials[row]: f"trial {trials[row]}: {text}"
+                    for row, text in errors.items()}
 
 
 # A curve maps items (unit, solution batch or None, W_opt or None, Sigma),
@@ -395,15 +391,13 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
                n_points: int) -> tuple[np.ndarray, dict[int, str]]:
     """Evaluate every curve on one block of trials.
 
-    The references of the whole block are built first, one stack per
-    geometry (``_block_references``).  Every architecture curve is solved
-    once, in one ``solve_stack`` call on the trials whose references
-    succeeded, and ``curve`` evaluates all curves in one call.  When that
-    call raises, each kept trial is evaluated alone, curve by curve in unit
-    order, and a trial fails with the error of its first curve that raises.
-    A failed trial, in its references or in any curve, is NaN in every
-    column; a kept trial in none.  Rows are mapped only when some trial of
-    the block failed.
+    Every architecture curve is solved once, in one ``solve_stack`` call
+    on the kept trials' stacks of ``_block_references``, and ``curve``
+    evaluates all curves in one call.  When that call raises, each kept
+    trial is evaluated alone, curve by curve in unit order, and fails with
+    the error of its first curve that raises.  A failed trial, in its
+    references or in any curve, is NaN in every column; a kept trial in
+    none.
     """
     out = np.full((len(trials), len(spec.units), n_points), np.nan)
     stacks, errors = _block_references(spec, trials)
@@ -416,29 +410,20 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
                                  key)
                for key in map(_stream_key, curves.values())}
     solved = dict(zip(curves, solve_stack([
-        (unit.arch, stacks[unit.geometry][0][good],
-         streams[_stream_key(unit)], unit.solver)
-        for unit in curves.values()], spec.solver)))
+        (unit.arch, stacks[unit.geometry][0], streams[_stream_key(unit)],
+         unit.solver) for unit in curves.values()], spec.solver)))
 
-    def evaluate(indices, rows: list[int]) -> list[np.ndarray]:
-        items = []
-        for i in indices:
-            unit, sol = spec.units[i], solved.get(i)
-            refs = stacks[unit.geometry]
-            if len(rows) < len(trials):  # the solved rows, or some of them
-                if sol is not None:
-                    sol = sol.take(np.searchsorted(good, rows))
-                refs = [None if s is None else s[rows] for s in refs]
-            items.append((unit, sol, *refs))
-        return curve(items)
-
+    items = [(unit, solved.get(i), *stacks[unit.geometry])
+             for i, unit in enumerate(spec.units)]
     try:
-        out[good] = np.stack(evaluate(range(len(spec.units)), good), axis=1)
+        out[good] = np.stack(curve(items), axis=1)
     except (NumericError, np.linalg.LinAlgError):
-        for row in good:
-            for i in range(len(spec.units)):
+        for k, row in enumerate(good):  # k: the trial's row in the stacks
+            for i, (unit, sol, *refs) in enumerate(items):
+                alone = (unit, None if sol is None else sol.take([k]),
+                         *(None if s is None else s[[k]] for s in refs))
                 try:
-                    out[row, i] = evaluate([i], [row])[0][0]
+                    out[row, i] = curve([alone])[0][0]
                 except (NumericError, np.linalg.LinAlgError) as exc:
                     errors[trials[row]] = f"trial {trials[row]}: {exc}"
                     break

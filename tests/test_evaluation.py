@@ -329,86 +329,79 @@ class TestRunConvergence:
 
 class TestFailedTrials:
     """A trial that fails anywhere loses its value for every curve; the
-    other trials of its block keep theirs."""
+    other trials of its block keep theirs.  Every injection is keyed on the
+    trial's own draw, so it holds under any thread count."""
 
     BAD = 2
 
     def _watch(self, monkeypatch, replace_paths=None):
-        """Record the block stage's draws, as (trial, paths), and the paths
-        it runs again alone; ``replace_paths`` makes trial BAD's paths of
-        its draw."""
-        drawn, rerun, trial = [], [], []
+        """Record the block stage's draws, as (trial, paths), and the
+        sample count of every stack the reference stage builds;
+        ``replace_paths`` makes trial BAD's paths of its draw.  The trial
+        rides from ``_channel_rng`` to ``draw_paths`` with its generator.
+        No trial may be run again alone through the single-channel oracle."""
+        drawn, built = [], []
         channel_rng = evaluation._channel_rng
         paths_of = evaluation.draw_paths
-        trial_references = evaluation._trial_references
 
-        def recording_rng(seed, t):
-            trial[:] = [t]
-            return channel_rng(seed, t)
-
-        def recording_draw(params, rng):
+        def recording_draw(params, tagged):
+            trial, rng = tagged
             paths = paths_of(params, rng)
-            if replace_paths is not None and trial[0] == self.BAD:
+            if replace_paths is not None and trial == self.BAD:
                 paths = replace_paths(paths)
-            drawn.append((trial[0], paths))
+            drawn.append((trial, paths))
             return paths
 
-        def recording_rerun(spec, paths):
-            rerun.append(paths)
-            return trial_references(spec, paths)
+        def recording(stage):
+            def recorded(channels, n_streams):
+                built.append(len(channels.gains))
+                return stage(channels, n_streams)
+            return recorded
 
-        monkeypatch.setattr(evaluation, "_channel_rng", recording_rng)
+        def lone(*args):
+            raise AssertionError("a trial was run again alone")
+
+        monkeypatch.setattr(evaluation, "channel_matrix", lone)
+        monkeypatch.setattr(evaluation, "optimal_digital_combiner", lone)
+        monkeypatch.setattr(evaluation, "_channel_rng",
+                            lambda seed, t: (t, channel_rng(seed, t)))
         monkeypatch.setattr(evaluation, "draw_paths", recording_draw)
-        monkeypatch.setattr(evaluation, "_trial_references", recording_rerun)
-        return drawn, rerun
+        for name in ("block_reference", "block_singular_values"):
+            monkeypatch.setattr(evaluation, name,
+                                recording(getattr(evaluation, name)))
+        return drawn, built
+
+    def _fail_trials(self, monkeypatch, fails):
+        """Pass the combining target (or, on a geometry that only ideal
+        digital curves read, the singular values) of each trial of
+        ``fails`` through its function, in every stack of the block stage
+        that holds the trial.  When the function raises, that stack raises
+        LinAlgError, as a stacked SVD does.  The trial's row is found from
+        its own draw: the stack's gains are its path gains times a positive
+        scale."""
+        drawn, _ = self._watch(monkeypatch)
+
+        def failing(stage):
+            def failed(channels, n_streams):
+                parts = stage(channels, n_streams)
+                seen = {t: p.gains for t, p in drawn if t in fails}
+                for trial, gains in seen.items():
+                    ratio = channels.gains / gains
+                    for row in np.flatnonzero(
+                            np.isclose(ratio, ratio[:, :1]).all(axis=1)):
+                        try:
+                            parts[0][row] = fails[trial](parts[0][row])
+                        except NumericError as exc:
+                            raise np.linalg.LinAlgError(str(exc)) from exc
+                return parts
+            return failed
+
+        for name in ("block_reference", "block_singular_values"):
+            monkeypatch.setattr(evaluation, name,
+                                failing(getattr(evaluation, name)))
 
     def _fail_trial(self, monkeypatch, fail):
-        """Pass trial BAD's combining target (or, on a geometry that only
-        ideal digital curves read, its singular values) through ``fail``
-        in the block stage's stacks and in its lone re-run.  When ``fail``
-        raises, the stack holding BAD raises LinAlgError, as a stacked SVD
-        does, so that every trial of it is re-run alone.  The stage draws
-        the trials of a block in order before it builds any stack, so the
-        trials drawn last are the rows of each stack (these draws are all
-        finite)."""
-        drawn, _ = self._watch(monkeypatch)
-        stage = evaluation.block_reference
-        sigma_stage = evaluation.block_singular_values
-        rerun = evaluation._trial_references
-
-        def failed(parts):  # BAD's part passed through fail, in place
-            rows = [t for t, _ in drawn[-len(parts):]]
-            if self.BAD in rows:
-                row = rows.index(self.BAD)
-                try:
-                    parts[row] = fail(parts[row])
-                except NumericError as exc:
-                    raise np.linalg.LinAlgError(str(exc)) from exc
-
-        def failing_stage(channels, n_streams):
-            w_opt, sigma, ok = stage(channels, n_streams)
-            failed(w_opt)
-            return w_opt, sigma, ok
-
-        def failing_sigma_stage(channels, n_streams):
-            # a geometry no solved curve reads has no target: its
-            # singular values go through fail instead
-            sigma, ok = sigma_stage(channels, n_streams)
-            failed(sigma)
-            return sigma, ok
-
-        def failing_rerun(spec, paths):
-            refs = rerun(spec, paths)
-            if any(t == self.BAD and p is paths for t, p in drawn):
-                refs = {g: (None, fail(sigma)) if w_opt is None
-                        else (fail(w_opt), sigma)
-                        for g, (w_opt, sigma) in refs.items()}
-            return refs
-
-        monkeypatch.setattr(evaluation, "block_reference", failing_stage)
-        monkeypatch.setattr(evaluation, "block_singular_values",
-                            failing_sigma_stage)
-        monkeypatch.setattr(evaluation, "_trial_references", failing_rerun)
+        self._fail_trials(monkeypatch, {self.BAD: fail})
 
     def _check_contained(self, spec):
         with pytest.warns(RuntimeWarning) as record:
@@ -426,23 +419,35 @@ class TestFailedTrials:
             gains = paths.gains.copy()
             gains[3] = np.nan
             return replace(paths, gains=gains)
-        drawn, rerun = self._watch(monkeypatch, nan_gain)
+        drawn, built = self._watch(monkeypatch, nan_gain)
         message = self._check_contained(small_spec(trials=6))
-        assert "non-finite" in message
+        assert message.endswith(
+            "trial 2: channel matrix contains non-finite entries)")
         assert [t for t, _ in drawn] == list(range(6))  # none drawn again
-        # kept out of the stacks, so no stack fails and the others stay
-        assert len(rerun) == 1 and np.isnan(rerun[0].gains[3])
+        # kept out of the one stack, and no stack is built again
+        assert built == [5]
 
     def test_rank_deficient_paths_drop_one_trial(self, monkeypatch):
         # every path a copy of the first: rank 1, below the 2 streams
         def one_path(paths):
             return Paths(**{k: v[np.zeros(v.size, dtype=int)]
                             for k, v in vars(paths).items()})
-        drawn, rerun = self._watch(monkeypatch, one_path)
-        message = self._check_contained(small_spec(trials=6))
+        drawn, built = self._watch(monkeypatch, one_path)
+        # two geometries, both rank deficient for the trial, with different
+        # singular values: the first in unit order names the failure
+        spec = small_spec(trials=6, units=small_spec().units + (
+            EvalUnit(label="UPA digital", kind="ideal_digital",
+                     geometry=ArrayGeometry(16, 1)),))
+        message = self._check_contained(spec)
         assert "rank below n_streams=2" in message
         assert [t for t, _ in drawn] == list(range(6))
-        assert len(rerun) == 1 and np.all(rerun[0].gains == rerun[0].gains[0])
+        assert built == [6, 6]  # no stack is built again
+        # the text is the single-channel oracle's, from the block's Sigma
+        with pytest.raises(NumericError) as oracle:
+            optimal_digital_combiner(channel_matrix(
+                drawn[self.BAD][1], spec.channel.n_tx,
+                spec.units[0].geometry), spec.n_streams)
+        assert message.endswith(f"trial {self.BAD}: {oracle.value})")
 
     @staticmethod
     def explode(w_opt):
@@ -491,6 +496,25 @@ class TestFailedTrials:
         self._fail_trial(monkeypatch, self.zero_target)
         self._check_contained(self.shared_stack_spec())
         assert stacked == [2]
+
+    def test_failures_independent_of_threads(self, monkeypatch):
+        # a reference failure in trial 2 and a rate failure in trial 4: at
+        # two threads the blocks are trials 0-2 and 3-5
+        self._fail_trials(monkeypatch, {self.BAD: self.explode,
+                                        4: self.zero_target})
+        runs = []
+        for threads in (1, 2):
+            with pytest.warns(RuntimeWarning) as record:
+                table = run_experiment(self.rate_failure_spec(),
+                                       threads=threads)
+            runs.append(([(r.mean_se, r.stderr, r.trials)
+                          for r in table.rows], table.failures,
+                         [str(w.message) for w in record]))
+        assert runs[0] == runs[1]
+        rows, failures, messages = runs[0]
+        assert failures == 2 and all(n == 4 for *_, n in rows)
+        assert messages == ["2 of 6 trials failed and were excluded (first: "
+                            "trial 2: SVD failed: synthetic SVD failure)"]
 
     def test_rate_failure_independent_of_block_size(self, monkeypatch):
         self._fail_trial(monkeypatch, self.zero_target)
@@ -676,6 +700,35 @@ class TestBlockReferences:
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
         assert ArrayGeometry(36, 1) in sigma_only
+
+    def test_raising_stack_built_again_trial_by_trial(self, monkeypatch):
+        # every stack of more than one trial raises, as a stacked SVD may:
+        # only the trials of those stacks are built again, one at a time,
+        # and each is kept with the values of the run without the failure
+        spec = small_spec(trials=5, units=small_spec().units + (
+            EvalUnit(label="UPA digital", kind="ideal_digital",
+                     geometry=ArrayGeometry(16, 1)),))
+        expected = run_experiment(spec)
+        built = []
+
+        def raising(stage):
+            def raised(channels, n_streams):
+                built.append(len(channels.gains))
+                if len(channels.gains) > 1:
+                    raise np.linalg.LinAlgError("synthetic SVD failure")
+                return stage(channels, n_streams)
+            return raised
+
+        for name in ("block_reference", "block_singular_values"):
+            monkeypatch.setattr(evaluation, name,
+                                raising(getattr(evaluation, name)))
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 4)
+        table = run_experiment(spec)
+        assert table.failures == 0
+        assert [(r.mean_se, r.stderr, r.trials) for r in table.rows] \
+            == [(r.mean_se, r.stderr, r.trials) for r in expected.rows]
+        # two geometries; the last block holds one trial and does not raise
+        assert built == [4, 1, 1, 1, 1] * 2 + [1, 1]
 
     def test_one_stream_per_trial_and_structure(self, monkeypatch,
                                                 configs_dir):
