@@ -27,13 +27,13 @@ import numpy as np
 from .architecture import (ReuseArchitecture, _is_int, compose_wrf,
                            diagonal_phases, is_proportional)
 from .arrays import ArrayGeometry
-from .channel import (ChannelBlock, ChannelParams, LowRankChannel, Paths,
-                      block_channels, channel_matrix, draw_paths)
+from .channel import (ChannelParams, LowRankChannel, Paths, block_channels,
+                      channel_matrix, draw_paths)
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
-                        block_reference, block_singular_values,
-                        optimal_digital_combiner, solve_stack)
+                        block_reference, optimal_digital_combiner,
+                        solve_stack)
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -228,6 +228,8 @@ class ExperimentSpec:
             raise ConfigError("experiment has no curves to evaluate")
         if not self.snr_db:
             raise ConfigError("snr_db grid is empty")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ConfigError("snr_db values must be finite")
         if not all(map(_is_int, (self.trials, self.n_streams, self.seed))):
             raise ConfigError("trials, n_streams and seed must be integers")
         if self.trials < 1:
@@ -308,34 +310,22 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, trial)))
 
 
-def _geometries(spec: ExperimentSpec) -> dict[ArrayGeometry, bool]:
-    """Each receive geometry of the curves, in their order, and whether a
-    solved curve reads its W_opt; else only its Sigma is formed."""
-    out: dict[ArrayGeometry, bool] = {}
-    for unit in spec.units:
-        out[unit.geometry] = (out.get(unit.geometry, False)
-                              or unit.arch is not None)
-    return out
-
-
 def _block_references(spec: ExperimentSpec, trials: range
                       ) -> tuple[dict[ArrayGeometry, tuple[np.ndarray, ...]],
                                  dict[int, str]]:
     """Draw each trial's paths once and build, per receive geometry, the
     stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) over the trials that
-    did not fail, with the errors of those that did.  A geometry that no
-    solved curve uses gets Sigma alone, and None for W_opt.
+    did not fail, with the errors of those that did.
 
-    The stacks come from ``block_channels``, then ``block_reference`` or
-    ``block_singular_values``, whose rows equal the single-channel oracle's
-    bit for bit.  A trial fails when its paths are not finite, or on the
-    rank test of its first geometry, in unit order, that it fails.  Only a
-    stack whose SVD raises is built again, one trial at a time, and a trial
-    whose own SVD raises fails.  The stacks are cut to the kept trials
-    only when some trial failed.
+    The stacks come from ``block_channels`` and ``block_reference``, whose
+    rows equal the single-channel oracle's bit for bit.  A trial fails when
+    its paths are not finite, or on the rank test of its first geometry, in
+    unit order, that it fails.  Only a stack whose SVD raises is built
+    again, one trial at a time, and a trial whose own SVD raises fails.
+    The stacks are cut to the kept trials only when some trial failed.
     """
     n_s, n_tx = spec.n_streams, spec.channel.n_tx
-    geometries = _geometries(spec)
+    geometries = dict.fromkeys(unit.geometry for unit in spec.units)
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
                          for t in trials])
     finite = paths.finite()
@@ -343,32 +333,24 @@ def _block_references(spec: ExperimentSpec, trials: range
               for row in np.flatnonzero(~finite)}
     rows = np.flatnonzero(finite)
 
-    def stage(h: ChannelBlock, vectors: bool) -> tuple:
-        if vectors:
-            return block_reference(h, n_s)
-        return None, *block_singular_values(h, n_s)
-
     stacks = {}
     for geometry, channels in (block_channels(paths.take(rows), n_tx,
                                               geometries) if rows.size else ()):
-        vectors = geometries[geometry]
         try:
-            w_opt, sigma, ok = stage(channels, vectors)
+            w_opt, sigma, ok = block_reference(channels, n_s)
         except np.linalg.LinAlgError:
             # again trial by trial; a raising trial fails, its row stays zero
-            w_opt = (np.zeros((rows.size, geometry.n_elements, n_s), complex)
-                     if vectors else None)
+            w_opt = np.zeros((rows.size, geometry.n_elements, n_s), complex)
             sigma, ok = np.zeros((rows.size, n_s)), np.ones(rows.size, bool)
             for i, row in enumerate(rows):
                 try:
-                    parts = stage(next(block_channels(
-                        paths.take([row]), n_tx, [geometry]))[1], vectors)
+                    parts = block_reference(next(block_channels(
+                        paths.take([row]), n_tx, [geometry]))[1], n_s)
                 except np.linalg.LinAlgError as exc:
                     errors.setdefault(row, f"SVD failed: {exc}")
                     continue
                 for stack, part in zip((w_opt, sigma, ok), parts):
-                    if stack is not None:
-                        stack[i] = part[0]
+                    stack[i] = part[0]
         del channels  # free its steering before the next geometry's
         for row, s in zip(rows[~ok], sigma[~ok]):
             errors.setdefault(row, f"channel rank below n_streams={n_s}: "
@@ -376,14 +358,14 @@ def _block_references(spec: ExperimentSpec, trials: range
         stacks[geometry] = w_opt, sigma
     kept = [i for i, row in enumerate(rows) if row not in errors]
     if len(kept) < rows.size:
-        stacks = {geometry: tuple(None if s is None else s[kept] for s in refs)
-                  for geometry, refs in stacks.items()}
+        stacks = {geometry: (w_opt[kept], sigma[kept])
+                  for geometry, (w_opt, sigma) in stacks.items()}
     return stacks, {trials[row]: f"trial {trials[row]}: {text}"
                     for row, text in errors.items()}
 
 
-# A curve maps items (unit, solution batch or None, W_opt or None, Sigma),
-# all on the same trials, to one (trials, n_points) array per item.
+# A curve maps items (unit, solution batch or None, W_opt, Sigma), all on
+# the same trials, to one (trials, n_points) array per item.
 Curve = Callable[[list[tuple]], list[np.ndarray]]
 
 
@@ -421,7 +403,7 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
         for k, row in enumerate(good):  # k: the trial's row in the stacks
             for i, (unit, sol, *refs) in enumerate(items):
                 alone = (unit, None if sol is None else sol.take([k]),
-                         *(None if s is None else s[[k]] for s in refs))
+                         *(s[[k]] for s in refs))
                 try:
                     out[row, i] = curve([alone])[0][0]
                 except (NumericError, np.linalg.LinAlgError) as exc:

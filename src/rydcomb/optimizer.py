@@ -125,50 +125,26 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
         singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
 
 
-def _full_rank(s: np.ndarray, shape: tuple[int, int],
-               n_streams: int) -> np.ndarray:
-    """The rank test of ``optimal_digital_combiner`` per sample of
-    descending singular values s (B, K): s_{n_streams} above
-    max(N_r, N_t) * eps * s_1."""
-    return ~(s[:, n_streams - 1] <= max(shape) * np.finfo(float).eps * s[:, 0])
-
-
-def _block_core(h: ChannelBlock) -> tuple[np.ndarray, np.ndarray]:
-    """The cores R_rx diag(g) R_tx^H of a block, one QR per sample, and
-    the R_tx^H they were formed with."""
-    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
-    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
-    return (r_rx * h.gains[:, None]) @ r_tx_h, r_tx_h
-
-
 def block_reference(h: ChannelBlock, n_streams: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a run reads of ``optimal_digital_combiner``, for a block of
     factored channels: the phase-fixed W_opt (B, N_r, N_s), the leading
     singular values (B, N_s), and per sample whether the channel passes
     the rank test.  Where it does, the sample equals the lone reference
-    bit for bit.  One QR per sample, then one core product, one SVD and
-    one vector mapping for the whole stack; raises LinAlgError when the
-    SVD of any sample fails.
+    bit for bit; where it does not, W_opt is left unscaled.  One QR per
+    sample, then one core product, one SVD and one vector mapping for the
+    whole stack; raises LinAlgError when the SVD of any sample fails.
     """
-    core, r_tx_h = _block_core(h)
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    ok = _full_rank(s, h.shape, n_streams)
+    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
+    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
+    _, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
+                             full_matrices=False)
+    ok = ~(s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0])
     f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
     w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
-    return _fix_column_phases(w / s[:, None, :n_streams]), s[:, :n_streams], ok
-
-
-def block_singular_values(h: ChannelBlock, n_streams: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """``block_reference`` for a curve that reads only Sigma: the leading
-    singular values (B, N_s) from the same QRs, core and SVD, and the rank
-    flags, without mapping the singular vectors.  Each sample that passes
-    equals the lone reference's Sigma bit for bit (LAPACK gives other bits
-    when it forms no vectors); raises LinAlgError when the SVD of any
-    sample fails."""
-    s = np.linalg.svd(_block_core(h)[0], full_matrices=False)[1]
-    return s[:, :n_streams], _full_rank(s, h.shape, n_streams)
+    s = s[:, :n_streams]
+    np.divide(w, s[:, None], out=w, where=ok[:, None, None])
+    return _fix_column_phases(w), s, ok
 
 
 def _trace_sum(p: np.ndarray) -> np.ndarray:

@@ -366,19 +366,16 @@ class TestFailedTrials:
         monkeypatch.setattr(evaluation, "_channel_rng",
                             lambda seed, t: (t, channel_rng(seed, t)))
         monkeypatch.setattr(evaluation, "draw_paths", recording_draw)
-        for name in ("block_reference", "block_singular_values"):
-            monkeypatch.setattr(evaluation, name,
-                                recording(getattr(evaluation, name)))
+        monkeypatch.setattr(evaluation, "block_reference",
+                            recording(evaluation.block_reference))
         return drawn, built
 
     def _fail_trials(self, monkeypatch, fails):
-        """Pass the combining target (or, on a geometry that only ideal
-        digital curves read, the singular values) of each trial of
-        ``fails`` through its function, in every stack of the block stage
-        that holds the trial.  When the function raises, that stack raises
-        LinAlgError, as a stacked SVD does.  The trial's row is found from
-        its own draw: the stack's gains are its path gains times a positive
-        scale."""
+        """Pass the combining target of each trial of ``fails`` through its
+        function, in every stack of the block stage that holds the trial.
+        When the function raises, that stack raises LinAlgError, as a
+        stacked SVD does.  The trial's row is found from its own draw: the
+        stack's gains are its path gains times a positive scale."""
         drawn, _ = self._watch(monkeypatch)
 
         def failing(stage):
@@ -396,9 +393,8 @@ class TestFailedTrials:
                 return parts
             return failed
 
-        for name in ("block_reference", "block_singular_values"):
-            monkeypatch.setattr(evaluation, name,
-                                failing(getattr(evaluation, name)))
+        monkeypatch.setattr(evaluation, "block_reference",
+                            failing(evaluation.block_reference))
 
     def _fail_trial(self, monkeypatch, fail):
         self._fail_trials(monkeypatch, {self.BAD: fail})
@@ -448,6 +444,19 @@ class TestFailedTrials:
                 drawn[self.BAD][1], spec.channel.n_tx,
                 spec.units[0].geometry), spec.n_streams)
         assert message.endswith(f"trial {self.BAD}: {oracle.value})")
+
+    def test_zero_gain_paths_drop_one_trial(self, monkeypatch):
+        # finite paths of zero gain: the rank test fails the trial, and the
+        # zero singular values divide nothing on the way
+        def zero_gain(paths):
+            return replace(paths, gains=np.zeros_like(paths.gains))
+        self._watch(monkeypatch, zero_gain)
+        spec = small_spec(trials=6, units=small_spec().units + (
+            EvalUnit(label="UPA digital", kind="ideal_digital",
+                     geometry=ArrayGeometry(16, 1)),))
+        message = self._check_contained(spec)
+        assert message.endswith(f"trial {self.BAD}: channel rank below "
+                                f"n_streams=2: singular values [0. 0.])")
 
     @staticmethod
     def explode(w_opt):
@@ -674,10 +683,9 @@ class TestBlockReferences:
     def test_equal_to_lone_references(self, configs_dir, block):
         # every bundled geometry: N_r = 36 below the 50 paths, the 72- to
         # 216-element reuse arrays, and fig10's 144-element UPA and
-        # 36x4 non-UPA partially-connected arrays
-        # a geometry that only ideal digital curves read (fig10's 36x1)
-        # gets Sigma alone
-        seen, sigma_only = set(), set()
+        # 36x4 non-UPA partially-connected arrays, and a geometry that only
+        # ideal digital curves read (fig10's 36x1)
+        seen = set()
         trials = range(3, 3 + block)
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
@@ -690,16 +698,12 @@ class TestBlockReferences:
                 for geometry, (w_opt, sigma) in stacks.items():
                     ref = optimal_digital_combiner(channel_matrix(
                         paths, spec.channel.n_tx, geometry), n_s)
-                    if w_opt is None:
-                        sigma_only.add(geometry)
-                    else:
-                        np.testing.assert_array_equal(w_opt[row], ref.w_opt)
+                    np.testing.assert_array_equal(w_opt[row], ref.w_opt)
                     np.testing.assert_array_equal(
                         sigma[row], ref.singular_values[:n_s])
             seen.update(stacks)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
-        assert ArrayGeometry(36, 1) in sigma_only
 
     def test_raising_stack_built_again_trial_by_trial(self, monkeypatch):
         # every stack of more than one trial raises, as a stacked SVD may:
@@ -719,9 +723,8 @@ class TestBlockReferences:
                 return stage(channels, n_streams)
             return raised
 
-        for name in ("block_reference", "block_singular_values"):
-            monkeypatch.setattr(evaluation, name,
-                                raising(getattr(evaluation, name)))
+        monkeypatch.setattr(evaluation, "block_reference",
+                            raising(evaluation.block_reference))
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 4)
         table = run_experiment(spec)
         assert table.failures == 0
@@ -769,6 +772,51 @@ class TestStackedRate:
             evaluation._stacked_gain_eigenvalues(items),
             np.concatenate([evaluation._batch_gain_eigenvalues(*item)
                             for item in items]))
+
+
+class TestRateInvariant:
+    """Per trial and SNR point, no architecture curve beats the ideal
+    digital rate on its own receive geometry, and one with an RF chain per
+    antenna (apd_depth = 1) reaches it: W_RF is then invertible."""
+
+    @pytest.mark.parametrize("config,command", [
+        *((f"configs/{name}.json", "sweep-snr") for name in (
+            "smoke", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")),
+        ("configs/fig10.json", "sweep-chains"),
+        ("tests/configs/depth.json", "sweep-depth")])
+    def test_architectures_at_most_ideal_digital(self, monkeypatch,
+                                                 configs_dir, config, command):
+        spec, _ = parse_config(configs_dir.parent / config, command,
+                               trials_override=4)
+        # one ideal digital curve per receive geometry, after the others
+        geometries = list(dict.fromkeys(u.geometry for u in spec.units))
+        sweep_value = None if spec.sweep_param == "snr_db" else 0.0
+        spec = replace(spec, units=spec.units + tuple(
+            EvalUnit(label=f"ceiling {i}", kind="ideal_digital", geometry=g,
+                     sweep_value=sweep_value)
+            for i, g in enumerate(geometries)))
+        blocks = []
+        run_block = evaluation._run_block
+
+        def recording(*args):
+            values, errors = run_block(*args)
+            blocks.append(values)
+            return values, errors
+
+        monkeypatch.setattr(evaluation, "_run_block", recording)
+        run_experiment(spec)
+        values = np.concatenate(blocks)  # (trials, units, SNR points)
+        assert values.shape[0] == 4 and np.isfinite(values).all()
+        ceiling = dict(zip(geometries, np.moveaxis(
+            values[:, -len(geometries):], 1, 0)))
+        for i, unit in enumerate(spec.units):
+            if unit.arch is None:
+                continue
+            top = ceiling[unit.geometry]
+            assert np.all(values[:, i] <= top * (1 + 1e-12)), unit.label
+            if unit.arch.apd_depth == 1:
+                np.testing.assert_allclose(values[:, i], top, rtol=1e-12,
+                                           atol=0, err_msg=unit.label)
 
 
 class TestTrialBlocks:

@@ -79,3 +79,9 @@ def test_non_integer_count_rejected(case):
 def test_integer_counts_accepted():
     assert _spec(trials=np.int64(4), seed=np.uint64(1)).trials == 4
     assert ChannelParams(n_tx=np.int64(16), n_rays=np.int64(2)).n_paths == 10
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_snr_rejected(value):
+    with pytest.raises(ConfigError, match="snr_db values must be finite"):
+        _spec(snr_db=(0.0, value))
