@@ -10,8 +10,8 @@ from .architecture import (ReuseArchitecture, build_wlc, compose_wrf,
                            diagonal_phases, is_proportional, phase_grid)
 from .arrays import (ArrayGeometry, array_response, axial_response,
                      upa_response)
-from .channel import (ChannelParams, LowRankChannel, Paths, TransmitFactor,
-                      channel_matrix, draw_paths, generate_channel)
+from .channel import (ChannelParams, LowRankChannel, Paths, channel_matrix,
+                      draw_paths, generate_channel)
 from .errors import (ArchitectureError, ConfigError, GeometryError,
                      NumericError)
 from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
@@ -29,7 +29,7 @@ __all__ = [
     "ArchitectureError", "ArrayGeometry", "ChannelParams", "CombinerSolution",
     "ConfigError", "DigitalReference", "EvalUnit", "ExperimentSpec",
     "GeometryError", "LowRankChannel", "NumericError", "OptimizerConfig",
-    "Paths", "ResultRow", "ResultTable", "ReuseArchitecture", "TransmitFactor",
+    "Paths", "ResultRow", "ResultTable", "ReuseArchitecture",
     "alternating_minimize", "array_response", "axial_response", "build_wlc",
     "channel_matrix", "combined_gain_eigenvalues", "compose_wrf",
     "diagonal_phases", "direct_solve_proportional", "draw_paths",

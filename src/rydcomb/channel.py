@@ -93,17 +93,10 @@ class Paths:
 
 
 @dataclass(frozen=True, eq=False)
-class TransmitFactor:
-    """Transmit steering matrix A_tx (N_t x L) of one path draw and its QR
-    R factor."""
-
-    steering: np.ndarray
-    r: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LowRankChannel:
-    """The channel H = A_rx diag(gains) A_tx^H kept as its path factors.
+    """The channel H = A_rx diag(gains) A_tx^H kept as its path factors:
+    the receive and transmit steering a_rx (N_r x L) and a_tx (N_t x L),
+    and the R factor r_tx of the QR of a_tx.
 
     ``gains`` carry the normalization sqrt(N_t N_r / L), so H has rank at
     most L = n_clusters * n_rays whatever the array sizes.
@@ -111,18 +104,19 @@ class LowRankChannel:
 
     a_rx: np.ndarray
     gains: np.ndarray
-    transmit: TransmitFactor
+    a_tx: np.ndarray
+    r_tx: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.a_rx.shape[0], self.transmit.steering.shape[0]
+        return self.a_rx.shape[0], self.a_tx.shape[0]
 
     def dense(self) -> np.ndarray:
-        return (self.a_rx * self.gains) @ self.transmit.steering.conj().T
+        return (self.a_rx * self.gains) @ self.a_tx.conj().T
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """H @ f through the factors, without forming H."""
-        return (self.a_rx * self.gains) @ (self.transmit.steering.conj().T @ f)
+        return (self.a_rx * self.gains) @ (self.a_tx.conj().T @ f)
 
 
 def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
@@ -170,9 +164,8 @@ def channel_matrix(paths: Paths, n_tx: int,
     n_r = rx_geometry.n_elements
     a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
     scale = math.sqrt(n_tx * n_r / paths.n_paths)
-    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains,
-                          transmit=TransmitFactor(
-                              a_tx, np.linalg.qr(a_tx, mode="r")))
+    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains, a_tx=a_tx,
+                          r_tx=np.linalg.qr(a_tx, mode="r"))
 
 
 @dataclass(frozen=True, eq=False)

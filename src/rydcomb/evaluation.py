@@ -22,8 +22,9 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-# compose_wrf, alternating_minimize and channel_matrix stay importable here:
-# the per-layer benchmark trace patches them at these names.
+# compose_wrf, alternating_minimize, channel_matrix and
+# optimal_digital_combiner stay importable here: the per-layer benchmark
+# trace patches them at these names.
 from .architecture import (ReuseArchitecture, _is_int, compose_wrf,
                            diagonal_phases, is_proportional)
 from .arrays import ArrayGeometry
@@ -90,17 +91,11 @@ def _gain_terms(arch: ReuseArchitecture, sol: SolutionBatch,
     return _adjoint(w) @ (w_opt * sigma[..., None, :]), gram
 
 
-def _batch_gain_eigenvalues(arch: ReuseArchitecture, sol: SolutionBatch,
-                            w_opt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``combined_gain_eigenvalues`` for a stack of solutions."""
-    return _gain_eigenvalues(*_gain_terms(arch, sol, w_opt, sigma))
-
-
 def _stacked_gain_eigenvalues(items: list[tuple]) -> np.ndarray:
-    """``_batch_gain_eigenvalues`` of (arch, solutions, W_opt, Sigma) items
-    of one N_s, stacked in item order: their N_s x N_s T and Gram matrices
-    go through one Cholesky, solve and eigvalsh call, which factor each
-    sample alone, so every sample equals its per-item value bit for bit.
+    """``combined_gain_eigenvalues`` of (arch, solutions, W_opt, Sigma)
+    items of one N_s, stacked in item order: their N_s x N_s T and Gram
+    matrices go through one Cholesky, solve and eigvalsh call, which factor
+    each sample alone, so every sample equals its lone value bit for bit.
     Raises if any sample fails."""
     t, gram = zip(*(_gain_terms(*item) for item in items))
     return _gain_eigenvalues(np.concatenate(t), np.concatenate(gram))
@@ -144,25 +139,23 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
     return float(_rates(sv[:n_streams] ** 2, n_streams, [snr_linear])[0])
 
 
-def evaluate_architecture(h: Union[np.ndarray, LowRankChannel],
-                          arch: ReuseArchitecture,
-                          n_streams: int, snr_linear_grid,
+def evaluate_architecture(reference: DigitalReference,
+                          arch: ReuseArchitecture, snr_linear_grid,
                           solver: str = "auto",
-                          config: Optional[OptimizerConfig] = None,
                           rng: Optional[np.random.Generator] = None,
-                          reference: Optional[DigitalReference] = None,
                           ) -> tuple[np.ndarray, CombinerSolution]:
-    """Design the combiner for one channel and evaluate it on an SNR grid.
+    """Design the combiner for the channel of an SVD reference and
+    evaluate it on an SNR grid, with N_s the reference's stream count.
 
-    Returns the per-SNR rates and the combiner solution.  The SVD reference
-    may be passed in to share it across architectures on the same channel.
-    A batch of one through the solver and rate of the trial blocks.
+    Returns the per-SNR rates and the combiner solution.  A batch of one
+    through the solver and rate of the trial blocks.
     """
-    ref = reference if reference is not None else optimal_digital_combiner(h, n_streams)
-    sol = solve_stack([(arch, ref.w_opt[None],
-                        [rng or np.random.default_rng()], solver)], config)[0]
-    ev = _batch_gain_eigenvalues(arch, sol, ref.w_opt[None],
-                                 ref.singular_values[None, :n_streams])[0]
+    n_streams = reference.w_opt.shape[1]
+    sol = solve_stack([(arch, reference.w_opt[None],
+                        [rng or np.random.default_rng()], solver)], None)[0]
+    ev = _stacked_gain_eigenvalues([(
+        arch, sol, reference.w_opt[None],
+        reference.singular_values[None, :n_streams])])[0]
     return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
 
@@ -424,6 +417,8 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
     Failed trials are dropped from every column and reported once at the
     end; every column is reduced over the same kept trials.
     """
+    if not (_is_int(threads) and threads >= 1):
+        raise ValueError("threads must be an integer >= 1")
     size = min(TRIAL_BLOCK, -(-spec.trials // threads))
     blocks = [range(first, min(first + size, spec.trials))
               for first in range(0, spec.trials, size)]

@@ -89,7 +89,7 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
     f_i = A_tx (conj(g) * R_rx^H u_i) / s_i.
     """
     if isinstance(h, LowRankChannel):
-        parts = (h.a_rx, h.gains, h.transmit.steering)
+        parts = (h.a_rx, h.gains, h.a_tx)
     else:
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2:
@@ -103,7 +103,7 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
     try:
         if isinstance(h, LowRankChannel):
             r_rx = np.linalg.qr(h.a_rx, mode="r")
-            u, s, vh = np.linalg.svd((r_rx * h.gains) @ h.transmit.r.conj().T,
+            u, s, vh = np.linalg.svd((r_rx * h.gains) @ h.r_tx.conj().T,
                                      full_matrices=False)
         else:
             u, s, vh = np.linalg.svd(h, full_matrices=False)
@@ -117,8 +117,8 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
                            f"singular values {s[:n_streams]}")
     w, f = u[:, :n_streams], vh[:n_streams].conj().T
     if isinstance(h, LowRankChannel):
-        w, f = (h.a_rx @ (h.gains[:, None] * (h.transmit.r.conj().T @ f)),
-                h.transmit.steering @ (np.conj(h.gains)[:, None] * (r_rx.conj().T @ w)))
+        w, f = (h.a_rx @ (h.gains[:, None] * (h.r_tx.conj().T @ f)),
+                h.a_tx @ (np.conj(h.gains)[:, None] * (r_rx.conj().T @ w)))
         w, f = w / s[:n_streams], f / s[:n_streams]
     return DigitalReference(
         w_opt=_fix_column_phases(w), f_opt=_fix_column_phases(f),
@@ -371,14 +371,15 @@ def _solve(segments: Sequence[tuple],
     run of the flat cell array, and a row depends on its own sample only.
     The direct solver runs on cells of one row.
 
-    The phase half-step is ``optimal_phase``, then ``quantize_phase`` on
-    B-bit phases, whose rotation is looked up among the 2^B grid rotations.
-    On continuous phases the rotation is taken from the block trace t
-    without its angle, as t/|t| (1 where t = 0), and a stopping sample's
-    phases from that trace by ``_trace_phase``.  A stop keeps the sample's
-    last traces (B-bit: phases) and W_BB rows as they are; they are formed
-    and put in sample order once, after the loop, and the live samples' u
-    is rebuilt from their kept rotations.
+    The phase half-step forms each block trace t, the Tr[X^H Y] of
+    ``optimal_phase``, at either resolution.  On continuous phases the
+    rotation is t/|t| (1 where t = 0), with no angle; on B-bit phases it is
+    looked up among the 2^B grid rotations, at the level of
+    ``_trace_phase(t)``.  A stop keeps the sample's last traces and W_BB
+    rows as they are, and the live samples' u is rebuilt from their kept
+    rotations.  After the loop the phases are ``_trace_phase`` of the kept
+    traces, through ``quantize_phase`` on B-bit stacks, and the outputs are
+    put in sample order once.
     """
     arch = segments[0][0]
     lo, bits, n_blocks = arch.lo_depth, arch.resolution_bits, arch.n_blocks
@@ -442,23 +443,20 @@ def _solve(segments: Sequence[tuple],
     iterations = np.full(n_b, cap)
     converged = np.zeros(n_b, dtype=bool)
     live = np.arange(n_b)
-    # per stop: the samples, their traces (B-bit: phases) and W_BB rows
+    # per stop: the samples, their traces and W_BB rows
     stopped, traces, stopped_w = [], [], []
     prev_sq = None
     for k in range(cap):
         w_bb, rows = _group_means(np.conj(u) * cells, layout)
+        np.conjugate(rows, out=buf)
+        np.multiply(buf, cells, out=buf)
+        t = _by_class(classes, lambda gc, i, j, a, b: _trace_sum(
+            buf[a:b].reshape(-1, lo // gc * n_s))).reshape(-1, n_blocks)
         if bits is None:
-            np.conjugate(rows, out=buf)
-            np.multiply(buf, cells, out=buf)
-            t = _by_class(classes, lambda gc, i, j, a, b: _trace_sum(
-                buf[a:b].reshape(-1, lo // gc * n_s))).reshape(-1, n_blocks)
             size = np.abs(t)
             rotation = np.divide(t, size, out=np.ones_like(t), where=size != 0)
         else:
-            phi = _by_class(classes, lambda gc, i, j, a, b: optimal_phase(
-                cells[a:b].reshape(-1, lo // gc, n_s),
-                rows[a:b].reshape(-1, lo // gc, n_s))).reshape(-1, n_blocks)
-            rotation = grid[_phase_level(phi, bits)]
+            rotation = grid[_phase_level(_trace_phase(t), bits)]
         u = rotate(rotation)
         res = residual(u, rows)
         history[live, k] = res
@@ -469,7 +467,7 @@ def _solve(segments: Sequence[tuple],
         if stop.any():
             idx = live[stop]
             stopped.append(idx)
-            traces.append(t[stop] if bits is None else phi[stop])
+            traces.append(t[stop])
             stopped_w.append(w_bb[np.repeat(stop, n_groups)])
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
@@ -490,10 +488,9 @@ def _solve(segments: Sequence[tuple],
         prev_sq = sq
     # every sample stopped once: form its phases, and put the outputs in
     # sample order, W_BB rows by each sample's first row in stop order
-    idx, t = np.concatenate(stopped), np.concatenate(traces)
+    idx, phi = np.concatenate(stopped), _trace_phase(np.concatenate(traces))
     out_phases = np.empty_like(phases)
-    out_phases[idx] = (_trace_phase(t) if bits is None
-                       else quantize_phase(t, bits))
+    out_phases[idx] = phi if bits is None else quantize_phase(phi, bits)
     groups = out_groups[idx]
     first = np.empty(n_b, dtype=int)
     first[idx] = np.cumsum(groups) - groups

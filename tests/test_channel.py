@@ -137,7 +137,7 @@ class TestBlockChannels:
                 lone = channel_matrix(paths, 144, geometry)
                 np.testing.assert_array_equal(block.a_rx[b], lone.a_rx)
                 np.testing.assert_array_equal(block.gains[b], lone.gains)
-                np.testing.assert_array_equal(block.r_tx[b], lone.transmit.r)
+                np.testing.assert_array_equal(block.r_tx[b], lone.r_tx)
 
     def test_one_upa_factor_per_block_layout(self, monkeypatch):
         # the transmitter, then one factor for the two 36-block layouts

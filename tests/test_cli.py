@@ -494,16 +494,17 @@ class TestValidateCommand:
                    for l in default)
 
     def test_raising_check_reported_as_fail(self, capsys, monkeypatch):
-        def explode(block_target, block_product):
+        def explode(t):
             raise RuntimeError("synthetic breakdown")
-        monkeypatch.setattr(rydcomb.optimizer, "optimal_phase", explode)
+        monkeypatch.setattr(rydcomb.optimizer, "_trace_phase", explode)
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines()
                     if l.startswith("phase-update-grid"))
         assert "FAIL" in line and "RuntimeError" in line
-        # the solver's phase half-step is optimal_phase, so the solver
-        # check fails with its oracle and the other four still pass
+        # the oracle and the solver both take the phase of a block trace
+        # through _trace_phase, so the solver check fails with its oracle
+        # and the other four still pass
         line = next(l for l in out.splitlines()
                     if l.startswith("proportional-equivalence"))
         assert "FAIL" in line and "RuntimeError" in line

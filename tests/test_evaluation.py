@@ -165,8 +165,8 @@ class TestEvaluateArchitecture:
             h = generate_channel(params, geometry, np.random.default_rng(seed))
             ref = optimal_digital_combiner(h, 3)
             rates, sol = evaluate_architecture(
-                h, arch, 3, snr, solver="altmin",
-                rng=np.random.default_rng(100 + seed), reference=ref)
+                ref, arch, snr, solver="altmin",
+                rng=np.random.default_rng(100 + seed))
             ideal = [fully_digital_se(ref.singular_values, 3, s) for s in snr]
             np.testing.assert_allclose(rates, ideal, atol=1e-9)
             assert sol.residual < 1e-8
@@ -179,8 +179,7 @@ class TestEvaluateArchitecture:
             h = generate_channel(params, geometry, np.random.default_rng(seed))
             ref = optimal_digital_combiner(h, 2)
             rates, _ = evaluate_architecture(
-                h, arch, 2, [1.0], rng=np.random.default_rng(seed),
-                reference=ref)
+                ref, arch, [1.0], rng=np.random.default_rng(seed))
             assert rates[0] <= fully_digital_se(ref.singular_values, 2, 1.0) + 1e-9
 
 
@@ -195,8 +194,7 @@ class TestEvaluateArchitecture:
                                36, geometry)
             ref = optimal_digital_combiner(h, 3)
             rates, sol = evaluate_architecture(
-                h, arch, 3, snr, rng=np.random.default_rng(seed),
-                reference=ref)
+                ref, arch, snr, rng=np.random.default_rng(seed))
             w_rf = compose_wrf(arch, sol.phases)
             dense = [spectral_efficiency(h, w_rf, sol.w_bb, ref.f_opt, 3, s)
                      for s in snr]
@@ -770,7 +768,7 @@ class TestStackedRate:
         assert len(items) == 27
         np.testing.assert_array_equal(
             evaluation._stacked_gain_eigenvalues(items),
-            np.concatenate([evaluation._batch_gain_eigenvalues(*item)
+            np.concatenate([evaluation._stacked_gain_eigenvalues([item])
                             for item in items]))
 
 
@@ -850,6 +848,17 @@ class TestTrialBlocks:
         monkeypatch.setattr(evaluation, "_run_block", recording)
         run_experiment(small_spec(trials=trials), threads=threads)
         assert sorted(seen, reverse=True) == sizes
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("run", [run_experiment, run_convergence])
+    def test_bad_thread_count_rejected(self, monkeypatch, run, threads):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(evaluation, "_run_block", no_block)
+        spec = small_spec(units=small_spec().units[:1])
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            run(spec, threads=threads)
 
     def test_thread_pool_imported_only_for_threads(self):
         # concurrent.futures pulls in logging, which importing the package
