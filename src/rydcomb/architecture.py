@@ -84,8 +84,17 @@ def is_proportional(arch: ReuseArchitecture) -> bool:
     return arch.lo_depth % arch.apd_depth == 0
 
 
+def check_bits(bits) -> None:
+    """Reject a resolution that is not an integer (a bool is not) in
+    [1, MAX_RESOLUTION_BITS]."""
+    if not (_is_int(bits) and 1 <= bits <= MAX_RESOLUTION_BITS):
+        raise ValueError(
+            f"bits must be an integer in [1, {MAX_RESOLUTION_BITS}]")
+
+
 def phase_grid(bits: int) -> np.ndarray:
     """Feasible phases under B-bit resolution: {2*pi*b/2^B, b=0..2^B-1}."""
+    check_bits(bits)
     return TWO_PI * np.arange(2 ** bits) / (2 ** bits)
 
 

@@ -82,10 +82,6 @@ class Paths:
         return cls(**{k: np.stack([vars(p)[k] for p in draws])
                       for k in vars(draws[0])})
 
-    def take(self, rows) -> "Paths":
-        """The draws ``rows`` of a block."""
-        return Paths(**{k: a[rows] for k, a in vars(self).items()})
-
     def finite(self) -> np.ndarray:
         """Whether every gain and angle is finite, per draw of a block."""
         return np.logical_and.reduce([np.isfinite(a).all(axis=-1)

@@ -7,11 +7,12 @@ on identical per-trial channels (paired comparison).  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
 The paths of a block are drawn trial by trial, and its references are
 built for the whole block at once: one stacked core SVD per receive
-geometry, which alone decides which trials fail.  Then every curve is
-solved once over the kept trials, in one ``solve_stack`` call per block,
-and each curve is rated from its own rows.  Every sample is computed
-exactly as it would be alone, and results are aggregated in fixed trial
-order, so they depend on neither the block size nor the scheduling.
+geometry.  Then every curve is solved once, in one ``solve_stack`` call
+per block, and each curve is rated from its own rows.  A block whose
+stages raise is run again one trial at a time, and a trial that raises
+alone fails.  Every sample is computed exactly as it would be alone, and
+results are aggregated in fixed trial order, so they depend on neither
+the block size nor the scheduling.
 """
 
 from __future__ import annotations
@@ -119,8 +120,10 @@ def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
                         f_opt: np.ndarray, n_streams: int,
                         snr_linear: float) -> float:
     """Achievable rate in bits/s/Hz for one channel, combiner, and SNR."""
-    if w_bb.shape[1] != n_streams or f_opt.shape[1] != n_streams:
-        raise ValueError("stream count mismatch between w_bb/f_opt and n_streams")
+    if not (_is_int(n_streams) and w_bb.shape[1] == n_streams
+            == f_opt.shape[1]):
+        raise ValueError(f"n_streams={n_streams!r} must be an integer equal "
+                         f"to the column count of w_bb and f_opt")
     _check_snr(snr_linear)
     ev = combined_gain_eigenvalues(h, w_rf, w_bb, f_opt)
     return float(_rates(ev, n_streams, [snr_linear])[0])
@@ -130,10 +133,10 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
                      snr_linear: float) -> float:
     """Rate of the unconstrained digital combiner: the first n_streams
     squared singular values enter the water-free log-det directly.
-    n_streams must be in [1, len(singular_values)]."""
+    n_streams must be an integer in [1, len(singular_values)]."""
     sv = np.asarray(singular_values)
-    if not 1 <= n_streams <= sv.size:
-        raise ValueError(f"n_streams={n_streams} must be in "
+    if not (_is_int(n_streams) and 1 <= n_streams <= sv.size):
+        raise ValueError(f"n_streams={n_streams!r} must be an integer in "
                          f"[1, {sv.size}] (the singular values given)")
     _check_snr(snr_linear)
     return float(_rates(sv[:n_streams] ** 2, n_streams, [snr_linear])[0])
@@ -304,57 +307,35 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _block_references(spec: ExperimentSpec, trials: range
-                      ) -> tuple[dict[ArrayGeometry, tuple[np.ndarray, ...]],
-                                 dict[int, str]]:
+                      ) -> dict[ArrayGeometry, tuple[np.ndarray, np.ndarray]]:
     """Draw each trial's paths once and build, per receive geometry, the
-    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) over the trials that
-    did not fail, with the errors of those that did.
+    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block.
 
     The stacks come from ``block_channels`` and ``block_reference``, whose
-    rows equal the single-channel oracle's bit for bit.  A trial fails when
-    its paths are not finite, or on the rank test of its first geometry, in
-    unit order, that it fails.  Only a stack whose SVD raises is built
-    again, one trial at a time, and a trial whose own SVD raises fails.
-    The stacks are cut to the kept trials only when some trial failed.
+    rows equal the single-channel oracle's bit for bit.  Raises
+    NumericError when some trial's paths are not finite, when a stacked
+    SVD raises, or on the rank test of the first geometry, in unit order,
+    that some trial fails, with the single-channel oracle's text.
     """
-    n_s, n_tx = spec.n_streams, spec.channel.n_tx
-    geometries = dict.fromkeys(unit.geometry for unit in spec.units)
+    n_s = spec.n_streams
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
                          for t in trials])
-    finite = paths.finite()
-    errors = {row: "channel matrix contains non-finite entries"
-              for row in np.flatnonzero(~finite)}
-    rows = np.flatnonzero(finite)
-
+    if not paths.finite().all():
+        raise NumericError("channel matrix contains non-finite entries")
     stacks = {}
-    for geometry, channels in (block_channels(paths.take(rows), n_tx,
-                                              geometries) if rows.size else ()):
+    for geometry, channels in block_channels(
+            paths, spec.channel.n_tx,
+            dict.fromkeys(unit.geometry for unit in spec.units)):
         try:
             w_opt, sigma, ok = block_reference(channels, n_s)
-        except np.linalg.LinAlgError:
-            # again trial by trial; a raising trial fails, its row stays zero
-            w_opt = np.zeros((rows.size, geometry.n_elements, n_s), complex)
-            sigma, ok = np.zeros((rows.size, n_s)), np.ones(rows.size, bool)
-            for i, row in enumerate(rows):
-                try:
-                    parts = block_reference(next(block_channels(
-                        paths.take([row]), n_tx, [geometry]))[1], n_s)
-                except np.linalg.LinAlgError as exc:
-                    errors.setdefault(row, f"SVD failed: {exc}")
-                    continue
-                for stack, part in zip((w_opt, sigma, ok), parts):
-                    stack[i] = part[0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD failed: {exc}") from exc
         del channels  # free its steering before the next geometry's
-        for row, s in zip(rows[~ok], sigma[~ok]):
-            errors.setdefault(row, f"channel rank below n_streams={n_s}: "
-                                   f"singular values {s}")
+        if not ok.all():
+            raise NumericError(f"channel rank below n_streams={n_s}: "
+                               f"singular values {sigma[np.argmin(ok)]}")
         stacks[geometry] = w_opt, sigma
-    kept = [i for i, row in enumerate(rows) if row not in errors]
-    if len(kept) < rows.size:
-        stacks = {geometry: (w_opt[kept], sigma[kept])
-                  for geometry, (w_opt, sigma) in stacks.items()}
-    return stacks, {trials[row]: f"trial {trials[row]}: {text}"
-                    for row, text in errors.items()}
+    return stacks
 
 
 # A curve maps items (unit, solution batch or None, W_opt, Sigma), all on
@@ -367,43 +348,32 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     """Evaluate every curve on one block of trials.
 
     Every architecture curve is solved once, in one ``solve_stack`` call
-    on the kept trials' stacks of ``_block_references``, and ``curve``
-    evaluates all curves in one call.  When that call raises, each kept
-    trial is evaluated alone, curve by curve in unit order, and fails with
-    the error of its first curve that raises.  A failed trial, in its
-    references or in any curve, is NaN in every column; a kept trial in
-    none.
+    on the stacks of ``_block_references``, and ``curve`` evaluates all
+    curves in one call.  A block keeps all of its trials or none: when any
+    stage raises, a block of several trials is run again as blocks of one
+    trial, and a trial that raises alone fails, NaN in every column.  Every
+    value is computed as it would be alone, so the other trials keep their
+    bytes.
     """
-    out = np.full((len(trials), len(spec.units), n_points), np.nan)
-    stacks, errors = _block_references(spec, trials)
-
-    good = [r for r, t in enumerate(trials) if t not in errors]
-    if not good:
-        return out, errors
-    curves = {i: u for i, u in enumerate(spec.units) if u.arch is not None}
-    streams = {key: _solver_rngs(spec.seed, tuple(trials[r] for r in good),
-                                 key)
-               for key in map(_stream_key, curves.values())}
-    solved = dict(zip(curves, solve_stack([
-        (unit.arch, stacks[unit.geometry][0], streams[_stream_key(unit)],
-         unit.solver) for unit in curves.values()], spec.solver)))
-
-    items = [(unit, solved.get(i), *stacks[unit.geometry])
-             for i, unit in enumerate(spec.units)]
     try:
-        out[good] = np.stack(curve(items), axis=1)
-    except (NumericError, np.linalg.LinAlgError):
-        for k, row in enumerate(good):  # k: the trial's row in the stacks
-            for i, (unit, sol, *refs) in enumerate(items):
-                alone = (unit, None if sol is None else sol.take([k]),
-                         *(s[[k]] for s in refs))
-                try:
-                    out[row, i] = curve([alone])[0][0]
-                except (NumericError, np.linalg.LinAlgError) as exc:
-                    errors[trials[row]] = f"trial {trials[row]}: {exc}"
-                    break
-    out[[t - trials.start for t in errors]] = np.nan
-    return out, errors
+        stacks = _block_references(spec, trials)
+        curves = {i: u for i, u in enumerate(spec.units) if u.arch is not None}
+        streams = {key: _solver_rngs(spec.seed, tuple(trials), key)
+                   for key in map(_stream_key, curves.values())}
+        solved = dict(zip(curves, solve_stack([
+            (unit.arch, stacks[unit.geometry][0], streams[_stream_key(unit)],
+             unit.solver) for unit in curves.values()], spec.solver)))
+        return np.stack(curve([(unit, solved.get(i), *stacks[unit.geometry])
+                               for i, unit in enumerate(spec.units)]),
+                        axis=1), {}
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        if len(trials) == 1:
+            return (np.full((1, len(spec.units), n_points), np.nan),
+                    {trials[0]: f"trial {trials[0]}: {exc}"})
+        done = [_run_block(spec, range(t, t + 1), curve, n_points)
+                for t in trials]
+        return (np.concatenate([values for values, _ in done]),
+                {t: e for _, errors in done for t, e in errors.items()})
 
 
 def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,

@@ -13,13 +13,13 @@ of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .architecture import (MAX_RESOLUTION_BITS, TWO_PI, ReuseArchitecture,
-                           _is_int, check_phases, is_proportional)
+from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
+                           check_phases, is_proportional)
 from .channel import ChannelBlock, LowRankChannel
 from .errors import ArchitectureError, NumericError
 
@@ -95,9 +95,9 @@ def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
         if h.ndim != 2:
             raise ValueError("channel matrix must be 2-D")
         parts = (h,)
-    if not (1 <= n_streams <= min(h.shape)):
-        raise ValueError(
-            f"n_streams={n_streams} must be in [1, min{h.shape}]")
+    if not (_is_int(n_streams) and 1 <= n_streams <= min(h.shape)):
+        raise ValueError(f"n_streams={n_streams!r} must be an integer "
+                         f"in [1, min{h.shape}]")
     if not all(np.all(np.isfinite(p)) for p in parts):
         raise NumericError("channel matrix contains non-finite entries")
     try:
@@ -196,8 +196,7 @@ def quantize_phase(phase: Union[float, np.ndarray], bits: int):
     i.e. the feasible phase maximizing cos(grid - phase).  Works
     elementwise on arrays; a scalar phase gives a float, and a non-finite
     phase raises ValueError."""
-    if not 1 <= bits <= MAX_RESOLUTION_BITS:
-        raise ValueError(f"bits must be in [1, {MAX_RESOLUTION_BITS}]")
+    check_bits(bits)
     if not np.all(np.isfinite(phase)):
         raise ValueError("phases must be finite")
     q = TWO_PI / 2 ** bits * _phase_level(phase, bits)
@@ -332,10 +331,6 @@ class SolutionBatch:
             residual=float(history[-1]), iterations=int(self.iterations[i]),
             method=self.method, converged=bool(self.converged[i]),
             residual_history=history)
-
-    def take(self, rows: Sequence[int]) -> "SolutionBatch":
-        return replace(self, **{f: getattr(self, f)[rows] for f in (
-            "phases", "w_bb", "history", "iterations", "converged")})
 
 
 def _validate_target(arch: ReuseArchitecture, w_opt: np.ndarray) -> np.ndarray:

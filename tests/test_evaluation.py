@@ -130,6 +130,21 @@ class TestSpectralEfficiency:
             with pytest.raises(ValueError, match="snr_linear"):
                 fully_digital_se(sv, 2, snr)
 
+    @pytest.mark.parametrize("n_streams", [2.0, True])
+    def test_non_integer_n_streams_rejected(self, n_streams):
+        # a float or a bool is no stream count, even one equal to an
+        # integer
+        rng = np.random.default_rng(7)
+        h = rand_complex(rng, (4, 4))
+        ref = optimal_digital_combiner(h, int(n_streams))
+        with pytest.raises(ValueError, match="n_streams.*must be an integer"):
+            optimal_digital_combiner(h, n_streams)
+        with pytest.raises(ValueError, match="n_streams.*must be an integer"):
+            fully_digital_se(ref.singular_values, n_streams, 1.0)
+        with pytest.raises(ValueError, match="n_streams.*must be an integer"):
+            spectral_efficiency(h, np.eye(4), ref.w_opt, ref.f_opt,
+                                n_streams, 1.0)
+
     def test_non_finite_snr_rejected(self):
         rng = np.random.default_rng(6)
         h = rand_complex(rng, (4, 4))
@@ -325,6 +340,26 @@ class TestRunConvergence:
             run_convergence(spec)
 
 
+def trial_values(spec, threads=1):
+    """``run_experiment``'s table, each trial's (units, points) values and
+    the failed trials' errors, recorded from every ``_run_block`` call.  A
+    block run again one trial at a time returns the values of its blocks of
+    one, so every call that holds a trial records the same values for it."""
+    values, errors = {}, {}
+    run_block = evaluation._run_block
+
+    def recording(spec, trials, *args):
+        out, errs = run_block(spec, trials, *args)
+        values.update(zip(trials, out))
+        errors.update(errs)
+        return out, errs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_run_block", recording)
+        table = run_experiment(spec, threads=threads)
+    return table, np.stack([values[t] for t in range(spec.trials)]), errors
+
+
 class TestFailedTrials:
     """A trial that fails anywhere loses its value for every curve; the
     other trials of its block keep theirs.  Every injection is keyed on the
@@ -333,12 +368,11 @@ class TestFailedTrials:
     BAD = 2
 
     def _watch(self, monkeypatch, replace_paths=None):
-        """Record the block stage's draws, as (trial, paths), and the
-        sample count of every stack the reference stage builds;
+        """Record the block stage's draws, as (trial, paths);
         ``replace_paths`` makes trial BAD's paths of its draw.  The trial
         rides from ``_channel_rng`` to ``draw_paths`` with its generator.
         No trial may be run again alone through the single-channel oracle."""
-        drawn, built = [], []
+        drawn = []
         channel_rng = evaluation._channel_rng
         paths_of = evaluation.draw_paths
 
@@ -350,12 +384,6 @@ class TestFailedTrials:
             drawn.append((trial, paths))
             return paths
 
-        def recording(stage):
-            def recorded(channels, n_streams):
-                built.append(len(channels.gains))
-                return stage(channels, n_streams)
-            return recorded
-
         def lone(*args):
             raise AssertionError("a trial was run again alone")
 
@@ -364,9 +392,7 @@ class TestFailedTrials:
         monkeypatch.setattr(evaluation, "_channel_rng",
                             lambda seed, t: (t, channel_rng(seed, t)))
         monkeypatch.setattr(evaluation, "draw_paths", recording_draw)
-        monkeypatch.setattr(evaluation, "block_reference",
-                            recording(evaluation.block_reference))
-        return drawn, built
+        return drawn
 
     def _fail_trials(self, monkeypatch, fails):
         """Pass the combining target of each trial of ``fails`` through its
@@ -374,7 +400,7 @@ class TestFailedTrials:
         When the function raises, that stack raises LinAlgError, as a
         stacked SVD does.  The trial's row is found from its own draw: the
         stack's gains are its path gains times a positive scale."""
-        drawn, _ = self._watch(monkeypatch)
+        drawn = self._watch(monkeypatch)
 
         def failing(stage):
             def failed(channels, n_streams):
@@ -397,15 +423,22 @@ class TestFailedTrials:
     def _fail_trial(self, monkeypatch, fail):
         self._fail_trials(monkeypatch, {self.BAD: fail})
 
-    def _check_contained(self, spec):
+    def _check_contained(self, spec, clean=None):
+        """One failed trial, BAD, named in the one warning; with ``clean``,
+        the values of a run without the failure, trial BAD is NaN in every
+        column and every other trial keeps its values bit for bit."""
         with pytest.warns(RuntimeWarning) as record:
-            table = run_experiment(spec)
+            table, values, _ = trial_values(spec)
         assert table.failures == 1
         assert all(r.trials == spec.trials - 1 for r in table.rows)
         messages = [str(w.message) for w in record
                     if issubclass(w.category, RuntimeWarning)]
         assert len(messages) == 1
         assert f"trial {self.BAD}:" in messages[0]
+        if clean is not None:
+            assert np.isnan(values[self.BAD]).all()
+            np.testing.assert_array_equal(np.delete(values, self.BAD, 0),
+                                          np.delete(clean, self.BAD, 0))
         return messages[0]
 
     def test_non_finite_paths_drop_one_trial(self, monkeypatch):
@@ -413,33 +446,31 @@ class TestFailedTrials:
             gains = paths.gains.copy()
             gains[3] = np.nan
             return replace(paths, gains=gains)
-        drawn, built = self._watch(monkeypatch, nan_gain)
-        message = self._check_contained(small_spec(trials=6))
+        spec = small_spec(trials=6)
+        clean = trial_values(spec)[1]
+        self._watch(monkeypatch, nan_gain)
+        message = self._check_contained(spec, clean)
         assert message.endswith(
             "trial 2: channel matrix contains non-finite entries)")
-        assert [t for t, _ in drawn] == list(range(6))  # none drawn again
-        # kept out of the one stack, and no stack is built again
-        assert built == [5]
 
     def test_rank_deficient_paths_drop_one_trial(self, monkeypatch):
         # every path a copy of the first: rank 1, below the 2 streams
         def one_path(paths):
             return Paths(**{k: v[np.zeros(v.size, dtype=int)]
                             for k, v in vars(paths).items()})
-        drawn, built = self._watch(monkeypatch, one_path)
         # two geometries, both rank deficient for the trial, with different
         # singular values: the first in unit order names the failure
         spec = small_spec(trials=6, units=small_spec().units + (
             EvalUnit(label="UPA digital", kind="ideal_digital",
                      geometry=ArrayGeometry(16, 1)),))
-        message = self._check_contained(spec)
+        clean = trial_values(spec)[1]
+        drawn = self._watch(monkeypatch, one_path)
+        message = self._check_contained(spec, clean)
         assert "rank below n_streams=2" in message
-        assert [t for t, _ in drawn] == list(range(6))
-        assert built == [6, 6]  # no stack is built again
         # the text is the single-channel oracle's, from the block's Sigma
         with pytest.raises(NumericError) as oracle:
             optimal_digital_combiner(channel_matrix(
-                drawn[self.BAD][1], spec.channel.n_tx,
+                dict(drawn)[self.BAD], spec.channel.n_tx,
                 spec.units[0].geometry), spec.n_streams)
         assert message.endswith(f"trial {self.BAD}: {oracle.value})")
 
@@ -492,17 +523,10 @@ class TestFailedTrials:
                      geometry=nonupa(4, 4), solver="altmin")))
 
     def test_rate_failure_in_shared_stack_drops_one_trial(self, monkeypatch):
-        stacked = []
-        solve_stack = evaluation.solve_stack
-
-        def recording(segments, *args):
-            stacked.append(len(segments))
-            return solve_stack(segments, *args)
-
-        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        spec = self.shared_stack_spec()
+        clean = trial_values(spec)[1]
         self._fail_trial(monkeypatch, self.zero_target)
-        self._check_contained(self.shared_stack_spec())
-        assert stacked == [2]
+        self._check_contained(spec, clean)
 
     def test_failures_independent_of_threads(self, monkeypatch):
         # a reference failure in trial 2 and a rate failure in trial 4: at
@@ -589,22 +613,33 @@ class TestFailedTrials:
         # finite.  In the rate failure, the digital curve (first) has a
         # value for trial BAD before the hybrid curve fails.
         self._fail_trial(monkeypatch, getattr(self, fail))
-        blocks = []
-        run_block = evaluation._run_block
-
-        def recording(spec, trials, *args):
-            values, errors = run_block(spec, trials, *args)
-            blocks.append((values, errors))
-            return values, errors
-
-        monkeypatch.setattr(evaluation, "_run_block", recording)
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", block)
         with pytest.warns(RuntimeWarning):
-            run_experiment(self.rate_failure_spec())
-        values = np.concatenate([v for v, _ in blocks])
-        assert [t for _, errors in blocks for t in errors] == [self.BAD]
+            _, values, errors = trial_values(self.rate_failure_spec())
+        assert list(errors) == [self.BAD]
         assert np.isnan(values[self.BAD]).all()
         assert np.isfinite(np.delete(values, self.BAD, axis=0)).all()
+
+    def test_rank_failures_from_the_data(self, monkeypatch, configs_dir):
+        # tests/configs/rank_fail.json: two paths for two streams, one of
+        # them 1e-28 weaker, so some trials fail the rank test on their own
+        # draw, with no injection; the count is not pinned, since the last
+        # bits of a singular value depend on the BLAS build and threads
+        spec, _ = parse_config(
+            configs_dir.parent / "tests/configs/rank_fail.json", "sweep-snr")
+        runs = []
+        for block in (1, 4, 32):
+            monkeypatch.setattr(evaluation, "TRIAL_BLOCK", block)
+            for threads in (1, 2):
+                with pytest.warns(RuntimeWarning):
+                    table, _, errors = trial_values(spec, threads)
+                assert table.failures == len(errors) > 0
+                assert all(text.startswith(
+                    f"trial {t}: channel rank below n_streams=2: singular "
+                    "values ") for t, text in errors.items())
+                runs.append(([(r.mean_se, r.stderr, r.trials)
+                              for r in table.rows], sorted(errors)))
+        assert all(run == runs[0] for run in runs)
 
 
 def _column_oracle(values: np.ndarray) -> tuple[float, float, int]:
@@ -688,8 +723,7 @@ class TestBlockReferences:
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
             n_s = spec.n_streams
-            stacks, errors = evaluation._block_references(spec, trials)
-            assert not errors
+            stacks = evaluation._block_references(spec, trials)
             for row, t in enumerate(trials):
                 paths = draw_paths(spec.channel,
                                    evaluation._channel_rng(spec.seed, t))
@@ -705,17 +739,15 @@ class TestBlockReferences:
 
     def test_raising_stack_built_again_trial_by_trial(self, monkeypatch):
         # every stack of more than one trial raises, as a stacked SVD may:
-        # only the trials of those stacks are built again, one at a time,
-        # and each is kept with the values of the run without the failure
+        # their blocks are run again one trial at a time, and each trial is
+        # kept with the values of the run without the failure
         spec = small_spec(trials=5, units=small_spec().units + (
             EvalUnit(label="UPA digital", kind="ideal_digital",
                      geometry=ArrayGeometry(16, 1)),))
-        expected = run_experiment(spec)
-        built = []
+        expected, clean, _ = trial_values(spec)
 
         def raising(stage):
             def raised(channels, n_streams):
-                built.append(len(channels.gains))
                 if len(channels.gains) > 1:
                     raise np.linalg.LinAlgError("synthetic SVD failure")
                 return stage(channels, n_streams)
@@ -724,12 +756,11 @@ class TestBlockReferences:
         monkeypatch.setattr(evaluation, "block_reference",
                             raising(evaluation.block_reference))
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 4)
-        table = run_experiment(spec)
-        assert table.failures == 0
+        table, values, errors = trial_values(spec)
+        assert table.failures == 0 and not errors
         assert [(r.mean_se, r.stderr, r.trials) for r in table.rows] \
             == [(r.mean_se, r.stderr, r.trials) for r in expected.rows]
-        # two geometries; the last block holds one trial and does not raise
-        assert built == [4, 1, 1, 1, 1] * 2 + [1, 1]
+        np.testing.assert_array_equal(values, clean)
 
     def test_one_stream_per_trial_and_structure(self, monkeypatch,
                                                 configs_dir):
@@ -756,8 +787,7 @@ class TestStackedRate:
         # baselines at 9 chain counts, on two geometries
         spec, _ = parse_config(configs_dir / "fig10.json", "sweep-chains")
         trials = range(4)
-        stacks, errors = evaluation._block_references(spec, trials)
-        assert not errors
+        stacks = evaluation._block_references(spec, trials)
         units = [u for u in spec.units if u.arch is not None]
         solved = solve_stack([
             (u.arch, stacks[u.geometry][0],

@@ -295,6 +295,19 @@ class TestQuantizePhase:
         with pytest.raises(ValueError):
             quantize_phase(0.5, 0)
 
+    @pytest.mark.parametrize("bits", [0, -1, 2.5, 2.0, True, 53])
+    def test_bad_bits_rejected(self, bits):
+        # a float or a bool is no bit count, even one equal to an integer
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            quantize_phase(1.0, bits)
+
+    @pytest.mark.parametrize("bits", [0, -1, 2.5, 2.0, True, 53])
+    def test_bad_bits_rejected_by_phase_grid(self, bits):
+        # checked before the 2^B levels are allocated: 53 bits would ask
+        # for 64 PiB
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            phase_grid(bits)
+
     @pytest.mark.parametrize("phase", [np.nan, np.inf, [0.5, np.nan]])
     def test_non_finite_rejected(self, phase):
         with pytest.raises(ValueError, match="finite"):
