@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .architecture import _is_int
 from .errors import GeometryError
 
 
@@ -44,8 +45,10 @@ class ArrayGeometry:
     intra_spacing: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.n_blocks <= 0 or self.n_per_block <= 0:
-            raise GeometryError("n_blocks and n_per_block must be positive")
+        if not all(_is_int(n) and n > 0
+                   for n in (self.n_blocks, self.n_per_block)):
+            raise GeometryError("n_blocks and n_per_block must be positive "
+                                "integers")
         _square_side(self.n_blocks)
         if not 0 < self.block_spacing < np.inf:
             raise GeometryError("block_spacing must be finite and > 0")

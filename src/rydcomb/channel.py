@@ -4,9 +4,9 @@ The channel is a sum of N_cl clusters with N_ray rays each.  Ray gains are
 complex Gaussian with per-cluster variance, mean angles are uniform, and
 per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
-The channel is kept as its path factors H = A_rx diag(g) A_tx^H, whose
-rank is at most the path count L = n_clusters * n_rays.  A trial block
-stacks its draws and builds the factors of all of them at once.
+H = A_rx diag(g) A_tx^H has rank at most L = n_clusters * n_rays.  A run's
+trial block keeps only the factors its reference reads (``block_channels``);
+``channel_matrix`` forms one draw's dense H, the oracle of the checks.
 """
 
 from __future__ import annotations
@@ -88,33 +88,6 @@ class Paths:
                                       for a in vars(self).values()])
 
 
-@dataclass(frozen=True, eq=False)
-class LowRankChannel:
-    """The channel H = A_rx diag(gains) A_tx^H kept as its path factors:
-    the receive and transmit steering a_rx (N_r x L) and a_tx (N_t x L),
-    and the R factor r_tx of the QR of a_tx.
-
-    ``gains`` carry the normalization sqrt(N_t N_r / L), so H has rank at
-    most L = n_clusters * n_rays whatever the array sizes.
-    """
-
-    a_rx: np.ndarray
-    gains: np.ndarray
-    a_tx: np.ndarray
-    r_tx: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a_rx.shape[0], self.a_tx.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return (self.a_rx * self.gains) @ self.a_tx.conj().T
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """H @ f through the factors, without forming H."""
-        return (self.a_rx * self.gains) @ (self.a_tx.conj().T @ f)
-
-
 def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
     """Draw per-path gains and angles.
 
@@ -146,9 +119,9 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
 
 
 def channel_matrix(paths: Paths, n_tx: int,
-                   rx_geometry: ArrayGeometry) -> LowRankChannel:
-    """Assemble the N_r x N_t channel matrix from the paths, in factored form.
-    The transmitter is a half-wavelength UPA.
+                   rx_geometry: ArrayGeometry) -> np.ndarray:
+    """The dense N_r x N_t channel matrix of one draw of paths.  The
+    transmitter is a half-wavelength UPA.
 
     Keeping this separate from the path draw lets several receive
     geometries share one set of paths for paired comparisons.
@@ -160,8 +133,7 @@ def channel_matrix(paths: Paths, n_tx: int,
     n_r = rx_geometry.n_elements
     a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
     scale = math.sqrt(n_tx * n_r / paths.n_paths)
-    return LowRankChannel(a_rx=a_rx, gains=scale * paths.gains, a_tx=a_tx,
-                          r_tx=np.linalg.qr(a_tx, mode="r"))
+    return (a_rx * (scale * paths.gains)) @ a_tx.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +141,8 @@ class ChannelBlock:
     """The channels of a block of B draws on one receive geometry, stacked
     on a leading draw axis and kept only as far as the reference reads
     them: the receive steering a_rx (B, N_r, L), the normalized gains
-    (B, L) and the transmit R factors r_tx (B, min(N_t, L), L).  Sample b
-    holds the factors ``channel_matrix`` gives for draw b."""
+    (B, L) and the R factors r_tx (B, min(N_t, L), L) of A_tx = Q_tx R_tx:
+    draw b's H H^H is (A_rx G R_tx^H)(A_rx G R_tx^H)^H, G = diag(g)."""
 
     a_rx: np.ndarray
     gains: np.ndarray
@@ -187,7 +159,7 @@ def block_channels(paths: Paths, n_tx: int,
                    geometries: Iterable[ArrayGeometry]
                    ) -> Iterator[tuple[ArrayGeometry, ChannelBlock]]:
     """The channels of a block of draws (B, L), one receive geometry at a
-    time, each sample bit for bit the factors of ``channel_matrix``.
+    time, each sample bit for bit that of a block of its draw alone.
 
     The transmit steering of the block is one ``upa_response`` call over
     the (B, L) angles; it is factored by one QR per draw (a stacked QR is
@@ -217,4 +189,4 @@ def generate_channel(params: ChannelParams, rx_geometry: ArrayGeometry,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw one dense channel matrix, deterministic given the generator."""
     paths = draw_paths(params, rng)
-    return channel_matrix(paths, params.n_tx, rx_geometry).dense()
+    return channel_matrix(paths, params.n_tx, rx_geometry)

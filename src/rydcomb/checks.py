@@ -2,7 +2,7 @@
 
 Each check exercises one optimizer or channel contract against an
 independent oracle (grid search, exhaustive enumeration, generic
-pseudoinverse, Monte-Carlo statistic, dense SVD, lone reference) and
+pseudoinverse, Monte-Carlo statistic, dense SVD, one-draw block) and
 reports PASS/FAIL/SKIP.
 A check that raises reports FAIL with the exception, and the suite goes on.
 """
@@ -177,12 +177,13 @@ def check_channel_energy():
 
 @_check("factored-reference")
 def check_factored_reference():
-    """The reference of a factored channel from its R factors must match the
-    dense SVD for 3 streams: singular values, stream projectors w w^H and
-    f f^H, and the phase-fixed columns.  Covers N_r below and above the
-    path count, and 36x2, the worst-conditioned bundled receive factor.
-    The block stage a run uses must give, for the same draws stacked,
-    W_opt and Sigma bit for bit equal to the lone reference."""
+    """The block reference stage a run uses, for 3 streams, against two
+    oracles.  W_opt and Sigma of draws stacked in one block must equal
+    those of each draw's one-draw block bit for bit (values do not depend
+    on the block size), and match the dense SVD of ``channel_matrix``:
+    singular values relative to the largest, stream projectors w w^H and
+    phase-fixed columns.  Covers N_r below and above the path count, and
+    36x2, the worst-conditioned bundled receive factor."""
     n_streams, n_draws = 3, 10
     rng = np.random.default_rng(16)
     geometries = (ArrayGeometry(9, 4), ArrayGeometry(36, 6),
@@ -190,26 +191,24 @@ def check_factored_reference():
     draws = [draw_paths(ChannelParams(n_tx=144), rng) for _ in range(n_draws)]
     worst, unequal = 0.0, 0
     for geometry, block in block_channels(Paths.stack(draws), 144, geometries):
-        w_block, s_block, ok = optimizer.block_reference(block, n_streams)
+        w_block, s_block, _ = optimizer.block_reference(block, n_streams)
         for row, paths in enumerate(draws):
-            channel = channel_matrix(paths, 144, geometry)
-            dense = optimizer.optimal_digital_combiner(channel.dense(), n_streams)
-            factored = optimizer.optimal_digital_combiner(channel, n_streams)
-            deviations = [np.max(np.abs(factored.singular_values
-                                        - dense.singular_values))
-                          / dense.singular_values[0]]
-            for a, b in ((factored.w_opt, dense.w_opt),
-                         (factored.f_opt, dense.f_opt)):
-                deviations += [np.max(np.abs(a @ a.conj().T - b @ b.conj().T)),
-                               np.max(np.abs(a - b))]
-            worst = max(worst, *deviations)
-            sigma = factored.singular_values[:n_streams]
-            same = (ok[row] and np.array_equal(w_block[row], factored.w_opt)
-                    and np.array_equal(s_block[row], sigma))
-            unequal += not same
-    return (_status(worst <= 1e-9 and not unequal),
-            f"max deviation from the dense SVD: {worst:.2e}, block stages "
-            f"unequal in {unequal} of {n_draws * len(geometries)} samples")
+            (_, alone), = block_channels(Paths.stack([paths]), 144, [geometry])
+            w_alone, s_alone, _ = optimizer.block_reference(alone, n_streams)
+            unequal += not (np.array_equal(w_block[row], w_alone[0])
+                            and np.array_equal(s_block[row], s_alone[0]))
+            dense = optimizer.optimal_digital_combiner(
+                channel_matrix(paths, 144, geometry), n_streams)
+            w, v = w_block[row], dense.w_opt
+            worst = max(worst, np.max(np.abs(w - v)),
+                        np.max(np.abs(w @ w.conj().T - v @ v.conj().T)),
+                        np.max(np.abs(s_block[row]
+                                      - dense.singular_values[:n_streams]))
+                        / dense.singular_values[0])
+    return (_status(worst <= 1e-12 and not unequal),
+            f"max deviation from the dense SVD: {worst:.2e}, stacked samples "
+            f"unequal to their one-draw blocks: {unequal} of "
+            f"{n_draws * len(geometries)}")
 
 
 def run_all() -> list[CheckResult]:

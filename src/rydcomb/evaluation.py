@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,8 +29,8 @@ import numpy as np
 from .architecture import (ReuseArchitecture, _is_int, compose_wrf,
                            diagonal_phases, is_proportional)
 from .arrays import ArrayGeometry
-from .channel import (ChannelParams, LowRankChannel, Paths, block_channels,
-                      channel_matrix, draw_paths)
+from .channel import (ChannelParams, Paths, block_channels, channel_matrix,
+                      draw_paths)
 from .errors import ArchitectureError, ConfigError, NumericError
 from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
                         OptimizerConfig, SolutionBatch, alternating_minimize,
@@ -63,8 +63,8 @@ def _gain_eigenvalues(t: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.maximum(ev, 0.0)
 
 
-def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
-                              w_rf: np.ndarray, w_bb: np.ndarray,
+def combined_gain_eigenvalues(h: np.ndarray, w_rf: np.ndarray,
+                              w_bb: np.ndarray,
                               f_opt: np.ndarray) -> np.ndarray:
     """Eigenvalues of the noise-whitened effective channel Gram matrix.
 
@@ -72,11 +72,9 @@ def combined_gain_eigenvalues(h: Union[np.ndarray, LowRankChannel],
     (W^H W)^{-1/2} T T^H (W^H W)^{-1/2}; the rate at a given SNR is
     sum(log2(1 + snr/N_s * ev)).  Computed via a Cholesky factor of W^H W
     for stability; raises on rank deficiency or significantly negative
-    eigenvalues.  A ``LowRankChannel`` forms H F_opt through its factors.
-    """
+    eigenvalues."""
     w = w_rf @ w_bb
-    hf = h.apply(f_opt) if isinstance(h, LowRankChannel) else h @ f_opt
-    return _gain_eigenvalues(_adjoint(w) @ hf, _adjoint(w) @ w)
+    return _gain_eigenvalues(_adjoint(w) @ (h @ f_opt), _adjoint(w) @ w)
 
 
 def _gain_terms(arch: ReuseArchitecture, sol: SolutionBatch,
@@ -115,8 +113,7 @@ def _check_snr(snr_linear: float) -> None:
         raise ValueError("snr_linear must be finite and >= 0")
 
 
-def spectral_efficiency(h: Union[np.ndarray, LowRankChannel],
-                        w_rf: np.ndarray, w_bb: np.ndarray,
+def spectral_efficiency(h: np.ndarray, w_rf: np.ndarray, w_bb: np.ndarray,
                         f_opt: np.ndarray, n_streams: int,
                         snr_linear: float) -> float:
     """Achievable rate in bits/s/Hz for one channel, combiner, and SNR."""
@@ -312,10 +309,10 @@ def _block_references(spec: ExperimentSpec, trials: range
     stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block.
 
     The stacks come from ``block_channels`` and ``block_reference``, whose
-    rows equal the single-channel oracle's bit for bit.  Raises
-    NumericError when some trial's paths are not finite, when a stacked
-    SVD raises, or on the rank test of the first geometry, in unit order,
-    that some trial fails, with the single-channel oracle's text.
+    rows equal those of one-trial blocks bit for bit.  Raises NumericError
+    when some trial's paths are not finite, when a stacked SVD raises, or
+    on the rank test of the first geometry, in unit order, that some trial
+    fails, in the words of ``optimal_digital_combiner``.
     """
     n_s = spec.n_streams
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
                            check_phases, is_proportional)
-from .channel import ChannelBlock, LowRankChannel
+from .channel import ChannelBlock
 from .errors import ArchitectureError, NumericError
 
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
@@ -43,9 +43,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class DigitalReference:
-    """Fully digital optimum derived from the channel SVD: combining target
+    """Fully digital optimum from a dense channel SVD: combining target
     w_opt (left singular vectors), ideal precoder f_opt (right singular
-    vectors), and all singular values in descending order."""
+    vectors), and all min(N_r, N_t) singular values in descending order."""
 
     w_opt: np.ndarray = field(repr=False)
     f_opt: np.ndarray = field(repr=False)
@@ -75,65 +75,41 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return np.multiply(m, rotation, where=keep, out=m.copy())
 
 
-def optimal_digital_combiner(h: Union[np.ndarray, LowRankChannel],
+def optimal_digital_combiner(h: np.ndarray,
                              n_streams: int) -> DigitalReference:
-    """SVD-based fully digital reference for a channel matrix, dense or
-    factored.  A factored channel has at most L nonzero singular values;
-    the rest are returned as exact zeros.  A channel of rank below
-    n_streams (by matrix_rank's tolerance) raises NumericError.
-
-    For H = A_rx diag(g) A_tx^H only the R factors of A_rx = Q_rx R_rx and
-    A_tx = Q_tx R_tx are formed: H = Q_rx C Q_tx^H has the singular values
-    of the core C = R_rx diag(g) R_tx^H = U S V^H, and H f = s w with
-    H^H w = s f give w_i = A_rx (g * R_tx^H v_i) / s_i and
-    f_i = A_tx (conj(g) * R_rx^H u_i) / s_i.
-    """
-    if isinstance(h, LowRankChannel):
-        parts = (h.a_rx, h.gains, h.a_tx)
-    else:
-        h = np.asarray(h, dtype=complex)
-        if h.ndim != 2:
-            raise ValueError("channel matrix must be 2-D")
-        parts = (h,)
+    """SVD-based fully digital reference for a dense channel matrix, the
+    oracle that ``block_reference`` is checked against.  A channel of rank
+    below n_streams (by matrix_rank's tolerance) raises NumericError."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        raise ValueError("channel matrix must be 2-D")
     if not (_is_int(n_streams) and 1 <= n_streams <= min(h.shape)):
         raise ValueError(f"n_streams={n_streams!r} must be an integer "
                          f"in [1, min{h.shape}]")
-    if not all(np.all(np.isfinite(p)) for p in parts):
+    if not np.all(np.isfinite(h)):
         raise NumericError("channel matrix contains non-finite entries")
     try:
-        if isinstance(h, LowRankChannel):
-            r_rx = np.linalg.qr(h.a_rx, mode="r")
-            u, s, vh = np.linalg.svd((r_rx * h.gains) @ h.r_tx.conj().T,
-                                     full_matrices=False)
-        else:
-            u, s, vh = np.linalg.svd(h, full_matrices=False)
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
-    if n_streams > s.size:
-        raise ValueError(
-            f"n_streams={n_streams} exceeds the channel rank bound {s.size}")
     if s[n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[0]:
         raise NumericError(f"channel rank below n_streams={n_streams}: "
                            f"singular values {s[:n_streams]}")
-    w, f = u[:, :n_streams], vh[:n_streams].conj().T
-    if isinstance(h, LowRankChannel):
-        w, f = (h.a_rx @ (h.gains[:, None] * (h.r_tx.conj().T @ f)),
-                h.a_tx @ (np.conj(h.gains)[:, None] * (r_rx.conj().T @ w)))
-        w, f = w / s[:n_streams], f / s[:n_streams]
-    return DigitalReference(
-        w_opt=_fix_column_phases(w), f_opt=_fix_column_phases(f),
-        singular_values=np.concatenate([s, np.zeros(min(h.shape) - s.size)]))
+    return DigitalReference(w_opt=_fix_column_phases(u[:, :n_streams]),
+                            f_opt=_fix_column_phases(vh[:n_streams].conj().T),
+                            singular_values=s)
 
 
 def block_reference(h: ChannelBlock, n_streams: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a run reads of ``optimal_digital_combiner``, for a block of
-    factored channels: the phase-fixed W_opt (B, N_r, N_s), the leading
-    singular values (B, N_s), and per sample whether the channel passes
-    the rank test.  Where it does, the sample equals the lone reference
-    bit for bit; where it does not, W_opt is left unscaled.  One QR per
-    sample, then one core product, one SVD and one vector mapping for the
-    whole stack; raises LinAlgError when the SVD of any sample fails.
+    """The SVD reference of a block of factored channels: the phase-fixed
+    W_opt (B, N_r, N_s), the leading singular values (B, N_s), and per
+    sample whether it passes the rank test of ``optimal_digital_combiner``
+    (else W_opt is left unscaled).  H = Q_rx C Q_tx^H has the singular
+    values of the core C = R_rx diag(g) R_tx^H = U S V^H, and
+    w_i = A_rx (g * R_tx^H v_i) / s_i.  One QR per sample, then one core
+    product, SVD and vector mapping for the stack, so a sample equals its
+    one-draw block bit for bit; raises LinAlgError when an SVD fails.
     """
     r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
     r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)

@@ -11,14 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from rydcomb import (ArrayGeometry, ChannelParams,
+from rydcomb import (ArrayGeometry, ChannelParams, Paths,
                      ReuseArchitecture, alternating_minimize, array_response,
-                     channel_matrix, compose_wrf, direct_solve_proportional,
+                     compose_wrf, direct_solve_proportional,
                      draw_paths, fully_digital_se, generate_channel,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, spectral_efficiency,
                      upa_response)
+from rydcomb.channel import block_channels
 from rydcomb.cli import main
+from rydcomb.optimizer import block_reference
 
 SEED = 20260810
 TREND_TRIALS = 500
@@ -74,7 +76,10 @@ def nonupa(n_blocks, depth):
 
 @pytest.fixture(scope="session")
 def trend():
-    """Per-trial spectral efficiencies for criteria 3-6, paired channels."""
+    """Per-trial spectral efficiencies for criteria 3-6, paired channels.
+
+    Each draw's references come from the block stage on a block of that
+    draw, and each rate from H F_opt = W_opt Sigma."""
     cluster = dict(n_clusters=5, n_rays=10)
     params = ChannelParams(n_tx=144, **cluster)
     geometries = {
@@ -83,7 +88,7 @@ def trend():
         4: nonupa(36, 4),
         6: nonupa(36, 6),
     }
-    upa144 = ArrayGeometry(144, 1)
+    arrays = {**geometries, "upa": ArrayGeometry(144, 1)}
 
     c3_archs = {(nlm, bits): ReuseArchitecture(36, 6, nlm, resolution_bits=bits)
                 for nlm in (4, 12) for bits in (1, 2, 3, None)}
@@ -100,43 +105,50 @@ def trend():
             + [f"c3_{nlm}_{bits}" for nlm in (4, 12)
                for bits in (1, 2, 3, None)])
     data = {k: np.empty(TREND_TRIALS) for k in keys}
+    w, hf = {}, {}  # per array: W_opt, and H F_opt = W_opt Sigma
+
+    def rate(d, arch, sol):  # F_opt = I, since hf[d] is H F_opt
+        return spectral_efficiency(hf[d], compose_wrf(arch, sol.phases),
+                                   sol.w_bb, np.eye(N_STREAMS), N_STREAMS,
+                                   SNR0)
 
     for t in range(TREND_TRIALS):
-        paths = draw_paths(params, _channel_rng(t))
-        h = {d: channel_matrix(paths, 144, g) for d, g in geometries.items()}
-        h_upa = channel_matrix(paths, 144, upa144)
-        ref = {d: optimal_digital_combiner(m, N_STREAMS) for d, m in h.items()}
-        ref_upa = optimal_digital_combiner(h_upa, N_STREAMS)
+        paths = Paths.stack([draw_paths(params, _channel_rng(t))])
+        for d, (_, block) in zip(arrays, block_channels(paths, 144,
+                                                        arrays.values())):
+            w_opt, sigma, ok = block_reference(block, N_STREAMS)
+            assert ok[0]
+            w[d], hf[d] = w_opt[0], w_opt[0] * sigma[0]
 
         # criterion 3: resolution ordering at lo_depth 6
         for (nlm, bits), arch in c3_archs.items():
-            sol = _altmin(arch, ref[6].w_opt, _solver_rng(t, 0, arch))
-            data[f"c3_{nlm}_{bits}"][t] = _se(h[6], arch, sol, ref[6])
+            sol = _altmin(arch, w[6], _solver_rng(t, 0, arch))
+            data[f"c3_{nlm}_{bits}"][t] = rate(6, arch, sol)
 
         # criterion 4: LO reuse gain with dedicated APDs (direct solver)
         for d in (1, 2, 4, 6):
             arch = ReuseArchitecture(36, d, 1)
-            sol = _direct(arch, ref[d].w_opt)
-            data[f"c4_{d}"][t] = _se(h[d], arch, sol, ref[d])
+            sol = _direct(arch, w[d])
+            data[f"c4_{d}"][t] = rate(d, arch, sol)
 
         # criterion 5: APD reuse loss and equal-chain comparisons
         for nlm, arch in c5_archs.items():
-            sol = _direct(arch, ref[6].w_opt)
-            data[f"c5_{nlm}"][t] = _se(h[6], arch, sol, ref[6])
-        sol = _altmin(deep, ref[6].w_opt, _solver_rng(t, 0, deep))
-        data["c5_deep"][t] = _se(h[6], deep, sol, ref[6])
-        sol = _altmin(shallow, ref[2].w_opt, _solver_rng(t, 0, shallow))
-        data["c5_shallow"][t] = _se(h[2], shallow, sol, ref[2])
-        sol = _direct(shallow_prop, ref[2].w_opt)
-        data["c5_shallow_prop"][t] = _se(h[2], shallow_prop, sol, ref[2])
+            sol = _direct(arch, w[6])
+            data[f"c5_{nlm}"][t] = rate(6, arch, sol)
+        sol = _altmin(deep, w[6], _solver_rng(t, 0, deep))
+        data["c5_deep"][t] = rate(6, deep, sol)
+        sol = _altmin(shallow, w[2], _solver_rng(t, 0, shallow))
+        data["c5_shallow"][t] = rate(2, shallow, sol)
+        sol = _direct(shallow_prop, w[2])
+        data["c5_shallow_prop"][t] = rate(2, shallow_prop, sol)
 
         # criterion 6: comparison hierarchy at equal N_r and chains
-        sol = _altmin(ryd_pc, ref[4].w_opt, _solver_rng(t, 0, ryd_pc))
-        data["c6_ryd"][t] = _se(h[4], ryd_pc, sol, ref[4])
-        sol = _altmin(pc, ref[4].w_opt, _solver_rng(t, 2, pc))
-        data["c6_pc_nonupa"][t] = _se(h[4], pc, sol, ref[4])
-        sol = _altmin(pc, ref_upa.w_opt, _solver_rng(t, 1, pc))
-        data["c6_pc_upa"][t] = _se(h_upa, pc, sol, ref_upa)
+        sol = _altmin(ryd_pc, w[4], _solver_rng(t, 0, ryd_pc))
+        data["c6_ryd"][t] = rate(4, ryd_pc, sol)
+        sol = _altmin(pc, w[4], _solver_rng(t, 2, pc))
+        data["c6_pc_nonupa"][t] = rate(4, pc, sol)
+        sol = _altmin(pc, w["upa"], _solver_rng(t, 1, pc))
+        data["c6_pc_upa"][t] = rate("upa", pc, sol)
     return data
 
 

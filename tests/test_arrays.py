@@ -152,3 +152,15 @@ class TestGeometryValidation:
 
     def test_element_count(self):
         assert nonupa(36, 6).n_elements == 216
+
+    # (4, 2.5) would claim 10 elements while its response has 12 rows
+    @pytest.mark.parametrize("counts", [(4, 2.5), (4.0, 1), (True, 1),
+                                        (4, True)])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(GeometryError, match="integers"):
+            ArrayGeometry(*counts)
+
+    def test_numpy_integer_counts(self):
+        geometry = ArrayGeometry(np.int64(36), np.int32(6))
+        assert geometry.n_elements == 216
+        assert array_response(geometry, 0.3, 1.1).shape == (216,)

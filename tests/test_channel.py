@@ -49,7 +49,7 @@ class TestSinglePath:
         paths = Paths(gains=np.array([1.0 + 0j]), aoa_azimuth=np.array([0.8]),
                       aoa_elevation=np.array([1.2]), aod_azimuth=np.array([2.1]),
                       aod_elevation=np.array([0.4]))
-        h = channel_matrix(paths, 36, geometry).dense()
+        h = channel_matrix(paths, 36, geometry)
         a_r = array_response(geometry, 0.8, 1.2)
         a_t = upa_response(2.1, 0.4, 36, 0.5)
         expected = math.sqrt(36 * 48) * np.outer(a_r, a_t.conj())
@@ -128,16 +128,26 @@ class TestBlockChannels:
     GEOMETRIES = [ArrayGeometry(36, 1), nonupa(36, 6), nonupa(9, 4)]
 
     def test_samples_equal_channel_matrix(self):
+        # each sample is its one-draw block bit for bit, and its factors
+        # give channel_matrix's H H^H = (A_rx G R_tx^H)(A_rx G R_tx^H)^H
         rng = np.random.default_rng(3)
         draws = [draw_paths(default_params(), rng) for _ in range(4)]
         for geometry, block in block_channels(Paths.stack(draws), 144,
                                               self.GEOMETRIES):
             assert block.shape == (geometry.n_elements, 144)
             for b, paths in enumerate(draws):
-                lone = channel_matrix(paths, 144, geometry)
-                np.testing.assert_array_equal(block.a_rx[b], lone.a_rx)
-                np.testing.assert_array_equal(block.gains[b], lone.gains)
-                np.testing.assert_array_equal(block.r_tx[b], lone.r_tx)
+                (_, alone), = block_channels(Paths.stack([paths]), 144,
+                                             [geometry])
+                np.testing.assert_array_equal(block.a_rx[b], alone.a_rx[0])
+                np.testing.assert_array_equal(block.gains[b], alone.gains[0])
+                np.testing.assert_array_equal(block.r_tx[b], alone.r_tx[0])
+                h = channel_matrix(paths, 144, geometry)
+                gram = h @ h.conj().T
+                root = ((block.a_rx[b] * block.gains[b])
+                        @ block.r_tx[b].conj().T)
+                np.testing.assert_allclose(
+                    root @ root.conj().T, gram, rtol=0,
+                    atol=1e-12 * np.abs(gram).max())
 
     def test_one_upa_factor_per_block_layout(self, monkeypatch):
         # the transmitter, then one factor for the two 36-block layouts

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import rydcomb.cli
@@ -461,6 +462,60 @@ class TestValidateCommand:
         line = next(l for l in out.splitlines()
                     if l.startswith("quantizer-exhaustive"))
         assert "FAIL" in line
+
+    @staticmethod
+    def factored_line(out):
+        return next(l for l in out.splitlines()
+                    if l.startswith("factored-reference"))
+
+    def test_stacked_sample_unequal_to_its_block_detected(self, capsys,
+                                                          monkeypatch):
+        # one ulp on one stacked sample's W_opt, only in blocks of several
+        # draws: no dense tolerance sees it, the one-draw blocks do
+        stage = rydcomb.optimizer.block_reference
+
+        def off_by_one_ulp(channels, n_streams):
+            w_opt, sigma, ok = stage(channels, n_streams)
+            if len(w_opt) > 1:
+                x = w_opt[1, 0, 0]
+                w_opt[1, 0, 0] = complex(np.nextafter(x.real, np.inf), x.imag)
+            return w_opt, sigma, ok
+
+        monkeypatch.setattr(rydcomb.optimizer, "block_reference",
+                            off_by_one_ulp)
+        assert validate_command() != 0
+        line = self.factored_line(capsys.readouterr().out)
+        assert "FAIL" in line
+        assert "unequal to their one-draw blocks: 3 of 30" in line
+
+    def test_scaled_singular_values_detected(self, capsys, monkeypatch):
+        # Sigma off by 1e-6 relative, in every block alike: the one-draw
+        # blocks agree, the dense SVD does not
+        stage = rydcomb.optimizer.block_reference
+
+        def scaled(channels, n_streams):
+            w_opt, sigma, ok = stage(channels, n_streams)
+            return w_opt, sigma * (1 + 1e-6), ok
+
+        monkeypatch.setattr(rydcomb.optimizer, "block_reference", scaled)
+        assert validate_command() != 0
+        line = self.factored_line(capsys.readouterr().out)
+        assert "FAIL" in line
+        assert "unequal to their one-draw blocks: 0 of 30" in line
+        deviation = float(line.split("dense SVD: ")[1].split(",")[0])
+        assert 5e-7 < deviation < 2e-6
+
+    def test_depth_sweep_config_checks(self, capsys, configs_dir):
+        # a sweep-depth config: one equivalence check per lo_depth value
+        # and architecture entry, after the default checks
+        assert main(["validate", "--config", str(
+            configs_dir.parent / "tests/configs/depth.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = lines[6:-1]  # after the six default checks
+        assert [l.split()[1] for l in checks] == [
+            "PASS", "SKIP", "PASS", "SKIP", "PASS", "PASS"]
+        assert all(l.startswith("proportional-equivalence") for l in checks)
+        assert lines[-1] == "all checks passed"
 
     def test_non_proportional_config_skips(self, capsys, configs_dir):
         assert validate_command(configs_dir / "fig8.json") == 0

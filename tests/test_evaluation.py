@@ -11,7 +11,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      ChannelParams, ConfigError, EvalUnit,
                      ExperimentSpec, NumericError, OptimizerConfig,
                      ReuseArchitecture, alternating_minimize, channel_matrix,
-                     combined_gain_eigenvalues, compose_wrf, draw_paths,
+                     compose_wrf, draw_paths,
                      evaluate_architecture, fully_digital_se,
                      generate_channel, optimal_digital_combiner,
                      pc_architecture, run_convergence, run_experiment,
@@ -152,22 +152,6 @@ class TestSpectralEfficiency:
         for snr in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="snr_linear"):
                 spectral_efficiency(h, np.eye(4), ref.w_opt, ref.f_opt, 2, snr)
-
-    def test_factored_channel_matches_dense(self):
-        geometry = nonupa(36, 6)
-        params = ChannelParams(n_tx=144)
-        arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=4)
-        for seed in range(3):
-            paths = draw_paths(params, np.random.default_rng(seed))
-            channel = channel_matrix(paths, 144, geometry)
-            ref = optimal_digital_combiner(channel, 3)
-            sol = alternating_minimize(arch, ref.w_opt,
-                                       rng=np.random.default_rng(seed))
-            w_rf = compose_wrf(arch, sol.phases)
-            factored = combined_gain_eigenvalues(channel, w_rf, sol.w_bb, ref.f_opt)
-            dense = combined_gain_eigenvalues(channel.dense(), w_rf, sol.w_bb,
-                                              ref.f_opt)
-            np.testing.assert_allclose(factored, dense, rtol=1e-10)
 
 
 class TestEvaluateArchitecture:
@@ -464,15 +448,13 @@ class TestFailedTrials:
             EvalUnit(label="UPA digital", kind="ideal_digital",
                      geometry=ArrayGeometry(16, 1)),))
         clean = trial_values(spec)[1]
-        drawn = self._watch(monkeypatch, one_path)
+        self._watch(monkeypatch, one_path)
         message = self._check_contained(spec, clean)
         assert "rank below n_streams=2" in message
-        # the text is the single-channel oracle's, from the block's Sigma
-        with pytest.raises(NumericError) as oracle:
-            optimal_digital_combiner(channel_matrix(
-                dict(drawn)[self.BAD], spec.channel.n_tx,
-                spec.units[0].geometry), spec.n_streams)
-        assert message.endswith(f"trial {self.BAD}: {oracle.value})")
+        # the text is the one the block stage raises for trial BAD alone
+        with pytest.raises(NumericError) as alone:
+            evaluation._block_references(spec, range(self.BAD, self.BAD + 1))
+        assert message.endswith(f"trial {self.BAD}: {alone.value})")
 
     def test_zero_gain_paths_drop_one_trial(self, monkeypatch):
         # finite paths of zero gain: the rank test fails the trial, and the
@@ -704,7 +686,8 @@ class TestTabulate:
 
 
 class TestBlockReferences:
-    """The block reference stage against the single-channel oracle."""
+    """The block reference stage against blocks of one trial and the dense
+    SVD."""
 
     CONFIGS = [("smoke", "sweep-snr"), ("fig5", "sweep-snr"),
                ("fig6a", "sweep-snr"), ("fig6b", "sweep-snr"),
@@ -725,14 +708,22 @@ class TestBlockReferences:
             n_s = spec.n_streams
             stacks = evaluation._block_references(spec, trials)
             for row, t in enumerate(trials):
+                alone = evaluation._block_references(spec, range(t, t + 1))
                 paths = draw_paths(spec.channel,
                                    evaluation._channel_rng(spec.seed, t))
                 for geometry, (w_opt, sigma) in stacks.items():
-                    ref = optimal_digital_combiner(channel_matrix(
+                    np.testing.assert_array_equal(w_opt[row],
+                                                  alone[geometry][0][0])
+                    np.testing.assert_array_equal(sigma[row],
+                                                  alone[geometry][1][0])
+                    dense = optimal_digital_combiner(channel_matrix(
                         paths, spec.channel.n_tx, geometry), n_s)
-                    np.testing.assert_array_equal(w_opt[row], ref.w_opt)
-                    np.testing.assert_array_equal(
-                        sigma[row], ref.singular_values[:n_s])
+                    scale = dense.singular_values[0]
+                    np.testing.assert_allclose(
+                        sigma[row], dense.singular_values[:n_s], rtol=0,
+                        atol=1e-12 * scale)
+                    np.testing.assert_allclose(w_opt[row], dense.w_opt,
+                                               rtol=0, atol=1e-12)
             seen.update(stacks)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen

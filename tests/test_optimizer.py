@@ -13,8 +13,10 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      optimal_digital_combiner, optimal_phase, phase_grid,
                      quantize_phase, update_wbb)
 from rydcomb.evaluation import pc_architecture
+from rydcomb.channel import block_channels
 from rydcomb.optimizer import (_cell_classes, _cell_means,
-                               _fix_column_phases, _solve, solve_stack)
+                               _fix_column_phases, _solve, block_reference,
+                               solve_stack)
 
 
 def rand_complex(rng, shape):
@@ -94,15 +96,19 @@ class TestDigitalCombiner:
             optimal_digital_combiner(h, 2)
 
 
-def factored_channel(geometry, seed):
-    paths = draw_paths(ChannelParams(n_tx=144), np.random.default_rng(seed))
-    return channel_matrix(paths, 144, geometry)
+def one_draw_reference(paths, geometry, n_streams):
+    """``block_reference`` on the block of one draw: W_opt, Sigma and the
+    rank flag of that draw."""
+    (_, block), = block_channels(Paths.stack([paths]), 144, [geometry])
+    w_opt, sigma, ok = block_reference(block, n_streams)
+    return w_opt[0], sigma[0], ok[0]
 
 
 class TestFactoredReference:
-    """The reference of a LowRankChannel from its R factors against the
-    dense SVD, for N_r below (36 elements) and above (72 to 216 elements)
-    the 50 paths; 36x2 has near-duplicate rows at intra_spacing 0.05."""
+    """The block reference stage on one-draw blocks against the dense SVD
+    of ``channel_matrix``, for N_r below (36 elements) and above (72 to
+    216 elements) the 50 paths; 36x2 has near-duplicate rows at
+    intra_spacing 0.05."""
 
     GEOMETRIES = [ArrayGeometry(36, 1),
                   ArrayGeometry(9, 4),
@@ -110,70 +116,62 @@ class TestFactoredReference:
                   ArrayGeometry(36, 2),
                   ArrayGeometry(36, 4)]
 
+    @staticmethod
+    def draw(seed):
+        return draw_paths(ChannelParams(n_tx=144), np.random.default_rng(seed))
+
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_svd(self, geometry, seed):
-        channel = factored_channel(geometry, seed)
-        dense = optimal_digital_combiner(channel.dense(), 3)
-        factored = optimal_digital_combiner(channel, 3)
+        paths = self.draw(seed)
+        dense = optimal_digital_combiner(channel_matrix(paths, 144, geometry),
+                                         3)
         scale = dense.singular_values[0]
-        assert factored.singular_values.shape == dense.singular_values.shape
-        np.testing.assert_allclose(factored.singular_values,
-                                   dense.singular_values, rtol=0,
+        # the whole spectrum of the core, min(N_r, N_t, L) values; the
+        # dense tail beyond it is rounding noise about zero
+        rank = min(geometry.n_elements, 144, paths.n_paths)
+        _, sigma, _ = one_draw_reference(paths, geometry, rank)
+        np.testing.assert_allclose(
+            np.concatenate([sigma, np.zeros(dense.singular_values.size
+                                            - rank)]),
+            dense.singular_values, rtol=0, atol=1e-12 * scale)
+        w_opt, sigma, ok = one_draw_reference(paths, geometry, 3)
+        assert ok
+        np.testing.assert_allclose(sigma, dense.singular_values[:3], rtol=0,
                                    atol=1e-12 * scale)
-        for a, b in ((factored.w_opt, dense.w_opt), (factored.f_opt, dense.f_opt)):
-            np.testing.assert_allclose(a @ a.conj().T, b @ b.conj().T,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_opt @ w_opt.conj().T,
+                                   dense.w_opt @ dense.w_opt.conj().T,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_opt, dense.w_opt, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_singular_pairs_of_dense_channel(self, geometry):
-        # W^H H F = diag(s) up to the column phases; W and F orthonormal
-        channel = factored_channel(geometry, 4)
-        ref = optimal_digital_combiner(channel, 3)
-        s = ref.singular_values
+        # W^H H H^H W = diag(s^2), and W orthonormal
+        paths = self.draw(4)
+        h = channel_matrix(paths, 144, geometry)
+        w_opt, sigma, _ = one_draw_reference(paths, geometry, 3)
         np.testing.assert_allclose(
-            np.abs(ref.w_opt.conj().T @ channel.dense() @ ref.f_opt),
-            np.diag(s[:3]), rtol=0, atol=1e-12 * s[0])
-        for m in (ref.w_opt, ref.f_opt):
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(3), rtol=0,
-                                       atol=1e-12)
+            w_opt.conj().T @ h @ h.conj().T @ w_opt, np.diag(sigma ** 2),
+            rtol=0, atol=1e-12 * sigma[0] ** 2)
+        np.testing.assert_allclose(w_opt.conj().T @ w_opt, np.eye(3),
+                                   rtol=0, atol=1e-12)
 
     def test_columns_phase_fixed(self):
-        ref = optimal_digital_combiner(factored_channel(self.GEOMETRIES[2], 5), 3)
-        for m in (ref.w_opt, ref.f_opt):
-            for k in range(3):
-                pivot = m[np.argmax(np.abs(m[:, k])), k]
-                assert abs(pivot.imag) < 1e-12 and pivot.real > 0
-
-    def test_stream_bounds(self):
-        channel = factored_channel(self.GEOMETRIES[0], 0)
-        with pytest.raises(ValueError):
-            optimal_digital_combiner(channel, 37)
-        single = channel_matrix(
-            Paths(gains=np.ones(1, dtype=complex), aoa_azimuth=np.zeros(1),
-                  aoa_elevation=np.ones(1), aod_azimuth=np.zeros(1),
-                  aod_elevation=np.ones(1)), 144, self.GEOMETRIES[0])
-        with pytest.raises(ValueError, match="rank bound"):
-            optimal_digital_combiner(single, 2)
+        w_opt, _, _ = one_draw_reference(self.draw(5), self.GEOMETRIES[2], 3)
+        for k in range(3):
+            pivot = w_opt[np.argmax(np.abs(w_opt[:, k])), k]
+            assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
     def test_rank_below_streams_rejected(self):
         # two copies of one path: rank 1, so a second stream does not exist
-        paths = draw_paths(ChannelParams(n_tx=144), np.random.default_rng(0))
-        twice = channel_matrix(
-            Paths(**{k: v[[0, 0]] for k, v in vars(paths).items()}), 144,
-            self.GEOMETRIES[2])
-        assert optimal_digital_combiner(twice, 1).singular_values[0] > 0
+        paths = self.draw(0)
+        twice = Paths(**{k: v[[0, 0]] for k, v in vars(paths).items()})
+        geometry = self.GEOMETRIES[2]
+        _, sigma, ok = one_draw_reference(twice, geometry, 1)
+        assert ok and sigma[0] > 0
+        assert not one_draw_reference(twice, geometry, 2)[2]
         with pytest.raises(NumericError, match="rank below n_streams"):
-            optimal_digital_combiner(twice, 2)
-        with pytest.raises(NumericError, match="rank below n_streams"):
-            optimal_digital_combiner(twice.dense(), 2)
-
-    def test_non_finite_rejected(self):
-        channel = factored_channel(self.GEOMETRIES[0], 0)
-        channel.gains[3] = np.nan
-        with pytest.raises(NumericError):
-            optimal_digital_combiner(channel, 2)
+            optimal_digital_combiner(channel_matrix(twice, 144, geometry), 2)
 
 
 class TestUpdateWbb:
