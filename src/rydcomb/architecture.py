@@ -92,12 +92,6 @@ def check_bits(bits) -> None:
             f"bits must be an integer in [1, {MAX_RESOLUTION_BITS}]")
 
 
-def phase_grid(bits: int) -> np.ndarray:
-    """Feasible phases under B-bit resolution: {2*pi*b/2^B, b=0..2^B-1}."""
-    check_bits(bits)
-    return TWO_PI * np.arange(2 ** bits) / (2 ** bits)
-
-
 def check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     """One block phase per block, on the resolution grid if there is one.
     Leading axes are batch axes."""
@@ -116,15 +110,6 @@ def check_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def build_wlc(n_r: int, apd_depth: int) -> np.ndarray:
-    """0/1 fiber-combiner adjacency: N_r x N_chains block stack of all-ones
-    columns; the identity when apd_depth=1."""
-    if n_r <= 0 or apd_depth <= 0 or n_r % apd_depth != 0:
-        raise ArchitectureError(
-            f"apd_depth={apd_depth} does not divide n_r={n_r}")
-    return np.kron(np.eye(n_r // apd_depth), np.ones((apd_depth, 1)))
-
-
 def diagonal_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     """Length-N_r vector of total per-antenna LO phases: block phase plus
     fixed intra-block offset, in block-major order.  Leading axes of the
@@ -132,11 +117,3 @@ def diagonal_phases(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
     phases = check_phases(arch, phases)
     return (np.repeat(phases, arch.lo_depth, axis=-1)
             + arch.intra_offsets.ravel())
-
-
-def compose_wrf(arch: ReuseArchitecture, phases: np.ndarray) -> np.ndarray:
-    """Analog combiner W_LO @ W_LC: N_r x N_chains, exactly apd_depth
-    unit-modulus nonzeros per column, so W^H W = apd_depth * I."""
-    u = np.exp(1j * diagonal_phases(arch, phases))
-    return u[:, None] * build_wlc(arch.n_r, arch.apd_depth)
-

@@ -23,6 +23,8 @@ from .errors import GeometryError
 
 
 def _square_side(n: int) -> int:
+    if not (_is_int(n) and n > 0):
+        raise GeometryError(f"element count {n!r} is not a positive integer")
     m = math.isqrt(n)
     if m * m != n:
         raise GeometryError(f"element count {n} is not a perfect square")
@@ -94,6 +96,8 @@ def axial_response(elevation, n_sub: int, spacing: float) -> np.ndarray:
     Sub-element k (k = 0..n_sub-1) sits at a symmetric offset
     (k - (n_sub-1)/2) * spacing along the block axis.
     """
+    if not (_is_int(n_sub) and n_sub > 0):
+        raise GeometryError(f"n_sub={n_sub!r} is not a positive integer")
     offsets = np.arange(n_sub) - (n_sub - 1) / 2.0
     phase = np.multiply.outer(2.0 * np.pi * spacing * offsets, np.cos(elevation))
     return np.exp(1j * phase) / np.sqrt(n_sub)

@@ -6,7 +6,7 @@ per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
 H = A_rx diag(g) A_tx^H has rank at most L = n_clusters * n_rays.  A run's
 trial block keeps only the factors its reference reads (``block_channels``);
-``channel_matrix`` forms one draw's dense H, the oracle of the checks.
+one draw's dense H, the oracle of the checks, is in ``oracles``.
 """
 
 from __future__ import annotations
@@ -118,24 +118,6 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
                  aod_elevation=np.repeat(aod_el_mean, nray) + offsets[3])
 
 
-def channel_matrix(paths: Paths, n_tx: int,
-                   rx_geometry: ArrayGeometry) -> np.ndarray:
-    """The dense N_r x N_t channel matrix of one draw of paths.  The
-    transmitter is a half-wavelength UPA.
-
-    Keeping this separate from the path draw lets several receive
-    geometries share one set of paths for paired comparisons.
-    """
-    if np.ndim(paths.gains) != 1:
-        raise ValueError("channel_matrix takes one draw; a block of draws "
-                         "goes through block_channels")
-    a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
-    n_r = rx_geometry.n_elements
-    a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
-    scale = math.sqrt(n_tx * n_r / paths.n_paths)
-    return (a_rx * (scale * paths.gains)) @ a_tx.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelBlock:
     """The channels of a block of B draws on one receive geometry, stacked
@@ -183,10 +165,3 @@ def block_channels(paths: Paths, n_tx: int,
         yield geometry, ChannelBlock(np.moveaxis(a_rx, 0, 1),
                                      scale * paths.gains, r_tx, n_tx)
         del a_rx
-
-
-def generate_channel(params: ChannelParams, rx_geometry: ArrayGeometry,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw one dense channel matrix, deterministic given the generator."""
-    paths = draw_paths(params, rng)
-    return channel_matrix(paths, params.n_tx, rx_geometry)

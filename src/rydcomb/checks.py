@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import optimizer
-from .architecture import (ReuseArchitecture, compose_wrf, diagonal_phases,
-                           is_proportional, phase_grid)
+from .architecture import ReuseArchitecture, diagonal_phases, is_proportional
 from .arrays import ArrayGeometry
-from .channel import (ChannelParams, Paths, block_channels, channel_matrix,
-                      draw_paths, generate_channel)
+from .channel import ChannelParams, Paths, block_channels, draw_paths
+from .oracles import (channel_matrix, compose_wrf, generate_channel,
+                      optimal_digital_combiner, phase_grid)
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None):
     geometry = ArrayGeometry(arch.n_blocks, arch.lo_depth)
     h = generate_channel(ChannelParams(n_tx=144), geometry,
                          np.random.default_rng(14))
-    ref = optimizer.optimal_digital_combiner(h, 3)
+    ref = optimal_digital_combiner(h, 3)
 
     arch_b1 = replace(arch, resolution_bits=1)
     r_inf = optimizer.alternating_minimize(
@@ -197,7 +197,7 @@ def check_factored_reference():
             w_alone, s_alone, _ = optimizer.block_reference(alone, n_streams)
             unequal += not (np.array_equal(w_block[row], w_alone[0])
                             and np.array_equal(s_block[row], s_alone[0]))
-            dense = optimizer.optimal_digital_combiner(
+            dense = optimal_digital_combiner(
                 channel_matrix(paths, 144, geometry), n_streams)
             w, v = w_block[row], dense.w_opt
             worst = max(worst, np.max(np.abs(w - v)),

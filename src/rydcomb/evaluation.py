@@ -23,19 +23,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-# compose_wrf, alternating_minimize, channel_matrix and
-# optimal_digital_combiner stay importable here: the per-layer benchmark
-# trace patches them at these names.
-from .architecture import (ReuseArchitecture, _is_int, compose_wrf,
-                           diagonal_phases, is_proportional)
+from .architecture import (ReuseArchitecture, _is_int, diagonal_phases,
+                           is_proportional)
 from .arrays import ArrayGeometry
-from .channel import (ChannelParams, Paths, block_channels, channel_matrix,
-                      draw_paths)
+from .channel import ChannelParams, Paths, block_channels, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
-from .optimizer import (SOLVE_METHODS, CombinerSolution, DigitalReference,
-                        OptimizerConfig, SolutionBatch, alternating_minimize,
-                        block_reference, optimal_digital_combiner,
-                        solve_stack)
+# alternating_minimize and the three oracles stay importable here: the
+# per-layer benchmark trace patches them at these names.
+from .optimizer import (SOLVE_METHODS, OptimizerConfig, SolutionBatch,
+                        alternating_minimize, block_reference, solve_stack)
+from .oracles import channel_matrix, compose_wrf, optimal_digital_combiner
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
@@ -137,26 +134,6 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
                          f"[1, {sv.size}] (the singular values given)")
     _check_snr(snr_linear)
     return float(_rates(sv[:n_streams] ** 2, n_streams, [snr_linear])[0])
-
-
-def evaluate_architecture(reference: DigitalReference,
-                          arch: ReuseArchitecture, snr_linear_grid,
-                          solver: str = "auto",
-                          rng: Optional[np.random.Generator] = None,
-                          ) -> tuple[np.ndarray, CombinerSolution]:
-    """Design the combiner for the channel of an SVD reference and
-    evaluate it on an SNR grid, with N_s the reference's stream count.
-
-    Returns the per-SNR rates and the combiner solution.  A batch of one
-    through the solver and rate of the trial blocks.
-    """
-    n_streams = reference.w_opt.shape[1]
-    sol = solve_stack([(arch, reference.w_opt[None],
-                        [rng or np.random.default_rng()], solver)], None)[0]
-    ev = _stacked_gain_eigenvalues([(
-        arch, sol, reference.w_opt[None],
-        reference.singular_values[None, :n_streams])])[0]
-    return _rates(ev, n_streams, snr_linear_grid), sol.solution(0)
 
 
 def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:

@@ -21,7 +21,7 @@ import numpy as np
 from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
                            check_phases, is_proportional)
 from .channel import ChannelBlock
-from .errors import ArchitectureError, NumericError
+from .errors import ArchitectureError
 
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
 
@@ -39,17 +39,6 @@ class OptimizerConfig:
             raise ValueError("epsilon must be finite and > 0")
         if not (_is_int(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class DigitalReference:
-    """Fully digital optimum from a dense channel SVD: combining target
-    w_opt (left singular vectors), ideal precoder f_opt (right singular
-    vectors), and all min(N_r, N_t) singular values in descending order."""
-
-    w_opt: np.ndarray = field(repr=False)
-    f_opt: np.ndarray = field(repr=False)
-    singular_values: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,31 +62,6 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     rotation = np.divide(np.conj(pivot), np.abs(pivot), where=keep,
                          out=np.ones_like(pivot))
     return np.multiply(m, rotation, where=keep, out=m.copy())
-
-
-def optimal_digital_combiner(h: np.ndarray,
-                             n_streams: int) -> DigitalReference:
-    """SVD-based fully digital reference for a dense channel matrix, the
-    oracle that ``block_reference`` is checked against.  A channel of rank
-    below n_streams (by matrix_rank's tolerance) raises NumericError."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
-    if not (_is_int(n_streams) and 1 <= n_streams <= min(h.shape)):
-        raise ValueError(f"n_streams={n_streams!r} must be an integer "
-                         f"in [1, min{h.shape}]")
-    if not np.all(np.isfinite(h)):
-        raise NumericError("channel matrix contains non-finite entries")
-    try:
-        u, s, vh = np.linalg.svd(h, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    if s[n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[0]:
-        raise NumericError(f"channel rank below n_streams={n_streams}: "
-                           f"singular values {s[:n_streams]}")
-    return DigitalReference(w_opt=_fix_column_phases(u[:, :n_streams]),
-                            f_opt=_fix_column_phases(vh[:n_streams].conj().T),
-                            singular_values=s)
 
 
 def block_reference(h: ChannelBlock, n_streams: int

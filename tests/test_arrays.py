@@ -164,3 +164,15 @@ class TestGeometryValidation:
         geometry = ArrayGeometry(np.int64(36), np.int32(6))
         assert geometry.n_elements == 216
         assert array_response(geometry, 0.3, 1.1).shape == (216,)
+
+    @pytest.mark.parametrize("response,args", [
+        (upa_response, (0.1, 0.2, 4.0, 0.5)),
+        (upa_response, (0.1, 0.2, True, 0.5)),
+        (upa_response, (0.1, 0.2, 0, 0.5)),
+        (axial_response, (0.2, 2.5, 0.05)),
+        (axial_response, (0.2, 0, 0.05)),
+        (axial_response, (0.2, -1, 0.05)),
+        (axial_response, (0.2, True, 0.05))])
+    def test_response_counts_must_be_positive_integers(self, response, args):
+        with pytest.raises(GeometryError, match="not a positive integer"):
+            response(*args)
