@@ -18,7 +18,7 @@ from .evaluation import (EvalUnit, ExperimentSpec, ResultRow, ResultTable,
                          spectral_efficiency)
 from .optimizer import (CombinerSolution, OptimizerConfig,
                         alternating_minimize, direct_solve_proportional,
-                        optimal_phase, quantize_phase, update_wbb)
+                        quantize_phase)
 from .oracles import (DigitalReference, build_wlc, channel_matrix,
                       compose_wrf, generate_channel, optimal_digital_combiner,
                       phase_grid)
@@ -34,7 +34,6 @@ __all__ = [
     "combined_gain_eigenvalues", "compose_wrf", "diagonal_phases",
     "direct_solve_proportional", "draw_paths", "fully_digital_se",
     "generate_channel", "is_proportional", "optimal_digital_combiner",
-    "optimal_phase", "pc_architecture", "phase_grid", "quantize_phase",
-    "run_convergence", "run_experiment", "spectral_efficiency", "update_wbb",
-    "upa_response",
+    "pc_architecture", "phase_grid", "quantize_phase", "run_convergence",
+    "run_experiment", "spectral_efficiency", "upa_response",
 ]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import optimizer
-from .architecture import ReuseArchitecture, diagonal_phases, is_proportional
+from .architecture import ReuseArchitecture, is_proportional
 from .arrays import ArrayGeometry
 from .channel import ChannelParams, Paths, block_channels, draw_paths
 from .oracles import (channel_matrix, compose_wrf, generate_channel,
@@ -59,31 +59,58 @@ def _rand_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 @_check("phase-update-grid")
 def check_phase_update_grid():
-    """Closed-form rotation phase must beat a dense grid of candidates.
-    One call on the stacked instances, the way the solver makes it, must
-    return the per-instance phases; the last instance has its optimum just
-    below 2pi, which must snap to 0."""
+    """One alternating pass of the solver kernel on cells of g = 1, 2, 3
+    and 6 rows (adder depths 5, 4, 15, 12; 10 blocks of depth 6), continuous
+    and 2-bit.  W_BB must be the pseudoinverse at the start phases; with it
+    held, each block phase must beat a dense grid, a 2-bit one the other 3
+    grid phases.  The last target is in the range of W_RF at its start
+    phases, the first just below 2pi, which must snap to 0.  A stack must
+    equal its instances' lone passes bit for bit."""
     n_instances, grid_points = 20, 100_000
     rng = np.random.default_rng(11)
-    grid = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    rot = np.exp(1j * grid)
-    ys = _rand_complex(rng, (n_instances, 3, 2))
-    xs = _rand_complex(rng, (n_instances, 3, 2))
-    ys[-1] = np.exp(-1e-14j) * xs[-1]
-    stacked = optimizer.optimal_phase(ys, xs)
-    single = np.empty(n_instances)
-    worst = 0.0
-    for i, (y, x) in enumerate(zip(ys, xs)):
-        single[i] = optimizer.optimal_phase(y, x)
-        best = np.linalg.norm(y - np.exp(1j * single[i]) * x)
-        objective = np.linalg.norm(
-            y[None, :, :] - rot[:, None, None] * x[None, :, :], axis=(1, 2))
-        worst = max(worst, best - objective.min())
-    same = np.array_equal(stacked, single)
-    return (_status(worst <= 1e-9 and same and single[-1] == 0.0),
-            f"max excess over {grid_points}-point grid: {worst:.2e}, "
-            f"stacked call {'equals' if same else 'differs from'} "
-            f"per-instance calls, phase below 2pi -> {single[-1]:.1e}")
+    archs = [ReuseArchitecture(n_blocks=10, lo_depth=6, apd_depth=apd)
+             for apd in (5, 4, 15, 12)] * (n_instances // 4)
+    starts = rng.uniform(0, 2 * np.pi, (n_instances, 10))
+    starts[-1, 0] = 2 * np.pi - 1e-13
+    targets = [_rand_complex(rng, (60, 2)) for _ in range(n_instances - 1)] + [
+        compose_wrf(archs[-1], starts[-1]) @ _rand_complex(rng, (5, 2))]
+    one_pass = optimizer.OptimizerConfig(max_iterations=1)
+    worst = pinv_dev = snapped = unequal = off_best = 0
+    for bits, points in ((None, grid_points), (2, 4)):
+        grid = 2 * np.pi * np.arange(points) / points
+        segments = [(replace(a, resolution_bits=bits), w[None], p[None])
+                    for a, w, p in zip(archs, targets, starts)]
+        for arch, w_opt, start, segment, sol in zip(
+                archs, targets, starts, segments,
+                optimizer._solve(segments, one_pass)):
+            lone = optimizer._solve([segment], one_pass)[0]
+            unequal += not all(
+                np.array_equal(getattr(sol, f), getattr(lone, f))
+                for f in ("phases", "w_bb", "history"))
+            phases, w_bb = sol.phases[0], sol.w_bb[0]
+            pinv_dev = max(pinv_dev, np.max(np.abs(
+                w_bb - np.linalg.pinv(compose_wrf(arch, start)) @ w_opt)))
+            # per block: target rows y and x = W_RF W_BB at block phase 0;
+            # the best candidate maximizes Re(e^{-j phi} x^H y)
+            x = (compose_wrf(arch, np.zeros(10)) @ w_bb).reshape(10, -1)
+            y = w_opt.reshape(10, -1)
+            best = grid[np.argmax(np.real(np.exp(-1j * grid)[:, None]
+                                          * np.sum(np.conj(x) * y, axis=1)),
+                                  axis=0)]
+            if bits:
+                off_best += np.count_nonzero(phases != best)
+            else:
+                got, grid_best = np.linalg.norm(
+                    y - np.exp(1j * np.stack([phases, best]))[..., None] * x,
+                    axis=-1)
+                worst = max(worst, np.max(got - grid_best))
+        snapped = max(snapped, phases[0])  # of the last instance
+    return (_status(worst <= 1e-9 and not off_best and pinv_dev <= 1e-10
+                    and not unequal and snapped == 0.0),
+            f"max excess over {grid_points}-point grid: {worst:.2e}, 2-bit "
+            f"phases not the best of 4: {off_best}, max |W_BB - pinv| = "
+            f"{pinv_dev:.2e}, stacks unequal to lone passes: {unequal} of "
+            f"{2 * n_instances}, phase below 2pi -> {snapped:.1e}")
 
 
 @_check("quantizer-exhaustive")
@@ -108,9 +135,10 @@ def check_quantizer_exhaustive():
 
 @_check("block-pseudoinverse")
 def check_block_pseudoinverse():
-    """The W_BB row formula both solvers use must match the generic
-    pseudoinverse, for proportional and non-proportional reuse, and the
-    analog combiner it assumes must satisfy W_RF^H W_RF = apd_depth * I."""
+    """The W_BB of one direct pass of the solver kernel must match the
+    generic pseudoinverse at the given phases, for proportional and
+    non-proportional reuse, and the analog combiner it assumes must satisfy
+    W_RF^H W_RF = apd_depth * I."""
     rng = np.random.default_rng(13)
     worst = gram_dev = 0.0
     for _ in range(20):
@@ -120,18 +148,13 @@ def check_block_pseudoinverse():
         w_opt = _rand_complex(rng, (arch.n_r, 3))
         phases = rng.uniform(0, 2 * np.pi, arch.n_blocks)
         w_rf = compose_wrf(arch, phases)
-        u = np.exp(1j * diagonal_phases(arch, phases))
-        w_bb = [optimizer.update_wbb(u[None], w_opt[None],
-                                     np.array([apd]))[0, ::apd]]
-        if is_proportional(arch):
-            w_bb.append(optimizer.direct_solve_proportional(
-                arch, w_opt, phases=phases).w_bb)
-        pinv_path = np.linalg.pinv(w_rf) @ w_opt
-        worst = max(worst, *(np.max(np.abs(w - pinv_path)) for w in w_bb))
+        w_bb = optimizer._solve([(arch, w_opt[None], phases[None])])[0].w_bb
+        worst = max(worst, np.max(np.abs(
+            w_bb[0] - np.linalg.pinv(w_rf) @ w_opt)))
         gram_dev = max(gram_dev, np.max(np.abs(
             w_rf.conj().T @ w_rf / apd - np.eye(arch.n_chains))))
     return (_status(worst <= 1e-10 and gram_dev <= 1e-12),
-            f"max |row formula - pinv| = {worst:.2e}, "
+            f"max |W_BB of a direct pass - pinv| = {worst:.2e}, "
             f"max |W^H W / apd_depth - I| = {gram_dev:.2e}")
 
 

@@ -76,11 +76,10 @@ class _Ctx:
         value = self.doc[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value) if abs(value) <= sys.float_info.max else math.inf
-        if kind is not None and (isinstance(value, bool)  # json true is an int
-                                 or not isinstance(value, kind)):
-            raise ConfigError(
-                f"{self._at(key)}: expected {getattr(kind, '__name__', kind)}, "
-                f"got {type(value).__name__}")
+        # json true is an int
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{self._at(key)}: expected {kind.__name__}, "
+                              f"got {type(value).__name__}")
         if kind is float and not math.isfinite(value):  # json takes NaN
             raise ConfigError(f"{self._at(key)}: {value} is not finite")
         return value
@@ -255,6 +254,12 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
     the fields that are not swept."""
     param = _SWEPT_FIELD[command]
     values: list = [None]
+    if param == "snr_db" and "sweep" in ctx.doc:
+        swept = ctx.sub("sweep").get("param", str)
+        owner = [c for c, f in _SWEPT_FIELD.items() if f == swept != param]
+        raise ConfigError(
+            f"sweep: {command} takes its points from snr_db, not a sweep"
+            + (f"; sweep.param {swept!r} is for {owner[0]}" if owner else ""))
     if param != "snr_db":
         sweep = ctx.sub("sweep", required=True)
         if sweep.get("param", str, required=True) != param:
@@ -380,17 +385,23 @@ def emit_results(table: ResultTable, output_dir: Path,
 
 def validate_command(config_path: Optional[Path] = None) -> int:
     """Run the oracle self-checks, then one proportional-equivalence check
-    per architecture of a config file, which is parsed by the command its
-    sweep.param selects."""
+    per architecture of a config file, parsed by the first command of its
+    sweep.param that accepts it (without a sweep, sweep-snr or convergence)."""
     archs = []
     if config_path is not None:
         doc = _read_config(config_path)
         param = _Ctx(doc).sub("sweep").get("param", str, default="snr_db")
-        commands = [c for c, f in _SWEPT_FIELD.items() if f == param]
-        if not commands:
-            raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
-        spec = build_spec(doc, commands[0])
-        archs = [u.arch for u in spec.units if u.kind == "rydberg"]
+        errors = []
+        for command in [c for c, f in _SWEPT_FIELD.items() if f == param]:
+            try:
+                archs = [u.arch for u in build_spec(doc, command).units
+                         if u.kind == "rydberg"]
+                break
+            except ConfigError as exc:
+                errors.append(exc)
+        else:
+            raise errors[0] if errors else ConfigError(
+                f"sweep.param: unknown sweep parameter {param!r}")
     results = checks.run_all() + [
         checks.check_proportional_equivalence(arch=arch) for arch in archs]
     width = max(len(r.name) for r in results)

@@ -24,6 +24,7 @@ from .channel import ChannelBlock
 from .errors import ArchitectureError
 
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
+MAX_ITERATIONS = 10_000  # the kernel keeps a history column per iteration
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if not (_is_int(self.max_iterations) and self.max_iterations >= 1):
-            raise ValueError("max_iterations must be an integer >= 1")
+        if not (_is_int(self.max_iterations)
+                and 1 <= self.max_iterations <= MAX_ITERATIONS):
+            raise ValueError(f"max_iterations must be an integer in "
+                             f"[1, {MAX_ITERATIONS}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,28 +103,10 @@ def _trace_sum(p: np.ndarray) -> np.ndarray:
 
 
 def _trace_phase(t: np.ndarray) -> np.ndarray:
-    """``optimal_phase`` from the block traces t themselves."""
+    """The phi minimizing ||Y - e^{j phi} X||_F from t = Tr[X^H Y]: arg t in
+    [0, 2pi), and 0 where t = 0 or arg t lies within 1e-12 below 2pi."""
     phi = np.angle(t) % TWO_PI
     return np.where((t == 0) | (TWO_PI - phi < 1e-12), 0.0, phi)
-
-
-def optimal_phase(block_target: np.ndarray,
-                  block_product: np.ndarray) -> Union[float, np.ndarray]:
-    """Globally optimal rotation phase for min ||Y - e^{j phi} X||_F.
-
-    Returns arg Tr[X^H Y] in [0, 2pi); 0 when the trace vanishes (the
-    objective is then independent of the phase) and for a phase within
-    1e-12 below 2pi.  Leading axes are batch axes: one phase per trailing
-    matrix pair, and a single pair gives a float.  This is the phase
-    half-step of alternating minimization.
-    """
-    y = np.asarray(block_target)
-    x = np.asarray(block_product)
-    if y.shape != x.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {x.shape}")
-    p = np.conj(x) * y
-    phi = _trace_phase(_trace_sum(p.reshape(*p.shape[:-2], -1)))
-    return float(phi) if phi.ndim == 0 else phi
 
 
 def _phase_level(phase: np.ndarray, bits: int) -> np.ndarray:
@@ -174,26 +159,6 @@ def _group_means(prod: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
     starts, divisor, groups = layout
     w_bb = np.add.reduceat(prod, starts) / divisor
     return w_bb, np.repeat(w_bb, groups, axis=0)
-
-
-def update_wbb(u: np.ndarray, w_opt: np.ndarray,
-               apd_depth: Union[int, np.ndarray]) -> np.ndarray:
-    """Least-squares digital combiner for the analog stage with per-antenna
-    phase factors u = exp(j*diagonal_phases).
-
-    Its columns are orthogonal with squared norm apd_depth, so the
-    pseudoinverse reduces to a scaled adjoint: row n of
-    W_BB = W_RF^H W_opt / apd_depth is the mean of conj(u)*W_opt over the
-    n-th adder group.  It returns each W_BB repeated to antenna rows,
-    W_LC W_BB (..., N_r, N_s).  Leading axes of u (..., N_r) and w_opt
-    (..., N_r, N_s) are batch axes; apd_depth is one per sample or one
-    for all, and every group is summed the same way.
-    """
-    prod = np.conj(u)[..., None] * w_opt
-    *batch, n_r, n_s = prod.shape
-    apd = np.broadcast_to(apd_depth, batch).ravel()
-    layout = _group_layout(apd, n_r // apd)
-    return _group_means(prod.reshape(-1, n_s), layout)[1].reshape(prod.shape)
 
 
 def _square_sums(x: np.ndarray) -> np.ndarray:
@@ -292,9 +257,12 @@ def _solve(segments: Sequence[tuple],
 
     The fixed intra-block offsets are folded into the target once, so
     W_BB, the block traces and the residual see only the block rotations
-    exp(j*phases).  Without a config this is the direct solver: one W_BB
-    half-step at the given phases.  Otherwise it alternates; each sample
-    stops on its own test and is frozen then.
+    exp(j*phases).  The W_BB half-step is the least-squares W_BB =
+    pinv(W_RF) W_opt: W_RF's columns are orthogonal with squared norm
+    apd_depth, so row n of W_BB = W_RF^H W_opt / apd_depth is the mean of
+    conj(u) W_opt over the n-th adder group.  Without a config this is the
+    direct solver: one W_BB half-step at the given phases.  Otherwise it
+    alternates; each sample stops on its own test and is frozen then.
 
     Alternation runs on cells: runs of g = gcd(lo_depth, apd_depth) rows
     of a sample, each inside one LO block and one adder group, so one
@@ -306,8 +274,8 @@ def _solve(segments: Sequence[tuple],
     run of the flat cell array, and a row depends on its own sample only.
     The direct solver runs on cells of one row.
 
-    The phase half-step forms each block trace t, the Tr[X^H Y] of
-    ``optimal_phase``, at either resolution.  On continuous phases the
+    The phase half-step forms each block trace t = Tr[X^H Y] of the block's
+    target Y and product X, at either resolution.  On continuous phases the
     rotation is t/|t| (1 where t = 0), with no angle; on B-bit phases it is
     looked up among the 2^B grid rotations, at the level of
     ``_trace_phase(t)``.  A stop keeps the sample's last traces and W_BB

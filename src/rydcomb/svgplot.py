@@ -16,8 +16,6 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -161,6 +161,20 @@ class TestSweepPlans:
             doc["sweep"] = sweep
         assert build_spec(doc, command).units[0].label == label
 
+    @pytest.mark.parametrize("command", ["sweep-snr", "convergence"])
+    def test_snr_commands_reject_a_sweep(self, tmp_path, capsys, configs_dir,
+                                         command):
+        # depth.json sweeps lo_depth; an SNR command would run it at
+        # lo_depth 1 and write a table for a sweep it never made
+        out = tmp_path / "o"
+        assert main([command, "--config", str(
+            configs_dir.parent / "tests/configs/depth.json"),
+            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep: {command} ")
+        assert "sweep.param 'lo_depth' is for sweep-depth" in err
+        assert not out.exists()
+
     def test_swept_key_fixed_in_entries(self):
         doc = smoke_doc(snr_db=[0.0],
                         sweep={"param": "lo_depth", "values": [1, 2]},
@@ -412,6 +426,10 @@ class TestRunEndToEnd:
             {"lo_depth": 2, "apd_depth": 4, "resolution_bits": 2}]},
             "architectures[0] and architectures[1] have the same label "
             "'lo_depth=2, apd_depth=4'; set label"),
+        # the solver reserves one history column per allowed iteration
+        "huge-max-iterations": ({}, {"solver": {"max_iterations": 10 ** 13}},
+                                "solver: max_iterations must be an integer "
+                                "in [1, 10000]"),
     }
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
@@ -515,6 +533,41 @@ class TestValidateCommand:
         assert [l.split()[1] for l in checks] == [
             "PASS", "SKIP", "PASS", "SKIP", "PASS", "PASS"]
         assert all(l.startswith("proportional-equivalence") for l in checks)
+        assert lines[-1] == "all checks passed"
+
+    def test_cell_path_checked(self, capsys, monkeypatch):
+        # cell means off by 1e-8 relative wherever a cell holds 2 or more
+        # rows: only the kernel's own alternating pass sees it
+        means = rydcomb.optimizer._cell_means
+
+        def scaled(target, classes):
+            cells, spread = means(target, classes)
+            if any(g >= 2 for g, *_ in classes):
+                cells = cells * (1 + 1e-8)
+            return cells, spread
+
+        monkeypatch.setattr(rydcomb.optimizer, "_cell_means", scaled)
+        assert validate_command() == 1
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("phase-update-grid"))
+        assert "FAIL" in line
+        deviation = float(line.split("|W_BB - pinv| = ")[1].split(",")[0])
+        assert 5e-9 < deviation < 1e-7
+
+    def test_convergence_config_without_snr_points(self, tmp_path, capsys,
+                                                    configs_dir):
+        # convergence runs it at snr_db 0; sweep-snr needs the points, so
+        # validate parses it as convergence
+        doc = json.loads((configs_dir / "convergence.json").read_text())
+        del doc["snr_db"]
+        path = write_doc(tmp_path, doc)
+        assert main(["convergence", "--config", str(path), "--trials", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in lines[6:-1]] == [
+            ["proportional-equivalence", "SKIP"]] * 4
         assert lines[-1] == "all checks passed"
 
     def test_non_proportional_config_skips(self, capsys, configs_dir):

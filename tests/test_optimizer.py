@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from rydcomb import (ArchitectureError, ArrayGeometry,
                      ChannelParams, NumericError, OptimizerConfig, Paths,
                      ReuseArchitecture, alternating_minimize,
-                     channel_matrix, compose_wrf, diagonal_phases,
+                     channel_matrix, compose_wrf,
                      direct_solve_proportional, draw_paths,
-                     optimal_digital_combiner, optimal_phase, phase_grid,
-                     quantize_phase, update_wbb)
+                     optimal_digital_combiner, phase_grid, quantize_phase)
 from rydcomb.evaluation import pc_architecture
 from rydcomb.channel import block_channels
-from rydcomb.optimizer import (_cell_classes, _cell_means,
-                               _fix_column_phases, _solve, block_reference,
-                               solve_stack)
+from rydcomb.optimizer import (MAX_ITERATIONS, _cell_classes, _cell_means,
+                               _fix_column_phases, _solve, _trace_phase,
+                               _trace_sum, block_reference, solve_stack)
 
 
 def rand_complex(rng, shape):
@@ -174,79 +173,115 @@ class TestFactoredReference:
             optimal_digital_combiner(channel_matrix(twice, 144, geometry), 2)
 
 
+def direct_pass(segments):
+    """W_BB and residual of one direct pass of the solver kernel."""
+    return [(b.w_bb, b.history) for b in _solve(segments)]
+
+
+def one_pass(arch, w_opt, start):
+    """Phases and W_BB of one alternating pass from the start phases: the
+    W_BB half-step at the start phases, then the phase half-step."""
+    sol = _solve([(arch, w_opt[None], start[None])],
+                 OptimizerConfig(max_iterations=1))[0]
+    return sol.phases[0], sol.w_bb[0]
+
+
 class TestUpdateWbb:
+    """The W_BB half-step, as one direct pass of the solver kernel."""
+
     def test_identity_analog(self):
         rng = np.random.default_rng(2)
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
         w_opt = rand_complex(rng, (4, 2))
-        np.testing.assert_allclose(update_wbb(np.ones(4), w_opt, 1), w_opt,
-                                   atol=1e-14)
+        (w_bb, _), = direct_pass([(arch, w_opt[None], np.zeros((1, 4)))])
+        np.testing.assert_allclose(w_bb[0], w_opt, atol=1e-14)
 
     def test_equals_generic_pseudoinverse(self):
         # non-proportional: apd_depth=6 groups straddle the depth-4 blocks
         rng = np.random.default_rng(3)
         arch = ReuseArchitecture(n_blocks=9, lo_depth=4, apd_depth=6)
         phases = rng.uniform(0, 2 * np.pi, 9)
-        u = np.exp(1j * diagonal_phases(arch, phases))
         w_opt = rand_complex(rng, (36, 3))
-        np.testing.assert_allclose(update_wbb(u, w_opt, 6),
-                                   np.repeat(np.linalg.pinv(
-                                       compose_wrf(arch, phases)) @ w_opt,
-                                       6, axis=0), atol=1e-12)
+        (w_bb, _), = direct_pass([(arch, w_opt[None], phases[None])])
+        np.testing.assert_allclose(
+            w_bb[0], np.linalg.pinv(compose_wrf(arch, phases)) @ w_opt,
+            atol=1e-12)
 
     def test_least_squares_optimality(self):
         rng = np.random.default_rng(4)
         arch = ReuseArchitecture(n_blocks=4, lo_depth=3, apd_depth=2)
         phases = rng.uniform(0, 2 * np.pi, 4)
-        u = np.exp(1j * diagonal_phases(arch, phases))
         w_rf = compose_wrf(arch, phases)
         w_opt = rand_complex(rng, (12, 2))
-        w_bb = update_wbb(u, w_opt, 2)[::2]
-        best = np.linalg.norm(w_opt - w_rf @ w_bb)
+        (w_bb, _), = direct_pass([(arch, w_opt[None], phases[None])])
+        best = np.linalg.norm(w_opt - w_rf @ w_bb[0])
         for _ in range(25):
-            other = w_bb + 0.1 * rand_complex(rng, (6, 2))
+            other = w_bb[0] + 0.1 * rand_complex(rng, (6, 2))
             assert np.linalg.norm(w_opt - w_rf @ other) >= best - 1e-12
 
     def test_per_sample_group_sizes_equal_lone_calls(self):
+        # the stack sums its mixed adder depths by reduceat; alone, depth 1
+        # takes no sum and depth 2 the equal-group slice adds
         rng = np.random.default_rng(5)
-        apd = np.array([2, 8, 48, 1, 144, 8])
-        u = np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 144)))
-        w_opt = rand_complex(rng, (6, 144, 3))
-        np.testing.assert_array_equal(
-            update_wbb(u, w_opt, apd),
-            [update_wbb(u[i], w_opt[i], apd[i]) for i in range(6)])
+        segments = [(ReuseArchitecture(n_blocks=36, lo_depth=4, apd_depth=apd),
+                     rand_complex(rng, (1, 144, 3)),
+                     rng.uniform(0, 2 * np.pi, (1, 36)))
+                    for apd in (2, 8, 48, 1, 144, 8)]
+        for stacked, lone in zip(direct_pass(segments),
+                                 [direct_pass([s])[0] for s in segments]):
+            np.testing.assert_array_equal(stacked[0], lone[0])
+            np.testing.assert_array_equal(stacked[1], lone[1])
 
 
 class TestOptimalPhase:
+    """The phase half-step, as one alternating pass of the solver kernel:
+    adder groups of 2 straddle blocks of depth 3, so W_BB couples them."""
+
+    ARCH = ReuseArchitecture(n_blocks=2, lo_depth=3, apd_depth=2)
+
+    def range_target(self, rng, start):
+        # W_opt = W_RF(start) B: every block keeps its start phase
+        return compose_wrf(self.ARCH, start) @ rand_complex(rng, (3, 2))
+
     def test_identical_matrices(self):
         rng = np.random.default_rng(5)
-        x = rand_complex(rng, (3, 2))
-        assert optimal_phase(x, x) == pytest.approx(0.0, abs=1e-12)
+        start = np.zeros(2)
+        phases, _ = one_pass(self.ARCH, self.range_target(rng, start), start)
+        np.testing.assert_allclose(phases, 0.0, rtol=0, atol=1e-12)
 
     def test_pure_rotation(self):
         rng = np.random.default_rng(6)
-        x = rand_complex(rng, (3, 2))
-        assert optimal_phase(np.exp(1j * 1.2) * x, x) == pytest.approx(
-            1.2, abs=1e-12)
+        start = np.full(2, 1.2)
+        phases, _ = one_pass(self.ARCH, self.range_target(rng, start), start)
+        np.testing.assert_allclose(phases, 1.2, rtol=0, atol=1e-12)
 
     def test_beats_dense_grid(self):
+        # each block phase against 1e5 candidates, W_BB held
         rng = np.random.default_rng(7)
         grid = np.exp(1j * 2 * np.pi * np.arange(100_000) / 100_000)
         for _ in range(10):
-            y, x = rand_complex(rng, (3, 2)), rand_complex(rng, (3, 2))
-            phi = optimal_phase(y, x)
-            mine = np.linalg.norm(y - np.exp(1j * phi) * x)
-            over_grid = np.linalg.norm(
-                y[None] - grid[:, None, None] * x[None], axis=(1, 2))
-            assert mine <= over_grid.min() + 1e-10
+            w_opt = rand_complex(rng, (6, 2))
+            phases, w_bb = one_pass(self.ARCH, w_opt,
+                                    rng.uniform(0, 2 * np.pi, 2))
+            x = (compose_wrf(self.ARCH, np.zeros(2)) @ w_bb).reshape(2, 3, 2)
+            for y, x_b, phi in zip(w_opt.reshape(2, 3, 2), x, phases):
+                mine = np.linalg.norm(y - np.exp(1j * phi) * x_b)
+                over_grid = np.linalg.norm(
+                    y[None] - grid[:, None, None] * x_b[None], axis=(1, 2))
+                assert mine <= over_grid.min() + 1e-10
 
     def test_degenerate_trace_returns_zero(self):
-        x = np.array([[1.0 + 0j], [0.0]])
-        y = np.array([[0.0 + 0j], [1.0]])
-        assert optimal_phase(y, x) == 0.0
+        # a zero target block has a zero trace, whatever its start phase
+        rng = np.random.default_rng(8)
+        w_opt = rand_complex(rng, (6, 2))
+        w_opt[3:] = 0
+        phases, _ = one_pass(self.ARCH, w_opt, np.array([1.0, 2.0]))
+        assert phases[1] == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            optimal_phase(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="combining target"):
+            alternating_minimize(self.ARCH, np.ones((7, 2)),
+                                 rng=np.random.default_rng(0))
 
 
 class TestQuantizePhase:
@@ -397,6 +432,13 @@ class TestAlternatingMinimize:
         # neither 2.5 nor True can size the solver's history buffer
         with pytest.raises(ValueError, match="max_iterations"):
             OptimizerConfig(max_iterations=cap)
+
+    def test_iteration_cap_bounded(self):
+        # the kernel reserves one history column per allowed iteration
+        OptimizerConfig(max_iterations=MAX_ITERATIONS)
+        for cap in (MAX_ITERATIONS + 1, 10 ** 13):
+            with pytest.raises(ValueError, match="max_iterations"):
+                OptimizerConfig(max_iterations=cap)
 
     def test_numpy_integer_cap(self):
         rng = np.random.default_rng(15)
@@ -840,8 +882,9 @@ class TestKernelMatchesOracle:
         # a flat sum, and slice adds below 4 terms, add in np.sum's order
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         x, y = (rand_complex(rng, (50, 36) + shape) for _ in range(2))
-        np.testing.assert_array_equal(optimal_phase(y, x),
-                                      _oracle_phase(y, x))
+        np.testing.assert_array_equal(
+            _trace_phase(_trace_sum((np.conj(x) * y).reshape(50, 36, -1))),
+            _oracle_phase(y, x))
 
     @pytest.mark.parametrize("lo", [1, 4, 6])
     def test_direct(self, lo):
