@@ -47,6 +47,11 @@ _FIELDS = {
     "architectures": {"apd_depth", "label", "lo_depth", "resolution_bits",
                       "solver"},
 }
+# Top-level fields a command never reads: a depth sweep's baselines sit on
+# the swept depth, a chain sweep sets the chain count, a trace has none.
+_UNREAD = {"sweep-depth": ("pc_chains", "reference_lo_depth"),
+           "sweep-chains": ("pc_chains",),
+           "convergence": ("pc_chains", "reference_lo_depth")}
 
 
 class _Ctx:
@@ -200,6 +205,9 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
                              intra_spacing, baselines, pc_chains)
     except (GeometryError, ArchitectureError) as exc:
         raise ConfigError(str(exc)) from exc
+    unread = [f for f in _UNREAD.get(command, ()) if f in doc]
+    if unread:
+        raise ConfigError(f"{unread[0]}: {command} does not read this field")
 
     return ExperimentSpec(channel=channel, units=tuple(units),
                           n_streams=n_streams, snr_db=snr_db, trials=trials,

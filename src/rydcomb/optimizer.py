@@ -278,11 +278,11 @@ def _solve(segments: Sequence[tuple],
     target Y and product X, at either resolution.  On continuous phases the
     rotation is t/|t| (1 where t = 0), with no angle; on B-bit phases it is
     looked up among the 2^B grid rotations, at the level of
-    ``_trace_phase(t)``.  A stop keeps the sample's last traces and W_BB
-    rows as they are, and the live samples' u is rebuilt from their kept
-    rotations.  After the loop the phases are ``_trace_phase`` of the kept
-    traces, through ``quantize_phase`` on B-bit stacks, and the outputs are
-    put in sample order once.
+    ``_trace_phase(t)``.  A stop writes the sample's last traces and W_BB
+    rows at its own index in the outputs, and the live samples' u is
+    rebuilt from their kept rotations.  After the loop the phases are
+    ``_trace_phase`` of the kept traces, through ``quantize_phase`` on
+    B-bit stacks.
     """
     arch = segments[0][0]
     lo, bits, n_blocks = arch.lo_depth, arch.resolution_bits, arch.n_blocks
@@ -341,14 +341,13 @@ def _solve(segments: Sequence[tuple],
     if bits is not None:
         grid = np.exp(1j * (TWO_PI / 2 ** bits * np.arange(2 ** bits)))
     cap = config.max_iterations
-    out_groups = n_groups
     history = np.empty((n_b, cap))
     iterations = np.full(n_b, cap)
     converged = np.zeros(n_b, dtype=bool)
-    live = np.arange(n_b)
-    # per stop: the samples, their traces and W_BB rows
-    stopped, traces, stopped_w = [], [], []
-    prev_sq = None
+    out_t = np.empty((n_b, n_blocks), dtype=complex)
+    out_w = np.empty((n_groups.sum(), n_s), dtype=complex)
+    live, w_rows = np.arange(n_b), np.arange(len(out_w))  # rows in out_w
+    prev_sq = np.full(n_b, np.inf)
     for k in range(cap):
         w_bb, rows = _group_means(np.conj(u) * cells, layout)
         np.conjugate(rows, out=buf)
@@ -364,19 +363,17 @@ def _solve(segments: Sequence[tuple],
         res = residual(u, rows)
         history[live, k] = res
         sq = res * res
-        done = (np.zeros(live.size, dtype=bool) if prev_sq is None
-                else np.abs(prev_sq - sq) < config.epsilon)
+        done = np.abs(prev_sq - sq) < config.epsilon
         stop = done | (k == cap - 1)
         if stop.any():
-            idx = live[stop]
-            stopped.append(idx)
-            traces.append(t[stop])
-            stopped_w.append(w_bb[np.repeat(stop, n_groups)])
+            idx, sel = live[stop], np.repeat(stop, n_groups)
+            out_t[idx] = t[stop]
+            out_w[w_rows[sel]] = w_bb[sel]
             history[idx, k + 1:] = res[stop, None]
             iterations[idx] = k + 1
             converged[idx] = done[stop]
             keep = ~stop
-            live, sq = live[keep], sq[keep]
+            live, sq, w_rows = live[keep], sq[keep], w_rows[~sel]
             if not live.size:
                 break
             cells = take(cells, keep)
@@ -389,17 +386,8 @@ def _solve(segments: Sequence[tuple],
             per_block = _block_entries(classes, lo * n_s, n_blocks)
             u = rotate(rotation[keep])
         prev_sq = sq
-    # every sample stopped once: form its phases, and put the outputs in
-    # sample order, W_BB rows by each sample's first row in stop order
-    idx, phi = np.concatenate(stopped), _trace_phase(np.concatenate(traces))
-    out_phases = np.empty_like(phases)
-    out_phases[idx] = phi if bits is None else quantize_phase(phi, bits)
-    groups = out_groups[idx]
-    first = np.empty(n_b, dtype=int)
-    first[idx] = np.cumsum(groups) - groups
-    out_w = np.concatenate(stopped_w)[
-        np.repeat(first - (np.cumsum(out_groups) - out_groups),
-                  out_groups) + np.arange(groups.sum())]
+    phi = _trace_phase(out_t)
+    out_phases = phi if bits is None else quantize_phase(phi, bits)
     return split(out_phases, out_w, history, iterations, converged, "altmin")
 
 
@@ -473,7 +461,7 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
     which equals the continuous-phase alternating-minimization optimum.
     Defaults to all-zero phases (a grid point for every resolution).  A
     stack of targets (B, N_r, N_s) gives a ``SolutionBatch``, every sample
-    at the same phases.
+    at the same phases, of shape (n_blocks,).
     """
     if not is_proportional(arch):
         raise ArchitectureError(f"apd_depth={arch.apd_depth} does not "
@@ -481,6 +469,9 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
     w_opt = np.asarray(w_opt)
     phases = check_phases(arch, np.zeros(arch.n_blocks) if phases is None
                           else phases)
+    if phases.shape != (arch.n_blocks,):
+        raise ArchitectureError(
+            f"phases shape {phases.shape} != ({arch.n_blocks},)")
     batch = _validate_target(arch, w_opt if w_opt.ndim == 3 else w_opt[None])
     sol = _solve([(arch, batch, np.tile(phases, (len(batch), 1)))])[0]
     return sol if w_opt.ndim == 3 else sol.solution(0)

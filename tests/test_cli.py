@@ -370,6 +370,12 @@ class TestRunEndToEnd:
         with pytest.raises(ConfigError, match="rank bound"):
             build_spec(doc, "sweep-snr")
 
+    DEPTH_SWEEP = {"sweep": {"param": "lo_depth", "values": [1, 2]},
+                   "snr_db": [10.0],
+                   "architectures": [{"label": "a", "apd_depth": 1}]}
+    CHAIN_SWEEP = {"sweep": {"param": "n_chains", "values": [2, 4]},
+                   "snr_db": [10.0],
+                   "architectures": [{"label": "a", "lo_depth": 2}]}
     BAD_CONFIGS = {
         "cluster-powers-length": (
             {"cluster_powers": [1.0]}, None, "channel: cluster_powers"),
@@ -430,7 +436,30 @@ class TestRunEndToEnd:
         "huge-max-iterations": ({}, {"solver": {"max_iterations": 10 ** 13}},
                                 "solver: max_iterations must be an integer "
                                 "in [1, 10000]"),
+        # top-level fields the command never reads: a depth sweep's
+        # baselines sit on the swept depth, a chain sweep sets the chains
+        "depth-reference-lo-depth": (
+            {}, dict(DEPTH_SWEEP, reference_lo_depth=2),
+            "reference_lo_depth: sweep-depth does not read this field"),
+        "depth-pc-chains": ({}, dict(DEPTH_SWEEP, pc_chains=2),
+                            "pc_chains: sweep-depth does not read this field"),
+        "chains-pc-chains": ({}, dict(CHAIN_SWEEP, pc_chains=2),
+                             "pc_chains: sweep-chains does not read this "
+                             "field"),
+        "convergence-pc-chains": ({}, {"pc_chains": 2},
+                                  "pc_chains: convergence does not read this "
+                                  "field"),
+        "convergence-reference-lo-depth": (
+            {}, {"reference_lo_depth": 2},
+            "reference_lo_depth: convergence does not read this field"),
     }
+    # validate parses a config by its sweep's command, and one without a
+    # sweep as sweep-snr, which reads both fields
+    UNREAD_BY = {"depth-reference-lo-depth": ["sweep-depth", "validate"],
+                 "depth-pc-chains": ["sweep-depth", "validate"],
+                 "chains-pc-chains": ["sweep-chains", "validate"],
+                 "convergence-pc-chains": ["convergence"],
+                 "convergence-reference-lo-depth": ["convergence"]}
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
     def test_integer_past_digit_limit_exit_one(self, tmp_path, capsys, command):
@@ -445,8 +474,11 @@ class TestRunEndToEnd:
         assert "invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
-    @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
+    # each case under sweep-snr and validate, unless UNREAD_BY names others
+    @pytest.mark.parametrize("command,case", [
+        (c, k) for k, commands in {
+            **dict.fromkeys(BAD_CONFIGS, ("sweep-snr", "validate")),
+            **UNREAD_BY}.items() for c in commands])
     def test_config_error_exit_one(self, tmp_path, capsys, case, command):
         # an exception escaping main, which would end the process in a
         # traceback, fails the test

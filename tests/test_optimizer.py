@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -492,6 +493,17 @@ class TestDirectSolver:
         with pytest.raises(ArchitectureError):
             direct_solve_proportional(arch, np.eye(216, dtype=complex)[:, :3])
 
+    @pytest.mark.parametrize("targets,shape", [((2, 16, 2), (2, 4)),
+                                               ((16, 2), (1, 4))])
+    def test_stacked_phases_rejected(self, targets, shape):
+        # one phase vector serves every target: a stack of them is an
+        # error, for two targets and for one
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=4, apd_depth=2)
+        w_opt = rand_complex(np.random.default_rng(19), targets)
+        with pytest.raises(ArchitectureError,
+                           match=re.escape(f"phases shape {shape} != (4,)")):
+            direct_solve_proportional(arch, w_opt, phases=np.zeros(shape))
+
 
 class TestQuantizationFreeEquivalence:
     @pytest.mark.parametrize("apd", [1, 3, 6])
@@ -568,6 +580,7 @@ class TestSolveBatch:
                                                            lone.converged)
                 iterations.add(row.iterations)
         assert len(iterations) > 1
+        return batches
 
     def test_mixed_apd_stack_rows_equal_lone_solves(self):
         # fig10's partially-connected curves: one structure (144 blocks,
@@ -577,9 +590,14 @@ class TestSolveBatch:
         targets = [self.channel_targets(1, 3, seed=30 + k, geometry=geometry)
                    for k in range(3)]
         seeds = [range(3 * k, 3 * k + 3) for k in range(3)]
-        self.assert_rows_equal_lone_solves(
+        batches = self.assert_rows_equal_lone_solves(
             archs, targets, seeds, OptimizerConfig(epsilon=1e-6,
                                                    max_iterations=30))
+        # a later segment, with other chain counts, has a sample that stops
+        # before one of the segment ahead of it: the stops write W_BB rows
+        # out of sample order
+        its = [batch.iterations for batch in batches]
+        assert its[0].max() > its[1].min() and its[1].max() > its[2].min()
 
     def test_mixed_quantized_stack_rows_equal_lone_solves(self):
         # 4-bit phases, adder depths 4, 12 and 32 on 16 blocks of depth 6;
