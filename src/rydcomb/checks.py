@@ -170,7 +170,7 @@ def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None):
     geometry = ArrayGeometry(arch.n_blocks, arch.lo_depth)
     h = generate_channel(ChannelParams(n_tx=144), geometry,
                          np.random.default_rng(14))
-    ref = optimal_digital_combiner(h, 3)
+    ref = optimal_digital_combiner(h, min(3, arch.n_chains))
 
     arch_b1 = replace(arch, resolution_bits=1)
     r_inf = optimizer.alternating_minimize(

@@ -35,37 +35,20 @@ _SWEPT_FIELD = {"sweep-snr": "snr_db", "convergence": "snr_db",
                 "sweep-chains": "n_chains", "sweep-depth": "lo_depth"}
 _BASELINES = ("none", "upa_pc", "nonupa_pc", "ideal_digital_reuse",
               "ideal_digital_no_reuse")
-# Fields each config object reads, keyed by its path without the index
-_FIELDS = {
-    "": {"architectures", "baselines", "channel", "n_blocks", "n_streams",
-         "name", "pc_chains", "reference_lo_depth", "seed", "snr_db",
-         "solver", "sweep", "trials"},
-    "channel": {"angular_spread_deg", "block_spacing", "cluster_powers",
-                "intra_spacing", "n_clusters", "n_rays", "n_tx"},
-    "solver": {"epsilon", "max_iterations"},
-    "sweep": {"param", "values"},
-    "architectures": {"apd_depth", "label", "lo_depth", "resolution_bits",
-                      "solver"},
-}
-# Top-level fields a command never reads: a depth sweep's baselines sit on
-# the swept depth, a chain sweep sets the chain count, a trace has none.
-_UNREAD = {"sweep-depth": ("pc_chains", "reference_lo_depth"),
-           "sweep-chains": ("pc_chains",),
-           "convergence": ("pc_chains", "reference_lo_depth")}
-
 
 class _Ctx:
-    """Walks a JSON document tracking the field path for error messages;
-    an object with a field it does not read is rejected."""
+    """Walks a JSON document tracking the field path for error messages and
+    the fields each object of the walk reads."""
 
-    def __init__(self, doc: dict, path: str = ""):
+    def __init__(self, doc: dict, path: str = "",
+                 walk: Optional[list["_Ctx"]] = None):
         if not isinstance(doc, dict):
             raise ConfigError(f"{path or 'config'}: expected an object")
         self.doc = doc
         self.path = path
-        unknown = sorted(set(doc) - _FIELDS[path.split("[")[0]])
-        if unknown:
-            raise ConfigError(f"{self._at(unknown[0])}: unknown field")
+        self.read: set[str] = set()
+        self.walk = [] if walk is None else walk
+        self.walk.append(self)
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -73,6 +56,7 @@ class _Ctx:
     def get(self, key: str, kind, default=None, required: bool = False):
         """The field's value, or ``default`` when it is omitted; an explicit
         null reads as omitted for an optional field that defaults to None."""
+        self.read.add(key)
         if key not in self.doc or (self.doc[key] is None and default is None
                                    and not required):
             if required:
@@ -91,7 +75,7 @@ class _Ctx:
 
     def sub(self, key: str, required: bool = False) -> "_Ctx":
         value = self.get(key, dict, default={}, required=required)
-        return _Ctx(value, self._at(key))
+        return _Ctx(value, self._at(key), self.walk)
 
     def num_list(self, key: str, kind: type,
                  required: bool = False) -> list:
@@ -112,20 +96,13 @@ class _Ctx:
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
-
-def _arch_entries(ctx: _Ctx, swept_key: Optional[str]) -> list[_Ctx]:
-    raw = ctx.get("architectures", list, default=[], required=True)
-    if not raw:
-        raise ConfigError("architectures: at least one entry required")
-    entries = []
-    for i, entry in enumerate(raw):
-        sub = _Ctx(entry if isinstance(entry, dict) else None,
-                   f"architectures[{i}]")
-        if swept_key and swept_key in sub.doc:
-            raise ConfigError(
-                f"{sub.path}.{swept_key}: fixed here; it is the sweep parameter")
-        entries.append(sub)
-    return entries
+    def reject_unread(self, command: str) -> None:
+        """A field that no object of the walk read is an error."""
+        for obj in self.walk:
+            unread = [key for key in obj.doc if key not in obj.read]
+            if unread:
+                raise ConfigError(
+                    f"{obj._at(unread[0])}: {command} does not read this field")
 
 
 def _read_config(path: Path) -> dict:
@@ -196,18 +173,17 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
             raise ConfigError(
                 f"baselines: unknown baseline {b!r} (choose from {_BASELINES})")
     baselines = [b for b in baselines if b != "none"]
-    pc_chains = ctx.get("pc_chains", int)
+    if doc.get("pc_chains", 0) is None:  # a null reads as omitted
+        ctx.get("pc_chains", int)
 
     if command not in _SWEPT_FIELD:
         raise ConfigError(f"unknown command {command!r}")
     try:
         units = _sweep_units(ctx, command, n_blocks, block_spacing,
-                             intra_spacing, baselines, pc_chains)
+                             intra_spacing, baselines)
     except (GeometryError, ArchitectureError) as exc:
         raise ConfigError(str(exc)) from exc
-    unread = [f for f in _UNREAD.get(command, ()) if f in doc]
-    if unread:
-        raise ConfigError(f"{unread[0]}: {command} does not read this field")
+    ctx.reject_unread(command)
 
     return ExperimentSpec(channel=channel, units=tuple(units),
                           n_streams=n_streams, snr_db=snr_db, trials=trials,
@@ -215,12 +191,12 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
                           sweep_param=_SWEPT_FIELD[command], name=name)
 
 
-def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
-                    chains: Optional[int], block_spacing: float,
+def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
+                    depth: int, chains: Optional[int], block_spacing: float,
                     intra_spacing: float,
                     sweep_value: Optional[float]) -> list[EvalUnit]:
     """Reference curves on the lo_depth=``depth`` geometry; the PC
-    baselines split it into ``chains`` chains."""
+    baselines split it into ``chains`` chains (default: pc_chains)."""
     units: list[EvalUnit] = []
     nonupa = ArrayGeometry(n_blocks, depth, block_spacing, intra_spacing)
     for b in baselines:
@@ -235,6 +211,7 @@ def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
                 label=f"ideal digital, lo_depth={depth}",
                 kind="ideal_digital", geometry=nonupa, sweep_value=sweep_value))
         elif b in ("upa_pc", "nonupa_pc"):
+            chains = chains or ctx.get("pc_chains", int)
             if chains is None:
                 raise ConfigError(f"baseline {b!r} requires pc_chains")
             n_r = n_blocks * depth
@@ -253,13 +230,12 @@ def _baseline_units(baselines: list[str], n_blocks: int, depth: int,
 
 def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
                  block_spacing: float, intra_spacing: float,
-                 baselines: list[str],
-                 pc_chains: Optional[int]) -> list[EvalUnit]:
+                 baselines: list[str]) -> list[EvalUnit]:
     """One unit per (swept value, architecture entry), each value followed
     by its baselines on the reference depth (default: the deepest entry).
     A chain-count sweep sets apd_depth = N_r / chains and a depth sweep
-    sets lo_depth, so entries may not fix that field; default labels name
-    the fields that are not swept."""
+    sets lo_depth, so entries that fix that field are rejected as unread;
+    default labels name the fields that are not swept."""
     param = _SWEPT_FIELD[command]
     values: list = [None]
     if param == "snr_db" and "sweep" in ctx.doc:
@@ -282,7 +258,12 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
         raise ConfigError(
             f"PC baselines {bad} are not supported in sweep-depth")
     swept_key = {"n_chains": "apd_depth", "lo_depth": "lo_depth"}.get(param)
-    entries = _arch_entries(ctx, swept_key=swept_key)
+    raw = ctx.get("architectures", list, default=[], required=True)
+    if not raw:
+        raise ConfigError("architectures: at least one entry required")
+    entries = [_Ctx(entry if isinstance(entry, dict) else None,
+                    f"architectures[{i}]", ctx.walk)
+               for i, entry in enumerate(raw)]
     units: list[EvalUnit] = []
     for value in values:
         if param == "lo_depth" and value < 1:
@@ -293,12 +274,13 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
         for entry in entries:
             lo = (value if param == "lo_depth"
                   else entry.get("lo_depth", int, default=1))
-            apd = entry.get("apd_depth", int, default=1)
             if param == "n_chains":
                 if value <= 0 or n_blocks * lo % value != 0:
                     raise ConfigError(f"sweep.values: {value} chains do not "
                                       f"divide N_r={n_blocks * lo}")
                 apd = n_blocks * lo // value
+            else:
+                apd = entry.get("apd_depth", int, default=1)
             label = entry.get("label", str, default=", ".join(
                 f"{k}={v}" for k, v in (("lo_depth", lo), ("apd_depth", apd))
                 if k != swept_key))
@@ -320,13 +302,14 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
             except ConfigError as exc:  # the message starts with its field
                 raise ConfigError(f"{entry.path}.{exc}") from exc
         units.extend(arch_units)
-        depth = value if param == "lo_depth" else ctx.get(
-            "reference_lo_depth", int,
-            default=max(u.arch.lo_depth for u in arch_units))
-        units.extend(_baseline_units(
-            baselines, n_blocks, depth,
-            value if param == "n_chains" else pc_chains,
-            block_spacing, intra_spacing, sweep_value))
+        if baselines:
+            depth = value if param == "lo_depth" else ctx.get(
+                "reference_lo_depth", int,
+                default=max(u.arch.lo_depth for u in arch_units))
+            units.extend(_baseline_units(
+                ctx, baselines, n_blocks, depth,
+                value if param == "n_chains" else None,
+                block_spacing, intra_spacing, sweep_value))
     return units
 
 

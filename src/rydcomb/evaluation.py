@@ -198,8 +198,11 @@ class ExperimentSpec:
             raise ConfigError("experiment has no curves to evaluate")
         if not self.snr_db:
             raise ConfigError("snr_db grid is empty")
-        if not np.all(np.isfinite(self.snr_db)):
-            raise ConfigError("snr_db values must be finite")
+        with np.errstate(over="ignore"):  # the linear SNR of run_experiment
+            linear = 10.0 ** (np.asarray(self.snr_db) / 10.0)
+        if not np.all(np.isfinite(self.snr_db) & np.isfinite(linear)):
+            raise ConfigError("snr_db values must be finite, and so must "
+                              "their linear SNR 10^(snr_db/10)")
         if not all(map(_is_int, (self.trials, self.n_streams, self.seed))):
             raise ConfigError("trials, n_streams and seed must be integers")
         if self.trials < 1:
@@ -249,6 +252,9 @@ class ResultRow:
     def __post_init__(self) -> None:
         if self.mean_se < 0:
             raise NumericError(f"negative mean value in row {self.label!r}")
+        if not np.isfinite([self.mean_se, self.stderr]).all():
+            raise NumericError(f"non-finite mean or stderr in row "
+                               f"{self.label!r}")
 
 
 @dataclass

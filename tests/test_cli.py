@@ -179,7 +179,8 @@ class TestSweepPlans:
         doc = smoke_doc(snr_db=[0.0],
                         sweep={"param": "lo_depth", "values": [1, 2]},
                         architectures=[{"label": "fam", "lo_depth": 2}])
-        with pytest.raises(ConfigError, match="sweep parameter"):
+        with pytest.raises(ConfigError, match=r"architectures\[0\]\.lo_depth: "
+                           "sweep-depth does not read this field"):
             build_spec(doc, "sweep-depth")
 
 
@@ -348,6 +349,19 @@ class TestRunEndToEnd:
         assert code == 2
         assert "numeric error" in capsys.readouterr().err
 
+    def test_overflowing_gains_exit_two(self, tmp_path, capsys):
+        # cluster powers of 1e308 overflow the rates: NaN means, which
+        # must not reach results.csv
+        doc = smoke_doc()
+        doc["channel"] = dict(doc["channel"], cluster_powers=[1e308, 1e308])
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = main(["sweep-snr", "--config", str(write_doc(tmp_path, doc)),
+                         "--out", str(out)])
+        assert code == 2
+        assert "non-finite mean or stderr" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_thread_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM_THREADS", "2")
         path = write_doc(tmp_path, smoke_doc())
@@ -398,6 +412,12 @@ class TestRunEndToEnd:
         "misspelled-field": ({}, {"architectures": [
             {"lo_depth": 2, "apd_depth": 4, "resolution_bit": 1}]},
             "architectures[0].resolution_bit"),
+        "misspelled-channel-field": ({"n_ray": 3}, None,
+                                     "channel.n_ray: {command} does not read "
+                                     "this field"),
+        # null reads as omitted for pc_chains and resolution_bits only
+        "null-unknown-field": ({}, {"typo": None},
+                               "typo: {command} does not read this field"),
         # one cluster without spread has rank 1 < n_streams = 2
         "rank-one-zero-spread": (
             {"n_clusters": 1, "angular_spread_deg": 0}, None, "rank bound 1"),
@@ -436,8 +456,10 @@ class TestRunEndToEnd:
         "huge-max-iterations": ({}, {"solver": {"max_iterations": 10 ** 13}},
                                 "solver: max_iterations must be an integer "
                                 "in [1, 10000]"),
-        # top-level fields the command never reads: a depth sweep's
-        # baselines sit on the swept depth, a chain sweep sets the chains
+        # fields the command does not read for this config: a depth sweep's
+        # baselines sit on the swept depth, a chain sweep sets the chains,
+        # only a PC baseline reads pc_chains and only a baseline reads
+        # reference_lo_depth
         "depth-reference-lo-depth": (
             {}, dict(DEPTH_SWEEP, reference_lo_depth=2),
             "reference_lo_depth: sweep-depth does not read this field"),
@@ -447,19 +469,27 @@ class TestRunEndToEnd:
                              "pc_chains: sweep-chains does not read this "
                              "field"),
         "convergence-pc-chains": ({}, {"pc_chains": 2},
-                                  "pc_chains: convergence does not read this "
+                                  "pc_chains: {command} does not read this "
                                   "field"),
         "convergence-reference-lo-depth": (
             {}, {"reference_lo_depth": 2},
-            "reference_lo_depth: convergence does not read this field"),
+            "reference_lo_depth: {command} does not read this field"),
+        "pc-chains-without-pc-baseline": (
+            {}, {"pc_chains": 4, "baselines": ["ideal_digital_reuse"]},
+            "pc_chains: {command} does not read this field"),
+        "reference-lo-depth-without-baseline": (
+            {}, {"reference_lo_depth": 2, "baselines": ["none"]},
+            "reference_lo_depth: {command} does not read this field"),
     }
     # validate parses a config by its sweep's command, and one without a
-    # sweep as sweep-snr, which reads both fields
+    # sweep as sweep-snr first
     UNREAD_BY = {"depth-reference-lo-depth": ["sweep-depth", "validate"],
                  "depth-pc-chains": ["sweep-depth", "validate"],
                  "chains-pc-chains": ["sweep-chains", "validate"],
-                 "convergence-pc-chains": ["convergence"],
-                 "convergence-reference-lo-depth": ["convergence"]}
+                 "convergence-pc-chains": ["convergence", "sweep-snr",
+                                           "validate"],
+                 "convergence-reference-lo-depth": ["convergence",
+                                                    "sweep-snr", "validate"]}
 
     @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
     def test_integer_past_digit_limit_exit_one(self, tmp_path, capsys, command):
@@ -483,6 +513,8 @@ class TestRunEndToEnd:
         # an exception escaping main, which would end the process in a
         # traceback, fails the test
         channel, top, message = self.BAD_CONFIGS[case]
+        message = message.replace(
+            "{command}", "sweep-snr" if command == "validate" else command)
         doc = smoke_doc(**(top or {}))
         doc["channel"] = dict(doc["channel"], **channel)
         argv = [command, "--config", str(write_doc(tmp_path, doc))]
@@ -601,6 +633,20 @@ class TestValidateCommand:
         assert [l.split()[:2] for l in lines[6:-1]] == [
             ["proportional-equivalence", "SKIP"]] * 4
         assert lines[-1] == "all checks passed"
+
+    def test_config_with_one_chain_checks(self, tmp_path, capsys):
+        # one block of lo_depth 2 and apd_depth 2 has one chain, so its
+        # check combines one stream, as a run of it does
+        doc = smoke_doc(n_blocks=1, n_streams=1, architectures=[
+            {"lo_depth": 2, "apd_depth": 2}])
+        path = write_doc(tmp_path, doc)
+        assert main(["sweep-snr", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in lines[6:-1]] == [
+            ["proportional-equivalence", "PASS"]]
 
     def test_non_proportional_config_skips(self, capsys, configs_dir):
         assert validate_command(configs_dir / "fig8.json") == 0

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rydcomb import (ArrayGeometry, ChannelParams, ConfigError, EvalUnit,
-                     ExperimentSpec, OptimizerConfig, ReuseArchitecture,
-                     direct_solve_proportional, upa_response)
+                     ExperimentSpec, NumericError, OptimizerConfig,
+                     ResultRow, ReuseArchitecture, direct_solve_proportional,
+                     upa_response)
 
 NAN, INF = math.nan, math.inf
 
@@ -81,7 +82,17 @@ def test_integer_counts_accepted():
     assert ChannelParams(n_tx=np.int64(16), n_rays=np.int64(2)).n_paths == 10
 
 
-@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+# 10^(4000/10) overflows a double: the linear SNR must be finite too
+@pytest.mark.parametrize("value", [NAN, INF, -INF, 4000.0],
+                         ids=["nan", "inf", "-inf", "linear-overflow"])
 def test_non_finite_snr_rejected(value):
     with pytest.raises(ConfigError, match="snr_db values must be finite"):
         _spec(snr_db=(0.0, value))
+
+
+@pytest.mark.parametrize("mean, stderr", [(NAN, 0.1), (1.0, INF)],
+                         ids=["mean-nan", "stderr-inf"])
+def test_non_finite_row_rejected(mean, stderr):
+    with pytest.raises(NumericError, match="non-finite mean or stderr"):
+        ResultRow(label="a", sweep_param="snr_db", sweep_value=0.0,
+                  mean_se=mean, stderr=stderr, trials=4)
