@@ -5,8 +5,9 @@ complex Gaussian with per-cluster variance, mean angles are uniform, and
 per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
 H = A_rx diag(g) A_tx^H has rank at most L = n_clusters * n_rays.  A run's
-trial block keeps only the factors its reference reads (``block_channels``);
-one draw's dense H, the oracle of the checks, is in ``oracles``.
+trial block keeps only the factors (``block_channels``) that its SVD
+reference (``block_reference``) reads; one draw's dense H and SVD, the
+oracles of the checks, are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import numpy as np
 
 from .architecture import _is_int
 from .arrays import ArrayGeometry, array_response, upa_response
-from .errors import GeometryError
+from .errors import GeometryError, NumericError
+
+# Cluster powers are relative; the rate scales the squared gains, about
+# power * N_t * N_r, by the SNR, and this ceiling leaves those float range.
+MAX_CLUSTER_POWER = 1e100
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,9 @@ class ChannelParams:
                                (1.0,) * self.n_clusters)
         if len(self.cluster_powers) != self.n_clusters:
             raise ValueError("cluster_powers must have length n_clusters")
-        if not all(0 < p < math.inf for p in self.cluster_powers):
-            raise ValueError("cluster powers must be finite and > 0")
+        if not all(0 < p <= MAX_CLUSTER_POWER for p in self.cluster_powers):
+            raise ValueError(f"cluster_powers must be finite, > 0 and at "
+                             f"most {MAX_CLUSTER_POWER:g}")
         if not 0 <= self.angular_spread < math.inf:
             raise ValueError("angular_spread must be finite and >= 0")
 
@@ -81,11 +87,6 @@ class Paths:
     def stack(cls, draws: Sequence["Paths"]) -> "Paths":
         return cls(**{k: np.stack([vars(p)[k] for p in draws])
                       for k in vars(draws[0])})
-
-    def finite(self) -> np.ndarray:
-        """Whether every gain and angle is finite, per draw of a block."""
-        return np.logical_and.reduce([np.isfinite(a).all(axis=-1)
-                                      for a in vars(self).values()])
 
 
 def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
@@ -148,8 +149,11 @@ def block_channels(paths: Paths, n_tx: int,
     slower) and dropped.  Geometries with equal n_blocks and block_spacing
     share one block-UPA factor, and each geometry's steering is built only
     when the caller asks for it, so that one that drops it before asking
-    for the next holds one receive stack at a time.
+    for the next holds one receive stack at a time.  A block with a
+    non-finite gain or angle raises NumericError before any steering.
     """
+    if not all(np.isfinite(a).all() for a in vars(paths).values()):
+        raise NumericError("channel matrix contains non-finite entries")
     a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
     r_tx = np.stack([np.linalg.qr(a_tx[:, b], mode="r")
                      for b in range(a_tx.shape[1])])
@@ -165,3 +169,44 @@ def block_channels(paths: Paths, n_tx: int,
         yield geometry, ChannelBlock(np.moveaxis(a_rx, 0, 1),
                                      scale * paths.gains, r_tx, n_tx)
         del a_rx
+
+
+def _fix_column_phases(m: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-modulus entry is real positive.
+    Makes the SVD basis reproducible across runs and platforms.  Leading
+    axes are batch axes."""
+    pivot = np.take_along_axis(m, np.argmax(np.abs(m), axis=-2)[..., None, :],
+                               axis=-2)
+    keep = pivot != 0  # a zero column stays as it is
+    rotation = np.divide(np.conj(pivot), np.abs(pivot), where=keep,
+                         out=np.ones_like(pivot))
+    return np.multiply(m, rotation, where=keep, out=m.copy())
+
+
+def block_reference(h: ChannelBlock, n_streams: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The SVD reference of a block of factored channels: the phase-fixed
+    W_opt (B, N_r, N_s) and the leading singular values (B, N_s).  H =
+    Q_rx C Q_tx^H has the singular values of the core C = R_rx diag(g)
+    R_tx^H = U S V^H, and w_i = A_rx (g * R_tx^H v_i) / s_i.  One QR per
+    sample, then one core product, SVD and vector mapping for the stack, so
+    a sample equals its one-draw block bit for bit.  Raises NumericError in
+    the words of ``optimal_digital_combiner`` when a QR or the SVD fails,
+    and, before any division, for the first sample of rank below n_streams.
+    """
+    try:
+        r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
+        r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
+        _, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
+                                 full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+    s = s[:, :n_streams]
+    low = s[:, -1] <= max(h.shape) * np.finfo(float).eps * s[:, 0]
+    if low.any():
+        raise NumericError(f"channel rank below n_streams={n_streams}: "
+                           f"singular values {s[np.argmax(low)]}")
+    f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
+    w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
+    w /= s[:, None]
+    return _fix_column_phases(w), s

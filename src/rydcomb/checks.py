@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import optimizer
+from . import channel, optimizer
 from .architecture import ReuseArchitecture, is_proportional
 from .arrays import ArrayGeometry
 from .channel import ChannelParams, Paths, block_channels, draw_paths
@@ -214,10 +214,10 @@ def check_factored_reference():
     draws = [draw_paths(ChannelParams(n_tx=144), rng) for _ in range(n_draws)]
     worst, unequal = 0.0, 0
     for geometry, block in block_channels(Paths.stack(draws), 144, geometries):
-        w_block, s_block, _ = optimizer.block_reference(block, n_streams)
+        w_block, s_block = channel.block_reference(block, n_streams)
         for row, paths in enumerate(draws):
             (_, alone), = block_channels(Paths.stack([paths]), 144, [geometry])
-            w_alone, s_alone, _ = optimizer.block_reference(alone, n_streams)
+            w_alone, s_alone = channel.block_reference(alone, n_streams)
             unequal += not (np.array_equal(w_block[row], w_alone[0])
                             and np.array_equal(s_block[row], s_alone[0]))
             dense = optimal_digital_combiner(

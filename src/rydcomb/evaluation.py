@@ -26,12 +26,13 @@ import numpy as np
 from .architecture import (ReuseArchitecture, _is_int, diagonal_phases,
                            is_proportional)
 from .arrays import ArrayGeometry
-from .channel import ChannelParams, Paths, block_channels, draw_paths
+from .channel import (ChannelParams, Paths, block_channels, block_reference,
+                      draw_paths)
 from .errors import ArchitectureError, ConfigError, NumericError
 # alternating_minimize and the three oracles stay importable here: the
 # per-layer benchmark trace patches them at these names.
 from .optimizer import (SOLVE_METHODS, OptimizerConfig, SolutionBatch,
-                        alternating_minimize, block_reference, solve_stack)
+                        alternating_minimize, solve_stack)
 from .oracles import channel_matrix, compose_wrf, optimal_digital_combiner
 
 _EIG_FLOOR = -1e-9
@@ -225,19 +226,19 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"{unit.label}: n_streams={self.n_streams} > chain count "
                     f"{unit.arch.n_chains} (need N_s <= chains <= N_r)")
-        if self.sweep_param == "snr_db":
-            labels = [u.label for u in self.units]
-            if len(set(labels)) != len(labels):
-                raise ConfigError("duplicate curve labels")
-        else:
-            if len(self.snr_db) != 1:
-                raise ConfigError(
-                    f"sweep over {self.sweep_param} requires a single SNR point")
-            keys = [(u.label, u.sweep_value) for u in self.units]
-            if any(v is None for _, v in keys):
-                raise ConfigError("every unit needs a sweep_value")
-            if len(set(keys)) != len(keys):
-                raise ConfigError("duplicate (label, sweep_value) pairs")
+        swept = self.sweep_param != "snr_db"
+        if swept and len(self.snr_db) != 1:
+            raise ConfigError(
+                f"sweep over {self.sweep_param} requires a single SNR point")
+        if swept and any(u.sweep_value is None for u in self.units):
+            raise ConfigError("every unit needs a sweep_value")
+        seen = set()  # one curve per label, and per swept value
+        for u in self.units:
+            key = (u.label, u.sweep_value if swept else None)
+            if key in seen:
+                at = f" at {self.sweep_param}={u.sweep_value:g}" if swept else ""
+                raise ConfigError(f"duplicate curve label {u.label!r}{at}")
+            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -292,29 +293,18 @@ def _block_references(spec: ExperimentSpec, trials: range
     stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block.
 
     The stacks come from ``block_channels`` and ``block_reference``, whose
-    rows equal those of one-trial blocks bit for bit.  Raises NumericError
-    when some trial's paths are not finite, when a stacked SVD raises, or
-    on the rank test of the first geometry, in unit order, that some trial
-    fails, in the words of ``optimal_digital_combiner``.
+    rows equal those of one-trial blocks bit for bit, and which raise
+    NumericError, in the words of ``optimal_digital_combiner``, for the
+    first geometry in unit order that some trial fails.
     """
-    n_s = spec.n_streams
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
                          for t in trials])
-    if not paths.finite().all():
-        raise NumericError("channel matrix contains non-finite entries")
     stacks = {}
     for geometry, channels in block_channels(
             paths, spec.channel.n_tx,
             dict.fromkeys(unit.geometry for unit in spec.units)):
-        try:
-            w_opt, sigma, ok = block_reference(channels, n_s)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"SVD failed: {exc}") from exc
+        stacks[geometry] = block_reference(channels, spec.n_streams)
         del channels  # free its steering before the next geometry's
-        if not ok.all():
-            raise NumericError(f"channel rank below n_streams={n_s}: "
-                               f"singular values {sigma[np.argmin(ok)]}")
-        stacks[geometry] = w_opt, sigma
     return stacks
 
 

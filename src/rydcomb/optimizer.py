@@ -20,7 +20,6 @@ import numpy as np
 
 from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
                            check_phases, is_proportional)
-from .channel import ChannelBlock
 from .errors import ArchitectureError
 
 SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
@@ -53,41 +52,6 @@ class CombinerSolution:
     method: str  # "altmin" or "direct"
     converged: bool
     residual_history: np.ndarray = field(repr=False)
-
-
-def _fix_column_phases(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive.
-    Makes the SVD basis reproducible across runs and platforms.  Leading
-    axes are batch axes."""
-    pivot = np.take_along_axis(m, np.argmax(np.abs(m), axis=-2)[..., None, :],
-                               axis=-2)
-    keep = pivot != 0  # a zero column stays as it is
-    rotation = np.divide(np.conj(pivot), np.abs(pivot), where=keep,
-                         out=np.ones_like(pivot))
-    return np.multiply(m, rotation, where=keep, out=m.copy())
-
-
-def block_reference(h: ChannelBlock, n_streams: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SVD reference of a block of factored channels: the phase-fixed
-    W_opt (B, N_r, N_s), the leading singular values (B, N_s), and per
-    sample whether it passes the rank test of ``optimal_digital_combiner``
-    (else W_opt is left unscaled).  H = Q_rx C Q_tx^H has the singular
-    values of the core C = R_rx diag(g) R_tx^H = U S V^H, and
-    w_i = A_rx (g * R_tx^H v_i) / s_i.  One QR per sample, then one core
-    product, SVD and vector mapping for the stack, so a sample equals its
-    one-draw block bit for bit; raises LinAlgError when an SVD fails.
-    """
-    r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
-    r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
-    _, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
-                             full_matrices=False)
-    ok = ~(s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0])
-    f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
-    w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
-    s = s[:, :n_streams]
-    np.divide(w, s[:, None], out=w, where=ok[:, None, None])
-    return _fix_column_phases(w), s, ok
 
 
 def _trace_sum(p: np.ndarray) -> np.ndarray:

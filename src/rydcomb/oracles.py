@@ -14,9 +14,8 @@ import numpy as np
 from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
                            diagonal_phases)
 from .arrays import ArrayGeometry, array_response, upa_response
-from .channel import ChannelParams, Paths, draw_paths
+from .channel import ChannelParams, Paths, _fix_column_phases, draw_paths
 from .errors import ArchitectureError, NumericError
-from .optimizer import _fix_column_phases
 
 
 def phase_grid(bits: int) -> np.ndarray:

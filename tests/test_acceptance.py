@@ -18,9 +18,9 @@ from rydcomb import (ArrayGeometry, ChannelParams, OptimizerConfig, Paths,
                      optimal_digital_combiner, phase_grid,
                      quantize_phase, spectral_efficiency,
                      upa_response)
-from rydcomb.channel import block_channels
+from rydcomb.channel import block_channels, block_reference
 from rydcomb.cli import main
-from rydcomb.optimizer import _solve, block_reference
+from rydcomb.optimizer import _solve
 
 SEED = 20260810
 TREND_TRIALS = 500
@@ -116,8 +116,7 @@ def trend():
         paths = Paths.stack([draw_paths(params, _channel_rng(t))])
         for d, (_, block) in zip(arrays, block_channels(paths, 144,
                                                         arrays.values())):
-            w_opt, sigma, ok = block_reference(block, N_STREAMS)
-            assert ok[0]
+            w_opt, sigma = block_reference(block, N_STREAMS)
             w[d], hf[d] = w_opt[0], w_opt[0] * sigma[0]
 
         # criterion 3: resolution ordering at lo_depth 6

@@ -1,13 +1,21 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydcomb import (ArrayGeometry, ChannelParams, GeometryError, Paths,
-                     array_response, channel_matrix, draw_paths,
-                     generate_channel, upa_response)
+from rydcomb import (ArrayGeometry, ChannelParams, GeometryError,
+                     NumericError, Paths, array_response, channel_matrix,
+                     draw_paths, generate_channel, optimal_digital_combiner,
+                     upa_response)
 from rydcomb import channel
-from rydcomb.channel import block_channels
+from rydcomb.channel import (MAX_CLUSTER_POWER, block_channels,
+                             block_reference)
+from rydcomb.cli import parse_config
+from rydcomb.evaluation import _channel_rng
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def nonupa(n_blocks=36, n_per_block=6):
@@ -28,6 +36,12 @@ class TestParamsValidation:
     def test_cluster_power_length(self):
         with pytest.raises(ValueError):
             default_params(cluster_powers=(1.0, 1.0))
+
+    def test_cluster_power_ceiling(self):
+        assert default_params(cluster_powers=(MAX_CLUSTER_POWER,) * 5)
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            default_params(cluster_powers=(
+                1.0, np.nextafter(MAX_CLUSTER_POWER, np.inf), 1.0, 1.0, 1.0))
 
     def test_cluster_powers_positive(self):
         with pytest.raises(ValueError):
@@ -170,9 +184,83 @@ class TestBlockChannels:
         paths = draw_paths(default_params(), np.random.default_rng(0))
         block = Paths.stack([paths, paths])
         assert block.gains.shape == (2, 50) and block.n_paths == 50
-        np.testing.assert_array_equal(block.finite(), [True, True])
         with pytest.raises(ValueError, match="one draw"):
             channel_matrix(block, 144, self.GEOMETRIES[0])
         with pytest.raises(ValueError):
             Paths(**{k: np.stack([v] * 2)[..., None]
                      for k, v in vars(paths).items()})
+
+
+class TestBlockReferenceFailures:
+    """The reference stage of a one-draw block fails the draws that
+    ``optimal_digital_combiner`` fails on the dense channel, with the same
+    text apart from the printed singular values."""
+
+    @staticmethod
+    def failure(stage):
+        """The stage's NumericError text up to its singular values, or
+        None when it passes."""
+        try:
+            stage()
+        except NumericError as exc:
+            return str(exc).split(": singular values")[0]
+        return None
+
+    def same_failure(self, paths, n_tx, geometry, n_streams):
+        def block():
+            (_, channels), = block_channels(Paths.stack([paths]), n_tx,
+                                            [geometry])
+            block_reference(channels, n_streams)
+
+        def dense():
+            optimal_digital_combiner(channel_matrix(paths, n_tx, geometry),
+                                     n_streams)
+
+        failure = self.failure(block)
+        assert failure == self.failure(dense)
+        return failure
+
+    @pytest.mark.parametrize("field", ["gains", "aoa_azimuth",
+                                       "aod_elevation"])
+    def test_non_finite_draw(self, field):
+        paths = draw_paths(default_params(), np.random.default_rng(3))
+        values = getattr(paths, field).copy()
+        values[7] = np.nan
+        bad = replace(paths, **{field: values})
+        assert self.same_failure(bad, 144, nonupa(), 3) == (
+            "channel matrix contains non-finite entries")
+
+    def test_non_finite_draw_builds_no_steering(self, monkeypatch):
+        def steering(*args):
+            raise AssertionError("steering built for a non-finite draw")
+
+        monkeypatch.setattr(channel, "upa_response", steering)
+        monkeypatch.setattr(channel, "array_response", steering)
+        paths = draw_paths(default_params(), np.random.default_rng(3))
+        bad = replace(paths, gains=np.full_like(paths.gains, np.nan))
+        with pytest.raises(NumericError, match="non-finite"):
+            next(block_channels(Paths.stack([bad]), 144, [nonupa()]))
+
+    def test_zero_gain_draw(self):
+        # singular values of zero fail the rank test, and nothing divides
+        paths = draw_paths(default_params(), np.random.default_rng(3))
+        zero = replace(paths, gains=np.zeros_like(paths.gains))
+        with np.errstate(all="raise"):
+            assert self.same_failure(zero, 144, nonupa(), 3) == (
+                "channel rank below n_streams=3")
+
+    def test_rank_fail_config_draws(self):
+        # a second cluster of power 1e-28: a draw's second singular value
+        # sits about the rank test's threshold on every geometry
+        spec, _ = parse_config(REPO_ROOT / "tests/configs/rank_fail.json",
+                               "sweep-snr")
+        geometries = list(dict.fromkeys(u.geometry for u in spec.units))
+        failed = set()
+        for t in range(spec.trials):
+            paths = draw_paths(spec.channel, _channel_rng(spec.seed, t))
+            for geometry in geometries:
+                if self.same_failure(paths, spec.channel.n_tx, geometry,
+                                     spec.n_streams) is not None:
+                    failed.add(t)
+        # the 6 trials that a run of the config drops
+        assert failed == {1, 3, 13, 21, 26, 33}

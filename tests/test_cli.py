@@ -2,13 +2,16 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+import rydcomb.channel
 import rydcomb.cli
 import rydcomb.optimizer
 from rydcomb import ConfigError, ResultRow, ResultTable
+from rydcomb.channel import MAX_CLUSTER_POWER
 from rydcomb.cli import (build_spec, emit_results, main, parse_config,
                          validate_command)
 
@@ -96,6 +99,22 @@ class TestParseConfig:
         doc = smoke_doc(baselines=["upa_pc"])
         with pytest.raises(ConfigError, match="pc_chains"):
             parse_config(write_doc(tmp_path, doc), "sweep-snr")
+
+    @pytest.mark.parametrize("config,command,entry,message", [
+        ("smoke", "sweep-snr", {"lo_depth": 4, "apd_depth": 4},
+         "duplicate curve label 'ideal digital, no reuse'"),
+        ("fig10", "sweep-chains", {"lo_depth": 4},
+         "duplicate curve label 'ideal digital, no reuse' at n_chains=4")])
+    def test_duplicate_curve_named(self, tmp_path, capsys, configs_dir,
+                                   config, command, entry, message):
+        # an entry labelled like a baseline: the first repeat is named
+        doc = json.loads((configs_dir / f"{config}.json").read_text())
+        doc["architectures"].append(dict(entry,
+                                         label="ideal digital, no reuse"))
+        assert main([command, "--config", str(write_doc(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_null_reads_as_omitted(self):
         # resolution_bits and pc_chains default to None, so null omits them
@@ -350,10 +369,11 @@ class TestRunEndToEnd:
         assert "numeric error" in capsys.readouterr().err
 
     def test_overflowing_gains_exit_two(self, tmp_path, capsys):
-        # cluster powers of 1e308 overflow the rates: NaN means, which
-        # must not reach results.csv
-        doc = smoke_doc()
-        doc["channel"] = dict(doc["channel"], cluster_powers=[1e308, 1e308])
+        # cluster powers at their ceiling overflow the rates at an SNR of
+        # 3000 dB: non-finite means, which must not reach results.csv
+        doc = smoke_doc(snr_db=[3000.0])
+        doc["channel"] = dict(doc["channel"],
+                              cluster_powers=[MAX_CLUSTER_POWER] * 2)
         out = tmp_path / "o"
         with np.errstate(all="ignore"):
             code = main(["sweep-snr", "--config", str(write_doc(tmp_path, doc)),
@@ -361,6 +381,16 @@ class TestRunEndToEnd:
         assert code == 2
         assert "non-finite mean or stderr" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cluster_power_ceiling_runs(self, tmp_path, configs_dir):
+        # the ceiling itself runs smoke without an overflow warning
+        doc = json.loads((configs_dir / "smoke.json").read_text())
+        doc["channel"]["cluster_powers"] = [MAX_CLUSTER_POWER] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep-snr", "--config",
+                         str(write_doc(tmp_path, doc)), "--threads", "1",
+                         "--out", str(tmp_path / "o")]) == 0
 
     def test_env_thread_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM_THREADS", "2")
@@ -393,6 +423,11 @@ class TestRunEndToEnd:
     BAD_CONFIGS = {
         "cluster-powers-length": (
             {"cluster_powers": [1.0]}, None, "channel: cluster_powers"),
+        # squared and scaled by the SNR, such powers overflow the rates
+        "huge-cluster-powers": (
+            {"cluster_powers": [1e308, 1e308]}, None,
+            "channel: cluster_powers must be finite, > 0 and at most "
+            "1e+100"),
         "negative-spread": (
             {"angular_spread_deg": -1.0}, None, "channel: angular_spread"),
         "zero-rays": ({"n_rays": 0}, None, "channel: n_clusters and n_rays"),
@@ -554,16 +589,16 @@ class TestValidateCommand:
                                                           monkeypatch):
         # one ulp on one stacked sample's W_opt, only in blocks of several
         # draws: no dense tolerance sees it, the one-draw blocks do
-        stage = rydcomb.optimizer.block_reference
+        stage = rydcomb.channel.block_reference
 
         def off_by_one_ulp(channels, n_streams):
-            w_opt, sigma, ok = stage(channels, n_streams)
+            w_opt, sigma = stage(channels, n_streams)
             if len(w_opt) > 1:
                 x = w_opt[1, 0, 0]
                 w_opt[1, 0, 0] = complex(np.nextafter(x.real, np.inf), x.imag)
-            return w_opt, sigma, ok
+            return w_opt, sigma
 
-        monkeypatch.setattr(rydcomb.optimizer, "block_reference",
+        monkeypatch.setattr(rydcomb.channel, "block_reference",
                             off_by_one_ulp)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
@@ -573,13 +608,13 @@ class TestValidateCommand:
     def test_scaled_singular_values_detected(self, capsys, monkeypatch):
         # Sigma off by 1e-6 relative, in every block alike: the one-draw
         # blocks agree, the dense SVD does not
-        stage = rydcomb.optimizer.block_reference
+        stage = rydcomb.channel.block_reference
 
         def scaled(channels, n_streams):
-            w_opt, sigma, ok = stage(channels, n_streams)
-            return w_opt, sigma * (1 + 1e-6), ok
+            w_opt, sigma = stage(channels, n_streams)
+            return w_opt, sigma * (1 + 1e-6)
 
-        monkeypatch.setattr(rydcomb.optimizer, "block_reference", scaled)
+        monkeypatch.setattr(rydcomb.channel, "block_reference", scaled)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
         assert "FAIL" in line

@@ -359,9 +359,10 @@ class TestFailedTrials:
     def _fail_trials(self, monkeypatch, fails):
         """Pass the combining target of each trial of ``fails`` through its
         function, in every stack of the block stage that holds the trial.
-        When the function raises, that stack raises LinAlgError, as a
-        stacked SVD does.  The trial's row is found from its own draw: the
-        stack's gains are its path gains times a positive scale."""
+        When the function raises, that stack raises as ``block_reference``
+        does when its stacked SVD fails.  The trial's row is found from its
+        own draw: the stack's gains are its path gains times a positive
+        scale."""
         drawn = self._watch(monkeypatch)
 
         def failing(stage):
@@ -375,7 +376,7 @@ class TestFailedTrials:
                         try:
                             parts[0][row] = fails[trial](parts[0][row])
                         except NumericError as exc:
-                            raise np.linalg.LinAlgError(str(exc)) from exc
+                            raise NumericError(f"SVD failed: {exc}") from exc
                 return parts
             return failed
 
@@ -718,7 +719,7 @@ class TestBlockReferences:
         def raising(stage):
             def raised(channels, n_streams):
                 if len(channels.gains) > 1:
-                    raise np.linalg.LinAlgError("synthetic SVD failure")
+                    raise NumericError("SVD failed: synthetic failure")
                 return stage(channels, n_streams)
             return raised
 

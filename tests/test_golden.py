@@ -8,13 +8,16 @@ fig6a.csv, fig6b.csv, fig7.csv and fig9.csv were written by the QR-core
 reference (explicit Q factors), before the reference moved to the R factors
 and the UPA steering to its two separable axes.  depth.csv runs the small
 sweep-depth config in tests/configs/ and was written by the code that still
-took the intra-block LO offsets as an array.
+took the intra-block LO offsets as an array.  rank_fail.csv, the one config
+whose trials fail (6 of 40), was written at --threads 1 by the code whose
+combiner module still held the block reference and its rank flags.
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -57,7 +60,11 @@ def test_matches_golden(tmp_path, configs_dir, name, command, trials):
     if trials is not None:
         argv += ["--trials", str(trials)]
     assert main(argv) == 0
-    got = _rows(tmp_path / "results.csv")
+    _check_golden(tmp_path, name)
+
+
+def _check_golden(out, name):
+    got = _rows(out / "results.csv")
     want = _rows(GOLDEN_DIR / f"{name}.csv")
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -75,3 +82,16 @@ def test_depth_sweep_threads_write_identical_csv(tmp_path):
                      "--out", str(out), "--threads", threads]) == 0
         csvs.append((out / "results.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rank_fail_matches_golden(tmp_path, threads):
+    # one thread cuts blocks of 32 + 8 trials, two cut 20 + 20; either way
+    # the same 6 trials fail and the other 34 keep their values
+    with pytest.warns(RuntimeWarning, match="6 of 40 trials failed"):
+        assert main(["sweep-snr", "--config",
+                     str(TEST_CONFIGS / "rank_fail.json"),
+                     "--out", str(tmp_path), "--threads", threads]) == 0
+    _check_golden(tmp_path, "rank_fail")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failures"] == 6
