@@ -201,8 +201,8 @@ def block_reference(h: ChannelBlock, n_streams: int
                                  full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
+    low = s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0]
     s = s[:, :n_streams]
-    low = s[:, -1] <= max(h.shape) * np.finfo(float).eps * s[:, 0]
     if low.any():
         raise NumericError(f"channel rank below n_streams={n_streams}: "
                            f"singular values {s[np.argmax(low)]}")

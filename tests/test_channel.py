@@ -249,6 +249,27 @@ class TestBlockReferenceFailures:
             assert self.same_failure(zero, 144, nonupa(), 3) == (
                 "channel rank below n_streams=3")
 
+    def test_svd_failure(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        paths = draw_paths(default_params(), np.random.default_rng(3))
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert self.same_failure(paths, 144, nonupa(), 3) == (
+            "SVD failed: synthetic failure")
+
+    def test_qr_failure(self, monkeypatch):
+        # the receive QR sits in the same try as the stacked SVD
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        paths = draw_paths(default_params(), np.random.default_rng(3))
+        (_, channels), = block_channels(Paths.stack([paths]), 144, [nonupa()])
+        monkeypatch.setattr(np.linalg, "qr", failing)
+        with pytest.raises(NumericError) as info:
+            block_reference(channels, 3)
+        assert str(info.value) == "SVD failed: synthetic failure"
+
     def test_rank_fail_config_draws(self):
         # a second cluster of power 1e-28: a draw's second singular value
         # sits about the rank test's threshold on every geometry

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,11 +360,19 @@ class TestFailedTrials:
     def _fail_trials(self, monkeypatch, fails):
         """Pass the combining target of each trial of ``fails`` through its
         function, in every stack of the block stage that holds the trial.
-        When the function raises, that stack raises as ``block_reference``
-        does when its stacked SVD fails.  The trial's row is found from its
-        own draw: the stack's gains are its path gains times a positive
-        scale."""
+        When the function raises, the stack's stage is run again with its
+        SVD raising LinAlgError with the function's text, which the stage
+        words as its own failure; the SVD of other threads is untouched.
+        The trial's row is found from its own draw: the stack's gains are
+        its path gains times a positive scale."""
         drawn = self._watch(monkeypatch)
+        armed = threading.local()
+        svd = np.linalg.svd
+
+        def failing_svd(*args, **kwargs):
+            if getattr(armed, "text", None) is not None:
+                raise np.linalg.LinAlgError(armed.text)
+            return svd(*args, **kwargs)
 
         def failing(stage):
             def failed(channels, n_streams):
@@ -376,10 +385,16 @@ class TestFailedTrials:
                         try:
                             parts[0][row] = fails[trial](parts[0][row])
                         except NumericError as exc:
-                            raise NumericError(f"SVD failed: {exc}") from exc
+                            armed.text = str(exc)
+                            try:
+                                stage(channels, n_streams)
+                            finally:
+                                armed.text = None
+                            raise AssertionError("the stage did not raise")
                 return parts
             return failed
 
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
         monkeypatch.setattr(evaluation, "block_reference",
                             failing(evaluation.block_reference))
 
@@ -716,15 +731,15 @@ class TestBlockReferences:
                      geometry=ArrayGeometry(16, 1)),))
         expected, clean, _ = trial_values(spec)
 
-        def raising(stage):
-            def raised(channels, n_streams):
-                if len(channels.gains) > 1:
-                    raise NumericError("SVD failed: synthetic failure")
-                return stage(channels, n_streams)
-            return raised
+        svd = np.linalg.svd
 
-        monkeypatch.setattr(evaluation, "block_reference",
-                            raising(evaluation.block_reference))
+        def raising(a, *args, **kwargs):
+            # the block stage's SVD of a core stack of several trials
+            if a.ndim == 3 and len(a) > 1:
+                raise np.linalg.LinAlgError("synthetic SVD failure")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", raising)
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 4)
         table, values, errors = trial_values(spec)
         assert table.failures == 0 and not errors

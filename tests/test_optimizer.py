@@ -126,14 +126,23 @@ class TestFactoredReference:
         dense = optimal_digital_combiner(channel_matrix(paths, 144, geometry),
                                          3)
         scale = dense.singular_values[0]
-        # the spectrum of the core above the tolerance, which passes the
-        # rank test; the dense tail below it is rounding noise about zero
+        # the whole spectrum of the core R_rx diag(g) R_tx^H, min(N_r, N_t,
+        # L) values; the dense tail beyond it is rounding noise about zero
+        (_, block), = block_channels(Paths.stack([paths]), 144, [geometry])
+        r_rx = np.linalg.qr(block.a_rx[0], mode="r")
+        core = np.linalg.svd((r_rx * block.gains[0]) @ block.r_tx[0].conj().T,
+                             compute_uv=False)
+        assert core.size == min(geometry.n_elements, 144, paths.n_paths)
+        np.testing.assert_allclose(
+            np.concatenate([core, np.zeros(dense.singular_values.size
+                                           - core.size)]),
+            dense.singular_values, rtol=0, atol=1e-12 * scale)
+        # block_reference returns the leading values above the tolerance,
+        # which pass its rank test
         rank = np.count_nonzero(dense.singular_values > 1e-12 * scale)
         _, sigma = one_draw_reference(paths, geometry, rank)
-        np.testing.assert_allclose(
-            np.concatenate([sigma, np.zeros(dense.singular_values.size
-                                            - rank)]),
-            dense.singular_values, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(sigma, core[:rank], rtol=0,
+                                   atol=1e-12 * scale)
         w_opt, sigma = one_draw_reference(paths, geometry, 3)
         np.testing.assert_allclose(sigma, dense.singular_values[:3], rtol=0,
                                    atol=1e-12 * scale)
