@@ -4,17 +4,17 @@ The channel is a sum of N_cl clusters with N_ray rays each.  Ray gains are
 complex Gaussian with per-cluster variance, mean angles are uniform, and
 per-ray angle offsets follow a Laplacian with configurable spread.  With
 unit cluster powers the normalization gives E[||H||_F^2] = N_t * N_r.
-H = A_rx diag(g) A_tx^H has rank at most L = n_clusters * n_rays.  A run's
-trial block keeps only the factors (``block_channels``) that its SVD
-reference (``block_reference``) reads; one draw's dense H and SVD, the
-oracles of the checks, are in ``oracles``.
+H = A_rx diag(g) A_tx^H has rank at most L = n_clusters * n_rays.  A run
+builds the SVD reference of a trial block from its path factors alone
+(``block_references``); one draw's dense H and SVD, the oracles of the
+checks, are in ``oracles``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -119,58 +119,6 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> Paths:
                  aod_elevation=np.repeat(aod_el_mean, nray) + offsets[3])
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelBlock:
-    """The channels of a block of B draws on one receive geometry, stacked
-    on a leading draw axis and kept only as far as the reference reads
-    them: the receive steering a_rx (B, N_r, L), the normalized gains
-    (B, L) and the R factors r_tx (B, min(N_t, L), L) of A_tx = Q_tx R_tx:
-    draw b's H H^H is (A_rx G R_tx^H)(A_rx G R_tx^H)^H, G = diag(g)."""
-
-    a_rx: np.ndarray
-    gains: np.ndarray
-    r_tx: np.ndarray
-    n_tx: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(N_r, N_t) of every sample."""
-        return self.a_rx.shape[1], self.n_tx
-
-
-def block_channels(paths: Paths, n_tx: int,
-                   geometries: Iterable[ArrayGeometry]
-                   ) -> Iterator[tuple[ArrayGeometry, ChannelBlock]]:
-    """The channels of a block of draws (B, L), one receive geometry at a
-    time, each sample bit for bit that of a block of its draw alone.
-
-    The transmit steering of the block is one ``upa_response`` call over
-    the (B, L) angles; it is factored by one QR per draw (a stacked QR is
-    slower) and dropped.  Geometries with equal n_blocks and block_spacing
-    share one block-UPA factor, and each geometry's steering is built only
-    when the caller asks for it, so that one that drops it before asking
-    for the next holds one receive stack at a time.  A block with a
-    non-finite gain or angle raises NumericError before any steering.
-    """
-    if not all(np.isfinite(a).all() for a in vars(paths).values()):
-        raise NumericError("channel matrix contains non-finite entries")
-    a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
-    r_tx = np.stack([np.linalg.qr(a_tx[:, b], mode="r")
-                     for b in range(a_tx.shape[1])])
-    del a_tx
-    az, el = paths.aoa_azimuth, paths.aoa_elevation
-    blocks: dict[tuple, np.ndarray] = {}
-    for geometry in geometries:
-        key = (geometry.n_blocks, geometry.block_spacing)
-        if key not in blocks:
-            blocks[key] = upa_response(az, el, *key)
-        a_rx = array_response(geometry, az, el, block=blocks[key])
-        scale = math.sqrt(n_tx * geometry.n_elements / paths.n_paths)
-        yield geometry, ChannelBlock(np.moveaxis(a_rx, 0, 1),
-                                     scale * paths.gains, r_tx, n_tx)
-        del a_rx
-
-
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive.
     Makes the SVD basis reproducible across runs and platforms.  Leading
@@ -183,30 +131,59 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return np.multiply(m, rotation, where=keep, out=m.copy())
 
 
-def block_reference(h: ChannelBlock, n_streams: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The SVD reference of a block of factored channels: the phase-fixed
-    W_opt (B, N_r, N_s) and the leading singular values (B, N_s).  H =
-    Q_rx C Q_tx^H has the singular values of the core C = R_rx diag(g)
-    R_tx^H = U S V^H, and w_i = A_rx (g * R_tx^H v_i) / s_i.  One QR per
-    sample, then one core product, SVD and vector mapping for the stack, so
-    a sample equals its one-draw block bit for bit.  Raises NumericError in
-    the words of ``optimal_digital_combiner`` when a QR or the SVD fails,
-    and, before any division, for the first sample of rank below n_streams.
+def block_references(paths: Paths, n_tx: int, n_streams: int,
+                     geometries: Iterable[ArrayGeometry]
+                     ) -> dict[ArrayGeometry, tuple[np.ndarray, np.ndarray]]:
+    """The SVD reference of a block of draws (B, L) on each receive
+    geometry: the phase-fixed W_opt (B, N_r, N_s) and the leading singular
+    values (B, N_s), each sample bit for bit that of its draw's block alone.
+
+    H = A_rx G A_tx^H, G = diag(g), has the singular values of the core
+    C = R_rx G R_tx^H = U S V^H, with A = Q R per draw, and w_i = A_rx (G
+    R_tx^H v_i) / s_i.  The transmit steering is one ``upa_response`` call,
+    factored by one QR per draw (a stacked QR is slower) and dropped, and
+    geometries with equal n_blocks and block_spacing share one block-UPA
+    factor.  Then, geometry by geometry in the given order, one receive QR
+    per sample and one core product, SVD and vector mapping for the stack;
+    each geometry's steering is freed before the next one's is built.
+    Raises NumericError in the words of ``optimal_digital_combiner`` for a
+    non-finite gain or angle, before any steering; when a receive QR or
+    the SVD fails; and, before any division, for the first sample of rank
+    below n_streams.
     """
-    try:
-        r_rx = np.stack([np.linalg.qr(a, mode="r") for a in h.a_rx])
-        r_tx_h = np.conj(h.r_tx).swapaxes(-1, -2)
-        _, s, vh = np.linalg.svd((r_rx * h.gains[:, None]) @ r_tx_h,
-                                 full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    low = s[:, n_streams - 1] <= max(h.shape) * np.finfo(float).eps * s[:, 0]
-    s = s[:, :n_streams]
-    if low.any():
-        raise NumericError(f"channel rank below n_streams={n_streams}: "
-                           f"singular values {s[np.argmax(low)]}")
-    f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
-    w = h.a_rx @ (h.gains[..., None] * (r_tx_h @ f))
-    w /= s[:, None]
-    return _fix_column_phases(w), s
+    if not all(np.isfinite(a).all() for a in vars(paths).values()):
+        raise NumericError("channel matrix contains non-finite entries")
+    a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
+    r_tx_h = np.conj(np.stack([np.linalg.qr(a_tx[:, b], mode="r")
+                               for b in range(a_tx.shape[1])])
+                     ).swapaxes(-1, -2)
+    del a_tx
+    az, el = paths.aoa_azimuth, paths.aoa_elevation
+    blocks: dict[tuple, np.ndarray] = {}
+    stacks = {}
+    for geometry in dict.fromkeys(geometries):
+        n_r = geometry.n_elements
+        key = (geometry.n_blocks, geometry.block_spacing)
+        if key not in blocks:
+            blocks[key] = upa_response(az, el, *key)
+        a_rx = np.moveaxis(array_response(geometry, az, el, block=blocks[key]),
+                           0, 1)
+        gains = math.sqrt(n_tx * n_r / paths.n_paths) * paths.gains
+        try:
+            r_rx = np.stack([np.linalg.qr(a, mode="r") for a in a_rx])
+            _, s, vh = np.linalg.svd((r_rx * gains[:, None]) @ r_tx_h,
+                                     full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD failed: {exc}") from exc
+        low = (s[:, n_streams - 1]
+               <= max(n_r, n_tx) * np.finfo(float).eps * s[:, 0])
+        s = s[:, :n_streams]
+        if low.any():
+            raise NumericError(f"channel rank below n_streams={n_streams}: "
+                               f"singular values {s[np.argmax(low)]}")
+        f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
+        w = a_rx @ (gains[..., None] * (r_tx_h @ f))
+        w /= s[:, None]
+        stacks[geometry] = _fix_column_phases(w), s
+        del a_rx, r_rx, vh
+    return stacks

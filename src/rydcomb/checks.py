@@ -19,7 +19,7 @@ import numpy as np
 from . import channel, optimizer
 from .architecture import ReuseArchitecture, is_proportional
 from .arrays import ArrayGeometry
-from .channel import ChannelParams, Paths, block_channels, draw_paths
+from .channel import ChannelParams, Paths, draw_paths
 from .oracles import (channel_matrix, compose_wrf, generate_channel,
                       optimal_digital_combiner, phase_grid)
 
@@ -213,11 +213,12 @@ def check_factored_reference():
                   ArrayGeometry(36, 2))
     draws = [draw_paths(ChannelParams(n_tx=144), rng) for _ in range(n_draws)]
     worst, unequal = 0.0, 0
-    for geometry, block in block_channels(Paths.stack(draws), 144, geometries):
-        w_block, s_block = channel.block_reference(block, n_streams)
+    stacks = channel.block_references(Paths.stack(draws), 144, n_streams,
+                                      geometries)
+    for geometry, (w_block, s_block) in stacks.items():
         for row, paths in enumerate(draws):
-            (_, alone), = block_channels(Paths.stack([paths]), 144, [geometry])
-            w_alone, s_alone = channel.block_reference(alone, n_streams)
+            w_alone, s_alone = channel.block_references(
+                Paths.stack([paths]), 144, n_streams, [geometry])[geometry]
             unequal += not (np.array_equal(w_block[row], w_alone[0])
                             and np.array_equal(s_block[row], s_alone[0]))
             dense = optimal_digital_combiner(

@@ -26,8 +26,7 @@ import numpy as np
 from .architecture import (ReuseArchitecture, _is_int, diagonal_phases,
                            is_proportional)
 from .arrays import ArrayGeometry
-from .channel import (ChannelParams, Paths, block_channels, block_reference,
-                      draw_paths)
+from .channel import ChannelParams, Paths, block_references, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
 # alternating_minimize and the three oracles stay importable here: the
 # per-layer benchmark trace patches them at these names.
@@ -38,6 +37,10 @@ from .oracles import channel_matrix, compose_wrf, optimal_digital_combiner
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
 TRIAL_BLOCK = 32  # trials whose curves are solved and rated together
+# The rate scales the squared gains, at most about MAX_CLUSTER_POWER * N_t *
+# N_r, by the linear SNR; this ceiling, a linear SNR of 1e100, leaves that
+# product float range.
+MAX_SNR_DB = 1000
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -165,6 +168,15 @@ class EvalUnit:
         if (self.arch is None) != (self.kind == "ideal_digital"):
             raise ConfigError(
                 "arch: must be set exactly when kind != 'ideal_digital'")
+        if self.kind == "rydberg":
+            # its LO offsets are the positions of the geometry's sub-elements
+            for field, of in (("n_blocks", "n_blocks"),
+                              ("lo_depth", "n_per_block"),
+                              ("intra_spacing", "intra_spacing")):
+                if getattr(self.arch, field) != getattr(self.geometry, of):
+                    raise ConfigError(
+                        f"arch: {field} {getattr(self.arch, field)} != "
+                        f"geometry {of} {getattr(self.geometry, of)}")
         if self.arch is not None and self.arch.n_r != self.geometry.n_elements:
             raise ConfigError(
                 f"arch: size {self.arch.n_r} != geometry element "
@@ -199,11 +211,9 @@ class ExperimentSpec:
             raise ConfigError("experiment has no curves to evaluate")
         if not self.snr_db:
             raise ConfigError("snr_db grid is empty")
-        with np.errstate(over="ignore"):  # the linear SNR of run_experiment
-            linear = 10.0 ** (np.asarray(self.snr_db) / 10.0)
-        if not np.all(np.isfinite(self.snr_db) & np.isfinite(linear)):
-            raise ConfigError("snr_db values must be finite, and so must "
-                              "their linear SNR 10^(snr_db/10)")
+        if not all(-np.inf < v <= MAX_SNR_DB for v in self.snr_db):
+            raise ConfigError(f"snr_db values must be finite and at most "
+                              f"{MAX_SNR_DB}")
         if not all(map(_is_int, (self.trials, self.n_streams, self.seed))):
             raise ConfigError("trials, n_streams and seed must be integers")
         if self.trials < 1:
@@ -290,22 +300,16 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
 def _block_references(spec: ExperimentSpec, trials: range
                       ) -> dict[ArrayGeometry, tuple[np.ndarray, np.ndarray]]:
     """Draw each trial's paths once and build, per receive geometry, the
-    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block.
-
-    The stacks come from ``block_channels`` and ``block_reference``, whose
-    rows equal those of one-trial blocks bit for bit, and which raise
-    NumericError, in the words of ``optimal_digital_combiner``, for the
-    first geometry in unit order that some trial fails.
+    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block, in one
+    ``block_references`` call: its rows equal those of one-trial blocks
+    bit for bit, and it raises NumericError, in the words of
+    ``optimal_digital_combiner``, for the first geometry in unit order
+    that some trial fails.
     """
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
                          for t in trials])
-    stacks = {}
-    for geometry, channels in block_channels(
-            paths, spec.channel.n_tx,
-            dict.fromkeys(unit.geometry for unit in spec.units)):
-        stacks[geometry] = block_reference(channels, spec.n_streams)
-        del channels  # free its steering before the next geometry's
-    return stacks
+    return block_references(paths, spec.channel.n_tx, spec.n_streams,
+                            [unit.geometry for unit in spec.units])
 
 
 # A curve maps items (unit, solution batch or None, W_opt, Sigma), all on

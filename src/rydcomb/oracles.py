@@ -50,7 +50,7 @@ def channel_matrix(paths: Paths, n_tx: int,
     """
     if np.ndim(paths.gains) != 1:
         raise ValueError("channel_matrix takes one draw; a block of draws "
-                         "goes through block_channels")
+                         "goes through block_references")
     a_tx = upa_response(paths.aod_azimuth, paths.aod_elevation, n_tx, 0.5)
     n_r = rx_geometry.n_elements
     a_rx = array_response(rx_geometry, paths.aoa_azimuth, paths.aoa_elevation)
@@ -79,7 +79,7 @@ class DigitalReference:
 def optimal_digital_combiner(h: np.ndarray,
                              n_streams: int) -> DigitalReference:
     """SVD-based fully digital reference for a dense channel matrix, the
-    oracle that ``block_reference`` is checked against.  A channel of rank
+    oracle that ``block_references`` is checked against.  A channel of rank
     below n_streams (by matrix_rank's tolerance) raises NumericError."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:

@@ -18,7 +18,7 @@ from rydcomb import (ArrayGeometry, ChannelParams, OptimizerConfig, Paths,
                      optimal_digital_combiner, phase_grid,
                      quantize_phase, spectral_efficiency,
                      upa_response)
-from rydcomb.channel import block_channels, block_reference
+from rydcomb.channel import block_references
 from rydcomb.cli import main
 from rydcomb.optimizer import _solve
 
@@ -114,9 +114,9 @@ def trend():
 
     for t in range(TREND_TRIALS):
         paths = Paths.stack([draw_paths(params, _channel_rng(t))])
-        for d, (_, block) in zip(arrays, block_channels(paths, 144,
-                                                        arrays.values())):
-            w_opt, sigma = block_reference(block, N_STREAMS)
+        refs = block_references(paths, 144, N_STREAMS, arrays.values())
+        for d, geometry in arrays.items():
+            w_opt, sigma = refs[geometry]
             w[d], hf[d] = w_opt[0], w_opt[0] * sigma[0]
 
         # criterion 3: resolution ordering at lo_depth 6

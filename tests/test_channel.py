@@ -10,8 +10,7 @@ from rydcomb import (ArrayGeometry, ChannelParams, GeometryError,
                      draw_paths, generate_channel, optimal_digital_combiner,
                      upa_response)
 from rydcomb import channel
-from rydcomb.channel import (MAX_CLUSTER_POWER, block_channels,
-                             block_reference)
+from rydcomb.channel import MAX_CLUSTER_POWER, block_references
 from rydcomb.cli import parse_config
 from rydcomb.evaluation import _channel_rng
 
@@ -138,30 +137,32 @@ class TestDeterminism:
         assert h_flat.shape == (36, 144)
 
 
-class TestBlockChannels:
+class TestBlockReferences:
     GEOMETRIES = [ArrayGeometry(36, 1), nonupa(36, 6), nonupa(9, 4)]
 
-    def test_samples_equal_channel_matrix(self):
-        # each sample is its one-draw block bit for bit, and its factors
-        # give channel_matrix's H H^H = (A_rx G R_tx^H)(A_rx G R_tx^H)^H
+    def test_samples_equal_one_draw_blocks(self):
+        # each stacked sample's W_opt and Sigma are its one-draw block's
+        # bit for bit, and match the dense SVD of channel_matrix
         rng = np.random.default_rng(3)
         draws = [draw_paths(default_params(), rng) for _ in range(4)]
-        for geometry, block in block_channels(Paths.stack(draws), 144,
-                                              self.GEOMETRIES):
-            assert block.shape == (geometry.n_elements, 144)
+        stacks = block_references(Paths.stack(draws), 144, 3,
+                                  self.GEOMETRIES)
+        assert list(stacks) == self.GEOMETRIES
+        for geometry, (w_opt, sigma) in stacks.items():
+            assert w_opt.shape == (4, geometry.n_elements, 3)
+            assert sigma.shape == (4, 3)
             for b, paths in enumerate(draws):
-                (_, alone), = block_channels(Paths.stack([paths]), 144,
-                                             [geometry])
-                np.testing.assert_array_equal(block.a_rx[b], alone.a_rx[0])
-                np.testing.assert_array_equal(block.gains[b], alone.gains[0])
-                np.testing.assert_array_equal(block.r_tx[b], alone.r_tx[0])
-                h = channel_matrix(paths, 144, geometry)
-                gram = h @ h.conj().T
-                root = ((block.a_rx[b] * block.gains[b])
-                        @ block.r_tx[b].conj().T)
+                w_alone, s_alone = block_references(
+                    Paths.stack([paths]), 144, 3, [geometry])[geometry]
+                np.testing.assert_array_equal(w_opt[b], w_alone[0])
+                np.testing.assert_array_equal(sigma[b], s_alone[0])
+                dense = optimal_digital_combiner(
+                    channel_matrix(paths, 144, geometry), 3)
                 np.testing.assert_allclose(
-                    root @ root.conj().T, gram, rtol=0,
-                    atol=1e-12 * np.abs(gram).max())
+                    sigma[b], dense.singular_values[:3], rtol=0,
+                    atol=1e-12 * dense.singular_values[0])
+                np.testing.assert_allclose(w_opt[b], dense.w_opt, rtol=0,
+                                           atol=1e-12)
 
     def test_one_upa_factor_per_block_layout(self, monkeypatch):
         # the transmitter, then one factor for the two 36-block layouts
@@ -177,7 +178,7 @@ class TestBlockChannels:
         paths = Paths.stack([draw_paths(default_params(),
                                         np.random.default_rng(s))
                              for s in range(3)])
-        list(block_channels(paths, 144, self.GEOMETRIES))
+        block_references(paths, 144, 3, self.GEOMETRIES)
         assert calls == [144, 36, 9]
 
     def test_block_and_single_draw_kept_apart(self):
@@ -208,9 +209,8 @@ class TestBlockReferenceFailures:
 
     def same_failure(self, paths, n_tx, geometry, n_streams):
         def block():
-            (_, channels), = block_channels(Paths.stack([paths]), n_tx,
-                                            [geometry])
-            block_reference(channels, n_streams)
+            block_references(Paths.stack([paths]), n_tx, n_streams,
+                             [geometry])
 
         def dense():
             optimal_digital_combiner(channel_matrix(paths, n_tx, geometry),
@@ -239,7 +239,7 @@ class TestBlockReferenceFailures:
         paths = draw_paths(default_params(), np.random.default_rng(3))
         bad = replace(paths, gains=np.full_like(paths.gains, np.nan))
         with pytest.raises(NumericError, match="non-finite"):
-            next(block_channels(Paths.stack([bad]), 144, [nonupa()]))
+            block_references(Paths.stack([bad]), 144, 3, [nonupa()])
 
     def test_zero_gain_draw(self):
         # singular values of zero fail the rank test, and nothing divides
@@ -259,16 +259,23 @@ class TestBlockReferenceFailures:
             "SVD failed: synthetic failure")
 
     def test_qr_failure(self, monkeypatch):
-        # the receive QR sits in the same try as the stacked SVD
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("synthetic failure")
+        # a receive QR sits in the same try as the stacked SVD; the
+        # transmit QR (144 rows) runs before it, and still succeeds
+        qr = np.linalg.qr
+        rows = []
+
+        def receive_failing(a, *args, **kwargs):
+            rows.append(len(a))
+            if len(a) != 144:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return qr(a, *args, **kwargs)
 
         paths = draw_paths(default_params(), np.random.default_rng(3))
-        (_, channels), = block_channels(Paths.stack([paths]), 144, [nonupa()])
-        monkeypatch.setattr(np.linalg, "qr", failing)
+        monkeypatch.setattr(np.linalg, "qr", receive_failing)
         with pytest.raises(NumericError) as info:
-            block_reference(channels, 3)
+            block_references(Paths.stack([paths]), 144, 3, [nonupa()])
         assert str(info.value) == "SVD failed: synthetic failure"
+        assert rows == [144, 216]
 
     def test_rank_fail_config_draws(self):
         # a second cluster of power 1e-28: a draw's second singular value

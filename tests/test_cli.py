@@ -9,9 +9,11 @@ import pytest
 
 import rydcomb.channel
 import rydcomb.cli
+import rydcomb.evaluation
 import rydcomb.optimizer
 from rydcomb import ConfigError, ResultRow, ResultTable
 from rydcomb.channel import MAX_CLUSTER_POWER
+from rydcomb.evaluation import MAX_SNR_DB
 from rydcomb.cli import (build_spec, emit_results, main, parse_config,
                          validate_command)
 
@@ -368,24 +370,27 @@ class TestRunEndToEnd:
         assert code == 2
         assert "numeric error" in capsys.readouterr().err
 
-    def test_overflowing_gains_exit_two(self, tmp_path, capsys):
-        # cluster powers at their ceiling overflow the rates at an SNR of
-        # 3000 dB: non-finite means, which must not reach results.csv
-        doc = smoke_doc(snr_db=[3000.0])
-        doc["channel"] = dict(doc["channel"],
-                              cluster_powers=[MAX_CLUSTER_POWER] * 2)
+    def test_overflowing_gains_exit_two(self, tmp_path, monkeypatch, capsys):
+        # no config within the two ceilings overflows the rates, so the
+        # overflow is forced on them: non-finite means must not reach
+        # results.csv
+        rates = rydcomb.evaluation._rates
+        monkeypatch.setattr(rydcomb.evaluation, "_rates",
+                            lambda *args: rates(*args) * np.inf)
         out = tmp_path / "o"
         with np.errstate(all="ignore"):
-            code = main(["sweep-snr", "--config", str(write_doc(tmp_path, doc)),
+            code = main(["sweep-snr", "--config",
+                         str(write_doc(tmp_path, smoke_doc())),
                          "--out", str(out)])
         assert code == 2
         assert "non-finite mean or stderr" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cluster_power_ceiling_runs(self, tmp_path, configs_dir):
-        # the ceiling itself runs smoke without an overflow warning
+        # both ceilings at once run smoke without an overflow warning
         doc = json.loads((configs_dir / "smoke.json").read_text())
         doc["channel"]["cluster_powers"] = [MAX_CLUSTER_POWER] * 3
+        doc["snr_db"] = [MAX_SNR_DB]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["sweep-snr", "--config",
@@ -428,6 +433,9 @@ class TestRunEndToEnd:
             {"cluster_powers": [1e308, 1e308]}, None,
             "channel: cluster_powers must be finite, > 0 and at most "
             "1e+100"),
+        # 1e308 linear, finite, but times the squared gains it overflows
+        "huge-snr": ({}, {"snr_db": [3080.0]},
+                     "snr_db values must be finite and at most 1000"),
         "negative-spread": (
             {"angular_spread_deg": -1.0}, None, "channel: angular_spread"),
         "zero-rays": ({"n_rays": 0}, None, "channel: n_clusters and n_rays"),
@@ -589,16 +597,18 @@ class TestValidateCommand:
                                                           monkeypatch):
         # one ulp on one stacked sample's W_opt, only in blocks of several
         # draws: no dense tolerance sees it, the one-draw blocks do
-        stage = rydcomb.channel.block_reference
+        stage = rydcomb.channel.block_references
 
-        def off_by_one_ulp(channels, n_streams):
-            w_opt, sigma = stage(channels, n_streams)
-            if len(w_opt) > 1:
-                x = w_opt[1, 0, 0]
-                w_opt[1, 0, 0] = complex(np.nextafter(x.real, np.inf), x.imag)
-            return w_opt, sigma
+        def off_by_one_ulp(*args):
+            stacks = stage(*args)
+            for w_opt, _ in stacks.values():
+                if len(w_opt) > 1:
+                    x = w_opt[1, 0, 0]
+                    w_opt[1, 0, 0] = complex(np.nextafter(x.real, np.inf),
+                                             x.imag)
+            return stacks
 
-        monkeypatch.setattr(rydcomb.channel, "block_reference",
+        monkeypatch.setattr(rydcomb.channel, "block_references",
                             off_by_one_ulp)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
@@ -608,13 +618,13 @@ class TestValidateCommand:
     def test_scaled_singular_values_detected(self, capsys, monkeypatch):
         # Sigma off by 1e-6 relative, in every block alike: the one-draw
         # blocks agree, the dense SVD does not
-        stage = rydcomb.channel.block_reference
+        stage = rydcomb.channel.block_references
 
-        def scaled(channels, n_streams):
-            w_opt, sigma = stage(channels, n_streams)
-            return w_opt, sigma * (1 + 1e-6)
+        def scaled(*args):
+            return {geometry: (w_opt, sigma * (1 + 1e-6))
+                    for geometry, (w_opt, sigma) in stage(*args).items()}
 
-        monkeypatch.setattr(rydcomb.channel, "block_reference", scaled)
+        monkeypatch.setattr(rydcomb.channel, "block_references", scaled)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
         assert "FAIL" in line

@@ -267,6 +267,19 @@ class TestRunExperiment:
                      arch=ReuseArchitecture(n_blocks=9, lo_depth=2,
                                             apd_depth=2))
 
+    @pytest.mark.parametrize("arch, message", [
+        (ReuseArchitecture(72, 3, 4), "n_blocks 72 != geometry n_blocks 36"),
+        (ReuseArchitecture(36, 4, 4), "lo_depth 4 != geometry n_per_block 6"),
+        (ReuseArchitecture(36, 6, 4, intra_spacing=0.4),
+         "intra_spacing 0.4 != geometry intra_spacing 0.05")])
+    def test_rydberg_blocks_are_the_geometry_blocks(self, arch, message):
+        # a reuse unit's LO offsets come from its geometry's sub-elements
+        geometry = ArrayGeometry(36, 6)
+        with pytest.raises(ConfigError, match=f"arch: {message}"):
+            EvalUnit(label="x", kind="rydberg", geometry=geometry, arch=arch)
+        assert EvalUnit(label="x", kind="rydberg", geometry=geometry,
+                        arch=ReuseArchitecture(36, 6, 4)).arch.n_r == 216
+
     def test_solver_checked_at_construction(self, monkeypatch):
         def no_channels(*args):
             raise AssertionError("a channel was drawn")
@@ -360,11 +373,10 @@ class TestFailedTrials:
     def _fail_trials(self, monkeypatch, fails):
         """Pass the combining target of each trial of ``fails`` through its
         function, in every stack of the block stage that holds the trial.
-        When the function raises, the stack's stage is run again with its
-        SVD raising LinAlgError with the function's text, which the stage
+        When the function raises, the stage is run again with its SVD
+        raising LinAlgError with the function's text, which the stage
         words as its own failure; the SVD of other threads is untouched.
-        The trial's row is found from its own draw: the stack's gains are
-        its path gains times a positive scale."""
+        The trial's row is the one that holds its own draw's gains."""
         drawn = self._watch(monkeypatch)
         armed = threading.local()
         svd = np.linalg.svd
@@ -375,28 +387,29 @@ class TestFailedTrials:
             return svd(*args, **kwargs)
 
         def failing(stage):
-            def failed(channels, n_streams):
-                parts = stage(channels, n_streams)
+            def failed(paths, *args):
+                stacks = stage(paths, *args)
                 seen = {t: p.gains for t, p in drawn if t in fails}
-                for trial, gains in seen.items():
-                    ratio = channels.gains / gains
-                    for row in np.flatnonzero(
-                            np.isclose(ratio, ratio[:, :1]).all(axis=1)):
-                        try:
-                            parts[0][row] = fails[trial](parts[0][row])
-                        except NumericError as exc:
-                            armed.text = str(exc)
+                for w_opt, _ in stacks.values():
+                    for trial, gains in seen.items():
+                        for row in np.flatnonzero(
+                                (paths.gains == gains).all(axis=1)):
                             try:
-                                stage(channels, n_streams)
-                            finally:
-                                armed.text = None
-                            raise AssertionError("the stage did not raise")
-                return parts
+                                w_opt[row] = fails[trial](w_opt[row])
+                            except NumericError as exc:
+                                armed.text = str(exc)
+                                try:
+                                    stage(paths, *args)
+                                finally:
+                                    armed.text = None
+                                raise AssertionError(
+                                    "the stage did not raise")
+                return stacks
             return failed
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        monkeypatch.setattr(evaluation, "block_reference",
-                            failing(evaluation.block_reference))
+        monkeypatch.setattr(evaluation, "block_references",
+                            failing(evaluation.block_references))
 
     def _fail_trial(self, monkeypatch, fail):
         self._fail_trials(monkeypatch, {self.BAD: fail})

@@ -11,6 +11,9 @@ sweep-depth config in tests/configs/ and was written by the code that still
 took the intra-block LO offsets as an array.  rank_fail.csv, the one config
 whose trials fail (6 of 40), was written at --threads 1 by the code whose
 combiner module still held the block reference and its rank flags.
+fig5_40.csv, fig5 at 40 trials, the one golden that crosses a trial block
+where the reference stage dominates, was written at --threads 1 by the
+code that built the references in two steps (factors, then the SVD).
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
@@ -95,3 +98,13 @@ def test_rank_fail_matches_golden(tmp_path, threads):
     _check_golden(tmp_path, "rank_fail")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["failures"] == 6
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fig5_40_matches_golden(tmp_path, configs_dir, threads):
+    # four receive geometries across blocks of 32 + 8 trials at one
+    # thread and 20 + 20 at two
+    assert main(["sweep-snr", "--config", str(configs_dir / "fig5.json"),
+                 "--trials", "40", "--out", str(tmp_path),
+                 "--threads", threads]) == 0
+    _check_golden(tmp_path, "fig5_40")

@@ -82,7 +82,7 @@ def test_integer_counts_accepted():
     assert ChannelParams(n_tx=np.int64(16), n_rays=np.int64(2)).n_paths == 10
 
 
-# 10^(4000/10) overflows a double: the linear SNR must be finite too
+# 10^(4000/10) overflows a double, far above the 1000 dB ceiling
 @pytest.mark.parametrize("value", [NAN, INF, -INF, 4000.0],
                          ids=["nan", "inf", "-inf", "linear-overflow"])
 def test_non_finite_snr_rejected(value):

@@ -13,7 +13,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, phase_grid, quantize_phase)
 from rydcomb.evaluation import pc_architecture
-from rydcomb.channel import _fix_column_phases, block_channels, block_reference
+from rydcomb.channel import _fix_column_phases, block_references
 from rydcomb.optimizer import (MAX_ITERATIONS, _cell_classes, _cell_means,
                                _solve, _trace_phase, _trace_sum, solve_stack)
 
@@ -96,10 +96,10 @@ class TestDigitalCombiner:
 
 
 def one_draw_reference(paths, geometry, n_streams):
-    """``block_reference`` on the block of one draw: W_opt and Sigma of
+    """``block_references`` on the block of one draw: W_opt and Sigma of
     that draw."""
-    (_, block), = block_channels(Paths.stack([paths]), 144, [geometry])
-    w_opt, sigma = block_reference(block, n_streams)
+    w_opt, sigma = block_references(Paths.stack([paths]), 144, n_streams,
+                                    [geometry])[geometry]
     return w_opt[0], sigma[0]
 
 
@@ -126,23 +126,11 @@ class TestFactoredReference:
         dense = optimal_digital_combiner(channel_matrix(paths, 144, geometry),
                                          3)
         scale = dense.singular_values[0]
-        # the whole spectrum of the core R_rx diag(g) R_tx^H, min(N_r, N_t,
-        # L) values; the dense tail beyond it is rounding noise about zero
-        (_, block), = block_channels(Paths.stack([paths]), 144, [geometry])
-        r_rx = np.linalg.qr(block.a_rx[0], mode="r")
-        core = np.linalg.svd((r_rx * block.gains[0]) @ block.r_tx[0].conj().T,
-                             compute_uv=False)
-        assert core.size == min(geometry.n_elements, 144, paths.n_paths)
-        np.testing.assert_allclose(
-            np.concatenate([core, np.zeros(dense.singular_values.size
-                                           - core.size)]),
-            dense.singular_values, rtol=0, atol=1e-12 * scale)
-        # block_reference returns the leading values above the tolerance,
-        # which pass its rank test
+        # every value above 1e-12 sigma_1 passes the stage's rank test
         rank = np.count_nonzero(dense.singular_values > 1e-12 * scale)
         _, sigma = one_draw_reference(paths, geometry, rank)
-        np.testing.assert_allclose(sigma, core[:rank], rtol=0,
-                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(sigma, dense.singular_values[:rank],
+                                   rtol=0, atol=1e-12 * scale)
         w_opt, sigma = one_draw_reference(paths, geometry, 3)
         np.testing.assert_allclose(sigma, dense.singular_values[:3], rtol=0,
                                    atol=1e-12 * scale)
