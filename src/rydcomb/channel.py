@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -132,11 +132,14 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
 
 
 def block_references(paths: Paths, n_tx: int, n_streams: int,
-                     geometries: Iterable[ArrayGeometry]
-                     ) -> dict[ArrayGeometry, tuple[np.ndarray, np.ndarray]]:
+                     geometries: Iterable[ArrayGeometry],
+                     vectors: Optional[Collection[ArrayGeometry]] = None
+                     ) -> dict[ArrayGeometry,
+                               tuple[Optional[np.ndarray], np.ndarray]]:
     """The SVD reference of a block of draws (B, L) on each receive
-    geometry: the phase-fixed W_opt (B, N_r, N_s) and the leading singular
-    values (B, N_s), each sample bit for bit that of its draw's block alone.
+    geometry: the phase-fixed W_opt (B, N_r, N_s), None off ``vectors`` if
+    given, and the leading singular values (B, N_s), each sample bit for
+    bit that of its draw's block alone.
 
     H = A_rx G A_tx^H, G = diag(g), has the singular values of the core
     C = R_rx G R_tx^H = U S V^H, with A = Q R per draw, and w_i = A_rx (G
@@ -144,8 +147,8 @@ def block_references(paths: Paths, n_tx: int, n_streams: int,
     factored by one QR per draw (a stacked QR is slower) and dropped, and
     geometries with equal n_blocks and block_spacing share one block-UPA
     factor.  Then, geometry by geometry in the given order, one receive QR
-    per sample and one core product, SVD and vector mapping for the stack;
-    each geometry's steering is freed before the next one's is built.
+    per sample, one core product and SVD for the stack, whatever ``vectors``
+    holds, and the vector mapping; each steering is freed before the next.
     Raises NumericError in the words of ``optimal_digital_combiner`` for a
     non-finite gain or angle, before any steering; when a receive QR or
     the SVD fails; and, before any division, for the first sample of rank
@@ -181,9 +184,11 @@ def block_references(paths: Paths, n_tx: int, n_streams: int,
         if low.any():
             raise NumericError(f"channel rank below n_streams={n_streams}: "
                                f"singular values {s[np.argmax(low)]}")
-        f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
-        w = a_rx @ (gains[..., None] * (r_tx_h @ f))
-        w /= s[:, None]
-        stacks[geometry] = _fix_column_phases(w), s
+        stacks[geometry] = None, s
+        if vectors is None or geometry in vectors:
+            f = np.conj(vh[:, :n_streams]).swapaxes(-1, -2)
+            w = a_rx @ (gains[..., None] * (r_tx_h @ f))
+            w /= s[:, None]
+            stacks[geometry] = _fix_column_phases(w), s
         del a_rx, r_rx, vh
     return stacks

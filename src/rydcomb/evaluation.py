@@ -2,24 +2,26 @@
 
 The achievable rate uses the pseudoinverse form of the combined receive
 filter, which accounts for combiner-colored noise and is invariant to any
-invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve
-on identical per-trial channels (paired comparison).  Trials run in blocks
-of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
-The paths of a block are drawn trial by trial, and its references are
-built for the whole block at once: one stacked core SVD per receive
-geometry.  Then every curve is solved once, in one ``solve_stack`` call
-per block, and each curve is rated from its own rows.  A block whose
-stages raise is run again one trial at a time, and a trial that raises
-alone fails.  Every sample is computed exactly as it would be alone, and
-results are aggregated in fixed trial order, so they depend on neither
-the block size nor the scheduling.
+invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve on
+identical per-trial channels (paired comparison).  Trials run in blocks of
+at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.  The
+paths of a block are drawn trial by trial, and its references are built for
+the whole block at once: one stacked core SVD per receive geometry, and
+W_opt where a solve reads it.  A curve with an RF chain per antenna
+(apd_depth = 1) under the direct solver has W = W_opt and the ideal digital
+rate; every other one is solved once, in one ``solve_stack`` call per block,
+and rated from its own rows.  A block whose stages raise is run again one
+trial at a time, and a trial that raises alone fails.  Every sample is
+computed exactly as it would be alone, and results are aggregated in fixed
+trial order, so they depend on neither the block size nor the scheduling.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from functools import cached_property
+from typing import Callable, Collection, Iterator, Optional
 
 import numpy as np
 
@@ -250,6 +252,17 @@ class ExperimentSpec:
                 raise ConfigError(f"duplicate curve label {u.label!r}{at}")
             seen.add(key)
 
+    @cached_property
+    def solved(self) -> dict[int, EvalUnit]:
+        """The architecture curves a run solves, by unit index: all but
+        apd_depth = 1 ones under the direct solver, whose W is W_opt."""
+        return {i: u for i, u in enumerate(self.units) if u.arch is not None
+                and (u.arch.apd_depth > 1 or u.solver == "altmin")}
+
+    @cached_property
+    def vector_geometries(self) -> frozenset[ArrayGeometry]:
+        return frozenset(u.geometry for u in self.solved.values())
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -297,23 +310,21 @@ def _channel_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, trial)))
 
 
-def _block_references(spec: ExperimentSpec, trials: range
-                      ) -> dict[ArrayGeometry, tuple[np.ndarray, np.ndarray]]:
-    """Draw each trial's paths once and build, per receive geometry, the
-    stacks of W_opt (B, N_r, N_s) and Sigma (B, N_s) of the block, in one
-    ``block_references`` call: its rows equal those of one-trial blocks
-    bit for bit, and it raises NumericError, in the words of
-    ``optimal_digital_combiner``, for the first geometry in unit order
-    that some trial fails.
-    """
+def _block_references(spec: ExperimentSpec, trials: range,
+                      vectors: Optional[Collection[ArrayGeometry]] = None
+                      ) -> dict[ArrayGeometry, tuple]:
+    """Draw each trial's paths once and build the block's (W_opt, Sigma)
+    stacks in one ``block_references`` call, on the units' geometries in
+    unit order (a failure names the first that fails), with W_opt on the
+    geometries of ``vectors``, or on all of them when it is None."""
     paths = Paths.stack([draw_paths(spec.channel, _channel_rng(spec.seed, t))
                          for t in trials])
     return block_references(paths, spec.channel.n_tx, spec.n_streams,
-                            [unit.geometry for unit in spec.units])
+                            [unit.geometry for unit in spec.units], vectors)
 
 
-# A curve maps items (unit, solution batch or None, W_opt, Sigma), all on
-# the same trials, to one (trials, n_points) array per item.
+# A curve maps items (unit, solution batch or None, W_opt or None, Sigma),
+# all on the same trials, to one (trials, n_points) array per item.
 Curve = Callable[[list[tuple]], list[np.ndarray]]
 
 
@@ -321,22 +332,21 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
                n_points: int) -> tuple[np.ndarray, dict[int, str]]:
     """Evaluate every curve on one block of trials.
 
-    Every architecture curve is solved once, in one ``solve_stack`` call
-    on the stacks of ``_block_references``, and ``curve`` evaluates all
-    curves in one call.  A block keeps all of its trials or none: when any
-    stage raises, a block of several trials is run again as blocks of one
-    trial, and a trial that raises alone fails, NaN in every column.  Every
-    value is computed as it would be alone, so the other trials keep their
-    bytes.
+    Every curve of ``spec.solved`` is solved once, in one ``solve_stack``
+    call on the stacks of ``_block_references``, and ``curve`` evaluates
+    all curves in one call, the others with no solution.  A block keeps
+    all of its trials or none: when any stage raises, a block of several
+    trials is run again as blocks of one trial, and a trial that raises
+    alone fails, NaN in every column.  Every value is computed as it would
+    be alone, so the other trials keep their bytes.
     """
     try:
-        stacks = _block_references(spec, trials)
-        curves = {i: u for i, u in enumerate(spec.units) if u.arch is not None}
+        stacks = _block_references(spec, trials, spec.vector_geometries)
         streams = {key: _solver_rngs(spec.seed, tuple(trials), key)
-                   for key in map(_stream_key, curves.values())}
-        solved = dict(zip(curves, solve_stack([
+                   for key in map(_stream_key, spec.solved.values())}
+        solved = dict(zip(spec.solved, solve_stack([
             (unit.arch, stacks[unit.geometry][0], streams[_stream_key(unit)],
-             unit.solver) for unit in curves.values()], spec.solver)))
+             unit.solver) for unit in spec.solved.values()], spec.solver)))
         return np.stack(curve([(unit, solved.get(i), *stacks[unit.geometry])
                                for i, unit in enumerate(spec.units)]),
                         axis=1), {}
@@ -412,17 +422,17 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
     Every trial draws one set of propagation paths shared by all curves;
     per-curve channels differ only through the receive geometry.  Each
-    curve is solved and rated for a block of trials at once, and ``threads``
-    workers take whole blocks, with blocks cut so that each worker gets
-    one.  Results are aggregated in fixed trial order, so they are
-    independent of the block size and thread count.
+    curve is solved (if in ``spec.solved``) and rated for a block of trials
+    at once, and ``threads`` workers take whole blocks, with blocks cut so
+    that each worker gets one.  Results are aggregated in fixed trial
+    order, so they are independent of the block size and thread count.
     """
     snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
     n_s = spec.n_streams
 
     def curve(items):
-        # the architecture curves from one stacked rate evaluation, and the
-        # ideal digital ones once per geometry (the items share their rows)
+        # the solved curves from one stacked rate evaluation, and the others
+        # from Sigma once per geometry (the items share their rows)
         hybrid = [(unit.arch, sol, w_opt, sigma)
                   for unit, sol, w_opt, sigma in items if sol is not None]
         rates = iter(np.split(_rates(_stacked_gain_eigenvalues(hybrid), n_s,

@@ -371,12 +371,13 @@ class TestFailedTrials:
         return drawn
 
     def _fail_trials(self, monkeypatch, fails):
-        """Pass the combining target of each trial of ``fails`` through its
-        function, in every stack of the block stage that holds the trial.
-        When the function raises, the stage is run again with its SVD
-        raising LinAlgError with the function's text, which the stage
-        words as its own failure; the SVD of other threads is untouched.
-        The trial's row is the one that holds its own draw's gains."""
+        """Fail each trial of ``fails`` in every block stage call that holds
+        it.  A text fails its reference: the stage's own SVD, which runs on
+        every geometry, raises LinAlgError with it, and the stage words it
+        as its own failure; the SVD of other threads is untouched.  A
+        function maps the trial's combining target, on every geometry where
+        the stage forms one.  The trial's row is the one that holds its own
+        draw's gains."""
         drawn = self._watch(monkeypatch)
         armed = threading.local()
         svd = np.linalg.svd
@@ -388,22 +389,24 @@ class TestFailedTrials:
 
         def failing(stage):
             def failed(paths, *args):
+                rows = {}
+                for trial, draw in drawn:
+                    r = np.flatnonzero((paths.gains == draw.gains).all(axis=1))
+                    if trial in fails and r.size:
+                        rows[trial] = r
+                texts = [fails[t] for t in rows if isinstance(fails[t], str)]
+                if texts:
+                    armed.text = texts[0]
+                    try:
+                        stage(paths, *args)
+                    finally:
+                        armed.text = None
+                    raise AssertionError("the stage did not raise")
                 stacks = stage(paths, *args)
-                seen = {t: p.gains for t, p in drawn if t in fails}
                 for w_opt, _ in stacks.values():
-                    for trial, gains in seen.items():
-                        for row in np.flatnonzero(
-                                (paths.gains == gains).all(axis=1)):
-                            try:
-                                w_opt[row] = fails[trial](w_opt[row])
-                            except NumericError as exc:
-                                armed.text = str(exc)
-                                try:
-                                    stage(paths, *args)
-                                finally:
-                                    armed.text = None
-                                raise AssertionError(
-                                    "the stage did not raise")
+                    for trial, r in rows.items():
+                        if w_opt is not None:
+                            w_opt[r] = fails[trial](w_opt[r])
                 return stacks
             return failed
 
@@ -476,9 +479,7 @@ class TestFailedTrials:
         assert message.endswith(f"trial {self.BAD}: channel rank below "
                                 f"n_streams=2: singular values [0. 0.])")
 
-    @staticmethod
-    def explode(w_opt):
-        raise NumericError("synthetic SVD failure")
+    explode = "synthetic SVD failure"
 
     def test_reference_failure_drops_one_trial(self, monkeypatch):
         self._fail_trial(monkeypatch, self.explode)
@@ -704,16 +705,29 @@ class TestBlockReferences:
 
     @pytest.mark.parametrize("block", [1, 4, 32])
     def test_equal_to_lone_references(self, configs_dir, block):
-        # every bundled geometry: N_r = 36 below the 50 paths, the 72- to
-        # 216-element reuse arrays, and fig10's 144-element UPA and
-        # 36x4 non-UPA partially-connected arrays, and a geometry that only
-        # ideal digital curves read (fig10's 36x1)
-        seen = set()
+        # every bundled geometry, with W_opt asked for on all of them:
+        # N_r = 36 below the 50 paths, the 72- to 216-element reuse arrays,
+        # and fig10's 144-element UPA and 36x4 non-UPA partially-connected
+        # arrays, and a geometry that only ideal digital curves read
+        # (fig10's 36x1).  A run forms the same W_opt and Sigma, and W_opt
+        # only where a solve reads it.
+        seen, unformed = set(), set()
         trials = range(3, 3 + block)
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
             n_s = spec.n_streams
-            stacks = evaluation._block_references(spec, trials)
+            stacks = evaluation._block_references(
+                spec, trials, {u.geometry for u in spec.units})
+            run = evaluation._block_references(spec, trials,
+                                               spec.vector_geometries)
+            assert list(run) == list(stacks)
+            for geometry, (w_opt, sigma) in run.items():
+                np.testing.assert_array_equal(sigma, stacks[geometry][1])
+                if w_opt is None:
+                    unformed.add((name, geometry.n_elements,
+                                  geometry.n_per_block))
+                else:
+                    np.testing.assert_array_equal(w_opt, stacks[geometry][0])
             for row, t in enumerate(trials):
                 alone = evaluation._block_references(spec, range(t, t + 1))
                 paths = draw_paths(spec.channel,
@@ -734,6 +748,13 @@ class TestBlockReferences:
             seen.update(stacks)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
+        # fig5's four geometries, whose curves all have apd_depth = 1, and
+        # the no-reuse geometries (N_r = N_blocks) that only an ideal
+        # digital curve reads
+        assert unformed == {("fig5", 36 * d, d) for d in (1, 2, 4, 6)} | {
+            (name, n, 1) for name, n in (("smoke", 4), ("fig6a", 36),
+                                         ("fig6b", 36), ("fig9", 36),
+                                         ("fig10", 36))}
 
     def test_raising_stack_built_again_trial_by_trial(self, monkeypatch):
         # every stack of more than one trial raises, as a stacked SVD may:
@@ -843,6 +864,68 @@ class TestRateInvariant:
             if unit.arch.apd_depth == 1:
                 np.testing.assert_allclose(values[:, i], top, rtol=1e-12,
                                            atol=0, err_msg=unit.label)
+
+
+class TestFullChainCurves:
+    """A curve with an RF chain per antenna (apd_depth = 1) under the direct
+    solver, or 'auto', which picks it, is rated from Sigma alone: the solve
+    it skips makes W_RF W_BB = W_opt.  An alternating one is still solved."""
+
+    @pytest.fixture(scope="class")
+    def fig5_block(self, configs_dir):
+        spec, _ = parse_config(configs_dir / "fig5.json", "sweep-snr")
+        return spec, evaluation._block_references(
+            spec, range(evaluation.TRIAL_BLOCK))
+
+    @pytest.mark.parametrize("solver", ["auto", "direct"])
+    @pytest.mark.parametrize("bits", [None, 1])
+    @pytest.mark.parametrize("lo", [1, 2, 4, 6])
+    def test_direct_gains_are_sigma_squared(self, fig5_block, lo, bits,
+                                            solver):
+        spec, stacks = fig5_block
+        unit = next(u for u in spec.units if u.arch.lo_depth == lo)
+        unit = replace(unit, solver=solver,
+                       arch=replace(unit.arch, resolution_bits=bits))
+        assert unit.arch.n_blocks == 36 and unit.arch.apd_depth == 1
+        assert not replace(spec, units=(unit,)).solved
+        w_opt, sigma = stacks[unit.geometry]
+        sol = solve_stack([(unit.arch, w_opt, [], solver)], spec.solver)[0]
+        ev = evaluation._stacked_gain_eigenvalues(
+            [(unit.arch, sol, w_opt, sigma)])
+        np.testing.assert_allclose(np.sort(ev)[:, ::-1], sigma ** 2,
+                                   rtol=1e-13, atol=0)
+
+    def test_only_alternating_curves_solved(self, monkeypatch, configs_dir):
+        # fig5's curves, one of them also under an explicit direct solver,
+        # and a 1-bit alternating one stopped after one iteration, which is
+        # not at W_opt: it alone reaches solve_stack, and its rate is below
+        # the ideal digital one, which the others equal bit for bit
+        spec, _ = parse_config(configs_dir / "fig5.json", "sweep-snr",
+                               trials_override=4)
+        lo6 = spec.units[3]
+        units = spec.units + (
+            replace(lo6, label="direct", solver="direct"),
+            replace(lo6, label="altmin", solver="altmin",
+                    arch=replace(lo6.arch, resolution_bits=1)),
+            EvalUnit(label="digital", kind="ideal_digital",
+                     geometry=lo6.geometry))
+        spec = replace(spec, units=units,
+                       solver=OptimizerConfig(max_iterations=1))
+        segments = []
+        stack = evaluation.solve_stack
+
+        def recording(items, *args):
+            segments.extend((arch, method) for arch, _, _, method in items)
+            return stack(items, *args)
+
+        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        _, values, _ = trial_values(spec)
+        assert segments == [(units[-2].arch, "altmin")]
+        digital = values[:, -1]
+        for i, unit in enumerate(units[:-2]):
+            if unit.geometry == lo6.geometry:
+                np.testing.assert_array_equal(values[:, i], digital)
+        assert (values[:, -2] < digital).all()
 
 
 class TestTrialBlocks:

@@ -14,6 +14,9 @@ combiner module still held the block reference and its rank flags.
 fig5_40.csv, fig5 at 40 trials, the one golden that crosses a trial block
 where the reference stage dominates, was written at --threads 1 by the
 code that built the references in two steps (factors, then the SVD).
+fig5_40.svg, its plot, was written at --threads 1 by the code that still
+solved fig5's curves (all apd_depth = 1) before rating them; it must match
+byte for byte.
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
@@ -108,3 +111,5 @@ def test_fig5_40_matches_golden(tmp_path, configs_dir, threads):
                  "--trials", "40", "--out", str(tmp_path),
                  "--threads", threads]) == 0
     _check_golden(tmp_path, "fig5_40")
+    assert ((tmp_path / "results.svg").read_bytes()
+            == (GOLDEN_DIR / "fig5_40.svg").read_bytes())
