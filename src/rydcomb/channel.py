@@ -134,8 +134,7 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
 def block_references(paths: Paths, n_tx: int, n_streams: int,
                      geometries: Iterable[ArrayGeometry],
                      vectors: Optional[Collection[ArrayGeometry]] = None
-                     ) -> dict[ArrayGeometry,
-                               tuple[Optional[np.ndarray], np.ndarray]]:
+                     ) -> dict[ArrayGeometry, tuple]:
     """The SVD reference of a block of draws (B, L) on each receive
     geometry: the phase-fixed W_opt (B, N_r, N_s), None off ``vectors`` if
     given, and the leading singular values (B, N_s), each sample bit for

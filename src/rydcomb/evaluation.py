@@ -7,8 +7,8 @@ identical per-trial channels (paired comparison).  Trials run in blocks of
 at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.  The
 paths of a block are drawn trial by trial, and its references are built for
 the whole block at once: one stacked core SVD per receive geometry, and
-W_opt where a solve reads it.  A curve with an RF chain per antenna
-(apd_depth = 1) under the direct solver has W = W_opt and the ideal digital
+W_opt where a solve reads it.  A direct curve with continuous phases and an
+RF chain per antenna (apd_depth = 1) has W = W_opt and the ideal digital
 rate; every other one is solved once, in one ``solve_stack`` call per block,
 and rated from its own rows.  A block whose stages raise is run again one
 trial at a time, and a trial that raises alone fails.  Every sample is
@@ -254,10 +254,11 @@ class ExperimentSpec:
 
     @cached_property
     def solved(self) -> dict[int, EvalUnit]:
-        """The architecture curves a run solves, by unit index: all but
-        apd_depth = 1 ones under the direct solver, whose W is W_opt."""
+        """The architecture curves a run solves, by unit index: all but the
+        direct ones with apd_depth = 1 and continuous phases (W = W_opt)."""
         return {i: u for i, u in enumerate(self.units) if u.arch is not None
-                and (u.arch.apd_depth > 1 or u.solver == "altmin")}
+                and (u.arch.apd_depth > 1 or u.solver == "altmin"
+                     or u.arch.resolution_bits is not None)}
 
     @cached_property
     def vector_geometries(self) -> frozenset[ArrayGeometry]:

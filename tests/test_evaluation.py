@@ -748,10 +748,11 @@ class TestBlockReferences:
             seen.update(stacks)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
-        # fig5's four geometries, whose curves all have apd_depth = 1, and
-        # the no-reuse geometries (N_r = N_blocks) that only an ideal
-        # digital curve reads
-        assert unformed == {("fig5", 36 * d, d) for d in (1, 2, 4, 6)} | {
+        # fig5's geometries whose curves all have apd_depth = 1 and
+        # continuous phases (its 36x6 array also carries the 1-bit curve,
+        # which is solved), and the no-reuse geometries (N_r = N_blocks)
+        # that only an ideal digital curve reads
+        assert unformed == {("fig5", 36 * d, d) for d in (1, 2, 4)} | {
             (name, n, 1) for name, n in (("smoke", 4), ("fig6a", 36),
                                          ("fig6b", 36), ("fig9", 36),
                                          ("fig10", 36))}
@@ -867,9 +868,11 @@ class TestRateInvariant:
 
 
 class TestFullChainCurves:
-    """A curve with an RF chain per antenna (apd_depth = 1) under the direct
-    solver, or 'auto', which picks it, is rated from Sigma alone: the solve
-    it skips makes W_RF W_BB = W_opt.  An alternating one is still solved."""
+    """A continuous-phase curve with an RF chain per antenna (apd_depth = 1)
+    under the direct solver, or 'auto', which picks it, is rated from Sigma
+    alone: the solve it skips makes W_RF W_BB = W_opt.  A quantized one,
+    where the direct solve gives the same W, and an alternating one are
+    still solved."""
 
     @pytest.fixture(scope="class")
     def fig5_block(self, configs_dir):
@@ -887,7 +890,7 @@ class TestFullChainCurves:
         unit = replace(unit, solver=solver,
                        arch=replace(unit.arch, resolution_bits=bits))
         assert unit.arch.n_blocks == 36 and unit.arch.apd_depth == 1
-        assert not replace(spec, units=(unit,)).solved
+        assert bool(replace(spec, units=(unit,)).solved) == (bits is not None)
         w_opt, sigma = stacks[unit.geometry]
         sol = solve_stack([(unit.arch, w_opt, [], solver)], spec.solver)[0]
         ev = evaluation._stacked_gain_eigenvalues(
@@ -895,11 +898,14 @@ class TestFullChainCurves:
         np.testing.assert_allclose(np.sort(ev)[:, ::-1], sigma ** 2,
                                    rtol=1e-13, atol=0)
 
-    def test_only_alternating_curves_solved(self, monkeypatch, configs_dir):
+    def test_only_quantized_and_alternating_curves_solved(self, monkeypatch,
+                                                         configs_dir):
         # fig5's curves, one of them also under an explicit direct solver,
         # and a 1-bit alternating one stopped after one iteration, which is
-        # not at W_opt: it alone reaches solve_stack, and its rate is below
-        # the ideal digital one, which the others equal bit for bit
+        # not at W_opt: only it and fig5's 1-bit direct curve reach
+        # solve_stack, and its rate is below the ideal digital one, which
+        # the unsolved curves equal bit for bit, and the 1-bit direct one
+        # to rounding
         spec, _ = parse_config(configs_dir / "fig5.json", "sweep-snr",
                                trials_override=4)
         lo6 = spec.units[3]
@@ -920,11 +926,13 @@ class TestFullChainCurves:
 
         monkeypatch.setattr(evaluation, "solve_stack", recording)
         _, values, _ = trial_values(spec)
-        assert segments == [(units[-2].arch, "altmin")]
+        assert segments == [(units[4].arch, "auto"),
+                            (units[-2].arch, "altmin")]
         digital = values[:, -1]
         for i, unit in enumerate(units[:-2]):
-            if unit.geometry == lo6.geometry:
+            if unit.geometry == lo6.geometry and i != 4:
                 np.testing.assert_array_equal(values[:, i], digital)
+        np.testing.assert_allclose(values[:, 4], digital, rtol=1e-13, atol=0)
         assert (values[:, -2] < digital).all()
 
 
