@@ -159,15 +159,17 @@ def check_block_pseudoinverse():
 
 
 @_check("proportional-equivalence")
-def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None):
+def check_proportional_equivalence(arch: Optional[ReuseArchitecture] = None,
+                                   geometry: Optional[ArrayGeometry] = None):
     """Finite and continuous resolution must reach the same residual as the
-    direct solver on a proportional architecture (36 blocks, 144 tx)."""
+    direct solver on a proportional architecture and its receive geometry
+    (by default 36 blocks of depth 6), on a channel from 144 tx."""
     if arch is None:
         arch = ReuseArchitecture(n_blocks=36, lo_depth=6, apd_depth=3)
+        geometry = ArrayGeometry(36, 6)
     if not is_proportional(arch):
         return ("SKIP", f"not proportional (lo_depth={arch.lo_depth}, "
                         f"apd_depth={arch.apd_depth})")
-    geometry = ArrayGeometry(arch.n_blocks, arch.lo_depth)
     h = generate_channel(ChannelParams(n_tx=144), geometry,
                          np.random.default_rng(14))
     ref = optimal_digital_combiner(h, min(3, arch.n_chains))

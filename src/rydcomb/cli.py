@@ -200,16 +200,17 @@ def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
     units: list[EvalUnit] = []
     nonupa = ArrayGeometry(n_blocks, depth, block_spacing, intra_spacing)
     for b in baselines:
-        if b == "ideal_digital_no_reuse":
+        if b in ("ideal_digital_no_reuse", "ideal_digital_reuse"):
+            # the full-chain architecture of its geometry, whose W is W_opt
+            lo, label = ((1, "ideal digital, no reuse")
+                         if b == "ideal_digital_no_reuse"
+                         else (depth, f"ideal digital, lo_depth={depth}"))
             units.append(EvalUnit(
-                label="ideal digital, no reuse", kind="ideal_digital",
-                geometry=ArrayGeometry(n_blocks, 1, block_spacing,
+                label=label, kind="ideal_digital",
+                geometry=ArrayGeometry(n_blocks, lo, block_spacing,
                                        intra_spacing),
+                arch=ReuseArchitecture(n_blocks, lo, intra_spacing=intra_spacing),
                 sweep_value=sweep_value))
-        elif b == "ideal_digital_reuse":
-            units.append(EvalUnit(
-                label=f"ideal digital, lo_depth={depth}",
-                kind="ideal_digital", geometry=nonupa, sweep_value=sweep_value))
         elif b in ("upa_pc", "nonupa_pc"):
             chains = chains or ctx.get("pc_chains", int)
             if chains is None:
@@ -376,16 +377,16 @@ def emit_results(table: ResultTable, output_dir: Path,
 
 def validate_command(config_path: Optional[Path] = None) -> int:
     """Run the oracle self-checks, then one proportional-equivalence check
-    per architecture of a config file, parsed by the first command of its
-    sweep.param that accepts it (without a sweep, sweep-snr or convergence)."""
-    archs = []
+    per architecture of a config file on its geometry, parsed by the first
+    command of its sweep.param that accepts it (else sweep-snr/convergence)."""
+    units = []
     if config_path is not None:
         doc = _read_config(config_path)
         param = _Ctx(doc).sub("sweep").get("param", str, default="snr_db")
         errors = []
         for command in [c for c, f in _SWEPT_FIELD.items() if f == param]:
             try:
-                archs = [u.arch for u in build_spec(doc, command).units
+                units = [u for u in build_spec(doc, command).units
                          if u.kind == "rydberg"]
                 break
             except ConfigError as exc:
@@ -394,7 +395,8 @@ def validate_command(config_path: Optional[Path] = None) -> int:
             raise errors[0] if errors else ConfigError(
                 f"sweep.param: unknown sweep parameter {param!r}")
     results = checks.run_all() + [
-        checks.check_proportional_equivalence(arch=arch) for arch in archs]
+        checks.check_proportional_equivalence(arch=u.arch, geometry=u.geometry)
+        for u in units]
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -2,18 +2,19 @@
 
 The achievable rate uses the pseudoinverse form of the combined receive
 filter, which accounts for combiner-colored noise and is invariant to any
-invertible right factor of W_RF @ W_BB.  Experiments evaluate every curve on
-identical per-trial channels (paired comparison).  Trials run in blocks of
-at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.  The
-paths of a block are drawn trial by trial, and its references are built for
-the whole block at once: one stacked core SVD per receive geometry, and
+invertible right factor of W_RF @ W_BB.  Every curve, an architecture on a
+receive geometry, sees the same per-trial channels.  Trials run in blocks
+of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
+The paths of a block are drawn trial by trial, and its references are built
+for the whole block at once: one stacked core SVD per receive geometry, and
 W_opt where a solve reads it.  A direct curve with continuous phases and an
-RF chain per antenna (apd_depth = 1) has W = W_opt and the ideal digital
-rate; every other one is solved once, in one ``solve_stack`` call per block,
-and rated from its own rows.  A block whose stages raise is run again one
-trial at a time, and a trial that raises alone fails.  Every sample is
-computed exactly as it would be alone, and results are aggregated in fixed
-trial order, so they depend on neither the block size nor the scheduling.
+RF chain per antenna (apd_depth = 1), as every ideal digital curve is, has
+W = W_opt and is rated from Sigma; every other one is solved once, in one
+``solve_stack`` call per block whose segments carry the solver that this
+module picks, and rated from its own rows.  A block whose stages raise is
+run again one trial at a time, and a trial that raises alone fails.  Every
+sample is computed as it would be alone, and results are aggregated in
+fixed trial order, so they depend on neither block size nor scheduling.
 """
 
 from __future__ import annotations
@@ -21,23 +22,24 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Collection, Iterator, Optional
+from typing import Callable, Collection, Optional
 
 import numpy as np
 
-from .architecture import (ReuseArchitecture, _is_int, diagonal_phases,
-                           is_proportional)
+from .architecture import (TWO_PI, ReuseArchitecture, _is_int,
+                           diagonal_phases, is_proportional)
 from .arrays import ArrayGeometry
 from .channel import ChannelParams, Paths, block_references, draw_paths
 from .errors import ArchitectureError, ConfigError, NumericError
 # alternating_minimize and the three oracles stay importable here: the
 # per-layer benchmark trace patches them at these names.
-from .optimizer import (SOLVE_METHODS, OptimizerConfig, SolutionBatch,
-                        alternating_minimize, solve_stack)
+from .optimizer import (OptimizerConfig, SolutionBatch, alternating_minimize,
+                        solve_stack)
 from .oracles import channel_matrix, compose_wrf, optimal_digital_combiner
 
 _EIG_FLOOR = -1e-9
 _KIND_CODES = {"rydberg": 0, "pc_upa": 1, "pc_nonupa": 2, "ideal_digital": 3}
+SOLVE_METHODS = ("auto", "altmin", "direct")  # a curve's solver field
 TRIAL_BLOCK = 32  # trials whose curves are solved and rated together
 # The rate scales the squared gains, at most about MAX_CLUSTER_POWER * N_t *
 # N_r, by the linear SNR; this ceiling, a linear SNR of 1e100, leaves that
@@ -154,23 +156,21 @@ def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:
 
 @dataclass(frozen=True)
 class EvalUnit:
-    """One curve to evaluate: a labeled architecture (or pure digital
-    reference) on a concrete receive geometry."""
+    """One curve to evaluate: a labeled architecture on a concrete receive
+    geometry.  An ideal digital curve is the full-chain architecture of its
+    geometry (apd_depth = 1, continuous phases), whose W is W_opt."""
 
     label: str
     kind: str
     geometry: ArrayGeometry
-    arch: Optional[ReuseArchitecture] = None
+    arch: ReuseArchitecture
     solver: str = "auto"
     sweep_value: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
             raise ConfigError(f"kind: unknown unit kind {self.kind!r}")
-        if (self.arch is None) != (self.kind == "ideal_digital"):
-            raise ConfigError(
-                "arch: must be set exactly when kind != 'ideal_digital'")
-        if self.kind == "rydberg":
+        if self.kind in ("rydberg", "ideal_digital"):
             # its LO offsets are the positions of the geometry's sub-elements
             for field, of in (("n_blocks", "n_blocks"),
                               ("lo_depth", "n_per_block"),
@@ -179,15 +179,18 @@ class EvalUnit:
                     raise ConfigError(
                         f"arch: {field} {getattr(self.arch, field)} != "
                         f"geometry {of} {getattr(self.geometry, of)}")
-        if self.arch is not None and self.arch.n_r != self.geometry.n_elements:
+        if self.kind == "ideal_digital" and (
+                self.arch.apd_depth, self.arch.resolution_bits) != (1, None):
+            raise ConfigError("arch: an ideal digital curve needs apd_depth "
+                              "1 and continuous phases")
+        if self.arch.n_r != self.geometry.n_elements:
             raise ConfigError(
                 f"arch: size {self.arch.n_r} != geometry element "
                 f"count {self.geometry.n_elements}")
         if self.solver not in SOLVE_METHODS:
             raise ConfigError(f"solver: unknown solver {self.solver!r} "
                               f"(choose from {SOLVE_METHODS})")
-        if self.solver == "direct" and self.arch and not is_proportional(
-                self.arch):
+        if self.solver == "direct" and not is_proportional(self.arch):
             raise ConfigError(
                 f"solver: 'direct' needs apd_depth={self.arch.apd_depth} "
                 f"to divide lo_depth={self.arch.lo_depth}")
@@ -234,7 +237,7 @@ class ExperimentSpec:
             if self.n_streams > min(unit.geometry.n_elements, self.channel.n_tx):
                 raise ConfigError(
                     f"{unit.label}: n_streams exceeds min(N_r, N_t)")
-            if unit.arch is not None and self.n_streams > unit.arch.n_chains:
+            if self.n_streams > unit.arch.n_chains:
                 raise ConfigError(
                     f"{unit.label}: n_streams={self.n_streams} > chain count "
                     f"{unit.arch.n_chains} (need N_s <= chains <= N_r)")
@@ -254,11 +257,11 @@ class ExperimentSpec:
 
     @cached_property
     def solved(self) -> dict[int, EvalUnit]:
-        """The architecture curves a run solves, by unit index: all but the
-        direct ones with apd_depth = 1 and continuous phases (W = W_opt)."""
-        return {i: u for i, u in enumerate(self.units) if u.arch is not None
-                and (u.arch.apd_depth > 1 or u.solver == "altmin"
-                     or u.arch.resolution_bits is not None)}
+        """The curves a run solves, by unit index: all but the direct ones
+        with apd_depth = 1 and continuous phases, rated from Sigma (W = W_opt)."""
+        return {i: u for i, u in enumerate(self.units)
+                if u.arch.apd_depth > 1 or u.solver == "altmin"
+                or u.arch.resolution_bits is not None}
 
     @cached_property
     def vector_geometries(self) -> frozenset[ArrayGeometry]:
@@ -291,20 +294,19 @@ class ResultTable:
     name: str = "experiment"
 
 
-def _stream_key(unit: EvalUnit) -> tuple[int, ...]:
-    """Structural identity of a curve.  Resolution variants of one
-    structure share it, and with it their initial phases."""
-    arch = unit.arch
-    return (_KIND_CODES[unit.kind], arch.n_blocks, arch.lo_depth,
-            arch.apd_depth)
-
-
-def _solver_rngs(seed: int, trials: tuple[int, ...],
-                 key: tuple[int, ...]) -> Iterator[np.random.Generator]:
-    """Independent init stream per (trial, stream key).  Lazy: the direct
-    solver draws nothing, so it builds no stream."""
-    return (np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(1, t, *key))) for t in trials)
+def _start_phases(spec: ExperimentSpec, trials: range) -> dict[int, np.ndarray]:
+    """Start phases, by unit index, of the curves of ``spec.solved`` that
+    alternating minimization solves: solver 'altmin', or 'auto' on reuse
+    that is not proportional.  Row t is drawn on [0, 2pi) from the stream
+    of trial t and structure (kind, n_blocks, lo_depth, apd_depth), once."""
+    keys = {i: (_KIND_CODES[u.kind], u.arch.n_blocks, u.arch.lo_depth,
+                u.arch.apd_depth)
+            for i, u in spec.solved.items() if u.solver == "altmin"
+            or (u.solver == "auto" and not is_proportional(u.arch))}
+    drawn = {key: np.array([np.random.default_rng(np.random.SeedSequence(
+        spec.seed, spawn_key=(1, t, *key))).uniform(0.0, TWO_PI, key[1])
+        for t in trials]) for key in dict.fromkeys(keys.values())}
+    return {i: drawn[key] for i, key in keys.items()}
 
 
 def _channel_rng(seed: int, trial: int) -> np.random.Generator:
@@ -334,8 +336,9 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     """Evaluate every curve on one block of trials.
 
     Every curve of ``spec.solved`` is solved once, in one ``solve_stack``
-    call on the stacks of ``_block_references``, and ``curve`` evaluates
-    all curves in one call, the others with no solution.  A block keeps
+    call on the stacks of ``_block_references``, from its ``_start_phases``
+    or else directly, and ``curve`` evaluates all curves in one call, the
+    others with no solution.  A block keeps
     all of its trials or none: when any stage raises, a block of several
     trials is run again as blocks of one trial, and a trial that raises
     alone fails, NaN in every column.  Every value is computed as it would
@@ -343,11 +346,10 @@ def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
     """
     try:
         stacks = _block_references(spec, trials, spec.vector_geometries)
-        streams = {key: _solver_rngs(spec.seed, tuple(trials), key)
-                   for key in map(_stream_key, spec.solved.values())}
+        starts = _start_phases(spec, trials)
         solved = dict(zip(spec.solved, solve_stack([
-            (unit.arch, stacks[unit.geometry][0], streams[_stream_key(unit)],
-             unit.solver) for unit in spec.solved.values()], spec.solver)))
+            (unit.arch, stacks[unit.geometry][0], starts.get(i))
+            for i, unit in spec.solved.items()], spec.solver)))
         return np.stack(curve([(unit, solved.get(i), *stacks[unit.geometry])
                                for i, unit in enumerate(spec.units)]),
                         axis=1), {}
@@ -461,10 +463,6 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Rows carry the mean residual (in the value column) per iteration index;
     runs that converge early are padded with their final residual.
     """
-    for unit in spec.units:
-        if unit.arch is None:
-            raise ConfigError(
-                f"{unit.label}: convergence traces need an architecture")
     spec = replace(spec, units=tuple(replace(unit, solver="altmin")
                                      for unit in spec.units))
     return _tabulate(spec, threads,

@@ -22,7 +22,6 @@ from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
                            check_phases, is_proportional)
 from .errors import ArchitectureError
 
-SOLVE_METHODS = ("auto", "altmin", "direct")  # accepted by solve_stack
 MAX_ITERATIONS = 10_000  # the kernel keeps a history column per iteration
 
 
@@ -357,45 +356,34 @@ def _solve(segments: Sequence[tuple],
 
 def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
                 ) -> list[SolutionBatch]:
-    """Solve segments (arch, targets (B_s, N_r, N_s), generators, method),
-    one batch per segment in input order; every row equals the lone solve
-    of its target.
+    """Solve segments (arch, targets (B_s, N_r, N_s), start phases
+    (B_s, n_blocks) or None), one batch per segment in input order; every
+    row equals the lone solve of its target.
 
-    A segment runs the direct solver when ``method`` is 'direct', or 'auto'
-    on proportional reuse; else alternating minimization with sample i's
-    initial phases drawn from its i-th generator, which only this branch
-    reads.  Segments given the same generators object draw from it once
-    and start from the same phases, as resolution variants of one structure
-    do in a run.  Alternating segments that share n_blocks, lo_depth and
-    resolution_bits run in one kernel loop.
+    A segment without start phases runs the direct solver, which needs
+    proportional reuse; one with them runs alternating minimization from
+    sample i's start phases.  Alternating segments that share n_blocks,
+    lo_depth and resolution_bits run in one kernel loop.
 
-    Alternating minimization draws its initial phases uniformly on
-    [0, 2pi) and leaves them unquantized even under finite resolution:
-    every recorded iterate comes after a quantized phase update, so the
-    output is always feasible, and the residual sequence is monotone
-    nonincreasing.  A sample stops when consecutive squared residuals
-    differ by less than epsilon, or at the iteration cap (flagged as
-    unconverged), and keeps its last iterate.
+    The start phases may lie off the resolution grid: every recorded
+    iterate comes after a quantized phase update, so the output is always
+    feasible, and the residual sequence is monotone nonincreasing.  A
+    sample stops when consecutive squared residuals differ by less than
+    epsilon, or at the iteration cap (flagged as unconverged), and keeps
+    its last iterate.
     """
     out: list[Optional[SolutionBatch]] = [None] * len(segments)
     stacks: dict[tuple, list] = {}
-    drawn: dict[int, np.ndarray] = {}  # initial phases by generators object
-    for i, (arch, w_opt, rngs, method) in enumerate(segments):
-        if method not in SOLVE_METHODS:
-            raise ValueError(f"unknown solver method {method!r}")
+    for i, (arch, w_opt, start) in enumerate(segments):
         w_opt = _validate_target(arch, w_opt)
-        if method == "direct" or (method == "auto" and is_proportional(arch)):
+        if start is None:
             out[i] = direct_solve_proportional(arch, w_opt)
             continue
-        if id(rngs) not in drawn:
-            drawn[id(rngs)] = np.array([rng.uniform(0.0, TWO_PI, arch.n_blocks)
-                                        for rng in rngs])
-        phases = drawn[id(rngs)]
-        if phases.shape != (len(w_opt), arch.n_blocks):
-            raise ValueError(f"{len(phases)} generators for {len(w_opt)} "
-                             f"targets of {arch.n_blocks} blocks")
+        if np.shape(start) != (len(w_opt), arch.n_blocks):
+            raise ValueError(f"start phases of shape {np.shape(start)} for "
+                             f"{len(w_opt)} targets of {arch.n_blocks} blocks")
         stacks.setdefault((arch.n_blocks, arch.lo_depth, arch.resolution_bits),
-                          []).append((i, (arch, w_opt, phases)))
+                          []).append((i, (arch, w_opt, start)))
     for stack in stacks.values():
         solved = _solve([s for _, s in stack], config or OptimizerConfig())
         for (i, _), sol in zip(stack, solved):
@@ -407,10 +395,11 @@ def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
                          config: Optional[OptimizerConfig] = None,
                          rng: Optional[np.random.Generator] = None) -> CombinerSolution:
     """Alternate between the closed-form digital combiner and per-block
-    optimal (quantized) phases; see ``solve_stack``.  Returns the last
-    iterate."""
-    return solve_stack([(arch, np.asarray(w_opt)[None],
-                         [rng or np.random.default_rng()], "altmin")],
+    optimal (quantized) phases from initial phases drawn uniformly on
+    [0, 2pi) from ``rng``, unquantized even under finite resolution; see
+    ``solve_stack``.  Returns the last iterate."""
+    start = (rng or np.random.default_rng()).uniform(0.0, TWO_PI, arch.n_blocks)
+    return solve_stack([(arch, np.asarray(w_opt)[None], start[None])],
                        config)[0].solution(0)
 
 

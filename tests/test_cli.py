@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import rydcomb.channel
+import rydcomb.checks
 import rydcomb.cli
 import rydcomb.evaluation
 import rydcomb.optimizer
-from rydcomb import ConfigError, ResultRow, ResultTable
+from rydcomb import (ArrayGeometry, ConfigError, ResultRow, ResultTable,
+                     ReuseArchitecture)
 from rydcomb.channel import MAX_CLUSTER_POWER
 from rydcomb.evaluation import MAX_SNR_DB
 from rydcomb.cli import (build_spec, emit_results, main, parse_config,
@@ -138,8 +140,30 @@ class TestSweepPlans:
         assert len(spec.units) == 6
         values = sorted(u.sweep_value for u in spec.units if u.kind == "rydberg")
         assert values == [2.0, 4.0, 8.0]
-        depths = {u.arch.apd_depth for u in spec.units if u.arch}
+        depths = {u.arch.apd_depth for u in spec.units if u.kind == "rydberg"}
         assert depths == {8, 4, 2}
+        # the ideal digital curve at each chain count: the full-chain
+        # architecture of the 4x4 geometry
+        assert [u.arch for u in spec.units if u.kind == "ideal_digital"] \
+            == [ReuseArchitecture(4, 4)] * 3
+
+    def test_ideal_digital_baselines_are_full_chain(self):
+        # each ideal digital curve carries the full-chain architecture of
+        # its geometry, at the config's spacings
+        doc = smoke_doc(channel={"n_tx": 16, "n_clusters": 2, "n_rays": 3,
+                                 "block_spacing": 0.7, "intra_spacing": 0.1},
+                        architectures=[{"lo_depth": 4, "apd_depth": 2}],
+                        baselines=["ideal_digital_reuse",
+                                   "ideal_digital_no_reuse"])
+        ideal = {u.label: (u.geometry, u.arch)
+                 for u in build_spec(doc, "sweep-snr").units
+                 if u.kind == "ideal_digital"}
+        assert ideal == {
+            f"ideal digital, lo_depth={lo}" if lo > 1
+            else "ideal digital, no reuse": (
+                ArrayGeometry(4, lo, 0.7, 0.1),
+                ReuseArchitecture(4, lo, intra_spacing=0.1))
+            for lo in (4, 1)}
 
     def test_sweep_chains_rejects_non_divisor(self, tmp_path):
         doc = smoke_doc(snr_db=[0.0],
@@ -311,7 +335,6 @@ class TestRunEndToEnd:
                     spec.sweep_param, spec.channel,
                     tuple((u.label, u.kind, u.geometry, u.solver,
                            u.sweep_value,
-                           None if u.arch is None else
                            (u.arch.n_blocks, u.arch.lo_depth,
                             u.arch.apd_depth, u.arch.resolution_bits))
                           for u in spec.units))
@@ -692,6 +715,31 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [l.split()[:2] for l in lines[6:-1]] == [
             ["proportional-equivalence", "PASS"]]
+
+    def test_checks_draw_on_the_units_geometry(self, tmp_path, capsys,
+                                               monkeypatch):
+        # block_spacing 0.7 and intra_spacing 0.1: each architecture's
+        # check draws its channel on its own unit's geometry, and the
+        # default check on the default 36x6 array
+        drawn = []
+        generate = rydcomb.checks.generate_channel
+
+        def recording(params, geometry, rng):
+            drawn.append(geometry)
+            return generate(params, geometry, rng)
+
+        monkeypatch.setattr(rydcomb.checks, "generate_channel", recording)
+        doc = smoke_doc(channel={"n_tx": 16, "n_clusters": 2, "n_rays": 3,
+                                 "block_spacing": 0.7, "intra_spacing": 0.1},
+                        architectures=[{"lo_depth": 2, "apd_depth": 2},
+                                       {"lo_depth": 4, "apd_depth": 2}])
+        assert main(["validate", "--config",
+                     str(write_doc(tmp_path, doc))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in lines[6:-1]] == [
+            ["proportional-equivalence", "PASS"]] * 2
+        assert drawn[0] == ArrayGeometry(36, 6)
+        assert drawn[-2:] == [ArrayGeometry(4, lo, 0.7, 0.1) for lo in (2, 4)]
 
     def test_non_proportional_config_skips(self, capsys, configs_dir):
         assert validate_command(configs_dir / "fig8.json") == 0

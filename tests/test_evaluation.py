@@ -16,6 +16,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      optimal_digital_combiner, pc_architecture,
                      run_convergence, run_experiment, spectral_efficiency)
 from rydcomb import evaluation
+from rydcomb.architecture import is_proportional
 from rydcomb.channel import Paths
 from rydcomb.cli import main, parse_config
 from rydcomb.optimizer import solve_stack
@@ -44,12 +45,27 @@ def nonupa(n_blocks, depth):
     return ArrayGeometry(n_blocks, depth)
 
 
+def ideal_unit(label, geometry, **fields):
+    """The ideal digital curve of a geometry: its full-chain architecture,
+    an RF chain per antenna and continuous phases."""
+    arch = ReuseArchitecture(geometry.n_blocks, geometry.n_per_block,
+                             intra_spacing=geometry.intra_spacing)
+    return EvalUnit(label=label, kind="ideal_digital", geometry=geometry,
+                    arch=arch, **fields)
+
+
+def start_phases(arch, rngs):
+    """The start phases that generators draw for alternating minimization,
+    one row per target."""
+    return np.array([rng.uniform(0, 2 * np.pi, arch.n_blocks) for rng in rngs])
+
+
 def small_spec(**overrides):
     geometry = nonupa(4, 2)
     arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=2)
     units = (
         EvalUnit(label="reuse", kind="rydberg", geometry=geometry, arch=arch),
-        EvalUnit(label="digital", kind="ideal_digital", geometry=geometry),
+        ideal_unit("digital", geometry),
     )
     base = dict(
         channel=ChannelParams(n_tx=16, n_clusters=3, n_rays=4),
@@ -168,8 +184,10 @@ class TestEvaluateArchitecture:
                                36, geometry)
             ref = optimal_digital_combiner(h, 3)
             w_opt = ref.w_opt[None]
-            sol = solve_stack([(arch, w_opt, [np.random.default_rng(seed)],
-                                "auto")], None)[0]
+            # 'auto': direct on proportional reuse, else alternating
+            start = None if is_proportional(arch) else start_phases(
+                arch, [np.random.default_rng(seed)])
+            sol = solve_stack([(arch, w_opt, start)], None)[0]
             ev = evaluation._stacked_gain_eigenvalues(
                 [(arch, sol, w_opt, ref.singular_values[None, :3])])[0]
             w_rf = compose_wrf(arch, sol.phases[0])
@@ -228,8 +246,8 @@ class TestRunExperiment:
         # two digital units on the same geometry must coincide exactly
         geometry = nonupa(4, 2)
         spec = small_spec(units=(
-            EvalUnit(label="a", kind="ideal_digital", geometry=geometry),
-            EvalUnit(label="b", kind="ideal_digital", geometry=geometry),
+            ideal_unit("a", geometry),
+            ideal_unit("b", geometry),
         ))
         table = run_experiment(spec)
         a = [r.mean_se for r in table.rows if r.label == "a"]
@@ -258,10 +276,11 @@ class TestRunExperiment:
 
     def test_unit_validation(self):
         geometry = nonupa(4, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError, match="arch"):
             EvalUnit(label="x", kind="rydberg", geometry=geometry)
-        with pytest.raises(ConfigError):
-            EvalUnit(label="x", kind="nonsense", geometry=geometry)
+        with pytest.raises(ConfigError, match="unknown unit kind"):
+            EvalUnit(label="x", kind="nonsense", geometry=geometry,
+                     arch=ReuseArchitecture(n_blocks=4, lo_depth=2))
         with pytest.raises(ConfigError):
             EvalUnit(label="x", kind="rydberg", geometry=geometry,
                      arch=ReuseArchitecture(n_blocks=9, lo_depth=2,
@@ -279,6 +298,24 @@ class TestRunExperiment:
             EvalUnit(label="x", kind="rydberg", geometry=geometry, arch=arch)
         assert EvalUnit(label="x", kind="rydberg", geometry=geometry,
                         arch=ReuseArchitecture(36, 6, 4)).arch.n_r == 216
+
+    @pytest.mark.parametrize("arch, message", [
+        (ReuseArchitecture(36, 6, 2), "an ideal digital curve needs "
+         "apd_depth 1 and continuous phases"),
+        (ReuseArchitecture(36, 6, resolution_bits=1), "an ideal digital "
+         "curve needs apd_depth 1 and continuous phases"),
+        (ReuseArchitecture(36, 1), "lo_depth 1 != geometry n_per_block 6"),
+        (ReuseArchitecture(36, 6, intra_spacing=0.1),
+         "intra_spacing 0.1 != geometry intra_spacing 0.05")])
+    def test_ideal_digital_is_the_full_chain_architecture(self, arch,
+                                                          message):
+        # an ideal digital curve is its geometry's architecture with an RF
+        # chain per antenna and continuous phases, whose W is W_opt
+        geometry = ArrayGeometry(36, 6)
+        with pytest.raises(ConfigError, match=f"arch: {message}"):
+            EvalUnit(label="x", kind="ideal_digital", geometry=geometry,
+                     arch=arch)
+        assert ideal_unit("x", geometry).arch == ReuseArchitecture(36, 6)
 
     def test_solver_checked_at_construction(self, monkeypatch):
         def no_channels(*args):
@@ -310,10 +347,6 @@ class TestRunConvergence:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert table.sweep_param == "iteration"
 
-    def test_digital_units_rejected(self):
-        spec = small_spec()
-        with pytest.raises(ConfigError):
-            run_convergence(spec)
 
 
 def trial_values(spec, threads=1):
@@ -455,8 +488,7 @@ class TestFailedTrials:
         # two geometries, both rank deficient for the trial, with different
         # singular values: the first in unit order names the failure
         spec = small_spec(trials=6, units=small_spec().units + (
-            EvalUnit(label="UPA digital", kind="ideal_digital",
-                     geometry=ArrayGeometry(16, 1)),))
+            ideal_unit("UPA digital", ArrayGeometry(16, 1)),))
         clean = trial_values(spec)[1]
         self._watch(monkeypatch, one_path)
         message = self._check_contained(spec, clean)
@@ -473,8 +505,7 @@ class TestFailedTrials:
             return replace(paths, gains=np.zeros_like(paths.gains))
         self._watch(monkeypatch, zero_gain)
         spec = small_spec(trials=6, units=small_spec().units + (
-            EvalUnit(label="UPA digital", kind="ideal_digital",
-                     geometry=ArrayGeometry(16, 1)),))
+            ideal_unit("UPA digital", ArrayGeometry(16, 1)),))
         message = self._check_contained(spec)
         assert message.endswith(f"trial {self.BAD}: channel rank below "
                                 f"n_streams=2: singular values [0. 0.])")
@@ -504,8 +535,7 @@ class TestFailedTrials:
         # architecture on two geometries, solved as one stack
         arch = pc_architecture(16, 4)
         return small_spec(trials=6, units=(
-            EvalUnit(label="digital", kind="ideal_digital",
-                     geometry=nonupa(4, 4)),
+            ideal_unit("digital", nonupa(4, 4)),
             EvalUnit(label="UPA PC", kind="pc_upa", arch=arch,
                      geometry=ArrayGeometry(16, 1),
                      solver="altmin"),
@@ -582,8 +612,7 @@ class TestFailedTrials:
             EvalUnit(label="altmin", kind="rydberg", geometry=geometry,
                      arch=ReuseArchitecture(n_blocks=4, lo_depth=2,
                                             apd_depth=4)),
-            EvalUnit(label="digital", kind="ideal_digital",
-                     geometry=geometry),
+            ideal_unit("digital", geometry),
             EvalUnit(label="UPA PC", kind="pc_upa",
                      arch=pc_architecture(16, 4),
                      geometry=ArrayGeometry(16, 1),
@@ -591,7 +620,7 @@ class TestFailedTrials:
         monkeypatch.setattr(evaluation, "solve_stack", recording)
         monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 3)
         run_experiment(small_spec(trials=6, units=units))
-        archs = [u.arch for u in units if u.arch is not None]
+        archs = [u.arch for u in units if u.kind != "ideal_digital"]
         assert calls == [archs, archs]
 
     @pytest.mark.parametrize("block", [4, evaluation.TRIAL_BLOCK])
@@ -762,8 +791,7 @@ class TestBlockReferences:
         # their blocks are run again one trial at a time, and each trial is
         # kept with the values of the run without the failure
         spec = small_spec(trials=5, units=small_spec().units + (
-            EvalUnit(label="UPA digital", kind="ideal_digital",
-                     geometry=ArrayGeometry(16, 1)),))
+            ideal_unit("UPA digital", ArrayGeometry(16, 1)),))
         expected, clean, _ = trial_values(spec)
 
         svd = np.linalg.svd
@@ -784,21 +812,37 @@ class TestBlockReferences:
 
     def test_one_stream_per_trial_and_structure(self, monkeypatch,
                                                 configs_dir):
-        # convergence: two structures, each at 1 bit and continuous; the
-        # variants of one structure share its generator of each trial
-        built = []
-        solver_rngs = evaluation._solver_rngs
+        # convergence: two structures, each at 1 bit and continuous, in
+        # blocks of 3 + 1 trials.  Each block draws one start array per
+        # structure, from one stream per trial, and the variants of a
+        # structure receive that array itself
+        built, calls = [], []
+        default_rng, stack = np.random.default_rng, evaluation.solve_stack
 
-        def recording(seed, trials, key):
-            for t, rng in zip(trials, solver_rngs(seed, trials, key)):
-                built.append((t, key))
-                yield rng
+        def building(seed=None):
+            if isinstance(seed, np.random.SeedSequence) \
+                    and seed.spawn_key[0] == 1:
+                built.append(seed.spawn_key)
+            return default_rng(seed)
 
-        monkeypatch.setattr(evaluation, "_solver_rngs", recording)
+        def recording(segments, *args):
+            calls.append([(arch, start) for arch, _, start in segments])
+            return stack(segments, *args)
+
+        monkeypatch.setattr(np.random, "default_rng", building)
+        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        monkeypatch.setattr(evaluation, "TRIAL_BLOCK", 3)
         spec, _ = parse_config(configs_dir / "convergence.json",
                                "convergence", trials_override=4)
         run_convergence(spec)
         assert len(built) == len(set(built)) == 4 * 2
+        assert {key[1] for key in built} == set(range(4))
+        for segments, size in zip(calls, (3, 1)):
+            (a1, s1), (a2, s2), (a3, s3), (a4, s4) = segments
+            assert (a1.apd_depth, a2.apd_depth, a3.apd_depth,
+                    a4.apd_depth) == (4, 4, 12, 12)
+            assert s1 is s2 and s3 is s4 and s1 is not s3
+            assert s1.shape == s3.shape == (size, 36)
 
 
 class TestStackedRate:
@@ -808,10 +852,11 @@ class TestStackedRate:
         spec, _ = parse_config(configs_dir / "fig10.json", "sweep-chains")
         trials = range(4)
         stacks = evaluation._block_references(spec, trials)
-        units = [u for u in spec.units if u.arch is not None]
+        units = [u for u in spec.units if u.kind != "ideal_digital"]
         solved = solve_stack([
             (u.arch, stacks[u.geometry][0],
-             [np.random.default_rng(t) for t in trials], u.solver)
+             None if u.solver == "auto" and is_proportional(u.arch) else
+             start_phases(u.arch, [np.random.default_rng(t) for t in trials]))
             for u in units], spec.solver)
         items = [(u.arch, sol, *stacks[u.geometry])
                  for u, sol in zip(units, solved)]
@@ -840,8 +885,7 @@ class TestRateInvariant:
         geometries = list(dict.fromkeys(u.geometry for u in spec.units))
         sweep_value = None if spec.sweep_param == "snr_db" else 0.0
         spec = replace(spec, units=spec.units + tuple(
-            EvalUnit(label=f"ceiling {i}", kind="ideal_digital", geometry=g,
-                     sweep_value=sweep_value)
+            ideal_unit(f"ceiling {i}", g, sweep_value=sweep_value)
             for i, g in enumerate(geometries)))
         blocks = []
         run_block = evaluation._run_block
@@ -858,8 +902,6 @@ class TestRateInvariant:
         ceiling = dict(zip(geometries, np.moveaxis(
             values[:, -len(geometries):], 1, 0)))
         for i, unit in enumerate(spec.units):
-            if unit.arch is None:
-                continue
             top = ceiling[unit.geometry]
             assert np.all(values[:, i] <= top * (1 + 1e-12)), unit.label
             if unit.arch.apd_depth == 1:
@@ -890,9 +932,11 @@ class TestFullChainCurves:
         unit = replace(unit, solver=solver,
                        arch=replace(unit.arch, resolution_bits=bits))
         assert unit.arch.n_blocks == 36 and unit.arch.apd_depth == 1
-        assert bool(replace(spec, units=(unit,)).solved) == (bits is not None)
         w_opt, sigma = stacks[unit.geometry]
-        sol = solve_stack([(unit.arch, w_opt, [], solver)], spec.solver)[0]
+        alone = replace(spec, units=(unit,))
+        assert bool(alone.solved) == (bits is not None)
+        assert evaluation._start_phases(alone, range(len(sigma))) == {}
+        sol = solve_stack([(unit.arch, w_opt, None)], spec.solver)[0]
         ev = evaluation._stacked_gain_eigenvalues(
             [(unit.arch, sol, w_opt, sigma)])
         np.testing.assert_allclose(np.sort(ev)[:, ::-1], sigma ** 2,
@@ -913,27 +957,90 @@ class TestFullChainCurves:
             replace(lo6, label="direct", solver="direct"),
             replace(lo6, label="altmin", solver="altmin",
                     arch=replace(lo6.arch, resolution_bits=1)),
-            EvalUnit(label="digital", kind="ideal_digital",
-                     geometry=lo6.geometry))
+            ideal_unit("digital", lo6.geometry))
         spec = replace(spec, units=units,
                        solver=OptimizerConfig(max_iterations=1))
         segments = []
         stack = evaluation.solve_stack
 
         def recording(items, *args):
-            segments.extend((arch, method) for arch, _, _, method in items)
+            segments.extend((arch, start is None) for arch, _, start in items)
             return stack(items, *args)
 
         monkeypatch.setattr(evaluation, "solve_stack", recording)
         _, values, _ = trial_values(spec)
-        assert segments == [(units[4].arch, "auto"),
-                            (units[-2].arch, "altmin")]
+        # the 1-bit direct curve without start phases, the alternating one
+        # with them
+        assert segments == [(units[4].arch, True), (units[-2].arch, False)]
         digital = values[:, -1]
         for i, unit in enumerate(units[:-2]):
             if unit.geometry == lo6.geometry and i != 4:
                 np.testing.assert_array_equal(values[:, i], digital)
         np.testing.assert_allclose(values[:, 4], digital, rtol=1e-13, atol=0)
         assert (values[:, -2] < digital).all()
+
+
+class TestSolverChoice:
+    """A run decides each solved curve's solver where it builds the
+    ``solve_stack`` segments: the direct solver, without start phases, for
+    'direct' and for 'auto' on proportional reuse; else alternating
+    minimization from start phases drawn on the stream of each trial and
+    the curve's structure."""
+
+    @staticmethod
+    def solve(monkeypatch, units, trials=3):
+        """A run's segments, as (arch, start phases), and solver methods."""
+        segments, methods = [], []
+        stack = evaluation.solve_stack
+
+        def recording(items, *args):
+            segments.extend((arch, start) for arch, _, start in items)
+            batches = stack(items, *args)
+            methods.extend(batch.method for batch in batches)
+            return batches
+
+        monkeypatch.setattr(evaluation, "solve_stack", recording)
+        spec = small_spec(trials=trials, units=units)
+        run_experiment(spec)
+        return spec, segments, methods
+
+    @staticmethod
+    def streams(spec, key):
+        return [np.random.default_rng(np.random.SeedSequence(
+            spec.seed, spawn_key=(1, t, *key))) for t in range(spec.trials)]
+
+    def test_auto_routes_proportional_to_direct(self, monkeypatch):
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=2)
+        _, segments, methods = self.solve(monkeypatch, (EvalUnit(
+            label="auto", kind="rydberg", geometry=nonupa(4, 2), arch=arch),))
+        assert segments == [(arch, None)] and methods == ["direct"]
+
+    def test_auto_routes_general_to_altmin(self, monkeypatch):
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=4)
+        spec, segments, methods = self.solve(monkeypatch, (EvalUnit(
+            label="auto", kind="rydberg", geometry=nonupa(4, 2), arch=arch),))
+        [(got, start)] = segments
+        assert got == arch and methods == ["altmin"]
+        np.testing.assert_array_equal(
+            start, start_phases(arch, self.streams(spec, (0, 4, 2, 4))))
+
+    def test_direct_curve_sharing_a_key_draws_nothing(self, monkeypatch):
+        # one structure under 'direct' and 'altmin', continuous and 1-bit:
+        # only the alternating curves get start phases, one shared array
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=2)
+        units = tuple(
+            EvalUnit(label=f"{solver} {bits}", kind="rydberg",
+                     geometry=nonupa(4, 2), solver=solver,
+                     arch=replace(arch, resolution_bits=bits))
+            for solver in ("direct", "altmin") for bits in (None, 1))
+        spec, segments, methods = self.solve(monkeypatch, units)
+        assert methods == ["direct", "direct", "altmin", "altmin"]
+        assert [start is None for _, start in segments] == [True, True,
+                                                            False, False]
+        assert segments[2][1] is segments[3][1]
+        np.testing.assert_array_equal(
+            segments[2][1], start_phases(arch, self.streams(spec,
+                                                            (0, 4, 2, 2))))
 
 
 class TestTrialBlocks:

@@ -16,7 +16,11 @@ where the reference stage dominates, was written at --threads 1 by the
 code that built the references in two steps (factors, then the SVD).
 fig5_40.svg, its plot, was written at --threads 1 by the code that still
 solved fig5's curves (all apd_depth = 1) before rating them; it must match
-byte for byte.
+byte for byte.  fig8_40.csv (1-, 2- and 3-bit and continuous alternating
+stops) and convergence_40.csv (resolution variants that share their start
+phases) cross a trial block on the alternating path; both were written at
+--threads 1 by the code whose solve_stack still drew the start phases from
+per-trial generators and resolved the solver 'auto' itself.
 Labels, sweep values, trial counts and seeds must match exactly; means
 must agree to a relative 1e-9, which absorbs reordered floating-point work
 but not a changed curve.
@@ -113,3 +117,16 @@ def test_fig5_40_matches_golden(tmp_path, configs_dir, threads):
     _check_golden(tmp_path, "fig5_40")
     assert ((tmp_path / "results.svg").read_bytes()
             == (GOLDEN_DIR / "fig5_40.svg").read_bytes())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name,command", [("fig8", "sweep-snr"),
+                                          ("convergence", "convergence")])
+def test_alternating_40_matches_golden(tmp_path, configs_dir, name, command,
+                                       threads):
+    # alternating minimization across blocks of 32 + 8 trials at one
+    # thread and 20 + 20 at two
+    assert main([command, "--config", str(configs_dir / f"{name}.json"),
+                 "--trials", "40", "--out", str(tmp_path),
+                 "--threads", threads]) == 0
+    _check_golden(tmp_path, f"{name}_40")

@@ -53,7 +53,8 @@ def test_non_finite_input_rejected(case):
 def _spec(**fields):
     spec = dict(channel=ChannelParams(n_tx=16, n_clusters=3, n_rays=4),
                 units=(EvalUnit(label="digital", kind="ideal_digital",
-                                geometry=ArrayGeometry(4, 2)),),
+                                geometry=ArrayGeometry(4, 2),
+                                arch=ReuseArchitecture(4, 2)),),
                 n_streams=2, snr_db=(0.0,), trials=4, seed=1)
     return ExperimentSpec(**{**spec, **fields})
 

@@ -27,6 +27,14 @@ def rand_orthonormal(rng, rows, cols):
     return q[:, :cols]
 
 
+def start_phases(arch, seeds):
+    """The start phases that ``alternating_minimize`` draws from a generator
+    of each seed, one row per target."""
+    return np.array([np.random.default_rng(s).uniform(0, 2 * np.pi,
+                                                      arch.n_blocks)
+                     for s in seeds])
+
+
 def objective(arch, phases, w_bb, w_opt):
     return np.linalg.norm(w_opt - compose_wrf(arch, phases) @ w_bb)
 
@@ -520,25 +528,33 @@ class TestQuantizationFreeEquivalence:
 
 
 class TestSolveDispatch:
-    def test_auto_routes_proportional_to_direct(self):
+    """A segment without start phases runs the direct solver, one with
+    them alternating minimization; 'auto' is resolved by the run."""
+
+    def test_no_start_phases_run_direct(self):
         rng = np.random.default_rng(20)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
+        sol = solve_stack([(arch, w_opt[None], None)], None)[0]
         assert sol.method == "direct"
+        np.testing.assert_array_equal(
+            sol.w_bb[0], direct_solve_proportional(arch, w_opt).w_bb)
 
-    def test_auto_routes_general_to_altmin(self):
+    def test_start_phases_run_altmin(self):
         rng = np.random.default_rng(21)
-        arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_stack([(arch, w_opt[None], [rng], "auto")], None)[0]
+        sol = solve_stack([(arch, w_opt[None], start_phases(arch, [3]))],
+                          None)[0]
         assert sol.method == "altmin"
+        lone = alternating_minimize(arch, w_opt, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(sol.w_bb[0], lone.w_bb)
 
-    def test_unknown_method_rejected(self):
-        arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
-        with pytest.raises(ValueError):
-            solve_stack([(arch, np.eye(4, dtype=complex)[None, :, :1],
-                          [np.random.default_rng()], "exhaustive")], None)
+    def test_direct_needs_proportional_reuse(self):
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
+        with pytest.raises(ArchitectureError, match="does not divide"):
+            solve_stack([(arch, np.eye(32, 2, dtype=complex)[None], None)],
+                        None)
 
 
 class TestSolveBatch:
@@ -559,7 +575,7 @@ class TestSolveBatch:
         """Solve the segments as one stack; every row must equal the lone
         solve of its target, bit for bit."""
         batches = solve_stack(
-            [(arch, w, [np.random.default_rng(s) for s in ss], "altmin")
+            [(arch, w, start_phases(arch, ss))
              for arch, w, ss in zip(archs, targets, seeds)], config)
         iterations = set()
         for arch, w, ss, batch in zip(archs, targets, seeds, batches):
@@ -627,9 +643,8 @@ class TestSolveBatch:
                                  resolution_bits=bits)
         w_opt = self.channel_targets(lo, 6, seed=20)
         config = OptimizerConfig(epsilon=1e-4, max_iterations=20)
-        batch = solve_stack([(arch, w_opt,
-                              [np.random.default_rng(s) for s in range(6)],
-                              "altmin")], config)[0]
+        batch = solve_stack([(arch, w_opt, start_phases(arch, range(6)))],
+                            config)[0]
         for i in range(6):
             lone = alternating_minimize(arch, w_opt[i], config=config,
                                         rng=np.random.default_rng(i))
@@ -648,7 +663,7 @@ class TestSolveBatch:
         arch = ReuseArchitecture(n_blocks=12, lo_depth=6, apd_depth=3)
         w_opt = np.stack([rand_orthonormal(rng, arch.n_r, 3)
                           for _ in range(4)])
-        batch = solve_stack([(arch, w_opt, [], "direct")], None)[0]
+        batch = solve_stack([(arch, w_opt, None)], None)[0]
         for i in range(4):
             lone = direct_solve_proportional(arch, w_opt[i])
             np.testing.assert_array_equal(batch.w_bb[i], lone.w_bb)
@@ -669,16 +684,19 @@ class TestSolveBatch:
             assert batch.solution(i).residual == lone.residual
 
     def test_shared_generators_drawn_once(self):
-        # resolution variants given one generators object start from the
-        # same phases: each row equals its lone solve from a fresh
-        # generator of the same seed
+        # resolution variants given one start array, drawn once from one
+        # generator per target, as a run gives them: each row equals its
+        # lone solve from a fresh generator of the same seed, and the
+        # shared array is left as it was drawn
         archs = [ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4,
                                    resolution_bits=bits) for bits in (1, None)]
         w_opt = self.channel_targets(6, 3, seed=25)
-        rngs = [np.random.default_rng(s) for s in range(3)]
+        start = start_phases(archs[0], range(3))
+        drawn = start.copy()
         config = OptimizerConfig(epsilon=1e-4, max_iterations=20)
-        batches = solve_stack([(arch, w_opt, rngs, "altmin")
-                               for arch in archs], config)
+        batches = solve_stack([(arch, w_opt, start) for arch in archs],
+                              config)
+        np.testing.assert_array_equal(start, drawn)
         for arch, batch in zip(archs, batches):
             for i in range(3):
                 lone = alternating_minimize(arch, w_opt[i], config=config,
@@ -688,12 +706,12 @@ class TestSolveBatch:
                 np.testing.assert_array_equal(batch.solution(i).w_bb,
                                               lone.w_bb)
 
-    def test_one_generator_per_target(self):
+    def test_one_start_row_per_target(self):
         arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
         w_opt = self.channel_targets(6, 3, seed=22)
-        with pytest.raises(ValueError, match="generators"):
-            solve_stack([(arch, w_opt, [np.random.default_rng(0)],
-                          "altmin")], None)
+        with pytest.raises(ValueError, match=r"start phases of shape \(1, 16\) "
+                                             "for 3 targets of 16 blocks"):
+            solve_stack([(arch, w_opt, start_phases(arch, [0]))], None)
 
 
 class TestCells:
