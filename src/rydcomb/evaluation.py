@@ -461,8 +461,13 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     rates, whatever solver the curves name.
 
     Rows carry the mean residual (in the value column) per iteration index;
-    runs that converge early are padded with their final residual.
+    runs that converge early are padded with their final residual.  An
+    ideal digital curve has W = W_opt and no solver to trace.
     """
+    for unit in spec.units:
+        if unit.kind == "ideal_digital":
+            raise ConfigError(f"{unit.label}: convergence traces do not take "
+                              "ideal digital curves")
     spec = replace(spec, units=tuple(replace(unit, solver="altmin")
                                      for unit in spec.units))
     return _tabulate(spec, threads,

@@ -347,6 +347,11 @@ class TestRunConvergence:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert table.sweep_param == "iteration"
 
+    def test_digital_units_rejected(self):
+        spec = small_spec()
+        with pytest.raises(ConfigError, match="digital: convergence traces "
+                                              "do not take ideal digital"):
+            run_convergence(spec)
 
 
 def trial_values(spec, threads=1):

@@ -12,7 +12,8 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      channel_matrix, compose_wrf,
                      direct_solve_proportional, draw_paths,
                      optimal_digital_combiner, phase_grid, quantize_phase)
-from rydcomb.evaluation import pc_architecture
+from rydcomb.evaluation import (EvalUnit, ExperimentSpec, _start_phases,
+                                pc_architecture)
 from rydcomb.channel import _fix_column_phases, block_references
 from rydcomb.optimizer import (MAX_ITERATIONS, _cell_classes, _cell_means,
                                _solve, _trace_phase, _trace_sum, solve_stack)
@@ -529,16 +530,38 @@ class TestQuantizationFreeEquivalence:
 
 class TestSolveDispatch:
     """A segment without start phases runs the direct solver, one with
-    them alternating minimization; 'auto' is resolved by the run."""
+    them alternating minimization.  The run resolves a curve's 'auto': it
+    draws start phases for reuse that is not proportional only."""
 
-    def test_no_start_phases_run_direct(self):
+    @staticmethod
+    def auto_segment(arch, w_opt):
+        """The segment a run builds for an 'auto' curve on one trial."""
+        unit = EvalUnit(label="auto", kind="rydberg", arch=arch,
+                        geometry=ArrayGeometry(arch.n_blocks, arch.lo_depth))
+        spec = ExperimentSpec(
+            channel=ChannelParams(n_tx=16, n_clusters=3, n_rays=4),
+            units=(unit,), n_streams=2, snr_db=(0.0,), trials=1, seed=5)
+        return arch, w_opt[None], _start_phases(spec, range(1)).get(0)
+
+    def test_auto_routes_proportional_to_direct(self):
         rng = np.random.default_rng(20)
         arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=2)
         w_opt = rand_orthonormal(rng, 32, 2)
-        sol = solve_stack([(arch, w_opt[None], None)], None)[0]
+        segment = self.auto_segment(arch, w_opt)
+        assert segment[2] is None
+        sol = solve_stack([segment], None)[0]
         assert sol.method == "direct"
         np.testing.assert_array_equal(
             sol.w_bb[0], direct_solve_proportional(arch, w_opt).w_bb)
+
+    def test_auto_routes_general_to_altmin(self):
+        rng = np.random.default_rng(21)
+        arch = ReuseArchitecture(n_blocks=16, lo_depth=2, apd_depth=4)
+        w_opt = rand_orthonormal(rng, 32, 2)
+        segment = self.auto_segment(arch, w_opt)
+        assert segment[2].shape == (1, 16)
+        sol = solve_stack([segment], None)[0]
+        assert sol.method == "altmin"
 
     def test_start_phases_run_altmin(self):
         rng = np.random.default_rng(21)
@@ -555,6 +578,12 @@ class TestSolveDispatch:
         with pytest.raises(ArchitectureError, match="does not divide"):
             solve_stack([(arch, np.eye(32, 2, dtype=complex)[None], None)],
                         None)
+
+    def test_unknown_method_rejected(self):
+        arch = ReuseArchitecture(n_blocks=4, lo_depth=1, apd_depth=1)
+        with pytest.raises(ValueError, match="unknown solver 'exhaustive'"):
+            EvalUnit(label="x", kind="rydberg", geometry=ArrayGeometry(4, 1),
+                     arch=arch, solver="exhaustive")
 
 
 class TestSolveBatch:
@@ -706,7 +735,8 @@ class TestSolveBatch:
                 np.testing.assert_array_equal(batch.solution(i).w_bb,
                                               lone.w_bb)
 
-    def test_one_start_row_per_target(self):
+    def test_one_generator_per_target(self):
+        # one start row, drawn from one generator, per target
         arch = ReuseArchitecture(n_blocks=16, lo_depth=6, apd_depth=4)
         w_opt = self.channel_targets(6, 3, seed=22)
         with pytest.raises(ValueError, match=r"start phases of shape \(1, 16\) "
