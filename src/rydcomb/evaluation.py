@@ -19,6 +19,7 @@ fixed trial order, so they depend on neither block size nor scheduling.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -219,6 +220,9 @@ class ExperimentSpec:
         if not all(-np.inf < v <= MAX_SNR_DB for v in self.snr_db):
             raise ConfigError(f"snr_db values must be finite and at most "
                               f"{MAX_SNR_DB}")
+        dup = [v for i, v in enumerate(self.snr_db) if v in self.snr_db[:i]]
+        if dup:
+            raise ConfigError(f"duplicate snr_db value {dup[0]:g}")
         if not all(map(_is_int, (self.trials, self.n_streams, self.seed))):
             raise ConfigError("trials, n_streams and seed must be integers")
         if self.trials < 1:
@@ -280,7 +284,7 @@ class ResultRow:
     def __post_init__(self) -> None:
         if self.mean_se < 0:
             raise NumericError(f"negative mean value in row {self.label!r}")
-        if not np.isfinite([self.mean_se, self.stderr]).all():
+        if not (math.isfinite(self.mean_se) and math.isfinite(self.stderr)):
             raise NumericError(f"non-finite mean or stderr in row "
                                f"{self.label!r}")
 

@@ -95,12 +95,12 @@ def _group_layout(size: np.ndarray, count):
     """How to take the adder-group means of a stack whose sample i has
     count[i] groups (or count for all) of size[i] rows: None when every
     group holds one row, whose mean is that row; the size when every group
-    holds the same 2 to 4 rows; else the reduceat starts, divisors and
-    repeat counts."""
+    holds the same 2 to 4 rows; else the reduceat starts, the divisors'
+    reciprocals (see ``_solve``) and repeat counts."""
     if np.all(size == size[0]) and size[0] <= 4:
         return None if size[0] == 1 else int(size[0])
     groups = np.repeat(size, count)
-    return np.cumsum(groups) - groups, groups[:, None], groups
+    return np.cumsum(groups) - groups, 1 / groups[:, None], groups
 
 
 def _group_means(prod: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +117,10 @@ def _group_means(prod: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
         for i in range(2, layout):
             w_bb += rows[:, i]
         np.add(rows[:, 0], w_bb, out=w_bb)
-        w_bb /= layout
+        w_bb *= 1 / layout
         return w_bb, np.repeat(w_bb, layout, axis=0)
-    starts, divisor, groups = layout
-    w_bb = np.add.reduceat(prod, starts) / divisor
+    starts, inverse, groups = layout
+    w_bb = np.add.reduceat(prod, starts) * inverse
     return w_bb, np.repeat(w_bb, groups, axis=0)
 
 
@@ -239,10 +239,11 @@ def _solve(segments: Sequence[tuple],
 
     The phase half-step forms each block trace t = Tr[X^H Y] of the block's
     target Y and product X, at either resolution.  On continuous phases the
-    rotation is t/|t| (1 where t = 0), with no angle; on B-bit phases it is
-    looked up among the 2^B grid rotations, at the level of
-    ``_trace_phase(t)``.  A stop writes the sample's last traces and W_BB
-    rows at its own index in the outputs, and the live samples' u is
+    rotation is t/|t| (1 where t = 0), with no angle, formed as t * (1/|t|):
+    numpy divides a complex by a real as that product, so the bits agree.
+    On B-bit phases it is looked up among the 2^B grid rotations, at the
+    level of ``_trace_phase(t)``.  A stop writes the sample's last traces
+    and W_BB rows at its own index in the outputs, and the live samples' u is
     rebuilt from their kept rotations.  After the loop the phases are
     ``_trace_phase`` of the kept traces, through ``quantize_phase`` on
     B-bit stacks.
@@ -257,6 +258,7 @@ def _solve(segments: Sequence[tuple],
     # per sample: cells per adder group, and adder groups
     group_cells = np.array([a.apd_depth // g for g, a, _, _ in segs]
                            ).repeat(sizes)
+    cell_rows = np.array([g for g, _, _, _ in segs]).repeat(sizes)
     n_groups = np.array([a.n_chains for _, a, _, _ in segs]).repeat(sizes)
     phases = np.concatenate([p for _, _, _, p in segs])
     target = np.concatenate([
@@ -275,8 +277,10 @@ def _solve(segments: Sequence[tuple],
     def residual(u, rows):  # sqrt(V + g * sum_c ||m_c - u_c w_c||^2)
         np.multiply(u, rows, out=buf)
         np.subtract(cells, buf, out=buf)
-        return np.sqrt(_by_class(classes, lambda gc, i, j, a, b: (
-            spread[i:j] + gc * _square_sums(buf[a:b].reshape(j - i, -1)))))
+        sq = (buf.conj() * buf).real
+        return np.sqrt(spread + cell_rows * _by_class(
+            classes, lambda gc, i, j, a, b: np.add.reduce(
+                sq[a:b].reshape(j - i, -1), axis=-1)))
 
     def take(x, keep):  # the cells of the kept samples
         return _by_class(classes, lambda gc, i, j, a, b: x[a:b].reshape(
@@ -318,8 +322,10 @@ def _solve(segments: Sequence[tuple],
         t = _by_class(classes, lambda gc, i, j, a, b: _trace_sum(
             buf[a:b].reshape(-1, lo // gc * n_s))).reshape(-1, n_blocks)
         if bits is None:
-            size = np.abs(t)
-            rotation = np.divide(t, size, out=np.ones_like(t), where=size != 0)
+            inv = np.abs(t)  # then 1/|t| where t != 0
+            nonzero = inv != 0
+            np.reciprocal(inv, out=inv, where=nonzero)
+            rotation = np.multiply(t, inv, out=np.ones_like(t), where=nonzero)
         else:
             rotation = grid[_phase_level(_trace_phase(t), bits)]
         u = rotate(rotation)
@@ -341,7 +347,7 @@ def _solve(segments: Sequence[tuple],
                 break
             cells = take(cells, keep)
             group_cells, n_groups = group_cells[keep], n_groups[keep]
-            spread = spread[keep]
+            spread, cell_rows = spread[keep], cell_rows[keep]
             classes = _cell_classes([(gc, np.count_nonzero(keep[i:j]))
                                      for gc, i, j, _, _ in classes], n_r)
             layout = _group_layout(group_cells, n_groups)

@@ -491,6 +491,9 @@ class TestRunEndToEnd:
             {"angular_spread_deg": 10 ** 400}, None,
             "channel.angular_spread_deg: inf is not finite"),
         "huge-int-snr": ({}, {"snr_db": [0.0, 10 ** 400]}, "snr_db[1]"),
+        # each SNR point would write every curve's row again
+        "repeated-snr": ({}, {"snr_db": [0.0, 5.0, 0.0]},
+                         "duplicate snr_db value 0"),
         # JSON true is a Python int; it must not pass for a count
         "bool-trials": ({}, {"trials": True}, "trials: expected int"),
         "bool-max-iterations": ({}, {"solver": {"max_iterations": True}},

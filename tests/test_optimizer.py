@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -277,12 +278,28 @@ class TestOptimalPhase:
                 assert mine <= over_grid.min() + 1e-10
 
     def test_degenerate_trace_returns_zero(self):
-        # a zero target block has a zero trace, whatever its start phase
+        # a zero target block has a zero trace, whatever its start phase;
+        # its rotation is 1, alone or stacked beside a sample with nonzero
+        # traces, with no warning and no inf or NaN
         rng = np.random.default_rng(8)
         w_opt = rand_complex(rng, (6, 2))
         w_opt[3:] = 0
-        phases, _ = one_pass(self.ARCH, w_opt, np.array([1.0, 2.0]))
+        start = np.array([[0.5, 1.5], [1.0, 2.0]])
+        stack = np.stack([rand_complex(rng, (6, 2)), w_opt])
+        config = OptimizerConfig(epsilon=1e-12, max_iterations=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phases, _ = one_pass(self.ARCH, w_opt, start[1])
+            both = _solve([(self.ARCH, stack, start)], config)[0]
+            lone = _solve([(self.ARCH, w_opt[None], start[1:])], config)[0]
         assert phases[1] == 0.0
+        assert both.phases[1, 1] == 0.0
+        for sol in (both, lone):
+            assert np.isfinite(sol.w_bb).all()
+            assert np.isfinite(sol.history).all()
+        np.testing.assert_array_equal(both.phases[1], lone.phases[0])
+        np.testing.assert_array_equal(both.w_bb[1], lone.w_bb[0])
+        np.testing.assert_array_equal(both.history[1], lone.history[0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="combining target"):
