@@ -7,14 +7,15 @@ receive geometry, sees the same per-trial channels.  Trials run in blocks
 of at most TRIAL_BLOCK, cut smaller so that every worker thread gets one.
 The paths of a block are drawn trial by trial, and its references are built
 for the whole block at once: one stacked core SVD per receive geometry, and
-W_opt where a solve reads it.  A direct curve with continuous phases and an
-RF chain per antenna (apd_depth = 1), as every ideal digital curve is, has
-W = W_opt and is rated from Sigma; every other one is solved once, in one
-``solve_stack`` call per block whose segments carry the solver that this
-module picks, and rated from its own rows.  A block whose stages raise is
-run again one trial at a time, and a trial that raises alone fails.  Every
-sample is computed as it would be alone, and results are aggregated in
-fixed trial order, so they depend on neither block size nor scheduling.
+W_opt where a solve reads it.  ``EvalUnit.method`` picks how a curve is
+computed: a direct one with continuous phases and an RF chain per antenna
+(apd_depth = 1), as every ideal digital one is, has W = W_opt and is rated
+from Sigma; every other one is solved, in one ``solve_stack`` call per
+block, and rated from its own rows.  A block's work is ``_run_block`` of
+picklable data.  A block whose stages raise is run again one trial at a
+time, and a trial that raises alone fails.  Every sample is computed as it
+would be alone, and results are aggregated in fixed trial order, so they
+depend on neither block size nor scheduling.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Collection, Optional
+from itertools import repeat
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -196,6 +197,19 @@ class EvalUnit:
                 f"solver: 'direct' needs apd_depth={self.arch.apd_depth} "
                 f"to divide lo_depth={self.arch.lo_depth}")
 
+    @property
+    def method(self) -> str:
+        """How a run computes the curve: 'altmin' for solver 'altmin' and
+        for reuse that is not proportional (only 'auto' reaches it there);
+        else 'sigma' with apd_depth = 1 and continuous phases, where the
+        direct solve gives W = W_opt and the rate is that of Sigma; else
+        'direct'."""
+        if self.solver == "altmin" or not is_proportional(self.arch):
+            return "altmin"
+        if (self.arch.apd_depth, self.arch.resolution_bits) == (1, None):
+            return "sigma"
+        return "direct"
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -259,18 +273,6 @@ class ExperimentSpec:
                 raise ConfigError(f"duplicate curve label {u.label!r}{at}")
             seen.add(key)
 
-    @cached_property
-    def solved(self) -> dict[int, EvalUnit]:
-        """The curves a run solves, by unit index: all but the direct ones
-        with apd_depth = 1 and continuous phases, rated from Sigma (W = W_opt)."""
-        return {i: u for i, u in enumerate(self.units)
-                if u.arch.apd_depth > 1 or u.solver == "altmin"
-                or u.arch.resolution_bits is not None}
-
-    @cached_property
-    def vector_geometries(self) -> frozenset[ArrayGeometry]:
-        return frozenset(u.geometry for u in self.solved.values())
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -299,14 +301,12 @@ class ResultTable:
 
 
 def _start_phases(spec: ExperimentSpec, trials: range) -> dict[int, np.ndarray]:
-    """Start phases, by unit index, of the curves of ``spec.solved`` that
-    alternating minimization solves: solver 'altmin', or 'auto' on reuse
-    that is not proportional.  Row t is drawn on [0, 2pi) from the stream
-    of trial t and structure (kind, n_blocks, lo_depth, apd_depth), once."""
+    """Start phases, by unit index, of the curves of method 'altmin'.  Row
+    t is drawn on [0, 2pi) from the stream of trial t and structure (kind,
+    n_blocks, lo_depth, apd_depth), once."""
     keys = {i: (_KIND_CODES[u.kind], u.arch.n_blocks, u.arch.lo_depth,
                 u.arch.apd_depth)
-            for i, u in spec.solved.items() if u.solver == "altmin"
-            or (u.solver == "auto" and not is_proportional(u.arch))}
+            for i, u in enumerate(spec.units) if u.method == "altmin"}
     drawn = {key: np.array([np.random.default_rng(np.random.SeedSequence(
         spec.seed, spawn_key=(1, t, *key))).uniform(0.0, TWO_PI, key[1])
         for t in trials]) for key in dict.fromkeys(keys.values())}
@@ -330,47 +330,66 @@ def _block_references(spec: ExperimentSpec, trials: range,
                             [unit.geometry for unit in spec.units], vectors)
 
 
-# A curve maps items (unit, solution batch or None, W_opt or None, Sigma),
-# all on the same trials, to one (trials, n_points) array per item.
-Curve = Callable[[list[tuple]], list[np.ndarray]]
+def _curve_rates(spec: ExperimentSpec, stacks: dict, solutions: dict,
+                 snr_linear: np.ndarray) -> list[np.ndarray]:
+    """One (trials, SNR points) rate array per curve: the solved curves,
+    ``solutions`` by unit index, from one stacked rate evaluation, and the
+    others from Sigma once per geometry (they share their rows)."""
+    n_s = spec.n_streams
+    rates = iter(np.split(_rates(_stacked_gain_eigenvalues([
+        (spec.units[i].arch, sol, *stacks[spec.units[i].geometry])
+        for i, sol in solutions.items()]), n_s, snr_linear), len(solutions))
+                 if solutions else ())
+    digital = {g: _rates(stacks[g][1] ** 2, n_s, snr_linear) for g in
+               dict.fromkeys(u.geometry for i, u in enumerate(spec.units)
+                             if i not in solutions)}
+    return [next(rates) if i in solutions else digital[u.geometry]
+            for i, u in enumerate(spec.units)]
 
 
-def _run_block(spec: ExperimentSpec, trials: range, curve: Curve,
-               n_points: int) -> tuple[np.ndarray, dict[int, str]]:
-    """Evaluate every curve on one block of trials.
+def _run_block(spec: ExperimentSpec, trials: range,
+               snr_linear: Optional[np.ndarray]
+               ) -> tuple[np.ndarray, dict[int, str]]:
+    """Evaluate every curve on one block of trials: its rates on the
+    ``snr_linear`` grid, or, when that is None, the residual history of
+    its solve, every curve being solved.
 
-    Every curve of ``spec.solved`` is solved once, in one ``solve_stack``
-    call on the stacks of ``_block_references``, from its ``_start_phases``
-    or else directly, and ``curve`` evaluates all curves in one call, the
-    others with no solution.  A block keeps
-    all of its trials or none: when any stage raises, a block of several
-    trials is run again as blocks of one trial, and a trial that raises
-    alone fails, NaN in every column.  Every value is computed as it would
-    be alone, so the other trials keep their bytes.
+    Every curve whose method is not 'sigma' is solved once, in one
+    ``solve_stack`` call on the stacks of ``_block_references``, from its
+    ``_start_phases`` or else directly.  A block keeps all of its trials or
+    none: when any stage raises, a block of several trials is run again as
+    blocks of one trial, and a trial that raises alone fails, NaN in every
+    column.  Every value is computed as it would be alone, so the other
+    trials keep their bytes.
     """
+    solved = {i: u for i, u in enumerate(spec.units) if u.method != "sigma"}
     try:
-        stacks = _block_references(spec, trials, spec.vector_geometries)
+        stacks = _block_references(spec, trials,
+                                   {u.geometry for u in solved.values()})
         starts = _start_phases(spec, trials)
-        solved = dict(zip(spec.solved, solve_stack([
-            (unit.arch, stacks[unit.geometry][0], starts.get(i))
-            for i, unit in spec.solved.items()], spec.solver)))
-        return np.stack(curve([(unit, solved.get(i), *stacks[unit.geometry])
-                               for i, unit in enumerate(spec.units)]),
-                        axis=1), {}
+        solutions = dict(zip(solved, solve_stack([
+            (u.arch, stacks[u.geometry][0], starts.get(i))
+            for i, u in solved.items()], spec.solver)))
+        values = ([sol.history for sol in solutions.values()]
+                  if snr_linear is None
+                  else _curve_rates(spec, stacks, solutions, snr_linear))
+        return np.stack(values, axis=1), {}
     except (NumericError, np.linalg.LinAlgError) as exc:
         if len(trials) == 1:
+            n_points = (spec.solver.max_iterations if snr_linear is None
+                        else len(snr_linear))
             return (np.full((1, len(spec.units), n_points), np.nan),
                     {trials[0]: f"trial {trials[0]}: {exc}"})
-        done = [_run_block(spec, range(t, t + 1), curve, n_points)
-                for t in trials]
+        done = [_run_block(spec, range(t, t + 1), snr_linear) for t in trials]
         return (np.concatenate([values for values, _ in done]),
                 {t: e for _, errors in done for t, e in errors.items()})
 
 
-def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
-              sweep_param: str, sweep_value) -> ResultTable:
-    """Run ``curve`` for every unit over blocks of trials, stack the
-    (units, n_points) values in trial order and reduce each (unit, point)
+def _tabulate(spec: ExperimentSpec, threads: int,
+              snr_linear: Optional[np.ndarray], sweep_param: str,
+              sweep_value) -> ResultTable:
+    """Run ``_run_block`` on ``snr_linear`` over blocks of trials, stack the
+    (units, points) values in trial order and reduce each (unit, point)
     column to one row whose sweep value is ``sweep_value(unit, point)``.
     Blocks hold at most TRIAL_BLOCK trials and no more than an even share
     of the trials per thread.
@@ -383,18 +402,15 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
     size = min(TRIAL_BLOCK, -(-spec.trials // threads))
     blocks = [range(first, min(first + size, spec.trials))
               for first in range(0, spec.trials, size)]
-
-    def run(block: range):
-        return _run_block(spec, block, curve, n_points)
-
+    work = (repeat(spec), blocks, repeat(snr_linear))
     if threads > 1:
         # imported here: concurrent.futures pulls in logging, which a
         # one-thread run never needs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, blocks))
+            done = list(pool.map(_run_block, *work))
     else:
-        done = [run(block) for block in blocks]
+        done = list(map(_run_block, *work))
     stacked = np.concatenate([values for values, _ in done])
     errors = dict(sorted(item for _, errs in done for item in errs.items()))
     if errors:
@@ -402,7 +418,7 @@ def _tabulate(spec: ExperimentSpec, threads: int, curve: Curve, n_points: int,
             f"{len(errors)} of {spec.trials} trials failed and were excluded "
             f"(first: {next(iter(errors.values()))})", RuntimeWarning)
     kept = np.delete(stacked, list(errors), axis=0)
-    n = len(kept)
+    n, _, n_points = kept.shape
     if n == 0:
         raise NumericError("no successful trials")
 
@@ -429,33 +445,14 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
     Every trial draws one set of propagation paths shared by all curves;
     per-curve channels differ only through the receive geometry.  Each
-    curve is solved (if in ``spec.solved``) and rated for a block of trials
-    at once, and ``threads`` workers take whole blocks, with blocks cut so
-    that each worker gets one.  Results are aggregated in fixed trial
+    curve is computed by its ``EvalUnit.method`` and rated for a block of
+    trials at once, and ``threads`` workers take whole blocks, with blocks
+    cut so that each worker gets one.  Results are aggregated in fixed trial
     order, so they are independent of the block size and thread count.
     """
-    snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
-    n_s = spec.n_streams
-
-    def curve(items):
-        # the solved curves from one stacked rate evaluation, and the others
-        # from Sigma once per geometry (the items share their rows)
-        hybrid = [(unit.arch, sol, w_opt, sigma)
-                  for unit, sol, w_opt, sigma in items if sol is not None]
-        rates = iter(np.split(_rates(_stacked_gain_eigenvalues(hybrid), n_s,
-                                     snr_linear), len(hybrid))
-                     if hybrid else ())
-        digital: dict[ArrayGeometry, np.ndarray] = {}
-        out = []
-        for unit, sol, _, sigma in items:
-            if sol is None and unit.geometry not in digital:
-                digital[unit.geometry] = _rates(sigma ** 2, n_s, snr_linear)
-            out.append(next(rates) if sol is not None
-                       else digital[unit.geometry])
-        return out
-
     return _tabulate(
-        spec, threads, curve, snr_linear.size, spec.sweep_param,
+        spec, threads, 10.0 ** (np.asarray(spec.snr_db) / 10.0),
+        spec.sweep_param,
         lambda unit, k: (spec.snr_db[k] if spec.sweep_param == "snr_db"
                          else unit.sweep_value))
 
@@ -474,7 +471,4 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
                               "ideal digital curves")
     spec = replace(spec, units=tuple(replace(unit, solver="altmin")
                                      for unit in spec.units))
-    return _tabulate(spec, threads,
-                     lambda items: [sol.history for _, sol, *_ in items],
-                     spec.solver.max_iterations, "iteration",
-                     lambda unit, p: p + 1)
+    return _tabulate(spec, threads, None, "iteration", lambda unit, p: p + 1)

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -135,6 +136,21 @@ class TestSpectralEfficiency:
                                           3, snr)
             assert direct == pytest.approx(general, abs=1e-10)
 
+
+    @pytest.mark.parametrize("least,raises", [(-1e-6, True), (-1e-10, False)])
+    def test_eigenvalue_floor(self, monkeypatch, least, raises):
+        # an eigenvalue below _EIG_FLOOR = -1e-9 is an indefinite channel;
+        # one just below 0, from rounding, is clipped to 0
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: np.array([[least, 2.0]]))
+        t = gram = np.eye(2)[None]
+        if raises:
+            with pytest.raises(NumericError,
+                               match="indefinite effective channel"):
+                evaluation._gain_eigenvalues(t, gram)
+        else:
+            np.testing.assert_array_equal(
+                evaluation._gain_eigenvalues(t, gram), [[0.0, 2.0]])
 
     def test_fully_digital_bad_input_rejected(self):
         sv = np.array([2.0, 1.0])
@@ -683,9 +699,10 @@ class TestTabulate:
     def _fake_blocks(self, monkeypatch, failed):
         """``_run_block`` as a stand-in: random values per trial, and NaN
         in every column of a failed trial."""
-        def run_block(spec, trials, curve, n_points):
+        def run_block(spec, trials, snr_linear):
             values = np.stack([np.random.default_rng(t).uniform(
-                0.5, 20.0, (len(spec.units), n_points)) for t in trials])
+                0.5, 20.0, (len(spec.units), len(snr_linear)))
+                for t in trials])
             errors = {t: f"trial {t}: synthetic" for t in trials
                       if t in failed}
             values[[t - trials.start for t in errors]] = np.nan
@@ -694,7 +711,7 @@ class TestTabulate:
         monkeypatch.setattr(evaluation, "_run_block", run_block)
 
     def _tabulate(self, spec, threads):
-        return evaluation._tabulate(spec, threads, None, self.N_POINTS,
+        return evaluation._tabulate(spec, threads, np.ones(self.N_POINTS),
                                     "snr_db", lambda unit, k: spec.snr_db[k])
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -752,8 +769,8 @@ class TestBlockReferences:
             n_s = spec.n_streams
             stacks = evaluation._block_references(
                 spec, trials, {u.geometry for u in spec.units})
-            run = evaluation._block_references(spec, trials,
-                                               spec.vector_geometries)
+            run = evaluation._block_references(spec, trials, {
+                u.geometry for u in spec.units if u.method != "sigma"})
             assert list(run) == list(stacks)
             for geometry, (w_opt, sigma) in run.items():
                 np.testing.assert_array_equal(sigma, stacks[geometry][1])
@@ -939,7 +956,7 @@ class TestFullChainCurves:
         assert unit.arch.n_blocks == 36 and unit.arch.apd_depth == 1
         w_opt, sigma = stacks[unit.geometry]
         alone = replace(spec, units=(unit,))
-        assert bool(alone.solved) == (bits is not None)
+        assert (unit.method != "sigma") == (bits is not None)
         assert evaluation._start_phases(alone, range(len(sigma))) == {}
         sol = solve_stack([(unit.arch, w_opt, None)], spec.solver)[0]
         ev = evaluation._stacked_gain_eigenvalues(
@@ -1046,6 +1063,52 @@ class TestSolverChoice:
         np.testing.assert_array_equal(
             segments[2][1], start_phases(arch, self.streams(spec,
                                                             (0, 4, 2, 2))))
+
+
+class TestMethod:
+    """Each curve's ``EvalUnit.method`` on the bundled configs, and a
+    block's work run from a pickled copy of its data."""
+
+    COMMANDS = {"fig10": "sweep-chains", "convergence": "convergence",
+                "depth": "sweep-depth"}
+    # one letter per curve in unit order: s(igma), d(irect) or a(ltmin);
+    # fig7's curves name 'altmin' on proportional reuse
+    METHODS = {"smoke": "daaass", "fig5": "ssssd", "fig6a": "sdddas",
+               "fig6b": "sdas", "fig7": "aaaaaa", "fig8": "aaaaaaaa",
+               "fig9": "aaass", "convergence": "aaaa",
+               # five curves per chain count
+               "fig10": "aaass" "aaass" "aaass" "aaass" "aaass" "aaass"
+                        "daass" "aaass" "daass",
+               "depth": "sassassds", "rank_fail": "daaass"}
+    BUNDLED = ["smoke", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9",
+               "fig10", "convergence"]
+
+    def parse(self, configs_dir, name):
+        path = configs_dir / f"{name}.json"
+        if not path.exists():
+            path = configs_dir.parent / "tests" / "configs" / f"{name}.json"
+        return parse_config(path, self.COMMANDS.get(name, "sweep-snr"))[0]
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_bundled_methods(self, configs_dir, name):
+        spec = self.parse(configs_dir, name)
+        assert "".join(u.method[0] for u in spec.units) == self.METHODS[name]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_block_work_pickles(self, configs_dir, name):
+        # the data of a block, as the two run functions pass it
+        spec = self.parse(configs_dir, name)
+        snr_linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
+        if name == "convergence":
+            spec = replace(spec, units=tuple(replace(u, solver="altmin")
+                                             for u in spec.units))
+            snr_linear = None
+        copy = pickle.loads(pickle.dumps((spec, snr_linear)))
+        assert copy[0] == spec
+        values, errors = evaluation._run_block(spec, range(2), snr_linear)
+        got, got_errors = evaluation._run_block(copy[0], range(2), copy[1])
+        assert got.tobytes() == values.tobytes() and got_errors == errors
+        assert values.shape[:2] == (2, len(spec.units))
 
 
 class TestTrialBlocks:

@@ -277,6 +277,12 @@ class TestOptimalPhase:
                     y[None] - grid[:, None, None] * x_b[None], axis=(1, 2))
                 assert mine <= over_grid.min() + 1e-10
 
+    def test_trace_phase_wraps_within_1e_12_of_2pi(self):
+        # arg t 1e-10 below 2pi is kept; 1e-13 below it is 0
+        assert _trace_phase(np.exp(-1j * 1e-10)) == pytest.approx(
+            2 * np.pi - 1e-10, rel=0, abs=1e-15)
+        assert _trace_phase(np.exp(-1j * 1e-13)) == 0.0
+
     def test_degenerate_trace_returns_zero(self):
         # a zero target block has a zero trace, whatever its start phase;
         # its rotation is 1, alone or stacked beside a sample with nonzero
