@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .architecture import (TWO_PI, ReuseArchitecture, _is_int, check_bits,
-                           check_phases, is_proportional)
+                           is_proportional)
 from .errors import ArchitectureError
 
 MAX_ITERATIONS = 10_000  # the kernel keeps a history column per iteration
@@ -47,8 +47,7 @@ class CombinerSolution:
     phases: np.ndarray = field(repr=False)
     w_bb: np.ndarray = field(repr=False)
     residual: float
-    iterations: int
-    method: str  # "altmin" or "direct"
+    iterations: int  # 0 for a direct pass
     converged: bool
     residual_history: np.ndarray = field(repr=False)
 
@@ -182,7 +181,8 @@ class SolutionBatch:
 
     Row i equals the lone solve of target i.  ``history`` has one column
     per allowed iteration (one for the direct solver), padded after a
-    sample stops with its final residual.
+    sample stops with its final residual; ``iterations`` is 0 exactly for
+    a direct pass.
     """
 
     phases: np.ndarray = field(repr=False)
@@ -190,15 +190,13 @@ class SolutionBatch:
     history: np.ndarray = field(repr=False)
     iterations: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
-    method: str
 
     def solution(self, i: int) -> CombinerSolution:
         history = self.history[i, :max(int(self.iterations[i]), 1)]
         return CombinerSolution(
             phases=self.phases[i], w_bb=self.w_bb[i],
             residual=float(history[-1]), iterations=int(self.iterations[i]),
-            method=self.method, converged=bool(self.converged[i]),
-            residual_history=history)
+            converged=bool(self.converged[i]), residual_history=history)
 
 
 def _validate_target(arch: ReuseArchitecture, w_opt: np.ndarray) -> np.ndarray:
@@ -286,7 +284,7 @@ def _solve(segments: Sequence[tuple],
         return _by_class(classes, lambda gc, i, j, a, b: x[a:b].reshape(
             j - i, -1, n_s)[keep[i:j]].reshape(-1, n_s))
 
-    def split(phases, w_bb, history, iterations, converged, method):
+    def split(phases, w_bb, history, iterations, converged):
         out = [None] * len(segs)
         i = c = 0
         for s, (_, a, w, _) in zip(order, segs):
@@ -294,7 +292,7 @@ def _solve(segments: Sequence[tuple],
             out[s] = SolutionBatch(
                 phases=phases[i:j], w_bb=w_bb[c:d].reshape(j - i, -1, n_s),
                 history=history[i:j], iterations=iterations[i:j],
-                converged=converged[i:j], method=method)
+                converged=converged[i:j])
             i, c = j, d
         return out
 
@@ -302,8 +300,7 @@ def _solve(segments: Sequence[tuple],
     if config is None:
         w_bb, rows = _group_means(np.conj(u) * cells, layout)
         return split(phases, w_bb, residual(u, rows)[:, None],
-                     np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool),
-                     "direct")
+                     np.zeros(n_b, dtype=int), np.ones(n_b, dtype=bool))
 
     if bits is not None:
         grid = np.exp(1j * (TWO_PI / 2 ** bits * np.arange(2 ** bits)))
@@ -357,7 +354,7 @@ def _solve(segments: Sequence[tuple],
         prev_sq = sq
     phi = _trace_phase(out_t)
     out_phases = phi if bits is None else quantize_phase(phi, bits)
-    return split(out_phases, out_w, history, iterations, converged, "altmin")
+    return split(out_phases, out_w, history, iterations, converged)
 
 
 def solve_stack(segments: Sequence[tuple], config: Optional[OptimizerConfig]
@@ -409,8 +406,7 @@ def alternating_minimize(arch: ReuseArchitecture, w_opt: np.ndarray,
                        config)[0].solution(0)
 
 
-def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
-                              phases: Optional[np.ndarray] = None
+def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray
                               ) -> Union[CombinerSolution, SolutionBatch]:
     """Non-iterative solver for proportional reuse (apd_depth | lo_depth).
 
@@ -418,19 +414,13 @@ def direct_solve_proportional(arch: ReuseArchitecture, w_opt: np.ndarray,
     decomposes into per-chain row solves and the block phase is absorbed by
     the digital row: any feasible phase choice attains the same residual,
     which equals the continuous-phase alternating-minimization optimum.
-    Defaults to all-zero phases (a grid point for every resolution).  A
-    stack of targets (B, N_r, N_s) gives a ``SolutionBatch``, every sample
-    at the same phases, of shape (n_blocks,).
+    It solves at zero phases, a grid point for every resolution.  A stack
+    of targets (B, N_r, N_s) gives a ``SolutionBatch``.
     """
     if not is_proportional(arch):
         raise ArchitectureError(f"apd_depth={arch.apd_depth} does not "
                                 f"divide lo_depth={arch.lo_depth}")
     w_opt = np.asarray(w_opt)
-    phases = check_phases(arch, np.zeros(arch.n_blocks) if phases is None
-                          else phases)
-    if phases.shape != (arch.n_blocks,):
-        raise ArchitectureError(
-            f"phases shape {phases.shape} != ({arch.n_blocks},)")
     batch = _validate_target(arch, w_opt if w_opt.ndim == 3 else w_opt[None])
-    sol = _solve([(arch, batch, np.tile(phases, (len(batch), 1)))])[0]
+    sol = _solve([(arch, batch, np.zeros((len(batch), arch.n_blocks)))])[0]
     return sol if w_opt.ndim == 3 else sol.solution(0)

@@ -287,9 +287,9 @@ def test_criterion_7_optimizer_oracles(trend):
             w_opt = (rng.standard_normal((arch.n_r, 3))
                      + 1j * rng.standard_normal((arch.n_r, 3)))
             phases = rng.uniform(0, 2 * np.pi, 16)
-            sol = direct_solve_proportional(arch, w_opt, phases=phases)
+            sol, = _solve([(arch, w_opt[None], phases[None])])
             pinv_path = np.linalg.pinv(compose_wrf(arch, phases)) @ w_opt
-            assert np.max(np.abs(sol.w_bb - pinv_path)) <= 1e-10
+            assert np.max(np.abs(sol.w_bb[0] - pinv_path)) <= 1e-10
 
         # (d) every solver run recorded in this suite is monotone
         assert len(RESIDUAL_HISTORIES) > 10_000

@@ -1011,14 +1011,16 @@ class TestSolverChoice:
 
     @staticmethod
     def solve(monkeypatch, units, trials=3):
-        """A run's segments, as (arch, start phases), and solver methods."""
+        """A run's segments, as (arch, start phases), and solver methods:
+        a direct pass runs 0 iterations, alternation at least 1."""
         segments, methods = [], []
         stack = evaluation.solve_stack
 
         def recording(items, *args):
             segments.extend((arch, start) for arch, _, start in items)
             batches = stack(items, *args)
-            methods.extend(batch.method for batch in batches)
+            methods.extend("altmin" if batch.iterations.all() else "direct"
+                           for batch in batches)
             return batches
 
         monkeypatch.setattr(evaluation, "solve_stack", recording)

@@ -28,6 +28,7 @@ but not a changed curve.
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,26 @@ def test_alternating_40_matches_golden(tmp_path, configs_dir, name, command,
                  "--trials", "40", "--out", str(tmp_path),
                  "--threads", threads]) == 0
     _check_golden(tmp_path, f"{name}_40")
+
+
+@pytest.mark.parametrize("name,command", [("fig10", "sweep-chains"),
+                                          ("fig6a", "sweep-snr"),
+                                          ("fig7", "sweep-snr")])
+def test_threads_write_identical_outputs_at_40(tmp_path, configs_dir, name,
+                                               command):
+    # fig10's shared solve stacks, fig6a's mix of curves rated from their
+    # singular values and solved ones, and fig7's explicit altmin curves on
+    # proportional reuse, across blocks of 32 + 8 trials at one thread and
+    # 20 + 20 at two.  A RuntimeWarning fails the run: a zero block trace
+    # must give rotation 1, not inf or NaN
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config",
+                         str(configs_dir / f"{name}.json"), "--trials", "40",
+                         "--out", str(out), "--threads", threads]) == 0
+        outputs.append([(out / f).read_bytes()
+                        for f in ("results.csv", "results.svg")])
+    assert outputs[0] == outputs[1]

@@ -8,17 +8,16 @@ import pytest
 
 from rydcomb import (ArrayGeometry, ChannelParams, ConfigError, EvalUnit,
                      ExperimentSpec, NumericError, OptimizerConfig,
-                     ResultRow, ReuseArchitecture, direct_solve_proportional,
+                     ResultRow, ReuseArchitecture, diagonal_phases,
                      upa_response)
 
 NAN, INF = math.nan, math.inf
 
 
-def _direct(bits, phase):
+def _phases(bits, phase):
     arch = ReuseArchitecture(n_blocks=4, lo_depth=2, apd_depth=2,
                              resolution_bits=bits)
-    w_opt = np.eye(8, 2, dtype=complex)
-    return direct_solve_proportional(arch, w_opt, phases=[phase] * 4)
+    return diagonal_phases(arch, [phase] * 4)
 
 
 CASES = {
@@ -38,9 +37,9 @@ CASES = {
     "epsilon-inf": lambda: OptimizerConfig(epsilon=INF),
     "intra-spacing-nan": lambda: ReuseArchitecture(4, 2, intra_spacing=NAN),
     "intra-spacing-inf": lambda: ReuseArchitecture(4, 2, intra_spacing=INF),
-    "phases-nan": lambda: _direct(None, NAN),
-    "phases-nan-on-grid": lambda: _direct(2, NAN),
-    "phases-inf": lambda: _direct(None, INF),
+    "phases-nan": lambda: _phases(None, NAN),
+    "phases-nan-on-grid": lambda: _phases(2, NAN),
+    "phases-inf": lambda: _phases(None, INF),
 }
 
 
