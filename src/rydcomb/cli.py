@@ -443,18 +443,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.__dict__.get("threads")
-    if threads is None:
-        env = os.environ.get("SIM_THREADS", "")
-        try:
-            threads = _positive_int(env) if env else 1
-        except (ValueError, argparse.ArgumentTypeError):
-            print(f"error: SIM_THREADS={env!r} is not a positive integer",
-                  file=sys.stderr)
-            return 1
     try:
         if args.command == "validate":
             return validate_command(args.config)
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("SIM_THREADS", "")
+            try:
+                threads = _positive_int(env) if env else 1
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ConfigError(
+                    f"SIM_THREADS={env!r} is not a positive integer") from None
         spec, doc = parse_config(args.config, args.command,
                                  seed_override=args.seed,
                                  trials_override=args.trials)

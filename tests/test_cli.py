@@ -433,7 +433,8 @@ class TestRunEndToEnd:
         path = write_doc(tmp_path, smoke_doc())
         assert main(["sweep-snr", "--config", str(path), "--out",
                      str(tmp_path / "env")]) == 1
-        assert "SIM_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: SIM_THREADS={value!r} is not a positive integer\n")
         assert not (tmp_path / "env").exists()
 
     def test_streams_above_path_count_rejected(self):
@@ -603,6 +604,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    def test_ignores_env_threads(self, monkeypatch, capsys):
+        # validate runs no trial blocks, so a bad SIM_THREADS is not its
+        # error; the quantizer check alone stands in for the suite, which
+        # the tests above run in full
+        monkeypatch.setenv("SIM_THREADS", "abc")
+        monkeypatch.setattr(rydcomb.checks, "run_all", lambda: [
+            rydcomb.checks.check_quantizer_exhaustive()])
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out.endswith("all checks passed\n")
 
     def test_broken_quantizer_detected(self, capsys, monkeypatch):
         def broken(phase, bits):

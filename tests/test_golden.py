@@ -85,16 +85,6 @@ def _check_golden(out, name):
             float(w["mean_se_bps_hz"]), rel=MEAN_RTOL, abs=0), w
 
 
-def test_depth_sweep_threads_write_identical_csv(tmp_path):
-    csvs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert main(["sweep-depth", "--config", str(TEST_CONFIGS / "depth.json"),
-                     "--out", str(out), "--threads", threads]) == 0
-        csvs.append((out / "results.csv").read_bytes())
-    assert csvs[0] == csvs[1]
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_rank_fail_matches_golden(tmp_path, threads):
     # one thread cuts blocks of 32 + 8 trials, two cut 20 + 20; either way
@@ -133,24 +123,57 @@ def test_alternating_40_matches_golden(tmp_path, configs_dir, name, command,
     _check_golden(tmp_path, f"{name}_40")
 
 
+def _outputs_by_threads(tmp_path, argv):
+    """The results.csv and results.svg bytes that argv writes at --threads
+    1 and at --threads 2."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(argv + ["--out", str(out), "--threads", threads]) == 0
+        outputs.append([(out / f).read_bytes()
+                        for f in ("results.csv", "results.svg")])
+    return outputs
+
+
 @pytest.mark.parametrize("name,command", [("fig10", "sweep-chains"),
+                                          ("convergence", "convergence"),
+                                          ("fig8", "sweep-snr"),
+                                          ("fig5", "sweep-snr"),
                                           ("fig6a", "sweep-snr"),
                                           ("fig7", "sweep-snr")])
 def test_threads_write_identical_outputs_at_40(tmp_path, configs_dir, name,
                                                command):
-    # fig10's shared solve stacks, fig6a's mix of curves rated from their
-    # singular values and solved ones, and fig7's explicit altmin curves on
-    # proportional reuse, across blocks of 32 + 8 trials at one thread and
-    # 20 + 20 at two.  A RuntimeWarning fails the run: a zero block trace
-    # must give rotation 1, not inf or NaN
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main([command, "--config",
-                         str(configs_dir / f"{name}.json"), "--trials", "40",
-                         "--out", str(out), "--threads", threads]) == 0
-        outputs.append([(out / f).read_bytes()
-                        for f in ("results.csv", "results.svg")])
+    # at 40 trials one thread cuts blocks of 32 + 8 and two threads 20 + 20,
+    # across fig10's shared solve stacks; the convergence trial loop, its
+    # resolution variants sharing their start phases; fig8's 1-, 2- and
+    # 3-bit stops; fig5's four reference geometries, its continuous curves
+    # rated from their singular values and its 1-bit one solved; fig6a's
+    # mix of such curves, solved curves on the same 36x6 geometry and a
+    # 36x1 geometry with no combining target; and fig7's explicit altmin
+    # curves on proportional reuse, the only config where that solver
+    # overrides the sigma and direct rules of EvalUnit.method.  A
+    # RuntimeWarning fails the run: a zero block trace must give rotation
+    # 1, not inf or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outputs = _outputs_by_threads(tmp_path, [
+            command, "--config", str(configs_dir / f"{name}.json"),
+            "--trials", "40"])
+    assert outputs[0] == outputs[1]
+
+
+def test_rank_fail_threads_write_identical_outputs(tmp_path):
+    # the same 6 of its own 40 trials fail in blocks of 32 + 8 at one
+    # thread and 20 + 20 at two
+    with pytest.warns(RuntimeWarning, match="6 of 40 trials failed"):
+        outputs = _outputs_by_threads(tmp_path, [
+            "sweep-snr", "--config", str(TEST_CONFIGS / "rank_fail.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_depth_sweep_threads_write_identical_outputs(tmp_path):
+    # the lo_depth sweep at its own 20 trials, one block at one thread and
+    # 10 + 10 trials at two
+    outputs = _outputs_by_threads(tmp_path, [
+        "sweep-depth", "--config", str(TEST_CONFIGS / "depth.json")])
     assert outputs[0] == outputs[1]
