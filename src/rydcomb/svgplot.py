@@ -6,6 +6,7 @@ the CSV remains the authoritative output.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -13,6 +14,21 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+
+
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """The axis range of data from lo to hi.  A single value is widened by
+    0.5 each way, or, where that rounds back to it (from about 4.5e15 in
+    magnitude), by a sixteenth of its magnitude, clipped to the finite
+    doubles; so for every finite value the range is not empty, and it and
+    its tick steps are finite."""
+    if hi != lo:
+        return lo, hi
+    if lo - 0.5 < hi + 0.5:
+        return lo - 0.5, hi + 0.5
+    step = abs(lo) / 16
+    return (max(lo - step, -sys.float_info.max),
+            min(hi + step, sys.float_info.max))
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -26,12 +42,8 @@ def render_line_svg(series: Sequence[tuple[str, Sequence[float], Sequence[float]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span(min(xs_all), max(xs_all))
+    y_lo, y_hi = _span(min(ys_all), max(ys_all))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

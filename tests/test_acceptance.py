@@ -18,12 +18,14 @@ from rydcomb import (ArrayGeometry, ChannelParams, OptimizerConfig, Paths,
                      optimal_digital_combiner, phase_grid,
                      quantize_phase, spectral_efficiency,
                      upa_response)
+from rydcomb.architecture import TWO_PI
 from rydcomb.channel import block_references
 from rydcomb.cli import main
-from rydcomb.optimizer import _solve
+from rydcomb.optimizer import _solve, solve_stack
 
 SEED = 20260810
 TREND_TRIALS = 500
+REF_BLOCK = 32  # draws per block_references call
 N_STREAMS = 3
 SNR0 = 1.0  # 0 dB
 
@@ -78,8 +80,12 @@ def nonupa(n_blocks, depth):
 def trend():
     """Per-trial spectral efficiencies for criteria 3-6, paired channels.
 
-    Each draw's references come from the block stage on a block of that
-    draw, and each rate from H F_opt = W_opt Sigma."""
+    The references come from the block stage on blocks of REF_BLOCK
+    draws, each sample bit for bit that of its draw alone.  Each curve's
+    targets are solved in one stack, each row the lone solve of its
+    target, alternating from the start phases of its trial's own
+    ``_solver_rng`` stream; each rate is the dense one of its trial, from
+    H F_opt = W_opt Sigma."""
     cluster = dict(n_clusters=5, n_rays=10)
     params = ChannelParams(n_tx=144, **cluster)
     geometries = {
@@ -99,55 +105,56 @@ def trend():
     ryd_pc = ReuseArchitecture(36, 4, 12)    # 12 chains
     pc = ReuseArchitecture(144, 1, 12)       # conventional PC mapping
 
-    keys = (["c4_1", "c4_2", "c4_4", "c4_6", "c5_1", "c5_2", "c5_3", "c5_6",
-             "c5_deep", "c5_shallow", "c5_shallow_prop",
-             "c6_ryd", "c6_pc_nonupa", "c6_pc_upa"]
-            + [f"c3_{nlm}_{bits}" for nlm in (4, 12)
-               for bits in (1, 2, 3, None)])
-    data = {k: np.empty(TREND_TRIALS) for k in keys}
-    w, hf = {}, {}  # per array: W_opt, and H F_opt = W_opt Sigma
+    refs = []
+    for first in range(0, TREND_TRIALS, REF_BLOCK):
+        trials = range(first, min(first + REF_BLOCK, TREND_TRIALS))
+        paths = Paths.stack([draw_paths(params, _channel_rng(t))
+                             for t in trials])
+        refs.append(block_references(paths, 144, N_STREAMS, arrays.values()))
+    # per array: W_opt, and H F_opt = W_opt Sigma, over all trials
+    w = {d: np.concatenate([r[g][0] for r in refs]) for d, g in arrays.items()}
+    hf = {d: w[d] * np.concatenate([r[g][1] for r in refs])[:, None]
+          for d, g in arrays.items()}
+    data = {}
 
-    def rate(d, arch, sol):  # F_opt = I, since hf[d] is H F_opt
-        return spectral_efficiency(hf[d], compose_wrf(arch, sol.phases),
-                                   sol.w_bb, np.eye(N_STREAMS), N_STREAMS,
-                                   SNR0)
+    def curve(key, arch, d, code=None):
+        """Rate arch on array d in every trial: alternating from the start
+        phases of _solver_rng(t, code, arch), or direct without a code."""
+        if code is None:
+            batch = direct_solve_proportional(arch, w[d])
+        else:
+            start = np.stack([
+                _solver_rng(t, code, arch).uniform(0.0, TWO_PI, arch.n_blocks)
+                for t in range(TREND_TRIALS)])
+            batch, = solve_stack([(arch, w[d], start)], None)
+        data[key] = np.empty(TREND_TRIALS)
+        for t in range(TREND_TRIALS):
+            sol = batch.solution(t)
+            RESIDUAL_HISTORIES.append(sol.residual_history)
+            # F_opt = I, since hf[d] is H F_opt
+            data[key][t] = spectral_efficiency(
+                hf[d][t], compose_wrf(arch, sol.phases), sol.w_bb,
+                np.eye(N_STREAMS), N_STREAMS, SNR0)
 
-    for t in range(TREND_TRIALS):
-        paths = Paths.stack([draw_paths(params, _channel_rng(t))])
-        refs = block_references(paths, 144, N_STREAMS, arrays.values())
-        for d, geometry in arrays.items():
-            w_opt, sigma = refs[geometry]
-            w[d], hf[d] = w_opt[0], w_opt[0] * sigma[0]
+    # criterion 3: resolution ordering at lo_depth 6
+    for (nlm, bits), arch in c3_archs.items():
+        curve(f"c3_{nlm}_{bits}", arch, 6, 0)
 
-        # criterion 3: resolution ordering at lo_depth 6
-        for (nlm, bits), arch in c3_archs.items():
-            sol = _altmin(arch, w[6], _solver_rng(t, 0, arch))
-            data[f"c3_{nlm}_{bits}"][t] = rate(6, arch, sol)
+    # criterion 4: LO reuse gain with dedicated APDs (direct solver)
+    for d in (1, 2, 4, 6):
+        curve(f"c4_{d}", ReuseArchitecture(36, d, 1), d)
 
-        # criterion 4: LO reuse gain with dedicated APDs (direct solver)
-        for d in (1, 2, 4, 6):
-            arch = ReuseArchitecture(36, d, 1)
-            sol = _direct(arch, w[d])
-            data[f"c4_{d}"][t] = rate(d, arch, sol)
+    # criterion 5: APD reuse loss and equal-chain comparisons
+    for nlm, arch in c5_archs.items():
+        curve(f"c5_{nlm}", arch, 6)
+    curve("c5_deep", deep, 6, 0)
+    curve("c5_shallow", shallow, 2, 0)
+    curve("c5_shallow_prop", shallow_prop, 2)
 
-        # criterion 5: APD reuse loss and equal-chain comparisons
-        for nlm, arch in c5_archs.items():
-            sol = _direct(arch, w[6])
-            data[f"c5_{nlm}"][t] = rate(6, arch, sol)
-        sol = _altmin(deep, w[6], _solver_rng(t, 0, deep))
-        data["c5_deep"][t] = rate(6, deep, sol)
-        sol = _altmin(shallow, w[2], _solver_rng(t, 0, shallow))
-        data["c5_shallow"][t] = rate(2, shallow, sol)
-        sol = _direct(shallow_prop, w[2])
-        data["c5_shallow_prop"][t] = rate(2, shallow_prop, sol)
-
-        # criterion 6: comparison hierarchy at equal N_r and chains
-        sol = _altmin(ryd_pc, w[4], _solver_rng(t, 0, ryd_pc))
-        data["c6_ryd"][t] = rate(4, ryd_pc, sol)
-        sol = _altmin(pc, w[4], _solver_rng(t, 2, pc))
-        data["c6_pc_nonupa"][t] = rate(4, pc, sol)
-        sol = _altmin(pc, w["upa"], _solver_rng(t, 1, pc))
-        data["c6_pc_upa"][t] = rate("upa", pc, sol)
+    # criterion 6: comparison hierarchy at equal N_r and chains
+    curve("c6_ryd", ryd_pc, 4, 0)
+    curve("c6_pc_nonupa", pc, 4, 2)
+    curve("c6_pc_upa", pc, "upa", 1)
     return data
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -419,6 +421,19 @@ class TestRunEndToEnd:
             assert main(["sweep-snr", "--config",
                          str(write_doc(tmp_path, doc)), "--threads", "1",
                          "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("snr_db", [-5e15, -sys.float_info.max])
+    def test_far_negative_single_snr_plots(self, tmp_path, configs_dir,
+                                           snr_db):
+        # snr_db has no floor, and x +- 0.5 rounds back to such an x: the
+        # plot's x axis must still be finite and not empty
+        doc = json.loads((configs_dir / "smoke.json").read_text())
+        doc["snr_db"] = [snr_db]
+        out = tmp_path / "o"
+        assert main(["sweep-snr", "--config", str(write_doc(tmp_path, doc)),
+                     "--trials", "2", "--out", str(out)]) == 0
+        assert not re.search(r"\b(nan|inf)\b",
+                             (out / "results.svg").read_text())
 
     def test_env_thread_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SIM_THREADS", "2")

@@ -1,29 +1,45 @@
 """Golden outputs: bundled configs must keep producing the recorded curves.
 
-smoke.csv, fig8.csv and fig10.csv in tests/golden/ were written by the code
-before the low-rank channel pipeline.  fig5.csv (four receive geometries,
-direct solves only) and convergence.csv (the convergence command) were
-written by the trial-block code, before its unused public API was removed.
-fig6a.csv, fig6b.csv, fig7.csv and fig9.csv were written by the QR-core
-reference (explicit Q factors), before the reference moved to the R factors
-and the UPA steering to its two separable axes.  depth.csv runs the small
-sweep-depth config in tests/configs/ and was written by the code that still
-took the intra-block LO offsets as an array.  rank_fail.csv, the one config
-whose trials fail (6 of 40), was written at --threads 1 by the code whose
-combiner module still held the block reference and its rank flags.
-fig5_40.csv, fig5 at 40 trials, the one golden that crosses a trial block
-where the reference stage dominates, was written at --threads 1 by the
-code that built the references in two steps (factors, then the SVD).
-fig5_40.svg, its plot, was written at --threads 1 by the code that still
-solved fig5's curves (all apd_depth = 1) before rating them; it must match
-byte for byte.  fig8_40.csv (1-, 2- and 3-bit and continuous alternating
-stops) and convergence_40.csv (resolution variants that share their start
-phases) cross a trial block on the alternating path; both were written at
---threads 1 by the code whose solve_stack still drew the start phases from
-per-trial generators and resolved the solver 'auto' itself.
-Labels, sweep values, trial counts and seeds must match exactly; means
-must agree to a relative 1e-9, which absorbs reordered floating-point work
-but not a changed curve.
+Each file in tests/golden/ pins one config at one trial count, as written by
+one state of the code (A-H below); a 1 after the code marks a golden
+written at --threads 1.  Configs named .json are in tests/configs/, the
+others in configs/.
+
+  file                config                                  trials  code
+  smoke.csv           smoke                                   own 8   A
+  fig8.csv            fig8                                    20      A
+  fig10.csv           fig10                                   20      A
+  fig5.csv            fig5 (4 geometries, direct solves only) 20      B
+  convergence.csv     convergence (the convergence command)   20      B
+  fig6a.csv           fig6a                                   20      C
+  fig6b.csv           fig6b                                   20      C
+  fig7.csv            fig7                                    20      C
+  fig9.csv            fig9                                    20      C
+  depth.csv           depth.json (a small sweep-depth)        own 20  D
+  rank_fail.csv       rank_fail.json (6 trials fail)          own 40  E, 1
+  fig5_40.csv         fig5                                    40      F, 1
+  fig5_40.svg         fig5's plot, matched byte for byte      40      G, 1
+  fig8_40.csv         fig8                                    40      H, 1
+  convergence_40.csv  convergence                             40      H, 1
+
+  A  before the low-rank channel pipeline
+  B  the trial-block code, before its unused public API was removed
+  C  the QR-core reference (explicit Q factors), before the reference moved
+     to the R factors and the UPA steering to its two separable axes
+  D  still took the intra-block LO offsets as an array
+  E  its combiner module still held the block reference and its rank flags
+  F  built the references in two steps (factors, then the SVD)
+  G  still solved fig5's curves (all apd_depth = 1) before rating them
+  H  its solve_stack still drew the start phases from per-trial generators
+     and resolved the solver 'auto' itself
+
+rank_fail.json is the one config whose trials fail.  The 40-trial goldens
+cross a trial block: fig5_40 where the reference stage dominates, fig8_40
+(1-, 2- and 3-bit and continuous alternating stops) and convergence_40
+(resolution variants that share their start phases) on the alternating
+path.  Labels, sweep values, trial counts and seeds must match exactly;
+means must agree to a relative 1e-9, which absorbs reordered floating-point
+work but not a changed curve.
 """
 
 import csv
@@ -49,14 +65,47 @@ CASES = [
     ("fig6b", "sweep-snr", 20),
     ("fig7", "sweep-snr", 20),
     ("fig9", "sweep-snr", 20),
-    ("depth", "sweep-depth", None),
 ]
+
+# (config, command, trials, golden stem or None, failed trials).  At 40
+# trials one thread cuts blocks of 32 + 8 and two threads 20 + 20; depth's
+# own 20 trials are one block at one thread and 10 + 10 at two.
+THREAD_CASES = [
+    # four reference geometries, the continuous curves rated from their
+    # singular values and the 1-bit one solved
+    pytest.param("fig5", "sweep-snr", 40, "fig5_40", 0, id="fig5_40"),
+    # 1-, 2- and 3-bit and continuous alternating stops
+    pytest.param("fig8", "sweep-snr", 40, "fig8_40", 0, id="fig8_40"),
+    # the second trial loop, its resolution variants sharing start phases
+    pytest.param("convergence", "convergence", 40, "convergence_40", 0,
+                 id="convergence_40"),
+    # the shared solve stacks
+    pytest.param("fig10", "sweep-chains", 40, None, 0, id="fig10_40"),
+    # rated curves, solved curves on the same 36x6 geometry and a 36x1
+    # geometry with no combining target
+    pytest.param("fig6a", "sweep-snr", 40, None, 0, id="fig6a_40"),
+    # explicit altmin curves on proportional reuse, the only config where
+    # that solver overrides the sigma and direct rules of EvalUnit.method
+    pytest.param("fig7", "sweep-snr", 40, None, 0, id="fig7_40"),
+    # the same 6 of its own 40 trials fail in either cut, and the other 34
+    # keep their values
+    pytest.param("rank_fail", "sweep-snr", None, "rank_fail", 6,
+                 id="rank_fail"),
+    # the lo_depth sweep
+    pytest.param("depth", "sweep-depth", None, "depth", 0, id="depth"),
+]
+GOLDEN_SVGS = ("fig5_40",)
 
 
 def _config(configs_dir, name):
     """A bundled config, or else one of the small test configs."""
     path = configs_dir / f"{name}.json"
     return path if path.exists() else TEST_CONFIGS / f"{name}.json"
+
+
+def _argv(configs_dir, name, command, trials):
+    argv = [command, "--config", str(_config(configs_dir, name))]
+    return argv if trials is None else argv + ["--trials", str(trials)]
 
 
 def _rows(path):
@@ -66,11 +115,8 @@ def _rows(path):
 
 @pytest.mark.parametrize("name,command,trials", CASES)
 def test_matches_golden(tmp_path, configs_dir, name, command, trials):
-    argv = [command, "--config", str(_config(configs_dir, name)),
-            "--out", str(tmp_path), "--threads", "1"]
-    if trials is not None:
-        argv += ["--trials", str(trials)]
-    assert main(argv) == 0
+    assert main(_argv(configs_dir, name, command, trials)
+                + ["--out", str(tmp_path), "--threads", "1"]) == 0
     _check_golden(tmp_path, name)
 
 
@@ -85,95 +131,39 @@ def _check_golden(out, name):
             float(w["mean_se_bps_hz"]), rel=MEAN_RTOL, abs=0), w
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_rank_fail_matches_golden(tmp_path, threads):
-    # one thread cuts blocks of 32 + 8 trials, two cut 20 + 20; either way
-    # the same 6 trials fail and the other 34 keep their values
-    with pytest.warns(RuntimeWarning, match="6 of 40 trials failed"):
-        assert main(["sweep-snr", "--config",
-                     str(TEST_CONFIGS / "rank_fail.json"),
-                     "--out", str(tmp_path), "--threads", threads]) == 0
-    _check_golden(tmp_path, "rank_fail")
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["failures"] == 6
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_fig5_40_matches_golden(tmp_path, configs_dir, threads):
-    # four receive geometries across blocks of 32 + 8 trials at one
-    # thread and 20 + 20 at two
-    assert main(["sweep-snr", "--config", str(configs_dir / "fig5.json"),
-                 "--trials", "40", "--out", str(tmp_path),
-                 "--threads", threads]) == 0
-    _check_golden(tmp_path, "fig5_40")
-    assert ((tmp_path / "results.svg").read_bytes()
-            == (GOLDEN_DIR / "fig5_40.svg").read_bytes())
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name,command", [("fig8", "sweep-snr"),
-                                          ("convergence", "convergence")])
-def test_alternating_40_matches_golden(tmp_path, configs_dir, name, command,
-                                       threads):
-    # alternating minimization across blocks of 32 + 8 trials at one
-    # thread and 20 + 20 at two
-    assert main([command, "--config", str(configs_dir / f"{name}.json"),
-                 "--trials", "40", "--out", str(tmp_path),
-                 "--threads", threads]) == 0
-    _check_golden(tmp_path, f"{name}_40")
-
-
-def _outputs_by_threads(tmp_path, argv):
-    """The results.csv and results.svg bytes that argv writes at --threads
-    1 and at --threads 2."""
-    outputs = []
+def _outputs_by_threads(tmp_path, argv, failures):
+    """The output directories that argv writes at --threads 1 and at
+    --threads 2.  A RuntimeWarning fails a run (a zero block trace must
+    give rotation 1, not inf or NaN), except that a run with failures
+    must warn that this many of its 40 trials failed."""
+    outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        assert main(argv + ["--out", str(out), "--threads", threads]) == 0
-        outputs.append([(out / f).read_bytes()
-                        for f in ("results.csv", "results.svg")])
-    return outputs
+        argv_t = argv + ["--out", str(out), "--threads", threads]
+        if failures:
+            with pytest.warns(RuntimeWarning,
+                              match=f"{failures} of 40 trials failed"):
+                assert main(argv_t) == 0
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv_t) == 0
+        outs.append(out)
+    return outs
 
 
-@pytest.mark.parametrize("name,command", [("fig10", "sweep-chains"),
-                                          ("convergence", "convergence"),
-                                          ("fig8", "sweep-snr"),
-                                          ("fig5", "sweep-snr"),
-                                          ("fig6a", "sweep-snr"),
-                                          ("fig7", "sweep-snr")])
-def test_threads_write_identical_outputs_at_40(tmp_path, configs_dir, name,
-                                               command):
-    # at 40 trials one thread cuts blocks of 32 + 8 and two threads 20 + 20,
-    # across fig10's shared solve stacks; the convergence trial loop, its
-    # resolution variants sharing their start phases; fig8's 1-, 2- and
-    # 3-bit stops; fig5's four reference geometries, its continuous curves
-    # rated from their singular values and its 1-bit one solved; fig6a's
-    # mix of such curves, solved curves on the same 36x6 geometry and a
-    # 36x1 geometry with no combining target; and fig7's explicit altmin
-    # curves on proportional reuse, the only config where that solver
-    # overrides the sigma and direct rules of EvalUnit.method.  A
-    # RuntimeWarning fails the run: a zero block trace must give rotation
-    # 1, not inf or NaN
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        outputs = _outputs_by_threads(tmp_path, [
-            command, "--config", str(configs_dir / f"{name}.json"),
-            "--trials", "40"])
-    assert outputs[0] == outputs[1]
-
-
-def test_rank_fail_threads_write_identical_outputs(tmp_path):
-    # the same 6 of its own 40 trials fail in blocks of 32 + 8 at one
-    # thread and 20 + 20 at two
-    with pytest.warns(RuntimeWarning, match="6 of 40 trials failed"):
-        outputs = _outputs_by_threads(tmp_path, [
-            "sweep-snr", "--config", str(TEST_CONFIGS / "rank_fail.json")])
-    assert outputs[0] == outputs[1]
-
-
-def test_depth_sweep_threads_write_identical_outputs(tmp_path):
-    # the lo_depth sweep at its own 20 trials, one block at one thread and
-    # 10 + 10 trials at two
-    outputs = _outputs_by_threads(tmp_path, [
-        "sweep-depth", "--config", str(TEST_CONFIGS / "depth.json")])
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("name,command,trials,golden,failures", THREAD_CASES)
+def test_threads_match_golden(tmp_path, configs_dir, name, command, trials,
+                              golden, failures):
+    outs = _outputs_by_threads(
+        tmp_path, _argv(configs_dir, name, command, trials), failures)
+    for f in ("results.csv", "results.svg"):
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
+    for out in outs:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == failures
+        if golden is not None:
+            _check_golden(out, golden)
+        if golden in GOLDEN_SVGS:
+            assert ((out / "results.svg").read_bytes()
+                    == (GOLDEN_DIR / f"{golden}.svg").read_bytes())
