@@ -65,36 +65,12 @@ CASES = [
     ("fig6b", "sweep-snr", 20),
     ("fig7", "sweep-snr", 20),
     ("fig9", "sweep-snr", 20),
+    ("depth", "sweep-depth", None),
 ]
 
-# (config, command, trials, golden stem or None, failed trials).  At 40
-# trials one thread cuts blocks of 32 + 8 and two threads 20 + 20; depth's
-# own 20 trials are one block at one thread and 10 + 10 at two.
-THREAD_CASES = [
-    # four reference geometries, the continuous curves rated from their
-    # singular values and the 1-bit one solved
-    pytest.param("fig5", "sweep-snr", 40, "fig5_40", 0, id="fig5_40"),
-    # 1-, 2- and 3-bit and continuous alternating stops
-    pytest.param("fig8", "sweep-snr", 40, "fig8_40", 0, id="fig8_40"),
-    # the second trial loop, its resolution variants sharing start phases
-    pytest.param("convergence", "convergence", 40, "convergence_40", 0,
-                 id="convergence_40"),
-    # the shared solve stacks
-    pytest.param("fig10", "sweep-chains", 40, None, 0, id="fig10_40"),
-    # rated curves, solved curves on the same 36x6 geometry and a 36x1
-    # geometry with no combining target
-    pytest.param("fig6a", "sweep-snr", 40, None, 0, id="fig6a_40"),
-    # explicit altmin curves on proportional reuse, the only config where
-    # that solver overrides the sigma and direct rules of EvalUnit.method
-    pytest.param("fig7", "sweep-snr", 40, None, 0, id="fig7_40"),
-    # the same 6 of its own 40 trials fail in either cut, and the other 34
-    # keep their values
-    pytest.param("rank_fail", "sweep-snr", None, "rank_fail", 6,
-                 id="rank_fail"),
-    # the lo_depth sweep
-    pytest.param("depth", "sweep-depth", None, "depth", 0, id="depth"),
-]
-GOLDEN_SVGS = ("fig5_40",)
+# Trials that fail in a config's own run; every other run must finish
+# without a RuntimeWarning.
+FAILURES = {"rank_fail": 6}
 
 
 def _config(configs_dir, name):
@@ -103,21 +79,49 @@ def _config(configs_dir, name):
     return path if path.exists() else TEST_CONFIGS / f"{name}.json"
 
 
-def _argv(configs_dir, name, command, trials):
-    argv = [command, "--config", str(_config(configs_dir, name))]
-    return argv if trials is None else argv + ["--trials", str(trials)]
-
-
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.DictReader(f))
 
 
+@pytest.fixture(scope="module")
+def run(tmp_path_factory, configs_dir):
+    """run(name, command, trials, threads) is the output directory of that
+    CLI run, made once per module, so the golden and the cross-thread
+    checks of a config read the same run.  A RuntimeWarning fails a run (a
+    zero block trace must give rotation 1, not inf or NaN), except that a
+    config in FAILURES must warn that this many of its 40 trials failed and
+    record them in manifest.json."""
+    outs = {}
+
+    def run(name, command, trials, threads):
+        key = (name, command, trials, threads)
+        if key not in outs:
+            out = tmp_path_factory.mktemp(f"{name}-{trials}-{threads}")
+            argv = [command, "--config", str(_config(configs_dir, name)),
+                    "--out", str(out), "--threads", threads]
+            if trials is not None:
+                argv += ["--trials", str(trials)]
+            failures = FAILURES.get(name, 0)
+            if failures:
+                with pytest.warns(RuntimeWarning,
+                                  match=f"{failures} of 40 trials failed"):
+                    assert main(argv) == 0
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["failures"] == failures
+            outs[key] = out
+        return outs[key]
+
+    return run
+
+
 @pytest.mark.parametrize("name,command,trials", CASES)
-def test_matches_golden(tmp_path, configs_dir, name, command, trials):
-    assert main(_argv(configs_dir, name, command, trials)
-                + ["--out", str(tmp_path), "--threads", "1"]) == 0
-    _check_golden(tmp_path, name)
+def test_matches_golden(run, name, command, trials):
+    _check_golden(run(name, command, trials, "1"), name)
 
 
 def _check_golden(out, name):
@@ -131,39 +135,66 @@ def _check_golden(out, name):
             float(w["mean_se_bps_hz"]), rel=MEAN_RTOL, abs=0), w
 
 
-def _outputs_by_threads(tmp_path, argv, failures):
-    """The output directories that argv writes at --threads 1 and at
-    --threads 2.  A RuntimeWarning fails a run (a zero block trace must
-    give rotation 1, not inf or NaN), except that a run with failures
-    must warn that this many of its 40 trials failed."""
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        argv_t = argv + ["--out", str(out), "--threads", threads]
-        if failures:
-            with pytest.warns(RuntimeWarning,
-                              match=f"{failures} of 40 trials failed"):
-                assert main(argv_t) == 0
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert main(argv_t) == 0
-        outs.append(out)
-    return outs
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rank_fail_matches_golden(run, threads):
+    # one thread cuts blocks of 32 + 8 trials, two cut 20 + 20; either way
+    # the same 6 trials fail and the other 34 keep their values
+    _check_golden(run("rank_fail", "sweep-snr", None, threads), "rank_fail")
 
 
-@pytest.mark.parametrize("name,command,trials,golden,failures", THREAD_CASES)
-def test_threads_match_golden(tmp_path, configs_dir, name, command, trials,
-                              golden, failures):
-    outs = _outputs_by_threads(
-        tmp_path, _argv(configs_dir, name, command, trials), failures)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fig5_40_matches_golden(run, threads):
+    # four receive geometries across blocks of 32 + 8 trials at one
+    # thread and 20 + 20 at two
+    out = run("fig5", "sweep-snr", 40, threads)
+    _check_golden(out, "fig5_40")
+    assert ((out / "results.svg").read_bytes()
+            == (GOLDEN_DIR / "fig5_40.svg").read_bytes())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name,command", [("fig8", "sweep-snr"),
+                                          ("convergence", "convergence")])
+def test_alternating_40_matches_golden(run, name, command, threads):
+    # alternating minimization across blocks of 32 + 8 trials at one
+    # thread and 20 + 20 at two
+    _check_golden(run(name, command, 40, threads), f"{name}_40")
+
+
+def _assert_threads_agree(run, name, command, trials):
+    """--threads 1 and --threads 2 write the same results.csv and
+    results.svg bytes."""
+    outs = [run(name, command, trials, threads) for threads in ("1", "2")]
     for f in ("results.csv", "results.svg"):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
-    for out in outs:
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == failures
-        if golden is not None:
-            _check_golden(out, golden)
-        if golden in GOLDEN_SVGS:
-            assert ((out / "results.svg").read_bytes()
-                    == (GOLDEN_DIR / f"{golden}.svg").read_bytes())
+
+
+@pytest.mark.parametrize("name,command", [("fig10", "sweep-chains"),
+                                          ("convergence", "convergence"),
+                                          ("fig8", "sweep-snr"),
+                                          ("fig5", "sweep-snr"),
+                                          ("fig6a", "sweep-snr"),
+                                          ("fig7", "sweep-snr")])
+def test_threads_write_identical_outputs_at_40(run, name, command):
+    # at 40 trials one thread cuts blocks of 32 + 8 and two threads 20 + 20,
+    # across fig10's shared solve stacks; the convergence trial loop, its
+    # resolution variants sharing their start phases; fig8's 1-, 2- and
+    # 3-bit stops; fig5's four reference geometries, its continuous curves
+    # rated from their singular values and its 1-bit one solved; fig6a's
+    # mix of such curves, solved curves on the same 36x6 geometry and a
+    # 36x1 geometry with no combining target; and fig7's explicit altmin
+    # curves on proportional reuse, the only config where that solver
+    # overrides the sigma and direct rules of EvalUnit.method
+    _assert_threads_agree(run, name, command, 40)
+
+
+def test_rank_fail_threads_write_identical_outputs(run):
+    # the same 6 of its own 40 trials fail in blocks of 32 + 8 at one
+    # thread and 20 + 20 at two
+    _assert_threads_agree(run, "rank_fail", "sweep-snr", None)
+
+
+def test_depth_sweep_threads_write_identical_outputs(run):
+    # the lo_depth sweep at its own 20 trials, one block at one thread and
+    # 10 + 10 trials at two
+    _assert_threads_agree(run, "depth", "sweep-depth", None)
