@@ -78,6 +78,7 @@ def check_phase_update_grid():
     worst = pinv_dev = snapped = unequal = off_best = 0
     for bits, points in ((None, grid_points), (2, 4)):
         grid = 2 * np.pi * np.arange(points) / points
+        rotations = np.exp(-1j * grid)[:, None]
         segments = [(replace(a, resolution_bits=bits), w[None], p[None])
                     for a, w, p in zip(archs, targets, starts)]
         for arch, w_opt, start, segment, sol in zip(
@@ -94,9 +95,8 @@ def check_phase_update_grid():
             # the best candidate maximizes Re(e^{-j phi} x^H y)
             x = (compose_wrf(arch, np.zeros(10)) @ w_bb).reshape(10, -1)
             y = w_opt.reshape(10, -1)
-            best = grid[np.argmax(np.real(np.exp(-1j * grid)[:, None]
-                                          * np.sum(np.conj(x) * y, axis=1)),
-                                  axis=0)]
+            best = grid[np.argmax(np.real(
+                rotations * np.sum(np.conj(x) * y, axis=1)), axis=0)]
             if bits:
                 off_best += np.count_nonzero(phases != best)
             else:

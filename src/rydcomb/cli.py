@@ -442,7 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help or the usage
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "validate":
             return validate_command(args.config)

@@ -364,6 +364,31 @@ class TestRunEndToEnd:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("sweep-snr --config {config} --out {out} --trials 0",
+         "argument --trials: must be >= 1"),
+        ("sweep-snr --out {out}",
+         "the following arguments are required: --config"),
+        ("sweep-foo --config {config} --out {out}",
+         "invalid choice: 'sweep-foo'"),
+        ("sweep-snr --config {config} --out {out} --seed abc",
+         "argument --seed: invalid int value: 'abc'"),
+        ("sweep-snr --config {config} --out {out} --seed -1",
+         "error: seed must be a 64-bit unsigned integer"),
+    ])
+    def test_usage_error_exit_one(self, tmp_path, capsys, configs_dir, argv,
+                                  message):
+        # exit 2 is for numeric failures, not for the command line
+        assert main([a.format(config=configs_dir / "smoke.json",
+                              out=tmp_path / "o")
+                     for a in argv.split()]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["sweep-snr", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: rydcomb sweep-snr")
+
     def test_main_malformed_json_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -613,27 +638,44 @@ class TestRunEndToEnd:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def only_checks(monkeypatch):
+    """Stand the given checks in for the default suite of ``run_all``, so
+    that a test runs only the checks whose lines it reads.  The suite runs
+    in full in the three tests that read all of it: the healthy build, the
+    default checks before a config's, and the raising check."""
+    def use(*stand_ins):
+        monkeypatch.setattr(rydcomb.checks, "run_all",
+                            lambda: [check() for check in stand_ins])
+    return use
+
+
 class TestValidateCommand:
     def test_healthy_build_passes(self, capsys):
         assert validate_command() == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+        # the tests that run stand-ins rely on run_all running these six
+        assert [l.split()[0] for l in out.splitlines()[:-1]] == [
+            "phase-update-grid", "quantizer-exhaustive",
+            "block-pseudoinverse", "proportional-equivalence",
+            "channel-energy", "factored-reference"]
 
-    def test_ignores_env_threads(self, monkeypatch, capsys):
+    def test_ignores_env_threads(self, monkeypatch, capsys, only_checks):
         # validate runs no trial blocks, so a bad SIM_THREADS is not its
-        # error; the quantizer check alone stands in for the suite, which
-        # the tests above run in full
+        # error; the quantizer check alone stands in for the suite
         monkeypatch.setenv("SIM_THREADS", "abc")
-        monkeypatch.setattr(rydcomb.checks, "run_all", lambda: [
-            rydcomb.checks.check_quantizer_exhaustive()])
+        only_checks(rydcomb.checks.check_quantizer_exhaustive)
         assert main(["validate"]) == 0
         assert capsys.readouterr().out.endswith("all checks passed\n")
 
-    def test_broken_quantizer_detected(self, capsys, monkeypatch):
+    def test_broken_quantizer_detected(self, capsys, monkeypatch,
+                                       only_checks):
         def broken(phase, bits):
             return 0.0
         monkeypatch.setattr(rydcomb.optimizer, "quantize_phase", broken)
+        only_checks(rydcomb.checks.check_quantizer_exhaustive)
         assert validate_command() != 0
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines()
@@ -645,8 +687,8 @@ class TestValidateCommand:
         return next(l for l in out.splitlines()
                     if l.startswith("factored-reference"))
 
-    def test_stacked_sample_unequal_to_its_block_detected(self, capsys,
-                                                          monkeypatch):
+    def test_stacked_sample_unequal_to_its_block_detected(
+            self, capsys, monkeypatch, only_checks):
         # one ulp on one stacked sample's W_opt, only in blocks of several
         # draws: no dense tolerance sees it, the one-draw blocks do
         stage = rydcomb.channel.block_references
@@ -662,12 +704,14 @@ class TestValidateCommand:
 
         monkeypatch.setattr(rydcomb.channel, "block_references",
                             off_by_one_ulp)
+        only_checks(rydcomb.checks.check_factored_reference)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
         assert "FAIL" in line
         assert "unequal to their one-draw blocks: 3 of 30" in line
 
-    def test_scaled_singular_values_detected(self, capsys, monkeypatch):
+    def test_scaled_singular_values_detected(self, capsys, monkeypatch,
+                                             only_checks):
         # Sigma off by 1e-6 relative, in every block alike: the one-draw
         # blocks agree, the dense SVD does not
         stage = rydcomb.channel.block_references
@@ -677,6 +721,7 @@ class TestValidateCommand:
                     for geometry, (w_opt, sigma) in stage(*args).items()}
 
         monkeypatch.setattr(rydcomb.channel, "block_references", scaled)
+        only_checks(rydcomb.checks.check_factored_reference)
         assert validate_command() != 0
         line = self.factored_line(capsys.readouterr().out)
         assert "FAIL" in line
@@ -684,19 +729,21 @@ class TestValidateCommand:
         deviation = float(line.split("dense SVD: ")[1].split(",")[0])
         assert 5e-7 < deviation < 2e-6
 
-    def test_depth_sweep_config_checks(self, capsys, configs_dir):
+    def test_depth_sweep_config_checks(self, capsys, configs_dir,
+                                       only_checks):
         # a sweep-depth config: one equivalence check per lo_depth value
-        # and architecture entry, after the default checks
+        # and architecture entry, after the default equivalence check
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         assert main(["validate", "--config", str(
             configs_dir.parent / "tests/configs/depth.json")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        checks = lines[6:-1]  # after the six default checks
+        checks = lines[1:-1]  # after the default check
         assert [l.split()[1] for l in checks] == [
             "PASS", "SKIP", "PASS", "SKIP", "PASS", "PASS"]
         assert all(l.startswith("proportional-equivalence") for l in checks)
         assert lines[-1] == "all checks passed"
 
-    def test_cell_path_checked(self, capsys, monkeypatch):
+    def test_cell_path_checked(self, capsys, monkeypatch, only_checks):
         # cell means off by 1e-8 relative wherever a cell holds 2 or more
         # rows: only the kernel's own alternating pass sees it
         means = rydcomb.optimizer._cell_means
@@ -708,6 +755,7 @@ class TestValidateCommand:
             return cells, spread
 
         monkeypatch.setattr(rydcomb.optimizer, "_cell_means", scaled)
+        only_checks(rydcomb.checks.check_phase_update_grid)
         assert validate_command() == 1
         line = next(l for l in capsys.readouterr().out.splitlines()
                     if l.startswith("phase-update-grid"))
@@ -716,7 +764,7 @@ class TestValidateCommand:
         assert 5e-9 < deviation < 1e-7
 
     def test_convergence_config_without_snr_points(self, tmp_path, capsys,
-                                                    configs_dir):
+                                                    configs_dir, only_checks):
         # convergence runs it at snr_db 0; sweep-snr needs the points, so
         # validate parses it as convergence
         doc = json.loads((configs_dir / "convergence.json").read_text())
@@ -725,13 +773,15 @@ class TestValidateCommand:
         assert main(["convergence", "--config", str(path), "--trials", "2",
                      "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         assert main(["validate", "--config", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [l.split()[:2] for l in lines[6:-1]] == [
+        assert [l.split()[:2] for l in lines[1:-1]] == [
             ["proportional-equivalence", "SKIP"]] * 4
         assert lines[-1] == "all checks passed"
 
-    def test_config_with_one_chain_checks(self, tmp_path, capsys):
+    def test_config_with_one_chain_checks(self, tmp_path, capsys,
+                                          only_checks):
         # one block of lo_depth 2 and apd_depth 2 has one chain, so its
         # check combines one stream, as a run of it does
         doc = smoke_doc(n_blocks=1, n_streams=1, architectures=[
@@ -740,13 +790,14 @@ class TestValidateCommand:
         assert main(["sweep-snr", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 0
         capsys.readouterr()
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         assert main(["validate", "--config", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [l.split()[:2] for l in lines[6:-1]] == [
+        assert [l.split()[:2] for l in lines[1:-1]] == [
             ["proportional-equivalence", "PASS"]]
 
     def test_checks_draw_on_the_units_geometry(self, tmp_path, capsys,
-                                               monkeypatch):
+                                               monkeypatch, only_checks):
         # block_spacing 0.7 and intra_spacing 0.1: each architecture's
         # check draws its channel on its own unit's geometry, and the
         # default check on the default 36x6 array
@@ -758,6 +809,7 @@ class TestValidateCommand:
             return generate(params, geometry, rng)
 
         monkeypatch.setattr(rydcomb.checks, "generate_channel", recording)
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         doc = smoke_doc(channel={"n_tx": 16, "n_clusters": 2, "n_rays": 3,
                                  "block_spacing": 0.7, "intra_spacing": 0.1},
                         architectures=[{"lo_depth": 2, "apd_depth": 2},
@@ -765,20 +817,24 @@ class TestValidateCommand:
         assert main(["validate", "--config",
                      str(write_doc(tmp_path, doc))]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [l.split()[:2] for l in lines[6:-1]] == [
+        assert [l.split()[:2] for l in lines[1:-1]] == [
             ["proportional-equivalence", "PASS"]] * 2
         assert drawn[0] == ArrayGeometry(36, 6)
         assert drawn[-2:] == [ArrayGeometry(4, lo, 0.7, 0.1) for lo in (2, 4)]
 
-    def test_non_proportional_config_skips(self, capsys, configs_dir):
+    def test_non_proportional_config_skips(self, capsys, configs_dir,
+                                           only_checks):
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         assert validate_command(configs_dir / "fig8.json") == 0
         out = capsys.readouterr().out
         assert "SKIP" in out
         assert "not proportional" in out
 
-    def test_sweep_config_uses_its_command(self, capsys, configs_dir):
+    def test_sweep_config_uses_its_command(self, capsys, configs_dir,
+                                           only_checks):
         # fig10 sweeps n_chains with PC baselines, so it must be parsed as
         # sweep-chains; one equivalence line per swept architecture
+        only_checks(rydcomb.checks.check_proportional_equivalence)
         assert main(["validate", "--config",
                      str(configs_dir / "fig10.json")]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines()

@@ -18,7 +18,7 @@ from rydcomb import (ArchitectureError, ArrayGeometry,
                      run_convergence, run_experiment, spectral_efficiency)
 from rydcomb import evaluation
 from rydcomb.architecture import is_proportional
-from rydcomb.channel import Paths
+from rydcomb.channel import Paths, block_references
 from rydcomb.cli import main, parse_config
 from rydcomb.optimizer import solve_stack
 
@@ -764,9 +764,9 @@ class TestBlockReferences:
         # only where a solve reads it.
         seen, unformed = set(), set()
         trials = range(3, 3 + block)
+        groups: dict[tuple, list] = {}
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
-            n_s = spec.n_streams
             stacks = evaluation._block_references(
                 spec, trials, {u.geometry for u in spec.units})
             run = evaluation._block_references(spec, trials, {
@@ -779,24 +779,35 @@ class TestBlockReferences:
                                   geometry.n_per_block))
                 else:
                     np.testing.assert_array_equal(w_opt, stacks[geometry][0])
-            for row, t in enumerate(trials):
-                alone = evaluation._block_references(spec, range(t, t + 1))
-                paths = draw_paths(spec.channel,
-                                   evaluation._channel_rng(spec.seed, t))
-                for geometry, (w_opt, sigma) in stacks.items():
-                    np.testing.assert_array_equal(w_opt[row],
-                                                  alone[geometry][0][0])
-                    np.testing.assert_array_equal(sigma[row],
-                                                  alone[geometry][1][0])
-                    dense = optimal_digital_combiner(channel_matrix(
-                        paths, spec.channel.n_tx, geometry), n_s)
-                    scale = dense.singular_values[0]
-                    np.testing.assert_allclose(
-                        sigma[row], dense.singular_values[:n_s], rtol=0,
-                        atol=1e-12 * scale)
-                    np.testing.assert_allclose(w_opt[row], dense.w_opt,
-                                               rtol=0, atol=1e-12)
+            groups.setdefault((spec.channel, spec.seed, spec.n_streams),
+                              []).append(stacks)
             seen.update(stacks)
+        # configs of one channel, seed and stream count draw the same
+        # paths: each trial's lone one-trial reference and dense SVD are
+        # built once per geometry of the group, and every config's stacked
+        # row on that geometry is compared with them
+        assert len(groups) == 2  # smoke, and the other eight
+        for (params, seed, n_s), group in groups.items():
+            geometries = list(dict.fromkeys(g for s in group for g in s))
+            for row, t in enumerate(trials):
+                paths = draw_paths(params, evaluation._channel_rng(seed, t))
+                alone = block_references(Paths.stack([paths]), params.n_tx,
+                                         n_s, geometries)
+                for geometry in geometries:
+                    dense = optimal_digital_combiner(channel_matrix(
+                        paths, params.n_tx, geometry), n_s)
+                    scale = dense.singular_values[0]
+                    for w_opt, sigma in (s[geometry] for s in group
+                                         if geometry in s):
+                        np.testing.assert_array_equal(w_opt[row],
+                                                      alone[geometry][0][0])
+                        np.testing.assert_array_equal(sigma[row],
+                                                      alone[geometry][1][0])
+                        np.testing.assert_allclose(
+                            sigma[row], dense.singular_values[:n_s], rtol=0,
+                            atol=1e-12 * scale)
+                        np.testing.assert_allclose(w_opt[row], dense.w_opt,
+                                                   rtol=0, atol=1e-12)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
         # fig5's geometries whose curves all have apd_depth = 1 and
