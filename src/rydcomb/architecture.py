@@ -29,14 +29,16 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ReuseArchitecture:
-    """Reuse configuration of the receive array.
+    """Reuse configuration of the receive array, a hashable value.
 
     lo_depth antennas share each local oscillator (1 = LO-Dedicated) and
     apd_depth probe signals share each photodiode (1 = APD-Dedicated).
     The fixed intra-block LO offsets follow from the symmetric sub-element
     positions, 2*pi*intra_spacing*(k - (lo_depth-1)/2), identical per
-    block.  resolution_bits=None means continuous LO phases; an integer B
-    restricts phases to the 2^B-point grid {2*pi*b/2^B}.
+    block; they are computed once at construction, kept read-only, and
+    zero with lo_depth = 1.  resolution_bits=None means continuous LO
+    phases; an integer B restricts phases to the 2^B-point grid
+    {2*pi*b/2^B}.
     """
 
     n_blocks: int

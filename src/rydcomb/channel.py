@@ -137,21 +137,25 @@ def block_references(paths: Paths, n_tx: int, n_streams: int,
                      ) -> dict[ArrayGeometry, tuple]:
     """The SVD reference of a block of draws (B, L) on each receive
     geometry: the phase-fixed W_opt (B, N_r, N_s), None off ``vectors`` if
-    given, and the leading singular values (B, N_s), each sample bit for
-    bit that of its draw's block alone.
+    given (a run asks for W_opt where a solve reads it; ``validate`` and
+    the tests pass None, for all), and the leading singular values (B,
+    N_s), each sample bit for bit that of its draw's block alone, so no
+    value depends on the block size.
 
     H = A_rx G A_tx^H, G = diag(g), has the singular values of the core
     C = R_rx G R_tx^H = U S V^H, with A = Q R per draw, and w_i = A_rx (G
     R_tx^H v_i) / s_i.  The transmit steering is one ``upa_response`` call,
-    factored by one QR per draw (a stacked QR is slower) and dropped, and
-    geometries with equal n_blocks and block_spacing share one block-UPA
-    factor.  Then, geometry by geometry in the given order, one receive QR
-    per sample, one core product and SVD for the stack, whatever ``vectors``
-    holds, and the vector mapping; each steering is freed before the next.
+    factored by one QR per draw (R only; a stacked QR is slower) and
+    dropped, and geometries with equal n_blocks and block_spacing share one
+    block-UPA factor.  Then, geometry by geometry in the given order, one
+    receive QR per sample, one core product and SVD for the stack, whatever
+    ``vectors`` holds (so Sigma has the same bits whichever curves share a
+    geometry), and the vector mapping; each steering is freed before the
+    next.
     Raises NumericError in the words of ``optimal_digital_combiner`` for a
     non-finite gain or angle, before any steering; when a receive QR or
     the SVD fails; and, before any division, for the first sample of rank
-    below n_streams.
+    below n_streams, so a channel of zero gain divides nothing.
     """
     if not all(np.isfinite(a).all() for a in vars(paths).values()):
         raise NumericError("channel matrix contains non-finite entries")

@@ -3,7 +3,12 @@
 Commands: sweep-snr, sweep-chains, sweep-depth, convergence, validate.
 Configurations are JSON documents (see README for the schema); SNR is given
 in dB and converted once here at the boundary.  Exit codes: 0 success,
-1 usage/config error, 2 numeric/solver failure.
+1 usage/config error, 2 numeric/solver failure.  Every config error exits 1
+with an ``error:`` line that names the field: a value the channel or
+solver settings reject, a count past MAX_COUNT, a NaN or infinite number
+(which JSON parsing accepts), and a field the command does not read.
+There is no table of allowed fields: each object of the config walk
+(``_Ctx``) records the fields it reads.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ _SWEPT_FIELD = {"sweep-snr": "snr_db", "convergence": "snr_db",
                 "sweep-chains": "n_chains", "sweep-depth": "lo_depth"}
 _BASELINES = ("none", "upa_pc", "nonupa_pc", "ideal_digital_reuse",
               "ideal_digital_no_reuse")
+# Ceiling on every count a config sets, far above any bundled value.  Past
+# it one count could overflow an array size or a sequence length before any
+# other check saw it; counts below it can still multiply to more memory
+# than a machine has.
+MAX_COUNT = 10 ** 6
 
 class _Ctx:
     """Walks a JSON document tracking the field path for error messages and
@@ -73,6 +83,14 @@ class _Ctx:
             raise ConfigError(f"{self._at(key)}: {value} is not finite")
         return value
 
+    def count(self, key: str, default=None, required: bool = False):
+        """An integer field of at most MAX_COUNT."""
+        value = self.get(key, int, default, required)
+        if value is not None and value > MAX_COUNT:
+            raise ConfigError(f"{self._at(key)}: {value} exceeds the count "
+                              f"ceiling {MAX_COUNT}")
+        return value
+
     def sub(self, key: str, required: bool = False) -> "_Ctx":
         value = self.get(key, dict, default={}, required=required)
         return _Ctx(value, self._at(key), self.walk)
@@ -87,6 +105,9 @@ class _Ctx:
                     kind is float and not abs(v) <= sys.float_info.max):
                 raise ConfigError(f"{self._at(key)}[{i}]: expected " + (
                     "integer" if kind is int else "finite number"))
+            if kind is int and v > MAX_COUNT:
+                raise ConfigError(f"{self._at(key)}[{i}]: {v} exceeds the "
+                                  f"count ceiling {MAX_COUNT}")
         return [kind(v) for v in values]
 
     def build(self, make, **fields):
@@ -141,9 +162,9 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
 
     ch = ctx.sub("channel", required=True)
     channel = ch.build(
-        ChannelParams, n_tx=ch.get("n_tx", int, required=True),
-        n_clusters=ch.get("n_clusters", int, default=5),
-        n_rays=ch.get("n_rays", int, default=10),
+        ChannelParams, n_tx=ch.count("n_tx", required=True),
+        n_clusters=ch.count("n_clusters", default=5),
+        n_rays=ch.count("n_rays", default=10),
         cluster_powers=tuple(ch.num_list("cluster_powers", float)),
         angular_spread=math.radians(
             ch.get("angular_spread_deg", float, default=10.0)))
@@ -151,7 +172,7 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
     intra_spacing = ch.get("intra_spacing", float,
                            default=0.1 * block_spacing)
 
-    n_blocks = ctx.get("n_blocks", int, required=True)
+    n_blocks = ctx.count("n_blocks", required=True)
     n_streams = ctx.get("n_streams", int, required=True)
     snr_db = tuple(ctx.num_list("snr_db", float,
                                 required=(command == "sweep-snr")))
@@ -159,7 +180,7 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
         raise ConfigError("snr_db: empty sweep; give at least one SNR point")
     if not snr_db:
         snr_db = (0.0,)
-    trials = ctx.get("trials", int, default=500)
+    trials = ctx.count("trials", default=500)
     seed = ctx.get("seed", int, required=True)
 
     sv = ctx.sub("solver")
@@ -174,7 +195,7 @@ def build_spec(doc: dict, command: str) -> ExperimentSpec:
                 f"baselines: unknown baseline {b!r} (choose from {_BASELINES})")
     baselines = [b for b in baselines if b != "none"]
     if doc.get("pc_chains", 0) is None:  # a null reads as omitted
-        ctx.get("pc_chains", int)
+        ctx.count("pc_chains")
 
     if command not in _SWEPT_FIELD:
         raise ConfigError(f"unknown command {command!r}")
@@ -212,7 +233,7 @@ def _baseline_units(ctx: _Ctx, baselines: list[str], n_blocks: int,
                 arch=ReuseArchitecture(n_blocks, lo, intra_spacing=intra_spacing),
                 sweep_value=sweep_value))
         elif b in ("upa_pc", "nonupa_pc"):
-            chains = chains or ctx.get("pc_chains", int)
+            chains = chains or ctx.count("pc_chains")
             if chains is None:
                 raise ConfigError(f"baseline {b!r} requires pc_chains")
             n_r = n_blocks * depth
@@ -274,14 +295,14 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
         first_with: dict[str, str] = {}  # entry path by label
         for entry in entries:
             lo = (value if param == "lo_depth"
-                  else entry.get("lo_depth", int, default=1))
+                  else entry.count("lo_depth", default=1))
             if param == "n_chains":
                 if value <= 0 or n_blocks * lo % value != 0:
                     raise ConfigError(f"sweep.values: {value} chains do not "
                                       f"divide N_r={n_blocks * lo}")
                 apd = n_blocks * lo // value
             else:
-                apd = entry.get("apd_depth", int, default=1)
+                apd = entry.count("apd_depth", default=1)
             label = entry.get("label", str, default=", ".join(
                 f"{k}={v}" for k, v in (("lo_depth", lo), ("apd_depth", apd))
                 if k != swept_key))
@@ -304,8 +325,8 @@ def _sweep_units(ctx: _Ctx, command: str, n_blocks: int,
                 raise ConfigError(f"{entry.path}.{exc}") from exc
         units.extend(arch_units)
         if baselines:
-            depth = value if param == "lo_depth" else ctx.get(
-                "reference_lo_depth", int,
+            depth = value if param == "lo_depth" else ctx.count(
+                "reference_lo_depth",
                 default=max(u.arch.lo_depth for u in arch_units))
             units.extend(_baseline_units(
                 ctx, baselines, n_blocks, depth,
@@ -330,7 +351,8 @@ def emit_results(table: ResultTable, output_dir: Path,
     file.  The old manifest is removed first and the new one written last,
     so a manifest marks a complete set of outputs from one run.
 
-    The CSV is the authoritative output: UTF-8, LF endings, %.12e means.
+    The CSV is the authoritative output: UTF-8, LF endings, %.12e means,
+    and a label that holds a comma, quote or line break quoted.
     """
     if not table.rows:
         raise ConfigError("result table is empty; nothing to write")

@@ -123,7 +123,9 @@ def _check_snr(snr_linear: float) -> None:
 def spectral_efficiency(h: np.ndarray, w_rf: np.ndarray, w_bb: np.ndarray,
                         f_opt: np.ndarray, n_streams: int,
                         snr_linear: float) -> float:
-    """Achievable rate in bits/s/Hz for one channel, combiner, and SNR."""
+    """Achievable rate in bits/s/Hz for one channel, combiner, and SNR.
+    A negative or non-finite SNR, and an n_streams that is not an integer
+    (a bool is not), raise ValueError."""
     if not (_is_int(n_streams) and w_bb.shape[1] == n_streams
             == f_opt.shape[1]):
         raise ValueError(f"n_streams={n_streams!r} must be an integer equal "
@@ -137,7 +139,8 @@ def fully_digital_se(singular_values: np.ndarray, n_streams: int,
                      snr_linear: float) -> float:
     """Rate of the unconstrained digital combiner: the first n_streams
     squared singular values enter the water-free log-det directly.
-    n_streams must be an integer in [1, len(singular_values)]."""
+    n_streams must be an integer in [1, len(singular_values)], and the
+    SNR finite and >= 0."""
     sv = np.asarray(singular_values)
     if not (_is_int(n_streams) and 1 <= n_streams <= sv.size):
         raise ValueError(f"n_streams={n_streams!r} must be an integer in "
@@ -160,7 +163,14 @@ def pc_architecture(n_r: int, n_rf_chains: int) -> ReuseArchitecture:
 class EvalUnit:
     """One curve to evaluate: a labeled architecture on a concrete receive
     geometry.  An ideal digital curve is the full-chain architecture of its
-    geometry (apd_depth = 1, continuous phases), whose W is W_opt."""
+    geometry (apd_depth = 1, continuous phases), whose W is W_opt.
+
+    Construction rejects an unknown solver, 'direct' on reuse that is not
+    proportional, a reuse or ideal digital curve whose architecture is not
+    its geometry's blocks (n_blocks, lo_depth, intra_spacing), and an ideal
+    digital curve that is not full-chain, so a library-built spec fails
+    when it is built, before any channel is drawn.
+    """
 
     label: str
     kind: str
@@ -199,11 +209,20 @@ class EvalUnit:
 
     @property
     def method(self) -> str:
-        """How a run computes the curve: 'altmin' for solver 'altmin' and
-        for reuse that is not proportional (only 'auto' reaches it there);
-        else 'sigma' with apd_depth = 1 and continuous phases, where the
-        direct solve gives W = W_opt and the rate is that of Sigma; else
-        'direct'."""
+        """How a run computes the curve.
+
+        'altmin' for solver 'altmin' and for reuse that is not proportional
+        (only 'auto' reaches it there): its iterates are what the config
+        asks for, and an alternating solve stopped early is not at W_opt.
+        Else 'sigma' with apd_depth = 1 and continuous phases: every
+        antenna has its own RF chain, so W_RF = diag(u) is invertible, the
+        direct solve gives W = W_opt, and the curve is rated from the
+        geometry's Sigma at any lo_depth, with no solve.  Else 'direct'; a
+        quantized full-chain curve is one and reaches the Sigma rate only
+        up to rounding (fig5's 1-bit curve keeps direct solves on the
+        benchmark's fig5-direct workload, whose self-test predicts them).
+        ``TestMethod`` pins the method of every bundled curve.
+        """
         if self.solver == "altmin" or not is_proportional(self.arch):
             return "altmin"
         if (self.arch.apd_depth, self.arch.resolution_bits) == (1, None):
@@ -303,7 +322,8 @@ class ResultTable:
 def _start_phases(spec: ExperimentSpec, trials: range) -> dict[int, np.ndarray]:
     """Start phases, by unit index, of the curves of method 'altmin'.  Row
     t is drawn on [0, 2pi) from the stream of trial t and structure (kind,
-    n_blocks, lo_depth, apd_depth), once."""
+    n_blocks, lo_depth, apd_depth), once, so resolution variants share one
+    array; a 'direct' curve draws none, even on a structure it shares."""
     keys = {i: (_KIND_CODES[u.kind], u.arch.n_blocks, u.arch.lo_depth,
                 u.arch.apd_depth)
             for i, u in enumerate(spec.units) if u.method == "altmin"}
@@ -356,11 +376,14 @@ def _run_block(spec: ExperimentSpec, trials: range,
 
     Every curve whose method is not 'sigma' is solved once, in one
     ``solve_stack`` call on the stacks of ``_block_references``, from its
-    ``_start_phases`` or else directly.  A block keeps all of its trials or
-    none: when any stage raises, a block of several trials is run again as
-    blocks of one trial, and a trial that raises alone fails, NaN in every
-    column.  Every value is computed as it would be alone, so the other
-    trials keep their bytes.
+    ``_start_phases`` or else directly (on fig10 the 18 partially-connected
+    curves share one kernel loop, the 7 alternating reuse curves another).
+    A block keeps all of its trials or none: when any stage raises, a
+    block of several trials is run again as blocks of one trial, and a
+    trial that raises alone fails, NaN in every column, with the text of
+    the reference stage on the first geometry in unit order that fails
+    it, or with that of its stacked rate.  Every value is computed as it
+    would be alone, so the other trials keep their bytes.
     """
     solved = {i: u for i, u in enumerate(spec.units) if u.method != "sigma"}
     try:
@@ -395,7 +418,8 @@ def _tabulate(spec: ExperimentSpec, threads: int,
     of the trials per thread.
 
     Failed trials are dropped from every column and reported once at the
-    end; every column is reduced over the same kept trials.
+    end, in a warning that counts them and names the first; every column
+    is reduced over the same kept trials.
     """
     if not (_is_int(threads) and threads >= 1):
         raise ValueError("threads must be an integer >= 1")

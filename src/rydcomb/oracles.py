@@ -2,6 +2,14 @@
 of ``validate``: the channel H = A_rx diag(g) A_tx^H, its SVD reference
 W_opt/F_opt, and the hybrid combiner W_RF = W_LO W_LC.  No run calls
 them; the run path uses the block forms of ``channel`` and ``optimizer``.
+The module imports only those below it (``architecture``, ``arrays``,
+``channel``, ``errors``).  Some single-sample forms stay beside their
+kernels: ``alternating_minimize`` and ``direct_solve_proportional`` in
+``optimizer`` are batches of one through the kernel, and the per-layer
+benchmark trace looks them up there; ``spectral_efficiency``,
+``combined_gain_eigenvalues`` and ``fully_digital_se`` in ``evaluation``
+share the helpers of the stacked rate, and here they would make the two
+modules import each other.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ def generate_channel(params: ChannelParams, rx_geometry: ArrayGeometry,
 class DigitalReference:
     """Fully digital optimum from a dense channel SVD: combining target
     w_opt (left singular vectors), ideal precoder f_opt (right singular
-    vectors), and all min(N_r, N_t) singular values in descending order."""
+    vectors), each column phase-fixed as in ``block_references``, and all
+    min(N_r, N_t) singular values in descending order."""
 
     w_opt: np.ndarray = field(repr=False)
     f_opt: np.ndarray = field(repr=False)
@@ -80,7 +89,8 @@ def optimal_digital_combiner(h: np.ndarray,
                              n_streams: int) -> DigitalReference:
     """SVD-based fully digital reference for a dense channel matrix, the
     oracle that ``block_references`` is checked against.  A channel of rank
-    below n_streams (by matrix_rank's tolerance) raises NumericError."""
+    below n_streams (by matrix_rank's tolerance) raises NumericError, and
+    an n_streams that is not an integer in [1, min(N_r, N_t)] ValueError."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError("channel matrix must be 2-D")

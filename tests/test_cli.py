@@ -18,8 +18,8 @@ from rydcomb import (ArrayGeometry, ConfigError, ResultRow, ResultTable,
                      ReuseArchitecture)
 from rydcomb.channel import MAX_CLUSTER_POWER
 from rydcomb.evaluation import MAX_SNR_DB
-from rydcomb.cli import (build_spec, emit_results, main, parse_config,
-                         validate_command)
+from rydcomb.cli import (MAX_COUNT, build_spec, emit_results, main,
+                         parse_config, validate_command)
 
 
 def smoke_doc(**overrides):
@@ -637,6 +637,45 @@ class TestRunEndToEnd:
         assert "checks passed" not in captured.out
         assert not (tmp_path / "o").exists()
 
+    # without the ceiling these counts escape main as a MemoryError,
+    # OverflowError or ValueError, with a traceback
+    @pytest.mark.parametrize("field", ["channel.n_tx", "channel.n_clusters",
+                                       "channel.n_rays", "n_blocks",
+                                       "reference_lo_depth"])
+    def test_huge_count_exit_one(self, tmp_path, capsys, configs_dir, field):
+        doc = json.loads((configs_dir / "smoke.json").read_text())
+        *parents, key = field.split(".")
+        obj = doc
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = 10 ** 30
+        assert main(["sweep-snr", "--config", str(write_doc(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field}: {10 ** 30} exceeds the count ceiling "
+            f"{MAX_COUNT}"]
+        assert not (tmp_path / "o").exists()
+
+    # the other counts, checked at parse time only: a count that parses
+    # but is large can ask for gigabytes
+    CEILING_CASES = {
+        "trials": ("sweep-snr", {"trials": MAX_COUNT + 1}),
+        "architectures[0].lo_depth": ("sweep-snr", {"architectures": [
+            {"label": "a", "lo_depth": MAX_COUNT + 1, "apd_depth": 2}]}),
+        "architectures[0].apd_depth": ("sweep-snr", {"architectures": [
+            {"label": "a", "lo_depth": 2, "apd_depth": MAX_COUNT + 1}]}),
+        "pc_chains": ("sweep-snr", {"pc_chains": MAX_COUNT + 1,
+                                    "baselines": ["upa_pc"]}),
+        "sweep.values[1]": ("sweep-chains", dict(CHAIN_SWEEP, sweep={
+            "param": "n_chains", "values": [2, MAX_COUNT + 1]}))}
+
+    @pytest.mark.parametrize("field", CEILING_CASES)
+    def test_count_ceiling(self, field):
+        command, top = self.CEILING_CASES[field]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{field}: {MAX_COUNT + 1} exceeds the count ceiling")):
+            build_spec(smoke_doc(**top), command)
+
 
 @pytest.fixture
 def only_checks(monkeypatch):
@@ -651,6 +690,13 @@ def only_checks(monkeypatch):
 
 
 class TestValidateCommand:
+    """Three tests run the whole suite: the healthy build (which also checks
+    the six check names in run order), the default checks before a
+    config's, and a raising check.  The others put in place of the suite,
+    through ``only_checks``, only the checks whose lines they read: the
+    default proportional-equivalence check for the ``--config`` tests, and
+    the one check that sees each injected fault."""
+
     def test_healthy_build_passes(self, capsys):
         assert validate_command() == 0
         out = capsys.readouterr().out

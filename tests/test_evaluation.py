@@ -762,52 +762,56 @@ class TestBlockReferences:
         # arrays, and a geometry that only ideal digital curves read
         # (fig10's 36x1).  A run forms the same W_opt and Sigma, and W_opt
         # only where a solve reads it.
-        seen, unformed = set(), set()
+        unformed = set()
         trials = range(3, 3 + block)
         groups: dict[tuple, list] = {}
         for name, command in self.CONFIGS:
             spec, _ = parse_config(configs_dir / f"{name}.json", command)
-            stacks = evaluation._block_references(
-                spec, trials, {u.geometry for u in spec.units})
             run = evaluation._block_references(spec, trials, {
                 u.geometry for u in spec.units if u.method != "sigma"})
-            assert list(run) == list(stacks)
-            for geometry, (w_opt, sigma) in run.items():
-                np.testing.assert_array_equal(sigma, stacks[geometry][1])
-                if w_opt is None:
-                    unformed.add((name, geometry.n_elements,
-                                  geometry.n_per_block))
-                else:
-                    np.testing.assert_array_equal(w_opt, stacks[geometry][0])
+            assert list(run) == list(dict.fromkeys(
+                u.geometry for u in spec.units))
             groups.setdefault((spec.channel, spec.seed, spec.n_streams),
-                              []).append(stacks)
-            seen.update(stacks)
+                              []).append((name, run))
         # configs of one channel, seed and stream count draw the same
-        # paths: each trial's lone one-trial reference and dense SVD are
-        # built once per geometry of the group, and every config's stacked
-        # row on that geometry is compared with them
+        # paths: the group's stacks, with W_opt on every geometry, are built
+        # once on the union of its geometries, each config's run is
+        # compared with them, and each trial's lone one-trial reference and
+        # dense SVD are built once per geometry of the group
         assert len(groups) == 2  # smoke, and the other eight
-        for (params, seed, n_s), group in groups.items():
-            geometries = list(dict.fromkeys(g for s in group for g in s))
-            for row, t in enumerate(trials):
-                paths = draw_paths(params, evaluation._channel_rng(seed, t))
+        seen = set()
+        for (params, seed, n_s), runs in groups.items():
+            geometries = list(dict.fromkeys(g for _, run in runs for g in run))
+            seen.update(geometries)
+            draws = [draw_paths(params, evaluation._channel_rng(seed, t))
+                     for t in trials]
+            stacks = block_references(Paths.stack(draws), params.n_tx, n_s,
+                                      geometries)
+            for name, run in runs:
+                for geometry, (w_opt, sigma) in run.items():
+                    np.testing.assert_array_equal(sigma, stacks[geometry][1])
+                    if w_opt is None:
+                        unformed.add((name, geometry.n_elements,
+                                      geometry.n_per_block))
+                    else:
+                        np.testing.assert_array_equal(w_opt,
+                                                      stacks[geometry][0])
+            for row, paths in enumerate(draws):
                 alone = block_references(Paths.stack([paths]), params.n_tx,
                                          n_s, geometries)
-                for geometry in geometries:
+                for geometry, (w_opt, sigma) in stacks.items():
                     dense = optimal_digital_combiner(channel_matrix(
                         paths, params.n_tx, geometry), n_s)
                     scale = dense.singular_values[0]
-                    for w_opt, sigma in (s[geometry] for s in group
-                                         if geometry in s):
-                        np.testing.assert_array_equal(w_opt[row],
-                                                      alone[geometry][0][0])
-                        np.testing.assert_array_equal(sigma[row],
-                                                      alone[geometry][1][0])
-                        np.testing.assert_allclose(
-                            sigma[row], dense.singular_values[:n_s], rtol=0,
-                            atol=1e-12 * scale)
-                        np.testing.assert_allclose(w_opt[row], dense.w_opt,
-                                                   rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(w_opt[row],
+                                                  alone[geometry][0][0])
+                    np.testing.assert_array_equal(sigma[row],
+                                                  alone[geometry][1][0])
+                    np.testing.assert_allclose(
+                        sigma[row], dense.singular_values[:n_s], rtol=0,
+                        atol=1e-12 * scale)
+                    np.testing.assert_allclose(w_opt[row], dense.w_opt,
+                                               rtol=0, atol=1e-12)
         assert {ArrayGeometry(36, d) for d in (1, 2, 4, 6)} <= seen
         assert ArrayGeometry(144, 1) in seen
         # fig5's geometries whose curves all have apd_depth = 1 and
@@ -1080,7 +1084,15 @@ class TestSolverChoice:
 
 class TestMethod:
     """Each curve's ``EvalUnit.method`` on the bundled configs, and a
-    block's work run from a pickled copy of its data."""
+    block's work run from a pickled copy of its data.
+
+    fig7, the partially-connected baselines and every convergence curve
+    ask for 'altmin'.  'sigma' covers fig5's four continuous curves, the
+    "apd_depth=1 (ideal)" curves of fig6a and fig6b, and the ideal digital
+    baselines, each the full-chain architecture of its geometry.  'direct'
+    covers the other proportional curves, such as fig6a's apd_depth 2, 3
+    and 6, and quantized apd_depth = 1 ones, such as fig5's 1-bit curve.
+    """
 
     COMMANDS = {"fig10": "sweep-chains", "convergence": "convergence",
                 "depth": "sweep-depth"}

@@ -40,6 +40,13 @@ cross a trial block: fig5_40 where the reference stage dominates, fig8_40
 path.  Labels, sweep values, trial counts and seeds must match exactly;
 means must agree to a relative 1e-9, which absorbs reordered floating-point
 work but not a changed curve.
+
+Besides the 20-trial runs at one thread, each 40-trial config (fig5, fig6a,
+fig7, fig8, fig10 and convergence) and each config under tests/configs/ at
+its own trial count runs once per thread count, at --threads 1 and 2,
+through the module-scoped run cache of the ``run`` fixture.  From those two
+runs the tests check that both write the same results.csv and results.svg
+bytes, and each against its golden where there is one.
 """
 
 import csv
